@@ -8,6 +8,8 @@ flips the sign of every odd-order contribution downstream, so the
 convention is pinned here once and for all.  Even-index numbers agree
 under both conventions, and ``B_{2k+1} = 0`` for ``k >= 1``.
 
+Numbers come from the integer tangent-number recurrence and
+polynomials from their binomial sum; see :class:`BernoulliTable`.
 Everything in this module is exact: values are `fractions.Fraction`
 and polynomial evaluation at a rational point stays rational.
 """
@@ -103,29 +105,41 @@ class UniPoly:
 class BernoulliTable:
     """Monotonically growing cache of Bernoulli numbers and polynomials.
 
-    Numbers are produced by the Akiyama-Tanigawa triangle (which natively
-    yields the ``B_1 = +1/2`` convention; the sign of index 1 is flipped
-    on storage).  Polynomials come from ``B_n(t) = sum_k C(n,k) B_{n-k} t^k``.
+    Even-index numbers come from the integer tangent numbers ``T_k``
+    (``tan x = sum T_k x^(2k-1)/(2k-1)!``) through
+    ``B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))``; ``B_0 = 1``,
+    ``B_1 = -1/2`` and the odd zeros are set directly.  The tangent
+    recurrence (Brent & Harvey, "Fast computation of Bernoulli, Tangent
+    and Secant numbers") runs over Python integers only and is not
+    incremental, so the table grows to at least twice its size on each
+    rebuild.  Polynomials come from ``B_n(t) = sum_k C(n,k) B_{n-k} t^k``.
     Growth is serialized by an internal lock; reads of already computed
     entries are safe from any thread.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._row: list[Fraction] = []          # Akiyama-Tanigawa working row
         self._numbers: list[Fraction] = []      # B_0 .. B_m with B_1 = -1/2
         self._polys: dict[int, UniPoly] = {}
 
     def _grow(self, n: int) -> None:
-        for m in range(len(self._numbers), n + 1):
-            self._row.append(Fraction(0))
-            self._row[m] = Fraction(1, m + 1)
-            for j in range(m, 0, -1):
-                self._row[j - 1] = j * (self._row[j - 1] - self._row[j])
-            value = self._row[0]
-            if m == 1:
-                value = Fraction(-1, 2)
-            self._numbers.append(value)
+        if n < len(self._numbers):
+            return
+        m = max(n, 2 * len(self._numbers))
+        count = m // 2
+        tangent = [0, 1] + [0] * (count - 1)    # tangent[k] = T_k, k = 1 .. count
+        for k in range(2, count + 1):
+            tangent[k] = (k - 1) * tangent[k - 1]
+        for k in range(2, count + 1):
+            for j in range(k, count + 1):
+                tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+        numbers = [Fraction(1), Fraction(-1, 2)]
+        for k in range(1, count + 1):
+            four_k = 4**k
+            numbers.append(Fraction((-1) ** (k - 1) * 2 * k * tangent[k],
+                                    four_k * (four_k - 1)))
+            numbers.append(Fraction(0))
+        self._numbers = numbers[:m + 1]
 
     def number(self, n: int) -> Fraction:
         """Exact ``B_n`` (with ``B_1 = -1/2``)."""

@@ -5,11 +5,12 @@ Two kinds of objects live here:
 * ``a_poly(j)`` / ``b_poly(j)``: the coefficients of the ``1/(n+1)^j``
   (resp. ``1/(n+1/2)^j``) correction series of the generalized products
   ``W_n(p,q)`` and ``R_n(p,q)``, as exact bivariate polynomials in
-  ``(p, q)``.  They are built by expanding the symmetric Bernoulli pair
-  ``B_m(c*p + c*D) + B_m(c*p - c*D)`` in a formal variable ``D``,
-  asserting that every odd power of ``D`` cancels, and then replacing
-  ``D^2`` by ``p^2 - 4q``.  No square roots are ever taken, so the
-  construction is exact end to end.
+  ``(p, q)``.  Each contains the symmetric Bernoulli pair
+  ``B_m(x1) + B_m(x2)`` over the two roots of ``x^2 - 2c p x + 4c^2 q``
+  (``c = 1/2`` for ``a``, ``1/4`` for ``b``).  The pair is a combination
+  of the Newton power sums ``x1^k + x2^k``, which a two-term recurrence
+  produces directly as polynomials in ``(p, q)``.  No square roots are
+  ever taken, so the construction is exact end to end.
 
 * the scalar families for the classical Wallis sequence
   ``W_n = prod 4k^2/(4k^2-1)``:
@@ -207,60 +208,37 @@ def _as_bipoly(x: "BiPoly | Fraction | int") -> BiPoly:
 # Symbolic construction of a_j(p, q) and b_j(p, q)
 # ---------------------------------------------------------------------------
 
-def _expand_branch(m: int, c: Fraction, branch: int) -> BiPoly:
-    """Expand ``B_m(c*p + branch*c*D)`` as a polynomial with axes (p, D)."""
-    out: dict[tuple[int, int], Fraction] = {}
-    poly = bernoulli_poly(m)
-    for k, coef in enumerate(poly.coeffs):
-        if coef == 0:
-            continue
-        ck = coef * c**k
-        for r in range(k + 1):
-            key = (k - r, r)
-            val = ck * binomial(k, r) * Fraction(branch) ** r
-            out[key] = out.get(key, Fraction(0)) + val
-    return BiPoly(out)
+def _bernoulli_pair(m: int, c: Fraction) -> BiPoly:
+    """``B_m(x1) + B_m(x2)`` where ``x1, x2 = c*(p +- sqrt(p^2 - 4q))``.
 
-
-def _symmetric_pair(m: int, c: Fraction, delta_sign: int = 1) -> BiPoly:
-    """``B_m(c p + c D) + B_m(c p - c D)`` with odd powers of D checked to cancel.
-
-    The (p, D) axes are reused from BiPoly; the second exponent is the
-    formal power of D here, not of q.  ``delta_sign = -1`` swaps the two
-    branches, which must produce the identical polynomial.
+    ``x1, x2`` are the roots of ``x^2 - P x + Q`` with ``P = 2c p`` and
+    ``Q = 4c^2 q``, so the power sums ``s_k = x1^k + x2^k`` obey Newton's
+    recurrence ``s_k = P s_{k-1} - Q s_{k-2}`` from ``s_0 = 2``, ``s_1 = P``,
+    and the pair is ``sum_k C(m,k) B_{m-k} s_k``.
     """
-    total = _expand_branch(m, c, delta_sign) + _expand_branch(m, c, -delta_sign)
-    odd = [key for key in total.terms if key[1] % 2 == 1]
-    if odd:
-        raise AssertionError(f"odd powers of the discriminant root survived: {odd}")
-    return total
+    P = BiPoly.var_p() * (2 * c)
+    Q = BiPoly.var_q() * (4 * c * c)
+    sums = [BiPoly.constant(2), P]
+    for _ in range(2, m + 1):
+        sums.append(P * sums[-1] - Q * sums[-2])
+    out = BiPoly()
+    for k, coef in enumerate(bernoulli_poly(m).coeffs):
+        if coef:
+            out = out + sums[k] * coef
+    return out
 
 
-def _substitute_disc(poly_pd: BiPoly) -> BiPoly:
-    """Replace ``D^(2m)`` by ``(p^2 - 4q)^m``, returning a genuine (p, q) polynomial."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, r), coef in poly_pd.terms.items():
-        m = r // 2
-        for s in range(m + 1):
-            key = (i + 2 * (m - s), s)
-            val = coef * binomial(m, s) * Fraction(-4) ** s
-            out[key] = out.get(key, Fraction(0)) + val
-    return BiPoly(out)
-
-
-def _coeff_poly(j: int, c: Fraction, lam_coeff: Fraction, delta_sign: int = 1) -> BiPoly:
+def _coeff_poly(j: int, c: Fraction, lam_coeff: Fraction) -> BiPoly:
     # shared shape of the two families: a linear term lam_coeff * p plus the
     # symmetrized Bernoulli pair at scale c
     if j < 1:
         raise ValueError("coefficient index must be >= 1")
     if j == 1:
-        pair = _substitute_disc(_symmetric_pair(2, c, delta_sign))
-        num = BiPoly.var_p() * lam_coeff + pair - 2 * bernoulli_number(2)
+        num = BiPoly.var_p() * lam_coeff + _bernoulli_pair(2, c) - 2 * bernoulli_number(2)
         return num / 2
     sign = Fraction((-1) ** (j + 1))
-    pair = _substitute_disc(_symmetric_pair(j + 1, c, delta_sign))
     head = BiPoly.var_p() * (lam_coeff * bernoulli_number(j) / j)
-    tail = (pair - 2 * bernoulli_number(j + 1)) * (sign / Fraction(j * (j + 1)))
+    tail = (_bernoulli_pair(j + 1, c) - 2 * bernoulli_number(j + 1)) * (sign / Fraction(j * (j + 1)))
     return head + tail
 
 
@@ -269,28 +247,23 @@ _A_CACHE: dict[int, BiPoly] = {}
 _B_CACHE: dict[int, BiPoly] = {}
 
 
-def a_poly(j: int, _delta_sign: int = 1) -> BiPoly:
+def _cached_poly(cache: dict[int, BiPoly], j: int, c: Fraction, lam_coeff: Fraction) -> BiPoly:
+    with _POLY_LOCK:
+        poly = cache.get(j)
+        if poly is None:
+            poly = _coeff_poly(j, c, lam_coeff)
+            cache[j] = poly
+        return poly
+
+
+def a_poly(j: int) -> BiPoly:
     """Exact correction coefficient of ``1/(n+1)^j`` for ``W_n(p, q)``."""
-    if _delta_sign == 1:
-        with _POLY_LOCK:
-            poly = _A_CACHE.get(j)
-            if poly is None:
-                poly = _coeff_poly(j, Fraction(1, 2), Fraction(1))
-                _A_CACHE[j] = poly
-            return poly
-    return _coeff_poly(j, Fraction(1, 2), Fraction(1), _delta_sign)
+    return _cached_poly(_A_CACHE, j, Fraction(1, 2), Fraction(1))
 
 
-def b_poly(j: int, _delta_sign: int = 1) -> BiPoly:
+def b_poly(j: int) -> BiPoly:
     """Exact correction coefficient of ``1/(n+1/2)^j`` for ``R_n(p, q)``."""
-    if _delta_sign == 1:
-        with _POLY_LOCK:
-            poly = _B_CACHE.get(j)
-            if poly is None:
-                poly = _coeff_poly(j, Fraction(1, 4), Fraction(1, 2))
-                _B_CACHE[j] = poly
-            return poly
-    return _coeff_poly(j, Fraction(1, 4), Fraction(1, 2), _delta_sign)
+    return _cached_poly(_B_CACHE, j, Fraction(1, 4), Fraction(1, 2))
 
 
 def eval_bipoly(poly: BiPoly, p: complex, q: complex) -> complex:

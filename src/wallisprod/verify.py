@@ -27,7 +27,7 @@ class CheckResult:
 
 
 def _check(name: str, condition: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(condition), detail if not condition else "")
+    return CheckResult(name, bool(condition), detail)
 
 
 def _rel(a: complex, b: complex) -> float:
@@ -61,6 +61,18 @@ def suite_bernoulli() -> list[CheckResult]:
     out.append(_check("bernoulli.shift_identity", shift))
     out.append(_check("bernoulli.half_argument", half))
     return out
+
+
+def _defining_coeff(j: int, lam: Fraction, x: Fraction, y: Fraction) -> Fraction:
+    """Exact ``lam B_j / j + (-1)^(j+1) (B_{j+1}(x) + B_{j+1}(y) - 2 B_{j+1}) / (j (j+1))``.
+
+    For ``j = 1`` the formula is ``(lam + B_2(x) + B_2(y) - 2 B_2) / 2``.
+    """
+    poly = bernoulli_poly(j + 1)
+    pair = poly.evaluate(x) + poly.evaluate(y) - 2 * bernoulli_number(j + 1)
+    if j == 1:
+        return (lam + pair) / 2
+    return lam * bernoulli_number(j) / j + (-1) ** (j + 1) * pair / (j * (j + 1))
 
 
 def suite_coeffs() -> list[CheckResult]:
@@ -104,18 +116,16 @@ def suite_coeffs() -> list[CheckResult]:
     out.append(_check("coeffs.remark_wallis_specialization", tuple(
         coeffs.a_poly(j).evaluate_exact(0, F(-1, 4)) for j in (1, 2, 3)
     ) == (F(1, 4), F(1, 8), F(5, 96))))
-    parity = True
-    try:
-        for j in range(1, 16):
-            coeffs._symmetric_pair(j + 1, F(1, 2))
-            coeffs._symmetric_pair(j + 1, F(1, 4))
-    except AssertionError:
-        parity = False
-    out.append(_check("coeffs.discriminant_parity_j<=15", parity))
-    out.append(_check("coeffs.branch_irrelevance", all(
-        coeffs.a_poly(j) == coeffs.a_poly(j, _delta_sign=-1)
-        and coeffs.b_poly(j) == coeffs.b_poly(j, _delta_sign=-1)
-        for j in range(1, 9))))
+    # exact values at points with rational roots mu, nu of x^2 - p x + q,
+    # against the defining Bernoulli-polynomial formula (equal and zero roots included)
+    roots = [(F(1, 2), F(1, 2)), (F(0), F(3, 2)), (F(2), F(-1, 3)), (F(-5, 4), F(7, 3))]
+    out.append(_check("coeffs.a_poly_at_rational_roots_j<=15", all(
+        coeffs.a_poly(j).evaluate_exact(mu + nu, mu * nu) == _defining_coeff(j, mu + nu, mu, nu)
+        for j in range(1, 16) for mu, nu in roots)))
+    out.append(_check("coeffs.b_poly_at_rational_roots_j<=15", all(
+        coeffs.b_poly(j).evaluate_exact(mu + nu, mu * nu)
+        == _defining_coeff(j, (mu + nu) / 2, mu / 2, nu / 2)
+        for j in range(1, 16) for mu, nu in roots)))
     return out
 
 
@@ -184,7 +194,8 @@ def suite_bounds() -> list[CheckResult]:
     report = expansions.check_bounds(10**4)
     out = [
         _check("bounds.zero_violations_n<=1e4", report.violations == 0,
-               f"first violation at {report.first_violation}"),
+               f"violations {report.violations}" + (
+                   f", first at n={report.first_violation}" if report.violations else "")),
         _check("bounds.upper_tight_at_n1", report.tight_upper_n == 1,
                f"tight at {report.tight_upper_n}"),
         _check("bounds.beta_decimal", abs(report.beta - 2.614909986) < 5e-10,

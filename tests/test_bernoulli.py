@@ -1,10 +1,12 @@
 """Exact Bernoulli machinery against independent oracles.
 
-The implementation uses the Akiyama-Tanigawa triangle; the oracles here
-are the binomial-sum recurrence and a power-series reciprocal, neither
-of which shares code with the implementation.
+The implementation uses the integer tangent-number recurrence; the
+oracles here are the Akiyama-Tanigawa triangle, the binomial-sum
+recurrence and a power-series reciprocal, none of which shares code
+with the implementation.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -43,6 +45,27 @@ def bernoulli_by_series_inversion(count: int) -> list[Fraction]:
     for n in range(1, count + 1):
         g.append(-sum(a[k] * g[n - k] for k in range(1, n + 1)))
     return [math.factorial(n) * g[n] for n in range(count + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def bernoulli_by_akiyama_tanigawa(count: int) -> tuple[Fraction, ...]:
+    """B_0..B_count from the Akiyama-Tanigawa triangle.
+
+    The triangle yields the ``B_1 = +1/2`` convention, so index 1 is
+    flipped to match the library's ``B_1 = -1/2``.
+    """
+    row: list[Fraction] = []
+    out = []
+    for m in range(count + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(-row[0] if m == 1 else row[0])
+    return tuple(out)
+
+
+def poly_from_numbers(n: int, numbers) -> UniPoly:
+    return UniPoly(tuple(math.comb(n, k) * numbers[n - k] for k in range(n + 1)))
 
 
 class TestBinomial:
@@ -92,6 +115,19 @@ class TestBernoulliNumbers:
     def test_odd_vanish(self):
         for k in range(1, 16):
             assert bernoulli_number(2 * k + 1) == 0
+
+    def test_akiyama_tanigawa_oracle_to_256(self):
+        ref = bernoulli_by_akiyama_tanigawa(300)
+        assert [bernoulli_number(n) for n in range(257)] == list(ref[:257])
+
+    def test_fresh_table_one_index_at_a_time_to_300(self):
+        # callers ask for n = 1, 2, 3, ... in turn; each answer must be
+        # exact whatever the table's size at the time of the request
+        ref = bernoulli_by_akiyama_tanigawa(300)
+        table = BernoulliTable()
+        for n in range(1, 301):
+            assert table.number(n) == ref[n]
+            assert table.polynomial(n) == poly_from_numbers(n, ref)
 
     def test_fresh_table_grows_monotonically(self):
         table = BernoulliTable()

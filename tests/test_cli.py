@@ -170,6 +170,12 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--suite", "limits"])
         assert result.exit_code == 0
 
+    def test_passing_checks_report_their_margin(self, runner):
+        result = runner.invoke(main, ["verify", "--suite", "limits", "--format", "json"])
+        assert result.exit_code == 0
+        checks = json.loads(result.output)["checks"]
+        assert checks and all(c["passed"] and c["detail"] for c in checks)
+
     def test_coeffs_suite_passes(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "coeffs"])
         assert result.exit_code == 0

@@ -1,18 +1,19 @@
 """Coefficient engine: exact values, recurrences and symbolic consistency."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from wallisprod.bernoulli import bernoulli_number, bernoulli_poly
 from wallisprod.coeffs import (
     BiPoly,
     CoeffSeries,
     Family,
     GenericParams,
     _alpha_beta_from_mu,
-    _symmetric_pair,
     a_poly,
     alpha_beta,
     b_poly,
@@ -43,6 +44,38 @@ MU_11 = (F(-1, 4), F(5, 32), F(-11, 128), F(83, 2048), F(-143, 8192), F(625, 655
          F(-1843, 262144), F(24323, 8388608), F(61477, 33554432),
          F(-14165, 268435456), F(-8084893, 1073741824))
 OMEGA_5 = (F(-1, 4), F(1, 96), F(-1, 320), F(17, 7168), F(-31, 9216))
+
+
+def d_route_pair(m: int, c: Fraction) -> BiPoly:
+    """``B_m(c p + c D) + B_m(c p - c D)`` with ``D`` the formal root of ``p^2 - 4q``.
+
+    Each branch is expanded in ``(p, D)``, the odd powers of ``D`` are
+    asserted to cancel between the branches, and ``D^(2r)`` is replaced
+    by ``(p^2 - 4q)^r``.  Shares nothing with the power-sum route.
+    """
+    pd: dict[tuple[int, int], Fraction] = {}
+    for branch in (1, -1):
+        for k, coef in enumerate(bernoulli_poly(m).coeffs):
+            for r in range(k + 1):
+                key = (k - r, r)
+                pd[key] = pd.get(key, F(0)) + coef * c**k * math.comb(k, r) * branch**r
+    assert all(val == 0 for (_, r), val in pd.items() if r % 2), "odd powers of D survived"
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i, r), val in pd.items():
+        half = r // 2
+        for s in range(half + 1):
+            key = (i + 2 * (half - s), s)
+            out[key] = out.get(key, F(0)) + val * math.comb(half, s) * (-4) ** s
+    return BiPoly(out)
+
+
+def d_route_coeff(j: int, c: Fraction, lam_coeff: Fraction) -> BiPoly:
+    """``a_j`` (``c = 1/2``, ``lam_coeff = 1``) or ``b_j`` (``1/4``, ``1/2``) via the D-route."""
+    pair = d_route_pair(j + 1, c) - 2 * bernoulli_number(j + 1)
+    if j == 1:
+        return (BiPoly.var_p() * lam_coeff + pair) / 2
+    head = BiPoly.var_p() * (lam_coeff * bernoulli_number(j) / j)
+    return head + pair * F((-1) ** (j + 1), j * (j + 1))
 
 
 class TestBiPoly:
@@ -88,15 +121,10 @@ class TestPolynomialFamilies:
         const = anything.terms.get((0, 0), F(0))
         assert eval_bipoly(anything, 0, 0) == pytest.approx(float(const), abs=1e-15)
 
-    def test_discriminant_parity_to_15(self):
-        for j in range(1, 16):
-            _symmetric_pair(j + 1, F(1, 2))
-            _symmetric_pair(j + 1, F(1, 4))
-
-    def test_branch_irrelevance(self):
-        for j in range(1, 11):
-            assert a_poly(j) == a_poly(j, _delta_sign=-1)
-            assert b_poly(j) == b_poly(j, _delta_sign=-1)
+    def test_equals_d_route_oracle_to_20(self):
+        for j in range(1, 21):
+            assert a_poly(j) == d_route_coeff(j, F(1, 2), F(1))
+            assert b_poly(j) == d_route_coeff(j, F(1, 4), F(1, 2))
 
 
 class TestGenericCoefficients:
