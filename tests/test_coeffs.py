@@ -14,6 +14,7 @@ from wallisprod.coeffs import (
     Family,
     GenericParams,
     _alpha_beta_from_mu,
+    _bernoulli_pair,
     a_poly,
     alpha_beta,
     b_poly,
@@ -46,19 +47,18 @@ MU_11 = (F(-1, 4), F(5, 32), F(-11, 128), F(83, 2048), F(-143, 8192), F(625, 655
 OMEGA_5 = (F(-1, 4), F(1, 96), F(-1, 320), F(17, 7168), F(-31, 9216))
 
 
-def d_route_pair(m: int, c: Fraction) -> BiPoly:
-    """``B_m(c p + c D) + B_m(c p - c D)`` with ``D`` the formal root of ``p^2 - 4q``.
-
-    Each branch is expanded in ``(p, D)``, the odd powers of ``D`` are
-    asserted to cancel between the branches, and ``D^(2r)`` is replaced
-    by ``(p^2 - 4q)^r``.  Shares nothing with the power-sum route.
-    """
+def d_route_branch(m: int, c: Fraction, sign: int) -> dict[tuple[int, int], Fraction]:
+    """``B_m(c p + sign c D)`` expanded in ``(p, D)``: ``{(i, r): coefficient of p^i D^r}``."""
     pd: dict[tuple[int, int], Fraction] = {}
-    for branch in (1, -1):
-        for k, coef in enumerate(bernoulli_poly(m).coeffs):
-            for r in range(k + 1):
-                key = (k - r, r)
-                pd[key] = pd.get(key, F(0)) + coef * c**k * math.comb(k, r) * branch**r
+    for k, coef in enumerate(bernoulli_poly(m).coeffs):
+        for r in range(k + 1):
+            key = (k - r, r)
+            pd[key] = pd.get(key, F(0)) + coef * c**k * math.comb(k, r) * sign**r
+    return pd
+
+
+def reduce_d(pd: dict[tuple[int, int], Fraction]) -> BiPoly:
+    """Replace ``D^(2r)`` by ``(p^2 - 4q)^r``; every power of ``D`` must be even."""
     assert all(val == 0 for (_, r), val in pd.items() if r % 2), "odd powers of D survived"
     out: dict[tuple[int, int], Fraction] = {}
     for (i, r), val in pd.items():
@@ -67,6 +67,20 @@ def d_route_pair(m: int, c: Fraction) -> BiPoly:
             key = (i + 2 * (half - s), s)
             out[key] = out.get(key, F(0)) + val * math.comb(half, s) * (-4) ** s
     return BiPoly(out)
+
+
+def d_route_pair(m: int, c: Fraction) -> BiPoly:
+    """``B_m(c p + c D) + B_m(c p - c D)`` with ``D`` the formal root of ``p^2 - 4q``.
+
+    Each branch is expanded in ``(p, D)``, the odd powers of ``D`` are
+    asserted to cancel between the branches, and ``D^(2r)`` is replaced
+    by ``(p^2 - 4q)^r``.  Shares nothing with the power-sum route.
+    """
+    pd: dict[tuple[int, int], Fraction] = {}
+    for sign in (1, -1):
+        for key, val in d_route_branch(m, c, sign).items():
+            pd[key] = pd.get(key, F(0)) + val
+    return reduce_d(pd)
 
 
 def d_route_coeff(j: int, c: Fraction, lam_coeff: Fraction) -> BiPoly:
@@ -120,6 +134,27 @@ class TestPolynomialFamilies:
         anything = a_poly(4)
         const = anything.terms.get((0, 0), F(0))
         assert eval_bipoly(anything, 0, 0) == pytest.approx(float(const), abs=1e-15)
+
+    def test_discriminant_parity_to_15(self):
+        # the odd powers of D cancel between the branches, and the even
+        # remainder is the power-sum pair the library builds
+        for j in range(1, 16):
+            for c in (F(1, 2), F(1, 4)):
+                assert _bernoulli_pair(j + 1, c) == d_route_pair(j + 1, c)
+
+    def test_branch_irrelevance(self):
+        # either root of the discriminant gives the same even part and
+        # opposite odd parts, so the pair is twice the even part of one branch
+        for j in range(1, 11):
+            for c in (F(1, 2), F(1, 4)):
+                plus = d_route_branch(j + 1, c, 1)
+                minus = d_route_branch(j + 1, c, -1)
+                assert plus.keys() == minus.keys()
+                for (i, r), val in plus.items():
+                    assert minus[(i, r)] == (val if r % 2 == 0 else -val)
+                for branch in (plus, minus):
+                    even = {key: 2 * val for key, val in branch.items() if key[1] % 2 == 0}
+                    assert reduce_d(even) == _bernoulli_pair(j + 1, c)
 
     def test_equals_d_route_oracle_to_20(self):
         for j in range(1, 21):
