@@ -278,9 +278,12 @@ def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
             if order is None:
                 raise click.UsageError("--order is required for expansion targets")
             params = None
-            if tag in (ExpansionTag.W_PQ, ExpansionTag.R_PQ):
+            if expansions._FAMILIES[tag].needs_params:
                 params = _require_pq(p_text, q_text)
-            family = ExpansionFamily(tag, order, params)
+            try:
+                family = ExpansionFamily(tag, order, params)
+            except ValueError as exc:  # an order outside the family's range
+                raise click.UsageError(str(exc)) from exc
             report = expansions.family_report(family, n)
             _emit_report(target, family, report, fmt)
         else:

@@ -1,18 +1,25 @@
 """Truncated asymptotic expansions, their measured errors, and sharp bounds.
 
-The evaluators return plain floats/complex; errors are always measured
-against the brute-force product oracle, never against the gamma closed
-form (that equivalence is checked separately in :mod:`.products` tests).
+Every family is one entry of the table ``_FAMILIES``, keyed by
+:class:`ExpansionTag`.  An entry states the terms ``c_k / (n + s_k)^e_k``
+(coefficient source, shift and exponent), the outer form ``1 + s`` or
+``exp(s)``, the prefactor (``pi/2``, ``W_inf`` or ``R_inf``), the
+brute-force oracle, the shift used for order estimation and, for a finite
+family, its largest order.  One evaluator reads the table: in floats
+(complex for the two (p, q) families) behind the public ``eval_*``
+functions, and over ``Fraction`` for :func:`wallis_error_exact`.  The
+``(n + 5/8)`` series of Elezovic, Lin and Vuksic is the ``mu`` series
+re-expanded at shift 5/8, so :data:`ELEZOVIC_TERMS` is derived, not typed.
 
-For the Wallis-sequence families the truncation error at large ``n``
-drops far below double precision (the order-5 odd family is already at
-1e-24 by ``n = 100``), so :func:`convergence_order` measures those
-errors in exact rational arithmetic: the coefficients are exact, the
-oracle ``prod 4k^2/(4k^2-1)`` is exact, and ``pi`` and ``exp`` are
-carried as 50-digit rational surrogates.  The two families with complex
-parameters are measured in double precision, where their errors sit far
-above the float noise for the orders of interest; estimates that would
-be dominated by noise are flagged as NaN.
+Errors are always measured against the brute-force product oracle, never
+against the gamma closed form.  The Wallis-sequence families are measured
+in exact rational arithmetic, because their truncation errors drop far
+below double precision (the order-5 odd family is at 1e-24 by
+``n = 100``): the coefficients and the oracle ``prod 4k^2/(4k^2-1)`` are
+exact, and ``pi`` and ``exp`` are 50-digit rational surrogates.  The two
+(p, q) families are measured in double precision, where their errors sit
+far above the float noise for the orders of interest; estimates that
+would be dominated by noise are flagged as NaN.
 """
 
 from __future__ import annotations
@@ -20,12 +27,13 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 from .coeffs import a_poly, alpha_beta, b_poly, eval_bipoly, omega, wallis_mu, wallis_nu
-from .products import r_product, w_product, wallis_seq, wallis_seq_exact
+from .products import _Neumaier, r_product, w_product, wallis_seq, wallis_seq_exact
 from .special import PI_STR, PoleError, r_inf, w_inf
 
 __all__ = [
@@ -33,6 +41,8 @@ __all__ = [
     "ExpansionFamily",
     "ErrorReport",
     "error_report",
+    "family_oracle",
+    "family_report",
     "eval_w_expansion",
     "eval_r_expansion",
     "eval_wallis_mu",
@@ -51,6 +61,7 @@ __all__ = [
 
 _PI_RATIONAL = Fraction(PI_STR)
 _HALF = Fraction(1, 2)
+_FIVE_EIGHTHS = Fraction(5, 8)
 
 
 class ExpansionTag(str, Enum):
@@ -63,9 +74,6 @@ class ExpansionTag(str, Enum):
     ELEZOVIC = "elezovic"
 
 
-_NEEDS_PARAMS = {ExpansionTag.W_PQ, ExpansionTag.R_PQ}
-
-
 @dataclass(frozen=True)
 class ExpansionFamily:
     """A truncated expansion: which family, how many terms, which (p, q)."""
@@ -75,9 +83,9 @@ class ExpansionFamily:
     params: tuple[complex, complex] | None = None
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if (self.tag in _NEEDS_PARAMS) != (self.params is not None):
+        spec = _FAMILIES[self.tag]
+        spec.check_order(self.order)
+        if spec.needs_params != (self.params is not None):
             raise ValueError("params are required exactly for the (p, q) families")
 
 
@@ -93,14 +101,8 @@ class ErrorReport:
     note: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "approx": {"re": self.approx.real, "im": self.approx.imag},
-            "exact": {"re": self.exact.real, "im": self.exact.imag},
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "note": self.note,
-        }
+        return {**asdict(self), "approx": {"re": self.approx.real, "im": self.approx.imag},
+                "exact": {"re": self.exact.real, "im": self.exact.imag}}
 
 
 def error_report(n: int, approx: complex, exact: complex, note: str | None = None) -> ErrorReport:
@@ -112,102 +114,93 @@ def error_report(n: int, approx: complex, exact: complex, note: str | None = Non
 
 
 # ---------------------------------------------------------------------------
-# Evaluators
+# The family table
 # ---------------------------------------------------------------------------
 
-def eval_w_expansion(n: int, p: complex, q: complex, order: int) -> complex:
-    """``W_inf(p,q) * exp(sum_{j<=order} a_j(p,q) / (n+1)^j)``."""
-    if n < 1 or order < 1:
-        raise ValueError("n and order must be >= 1")
-    limit = w_inf(p, q)
-    if limit == 0:
-        raise PoleError("W_inf(p, q) vanishes through a gamma pole; expansion undefined")
-    x = n + 1.0
-    s = 0j
-    for j in range(1, order + 1):
-        s += eval_bipoly(a_poly(j), p, q) / x**j
-    return limit * cmath.exp(s)
+@dataclass(frozen=True)
+class _Spec:
+    """``prefactor * F(sum_k c_k / (n + s_k)^e_k)`` with ``F(s)`` = ``1 + s`` or ``exp(s)``."""
+
+    terms: Callable[[int, tuple | None], list[tuple]]  # (order, params) -> [(c_k, s_k, e_k)]
+    exp_form: bool
+    oracle: Callable[[int, tuple | None], complex]
+    est_shift: Callable[[int], float]  # x = n + shift in convergence_order
+    limit: Callable[[complex, complex], complex] | None = None  # prefactor; pi/2 if None
+    max_order: int | None = None
+
+    @property
+    def needs_params(self) -> bool:
+        return self.limit is not None
+
+    def check_order(self, order: int) -> None:
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        if self.max_order is not None and order > self.max_order:
+            raise ValueError(f"order must be in 1..{self.max_order}")
 
 
-def eval_r_expansion(n: int, p: complex, q: complex, order: int) -> complex:
-    """``R_inf(p,q) * exp(sum_{j<=order} b_j(p,q) / (n+1/2)^j)``."""
-    if n < 1 or order < 1:
-        raise ValueError("n and order must be >= 1")
-    limit = r_inf(p, q)
-    if limit == 0:
-        raise PoleError("R_inf(p, q) vanishes through a gamma pole; expansion undefined")
-    x = n + 0.5
-    s = 0j
-    for j in range(1, order + 1):
-        s += eval_bipoly(b_poly(j), p, q) / x**j
-    return limit * cmath.exp(s)
+def _powers(values, shift) -> list[tuple]:
+    """Terms ``c_j / (n + shift)^j``."""
+    return [(c, shift, j) for j, c in enumerate(values, start=1)]
 
 
-def eval_wallis_mu(n: int, order: int) -> float:
-    """``(pi/2) (1 + sum_{j<=order} mu_j / n^j)``."""
-    if n < 1 or order < 1:
-        raise ValueError("n and order must be >= 1")
-    mu = wallis_mu(order).values
-    s = 1.0 + math.fsum(float(mu[j - 1]) / n**j for j in range(1, order + 1))
-    return (math.pi / 2) * s
+def _next_beta(levels: int) -> float:
+    """Shift of the first omitted alpha-beta term; 1/2 where that level degenerates."""
+    try:
+        return float(alpha_beta(levels + 1).values[levels][1])
+    except ZeroDivisionError:
+        return 0.5
 
 
-def eval_wallis_nu_exp(n: int, order: int) -> float:
-    """``(pi/2) exp(sum_{j<=order} nu_j / n^j)``."""
-    if n < 1 or order < 1:
-        raise ValueError("n and order must be >= 1")
-    nu = wallis_nu(order).values
-    s = math.fsum(float(nu[j - 1]) / n**j for j in range(1, order + 1))
-    return (math.pi / 2) * math.exp(s)
+def _reexpand(values, shift: Fraction, top: int) -> list[Fraction]:
+    """Coefficients of ``1/(n + shift)^m``, ``m <= top``, of ``sum_j values[j-1] / n^j``.
 
-
-def eval_wallis_alpha_beta(n: int, levels: int) -> float:
-    """``(pi/2) (1 + sum_{l<=levels} alpha_l / (n + beta_l)^(2l-1))``."""
-    if n < 1 or levels < 1:
-        raise ValueError("n and levels must be >= 1")
-    pairs = alpha_beta(levels).values
-    s = 1.0 + math.fsum(
-        float(a) / (n + float(b)) ** (2 * l - 1) for l, (a, b) in enumerate(pairs, start=1)
-    )
-    return (math.pi / 2) * s
-
-
-def eval_wallis_omega(n: int, levels: int) -> float:
-    """``(pi/2) exp(sum_{l<=levels} omega_l / (n + 1/2)^(2l-1))``."""
-    if n < 1 or levels < 1:
-        raise ValueError("n and levels must be >= 1")
-    om = omega(levels).values
-    s = math.fsum(float(w) / (n + 0.5) ** (2 * l - 1) for l, w in enumerate(om, start=1))
-    return (math.pi / 2) * math.exp(s)
+    Uses ``n^-j = sum_{m>=j} C(m-1, m-j) shift^(m-j) (n + shift)^-m``.
+    """
+    return [sum(values[j - 1] * math.comb(m - 1, m - j) * shift ** (m - j)
+                for j in range(1, m + 1))
+            for m in range(1, top + 1)]
 
 
 # Shifted expansion of Elezovic, Lin and Vuksic: coefficient and power of
-# 1/(n + 5/8) for each term beyond the constant.
-ELEZOVIC_TERMS: tuple[tuple[Fraction, int], ...] = (
-    (Fraction(-1, 4), 1),
-    (Fraction(3, 256), 3),
-    (Fraction(3, 2048), 4),
-    (Fraction(-51, 16384), 5),
-    (Fraction(-75, 65536), 6),
-    (Fraction(2253, 1048576), 7),
+# 1/(n + 5/8) for each nonzero term of the mu series re-expanded at 5/8, up
+# to the power 7.  The power-2 coefficient vanishes.
+ELEZOVIC_TERMS: tuple[tuple[Fraction, int], ...] = tuple(
+    (c, m) for m, c in enumerate(_reexpand(wallis_mu(7).values, _FIVE_EIGHTHS, 7), start=1) if c
 )
 
 
-def eval_elezovic(n: int, terms: int) -> float:
-    """Truncation of the published ``(n + 5/8)``-shifted series, 1..6 terms."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 1 <= terms <= len(ELEZOVIC_TERMS):
-        raise ValueError(f"terms must be in 1..{len(ELEZOVIC_TERMS)}")
-    s = 1.0 + math.fsum(
-        float(c) / (n + 0.625) ** e for c, e in ELEZOVIC_TERMS[:terms]
-    )
-    return (math.pi / 2) * s
+def _wallis_oracle(n: int, _params: None) -> float:
+    return wallis_seq(n)
 
 
-# ---------------------------------------------------------------------------
-# Exact error kernel for the Wallis-sequence families
-# ---------------------------------------------------------------------------
+_FAMILIES: dict[ExpansionTag, _Spec] = {
+    ExpansionTag.W_PQ: _Spec(
+        lambda k, pq: _powers([eval_bipoly(a_poly(j), *pq) for j in range(1, k + 1)], 1),
+        exp_form=True, oracle=lambda n, pq: w_product(n, *pq).value,
+        est_shift=lambda k: 1.0, limit=w_inf),
+    ExpansionTag.R_PQ: _Spec(
+        lambda k, pq: _powers([eval_bipoly(b_poly(j), *pq) for j in range(1, k + 1)], _HALF),
+        exp_form=True, oracle=lambda n, pq: r_product(n, *pq).value,
+        est_shift=lambda k: 0.5, limit=r_inf),
+    ExpansionTag.WALLIS_MU: _Spec(
+        lambda k, _: _powers(wallis_mu(k).values, 0),
+        exp_form=False, oracle=_wallis_oracle, est_shift=lambda k: 0.0),
+    ExpansionTag.WALLIS_NU_EXP: _Spec(
+        lambda k, _: _powers(wallis_nu(k).values, 0),
+        exp_form=True, oracle=_wallis_oracle, est_shift=lambda k: 0.0),
+    ExpansionTag.WALLIS_ALPHA_BETA: _Spec(
+        lambda k, _: [(a, b, 2 * l - 1) for l, (a, b) in enumerate(alpha_beta(k).values, start=1)],
+        exp_form=False, oracle=_wallis_oracle, est_shift=_next_beta),
+    ExpansionTag.WALLIS_OMEGA: _Spec(
+        lambda k, _: [(c, _HALF, 2 * l - 1) for l, c in enumerate(omega(k).values, start=1)],
+        exp_form=True, oracle=_wallis_oracle, est_shift=lambda k: 0.5),
+    ExpansionTag.ELEZOVIC: _Spec(
+        lambda k, _: [(c, _FIVE_EIGHTHS, e) for c, e in ELEZOVIC_TERMS[:k]],
+        exp_form=False, oracle=_wallis_oracle, est_shift=lambda k: 0.625,
+        max_order=len(ELEZOVIC_TERMS)),
+}
+
 
 def _exp_rational(x: Fraction, cutoff: Fraction = Fraction(1, 10**45)) -> Fraction:
     """Taylor ``exp(x)`` over rationals; requires ``|x| <= 1/2``."""
@@ -223,30 +216,79 @@ def _exp_rational(x: Fraction, cutoff: Fraction = Fraction(1, 10**45)) -> Fracti
     return total
 
 
-def _exact_wallis_approx(tag: ExpansionTag, order: int, n: int) -> Fraction:
-    half_pi = _PI_RATIONAL / 2
-    nf = Fraction(n)
-    if tag is ExpansionTag.WALLIS_MU:
-        mu = wallis_mu(order).values
-        return half_pi * (1 + sum(mu[j - 1] / nf**j for j in range(1, order + 1)))
-    if tag is ExpansionTag.WALLIS_NU_EXP:
-        nu = wallis_nu(order).values
-        return half_pi * _exp_rational(sum(nu[j - 1] / nf**j for j in range(1, order + 1)))
-    if tag is ExpansionTag.WALLIS_ALPHA_BETA:
-        pairs = alpha_beta(order).values
-        return half_pi * (1 + sum(
-            a / (nf + b) ** (2 * l - 1) for l, (a, b) in enumerate(pairs, start=1)
-        ))
-    if tag is ExpansionTag.WALLIS_OMEGA:
-        om = omega(order).values
-        return half_pi * _exp_rational(sum(
-            w / (nf + _HALF) ** (2 * l - 1) for l, w in enumerate(om, start=1)
-        ))
-    if tag is ExpansionTag.ELEZOVIC:
-        return half_pi * (1 + sum(
-            c / (nf + Fraction(5, 8)) ** e for c, e in ELEZOVIC_TERMS[:order]
-        ))
-    raise ValueError(f"not a Wallis-sequence family: {tag}")
+def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None,
+              exact: bool = False):
+    """The truncated family at ``n``: a float, a complex for the (p, q) families,
+    or with ``exact`` a ``Fraction`` (pi and exp as rational surrogates)."""
+    spec = _FAMILIES[tag]
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    spec.check_order(order)
+    if exact:
+        s = sum(c / (n + sh) ** e for c, sh, e in spec.terms(order, None))
+        return _PI_RATIONAL / 2 * (_exp_rational(s) if spec.exp_form else 1 + s)
+    if not spec.needs_params:
+        s = math.fsum(float(c) / (n + float(sh)) ** e for c, sh, e in spec.terms(order, None))
+        return math.pi / 2 * (math.exp(s) if spec.exp_form else 1 + s)
+    limit = spec.limit(*params)
+    if limit == 0:
+        raise PoleError(f"{spec.limit.__name__}(p, q) vanishes through a gamma pole; "
+                        "expansion undefined")
+    s = 0j  # complex terms: summed in order, as fsum takes only reals
+    for c, sh, e in spec.terms(order, params):
+        s += c / (n + float(sh)) ** e
+    return limit * (cmath.exp(s) if spec.exp_form else 1 + s)
+
+
+# ---------------------------------------------------------------------------
+# Evaluators
+# ---------------------------------------------------------------------------
+
+def eval_w_expansion(n: int, p: complex, q: complex, order: int) -> complex:
+    """``W_inf(p,q) * exp(sum_{j<=order} a_j(p,q) / (n+1)^j)``."""
+    return _evaluate(ExpansionTag.W_PQ, order, n, (p, q))
+
+
+def eval_r_expansion(n: int, p: complex, q: complex, order: int) -> complex:
+    """``R_inf(p,q) * exp(sum_{j<=order} b_j(p,q) / (n+1/2)^j)``."""
+    return _evaluate(ExpansionTag.R_PQ, order, n, (p, q))
+
+
+def eval_wallis_mu(n: int, order: int) -> float:
+    """``(pi/2) (1 + sum_{j<=order} mu_j / n^j)``."""
+    return _evaluate(ExpansionTag.WALLIS_MU, order, n)
+
+
+def eval_wallis_nu_exp(n: int, order: int) -> float:
+    """``(pi/2) exp(sum_{j<=order} nu_j / n^j)``."""
+    return _evaluate(ExpansionTag.WALLIS_NU_EXP, order, n)
+
+
+def eval_wallis_alpha_beta(n: int, levels: int) -> float:
+    """``(pi/2) (1 + sum_{l<=levels} alpha_l / (n + beta_l)^(2l-1))``."""
+    return _evaluate(ExpansionTag.WALLIS_ALPHA_BETA, levels, n)
+
+
+def eval_wallis_omega(n: int, levels: int) -> float:
+    """``(pi/2) exp(sum_{l<=levels} omega_l / (n + 1/2)^(2l-1))``."""
+    return _evaluate(ExpansionTag.WALLIS_OMEGA, levels, n)
+
+
+def eval_elezovic(n: int, terms: int) -> float:
+    """Truncation of the published ``(n + 5/8)``-shifted series, 1..6 terms."""
+    return _evaluate(ExpansionTag.ELEZOVIC, terms, n)
+
+
+def family_oracle(family: ExpansionFamily, n: int) -> complex:
+    """Brute-force reference value for the family at ``n``."""
+    return _FAMILIES[family.tag].oracle(n, family.params)
+
+
+def family_report(family: ExpansionFamily, n: int) -> ErrorReport:
+    """ErrorReport of the truncated family against its brute-force oracle."""
+    note = "asymptotic regime not reached (n < order)" if n < family.order else None
+    approx = _evaluate(family.tag, family.order, n, family.params)
+    return error_report(n, approx, family_oracle(family, n), note)
 
 
 def wallis_error_exact(tag: ExpansionTag, order: int, n: int) -> Fraction:
@@ -256,80 +298,14 @@ def wallis_error_exact(tag: ExpansionTag, order: int, n: int) -> Fraction:
     pi, whose effect (~1e-50 relative) is far below any truncation error
     this package deals in.
     """
-    return abs(wallis_seq_exact(n) - _exact_wallis_approx(tag, order, n))
+    if _FAMILIES[tag].needs_params:
+        raise ValueError(f"not a Wallis-sequence family: {tag}")
+    return abs(wallis_seq_exact(n) - _evaluate(tag, order, n, exact=True))
 
 
 # ---------------------------------------------------------------------------
 # Empirical convergence order
 # ---------------------------------------------------------------------------
-
-def _family_value(family: ExpansionFamily, n: int) -> complex:
-    tag = family.tag
-    if tag is ExpansionTag.W_PQ:
-        p, q = family.params
-        return eval_w_expansion(n, p, q, family.order)
-    if tag is ExpansionTag.R_PQ:
-        p, q = family.params
-        return eval_r_expansion(n, p, q, family.order)
-    if tag is ExpansionTag.WALLIS_MU:
-        return eval_wallis_mu(n, family.order)
-    if tag is ExpansionTag.WALLIS_NU_EXP:
-        return eval_wallis_nu_exp(n, family.order)
-    if tag is ExpansionTag.WALLIS_ALPHA_BETA:
-        return eval_wallis_alpha_beta(n, family.order)
-    if tag is ExpansionTag.WALLIS_OMEGA:
-        return eval_wallis_omega(n, family.order)
-    if tag is ExpansionTag.ELEZOVIC:
-        return eval_elezovic(n, family.order)
-    raise ValueError(f"unknown family tag: {tag}")
-
-
-def family_oracle(family: ExpansionFamily, n: int) -> complex:
-    """Brute-force reference value for the family at ``n``."""
-    tag = family.tag
-    if tag is ExpansionTag.W_PQ:
-        p, q = family.params
-        return w_product(n, p, q).value
-    if tag is ExpansionTag.R_PQ:
-        p, q = family.params
-        return r_product(n, p, q).value
-    return wallis_seq(n)
-
-
-def family_report(family: ExpansionFamily, n: int) -> ErrorReport:
-    """ErrorReport of the truncated family against its brute-force oracle."""
-    note = None
-    if n < family.order:
-        note = "asymptotic regime not reached (n < order)"
-    return error_report(n, _family_value(family, n), family_oracle(family, n), note)
-
-
-def _shift(family: ExpansionFamily) -> float:
-    """Shift of the expansion variable ``n + shift`` for order estimation."""
-    tag = family.tag
-    if tag is ExpansionTag.W_PQ:
-        return 1.0
-    if tag in (ExpansionTag.R_PQ, ExpansionTag.WALLIS_OMEGA):
-        return 0.5
-    if tag is ExpansionTag.ELEZOVIC:
-        return 0.625
-    if tag is ExpansionTag.WALLIS_ALPHA_BETA:
-        # the first omitted term carries its own shift
-        try:
-            return float(alpha_beta(family.order + 1).values[family.order][1])
-        except ZeroDivisionError:
-            return 0.5
-    return 0.0
-
-
-_EXACT_TAGS = {
-    ExpansionTag.WALLIS_MU,
-    ExpansionTag.WALLIS_NU_EXP,
-    ExpansionTag.WALLIS_ALPHA_BETA,
-    ExpansionTag.WALLIS_OMEGA,
-    ExpansionTag.ELEZOVIC,
-}
-
 
 def convergence_order(family: ExpansionFamily, n_values: list[int]) -> list[float]:
     """Estimated decay exponents ``log(err(n)/err(n')) / log(x'/x)``.
@@ -344,34 +320,22 @@ def convergence_order(family: ExpansionFamily, n_values: list[int]) -> list[floa
         raise ValueError("need at least two n values")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n values must be strictly increasing")
-    shift = _shift(family)
-    exact_mode = family.tag in _EXACT_TAGS
+    spec = _FAMILIES[family.tag]
+    shift = spec.est_shift(family.order)
 
     errors: list[Fraction | float] = []
     for n in n_values:
-        if exact_mode:
+        if not spec.needs_params:
             errors.append(wallis_error_exact(family.tag, family.order, n))
         else:
-            approx = _family_value(family, n)
-            oracle = family_oracle(family, n)
-            err = abs(approx - oracle)
-            noise = 64 * sys.float_info.epsilon * abs(oracle)
-            errors.append(err if err > noise else math.nan)
+            report = family_report(family, n)
+            noise = 64 * sys.float_info.epsilon * abs(report.exact)
+            errors.append(report.abs_err if report.abs_err > noise else math.nan)
 
-    estimates: list[float] = []
-    for (n1, e1), (n2, e2) in zip(zip(n_values, errors), zip(n_values[1:], errors[1:])):
-        if isinstance(e1, float) and (math.isnan(e1) or e1 == 0.0):
-            estimates.append(math.nan)
-            continue
-        if isinstance(e2, float) and (math.isnan(e2) or e2 == 0.0):
-            estimates.append(math.nan)
-            continue
-        if e1 == 0 or e2 == 0:
-            estimates.append(math.nan)
-            continue
-        ratio = float(Fraction(e1) / Fraction(e2)) if exact_mode else e1 / e2
-        estimates.append(math.log(ratio) / math.log((n2 + shift) / (n1 + shift)))
-    return estimates
+    # errors are >= 0 or NaN, so one test catches every degenerate pair
+    return [math.log(float(e1 / e2)) / math.log((n2 + shift) / (n1 + shift))
+            if e1 > 0 and e2 > 0 else math.nan
+            for n1, n2, e1, e2 in zip(n_values, n_values[1:], errors, errors[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +363,7 @@ class BoundsReport:
     beta: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "violations": self.violations,
-            "first_violation": self.first_violation,
-            "tight_upper_n": self.tight_upper_n,
-            "tight_upper_gap": self.tight_upper_gap,
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }
+        return asdict(self)
 
 
 def check_bounds(n_max: int, equality_tol: float = 1e-12) -> BoundsReport:
@@ -421,18 +377,18 @@ def check_bounds(n_max: int, equality_tol: float = 1e-12) -> BoundsReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    alpha = DENG_ALPHA
     beta = deng_beta()
     half_pi = math.pi / 2
-    log_sum = _running_log_sum()
+    log_sum = _Neumaier()
     violations = 0
     first_violation: int | None = None
     tight_n: int | None = None
     tight_gap = math.inf
     for n in range(1, n_max + 1):
-        w = log_sum(n)
+        log_sum.add(math.log1p(1.0 / (4.0 * n * n - 1.0)))
+        w = math.exp(log_sum.total)
         slack = 8 * sys.float_info.epsilon * max(1.0, w)
-        lower = half_pi * (1 - 1 / (4 * n + alpha))
+        lower = half_pi * (1 - 1 / (4 * n + DENG_ALPHA))
         upper = half_pi * (1 - 1 / (4 * n + beta))
         if w <= lower - slack or w > upper + slack:
             violations += 1
@@ -444,20 +400,4 @@ def check_bounds(n_max: int, equality_tol: float = 1e-12) -> BoundsReport:
             tight_gap = gap
     return BoundsReport(n_max, violations, first_violation, tight_n,
                         tight_gap if tight_n is not None else math.nan,
-                        alpha, beta)
-
-
-def _running_log_sum():
-    from .products import _Neumaier
-
-    acc = _Neumaier()
-    state = {"n": 0}
-
-    def advance(n: int) -> float:
-        while state["n"] < n:
-            state["n"] += 1
-            k = state["n"]
-            acc.add(math.log1p(1.0 / (4.0 * k * k - 1.0)))
-        return math.exp(acc.total)
-
-    return advance
+                        DENG_ALPHA, beta)

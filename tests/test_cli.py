@@ -150,6 +150,14 @@ class TestEvalCommand:
                                       "--order", "3", "--p", "-2", "--q", "1"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("family,order", [("elezovic", "7"), ("mu", "0"), ("w", "0")])
+    def test_order_out_of_range_exit_2(self, runner, family, order):
+        result = runner.invoke(main, ["eval", "--target", f"expansion:{family}", "--n", "50",
+                                      "--order", order, "--p", "1", "--q", "0.5"])
+        assert result.exit_code == 2
+        assert "order must be" in result.output
+        assert "Traceback" not in result.output
+
     def test_small_n_note_on_stderr(self, runner):
         result = runner.invoke(
             main,
@@ -175,6 +183,12 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         checks = json.loads(result.output)["checks"]
         assert checks and all(c["passed"] and c["detail"] for c in checks)
+
+    def test_closedforms_checks_report_their_margin(self, runner):
+        result = runner.invoke(main, ["verify", "--suite", "closedforms", "--format", "json"])
+        assert result.exit_code == 0
+        checks = json.loads(result.output)["checks"]
+        assert len(checks) == 4 and all(c["passed"] and c["detail"] for c in checks)
 
     def test_coeffs_suite_passes(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "coeffs"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallisprod.coeffs import b_poly
+from wallisprod.coeffs import b_poly, wallis_mu
 from wallisprod.expansions import (
     ELEZOVIC_TERMS,
     ExpansionFamily,
@@ -111,6 +111,15 @@ class TestElezovic:
             (F(-51, 16384), 5), (F(-75, 65536), 6), (F(2253, 1048576), 7),
         )
 
+    def test_reexpanded_mu_has_no_second_power(self):
+        # mu_1 * C(1, 1) * 5/8 + mu_2 = -5/32 + 5/32: the table skips 1/(n+5/8)^2
+        from wallisprod.expansions import _reexpand
+
+        coeffs = _reexpand(wallis_mu(7).values, F(5, 8), 7)
+        assert coeffs[1] == 0
+        assert all(c != 0 for k, c in enumerate(coeffs) if k != 1)
+        assert [e for _, e in ELEZOVIC_TERMS] == [1, 3, 4, 5, 6, 7]
+
     def test_first_term_equals_alpha_beta_level_one(self):
         for n in (5, 100):
             assert eval_elezovic(n, 1) == pytest.approx(
@@ -124,6 +133,8 @@ class TestElezovic:
     def test_term_count_validated(self):
         with pytest.raises(ValueError):
             eval_elezovic(10, 7)
+        with pytest.raises(ValueError):
+            ExpansionFamily(ExpansionTag.ELEZOVIC, 7)
 
 
 class TestImprovementClaims:
@@ -241,15 +252,15 @@ class TestScalingInvariants:
 
 
 def _exact_nu_exp(n, order):
-    from wallisprod.expansions import _exact_wallis_approx
+    from wallisprod.expansions import _evaluate
 
-    return _exact_wallis_approx(ExpansionTag.WALLIS_NU_EXP, order, n)
+    return _evaluate(ExpansionTag.WALLIS_NU_EXP, order, n, exact=True)
 
 
 def _exact_mu(n, order):
-    from wallisprod.expansions import _exact_wallis_approx
+    from wallisprod.expansions import _evaluate
 
-    return _exact_wallis_approx(ExpansionTag.WALLIS_MU, order, n)
+    return _evaluate(ExpansionTag.WALLIS_MU, order, n, exact=True)
 
 
 class TestBounds:
