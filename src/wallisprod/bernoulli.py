@@ -141,6 +141,10 @@ class BernoulliTable:
             numbers.append(Fraction(0))
         self._numbers = numbers[:m + 1]
 
+    def __len__(self) -> int:
+        """Count of the numbers computed so far, ``B_0 .. B_(len - 1)``."""
+        return len(self._numbers)
+
     def number(self, n: int) -> Fraction:
         """Exact ``B_n`` (with ``B_1 = -1/2``)."""
         if n < 0:

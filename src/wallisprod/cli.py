@@ -49,6 +49,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
+# The alpha-beta rationals triple in bit length per level, and a cold build
+# costs about 8x more per level: level 12 takes under a second, 13 several
+# seconds, 14 close to a minute.
+MAX_ALPHABETA_ORDER = 12
+
 _ATOM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:/\d+)?"
 _COMPLEX_RE = re.compile(rf"^({_ATOM})?((?:{_ATOM})|[+-])?(i)?$")
 
@@ -140,7 +145,8 @@ _SERIES_BUILDERS = {
 @click.option("--family", required=True,
               type=click.Choice(["a", "b", "nu", "mu", "omega", "alphabeta"]),
               help="Coefficient family.")
-@click.option("--order", required=True, type=int, help="Number of coefficients.")
+@click.option("--order", required=True, type=int,
+              help=f"Number of coefficients (alphabeta: at most {MAX_ALPHABETA_ORDER}).")
 @click.option("--p", "p_text", default=None, help="Complex literal; evaluates a/b at (p, q).")
 @click.option("--q", "q_text", default=None, help="Complex literal; evaluates a/b at (p, q).")
 @click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain")
@@ -158,6 +164,8 @@ def cmd_coeffs(family: str, order: int, p_text: str | None, q_text: str | None,
     """
     if order < 1:
         raise click.UsageError("--order must be >= 1")
+    if family == "alphabeta":
+        _check_alphabeta_order(order)
     if family in ("a", "b"):
         _emit_poly_family(family, order, p_text, q_text, fmt)
         return
@@ -175,6 +183,12 @@ def cmd_coeffs(family: str, order: int, p_text: str | None, q_text: str | None,
         else:
             for k, value in enumerate(series.values, start=1):
                 click.echo(f"{k}, {format_rational(value)}")
+
+
+def _check_alphabeta_order(order: int) -> None:
+    if order > MAX_ALPHABETA_ORDER:
+        raise click.UsageError(f"--order must be <= {MAX_ALPHABETA_ORDER} for alphabeta "
+                               "(its rationals triple in bit length per level)")
 
 
 def _emit_signs(series: CoeffSeries) -> None:
@@ -243,7 +257,8 @@ _EXPANSION_TAGS = {
 @click.option("--n", "n", required=True, type=int)
 @click.option("--p", "p_text", default=None, help="Complex literal.")
 @click.option("--q", "q_text", default=None, help="Complex literal.")
-@click.option("--order", type=int, default=None, help="Truncation order for expansions.")
+@click.option("--order", type=int, default=None,
+              help=f"Truncation order for expansions (alphabeta: at most {MAX_ALPHABETA_ORDER}).")
 @click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain")
 def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
              order: int | None, fmt: str) -> None:
@@ -277,6 +292,8 @@ def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
             tag = _EXPANSION_TAGS[key]
             if order is None:
                 raise click.UsageError("--order is required for expansion targets")
+            if key == "alphabeta":
+                _check_alphabeta_order(order)
             params = None
             if expansions._FAMILIES[tag].needs_params:
                 params = _require_pq(p_text, q_text)

@@ -23,6 +23,13 @@ Two kinds of objects live here:
     ``exp(sum omega_l / (n + 1/2)^(2l-1))``, with two independent
     recurrences (odd-index and even-index matching) that must agree.
 
+  Entry ``k`` of each of these series (``nu``, ``mu``, ``alpha_beta``,
+  ``omega`` and its second route ``omega_alt``) depends only on earlier
+  entries and on a prefix of another series, so each is computed once per
+  process: a call extends the family's list by prefix as far as it asks,
+  and later calls read it.  :func:`cache_sizes` reports how far every
+  coefficient cache has grown.
+
 All values are exact `Fraction`s; nothing here touches floating point
 except the complex evaluation helpers.
 """
@@ -35,6 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .bernoulli import _TABLE as _BERNOULLI_TABLE
 from .bernoulli import (
     bernoulli_number,
     bernoulli_poly,
@@ -60,6 +68,7 @@ __all__ = [
     "alpha_beta",
     "omega",
     "omega_alt",
+    "cache_sizes",
 ]
 
 
@@ -368,16 +377,35 @@ def _nu_closed(j: int) -> Fraction:
     return Fraction((-1) ** (j + 1)) * (scale * bernoulli_number(j + 1) - corr) / (j * (j + 1))
 
 
-_SERIES_LOCK = threading.Lock()
-_NU_CACHE: list[Fraction] = []
-_MU_CACHE: list[Fraction] = [Fraction(1)]  # index 0 entry of the exp-composition
+# Series caches: list index ``k - 1`` holds entry ``k``.  The lock is
+# re-entrant because a step grows the series it depends on (mu reads nu,
+# alpha_beta reads mu) while the lock is held.
+_SERIES_LOCK = threading.RLock()
+_NU: list[Fraction] = []
+_MU: list[Fraction] = []
+_ALPHA_BETA: list[tuple[Fraction, Fraction]] = []
+_OMEGA: list[Fraction] = []
+_OMEGA_ALT: list[Fraction] = []
+
+
+def _grow(values: list, step, count: int) -> list:
+    """Extend ``values`` to ``count`` entries by ``step(values)``; return its first ``count``.
+
+    A step that raises appends nothing, so the list keeps the entries
+    before the failing one and the next call runs that step again.
+    """
+    with _SERIES_LOCK:
+        while len(values) < count:
+            values.append(step(values))
+        return values[:count]
+
+
+def _nu_step(nu: list[Fraction]) -> Fraction:
+    return _nu_closed(len(nu) + 1)
 
 
 def _nu_values(order: int) -> list[Fraction]:
-    with _SERIES_LOCK:
-        for j in range(len(_NU_CACHE) + 1, order + 1):
-            _NU_CACHE.append(_nu_closed(j))
-        return _NU_CACHE[:order]
+    return _grow(_NU, _nu_step, order)
 
 
 def wallis_nu(order: int) -> CoeffSeries:
@@ -423,88 +451,117 @@ def exp_compose(a: list[Fraction] | tuple[Fraction, ...], order: int) -> list[Fr
     return b[1:]
 
 
+def _mu_step(mu: list[Fraction]) -> Fraction:
+    # mu_n = (1/n) sum_{k=1}^{n} k nu_k mu_{n-k} with mu_0 = 1
+    n = len(mu) + 1
+    nu = _nu_values(n)
+    acc = n * nu[n - 1]
+    for k in range(1, n):
+        acc += k * nu[k - 1] * mu[n - k - 1]
+    return acc / n
+
+
 def wallis_mu(order: int) -> CoeffSeries:
     """Exact ``mu_1 .. mu_order`` of ``2 W_n / pi ~ 1 + sum mu_j / n^j``."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    nu = _nu_values(order)
-    with _SERIES_LOCK:
-        for n in range(len(_MU_CACHE), order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                acc += k * nu[k - 1] * _MU_CACHE[n - k]
-            _MU_CACHE.append(acc / n)
-        return CoeffSeries(Family.MU, order, tuple(_MU_CACHE[1:order + 1]))
+    return CoeffSeries(Family.MU, order, tuple(_grow(_MU, _mu_step, order)))
 
 
-def _alpha_beta_from_mu(mu: list[Fraction], levels: int) -> list[tuple[Fraction, Fraction]]:
-    """Solve the shifted-series matching equations level by level.
+def _alpha_beta_level(mu: list[Fraction], pairs: list[tuple[Fraction, Fraction]]
+                      ) -> tuple[Fraction, Fraction]:
+    """``(alpha_l, beta_l)``, ``l = len(pairs) + 1``, from ``mu_1 .. mu_2l`` and the earlier pairs.
 
     Matching the ``1/n^(2l-1)`` and ``1/n^(2l)`` coefficients of
     ``sum alpha_l / (n + beta_l)^(2l-1)`` against the mu-series gives one
     linear solve per level; it divides by ``alpha_l``, so a vanishing
     ``alpha_l`` means the family degenerates at that level.
     """
+    level = len(pairs) + 1
+    alpha = mu[2 * level - 2]
+    for k in range(1, level):
+        ak, bk = pairs[k - 1]
+        alpha -= ak * bk ** (2 * level - 2 * k) * binomial(2 * level - 2, 2 * level - 2 * k)
+    if alpha == 0:
+        raise ZeroDivisionError(
+            f"alpha_{level} = 0: the shifted expansion degenerates at level {level}"
+        )
+    acc = mu[2 * level - 1]
+    for k in range(1, level):
+        ak, bk = pairs[k - 1]
+        acc += ak * bk ** (2 * level - 2 * k + 1) * binomial(2 * level - 1, 2 * level - 2 * k + 1)
+    return alpha, -acc / ((2 * level - 1) * alpha)
+
+
+def _alpha_beta_from_mu(mu: list[Fraction], levels: int) -> list[tuple[Fraction, Fraction]]:
+    """The first ``levels`` pairs solved from a given mu list, without the cache."""
     if len(mu) < 2 * levels:
         raise ValueError("need mu coefficients up to order 2*levels")
     pairs: list[tuple[Fraction, Fraction]] = []
-    for level in range(1, levels + 1):
-        alpha = mu[2 * level - 2]
-        for k in range(1, level):
-            ak, bk = pairs[k - 1]
-            alpha -= ak * bk ** (2 * level - 2 * k) * binomial(2 * level - 2, 2 * level - 2 * k)
-        if alpha == 0:
-            raise ZeroDivisionError(
-                f"alpha_{level} = 0: the shifted expansion degenerates at level {level}"
-            )
-        acc = mu[2 * level - 1]
-        for k in range(1, level):
-            ak, bk = pairs[k - 1]
-            acc += ak * bk ** (2 * level - 2 * k + 1) * binomial(2 * level - 1, 2 * level - 2 * k + 1)
-        beta = -acc / ((2 * level - 1) * alpha)
-        pairs.append((alpha, beta))
+    for _ in range(levels):
+        pairs.append(_alpha_beta_level(mu, pairs))
     return pairs
+
+
+def _alpha_beta_step(pairs: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
+    return _alpha_beta_level(_grow(_MU, _mu_step, 2 * len(pairs) + 2), pairs)
 
 
 def alpha_beta(levels: int) -> CoeffSeries:
     """Exact ``(alpha_l, beta_l)`` pairs of the shifted odd-power series."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    mu = list(wallis_mu(2 * levels).values)
-    return CoeffSeries(Family.ALPHA_BETA, levels, tuple(_alpha_beta_from_mu(mu, levels)))
+    pairs = _grow(_ALPHA_BETA, _alpha_beta_step, levels)
+    return CoeffSeries(Family.ALPHA_BETA, levels, tuple(pairs))
+
+
+def _omega_step(out: list[Fraction]) -> Fraction:
+    # odd-index matching: nu_(2l-1) = sum_{k<=l} omega_k C(2l-2, 2l-2k) / 2^(2l-2k)
+    level = len(out) + 1
+    if level == 1:
+        return Fraction(-1, 4)
+    val = _nu_values(2 * level - 1)[2 * level - 2]
+    for k in range(1, level):
+        val -= out[k - 1] * Fraction(1, 2 ** (2 * level - 2 * k)) \
+            * binomial(2 * level - 2, 2 * level - 2 * k)
+    return val
 
 
 def omega(levels: int) -> CoeffSeries:
     """Exact ``omega_l`` via matching of the odd-index nu coefficients."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    nu = _nu_values(max(1, 2 * levels - 1))
-    out: list[Fraction] = []
-    for level in range(1, levels + 1):
-        if level == 1:
-            out.append(Fraction(-1, 4))
-            continue
-        val = nu[2 * level - 2]
-        for k in range(1, level):
-            val -= out[k - 1] * Fraction(1, 2 ** (2 * level - 2 * k)) \
-                * binomial(2 * level - 2, 2 * level - 2 * k)
-        out.append(val)
-    return CoeffSeries(Family.OMEGA, levels, tuple(out))
+    return CoeffSeries(Family.OMEGA, levels, tuple(_grow(_OMEGA, _omega_step, levels)))
+
+
+def _omega_alt_step(out: list[Fraction]) -> Fraction:
+    # even-index matching; never reads the omega list, so the two routes stay independent
+    level = len(out) + 1
+    if level == 1:
+        return Fraction(-1, 4)
+    acc = _nu_values(2 * level)[2 * level - 1]
+    for k in range(1, level):
+        acc += out[k - 1] * Fraction(1, 2 ** (2 * level - 2 * k + 1)) \
+            * binomial(2 * level - 1, 2 * level - 2 * k + 1)
+    return -Fraction(2, 2 * level - 1) * acc
 
 
 def omega_alt(levels: int) -> CoeffSeries:
     """Same ``omega_l`` via the even-index nu matching; must agree with :func:`omega`."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    nu = _nu_values(2 * levels)
-    out: list[Fraction] = []
-    for level in range(1, levels + 1):
-        if level == 1:
-            out.append(Fraction(-1, 4))
-            continue
-        acc = nu[2 * level - 1]
-        for k in range(1, level):
-            acc += out[k - 1] * Fraction(1, 2 ** (2 * level - 2 * k + 1)) \
-                * binomial(2 * level - 1, 2 * level - 2 * k + 1)
-        out.append(-Fraction(2, 2 * level - 1) * acc)
-    return CoeffSeries(Family.OMEGA, levels, tuple(out))
+    return CoeffSeries(Family.OMEGA, levels, tuple(_grow(_OMEGA_ALT, _omega_alt_step, levels)))
+
+
+def cache_sizes() -> dict[str, int]:
+    """Entry count of every coefficient cache and of the Bernoulli number table."""
+    return {
+        "bernoulli": len(_BERNOULLI_TABLE),
+        "a_poly": len(_A_CACHE),
+        "b_poly": len(_B_CACHE),
+        "nu": len(_NU),
+        "mu": len(_MU),
+        "alpha_beta": len(_ALPHA_BETA),
+        "omega": len(_OMEGA),
+        "omega_alt": len(_OMEGA_ALT),
+    }

@@ -7,8 +7,8 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from wallisprod.cli import main, parse_complex_literal
-from wallisprod.coeffs import CoeffSeries, wallis_nu
+from wallisprod.cli import MAX_ALPHABETA_ORDER, main, parse_complex_literal
+from wallisprod.coeffs import CoeffSeries, cache_sizes, wallis_nu
 
 
 @pytest.fixture()
@@ -94,6 +94,18 @@ class TestCoeffsCommand:
     def test_invalid_order_exit_2(self, runner):
         result = runner.invoke(main, ["coeffs", "--family", "nu", "--order", "0"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--family", "alphabeta"],
+        ["eval", "--target", "expansion:alphabeta", "--n", "100"],
+    ])
+    def test_alphabeta_order_cap_exit_2(self, runner, argv):
+        before = cache_sizes()
+        result = runner.invoke(main, [*argv, "--order", str(MAX_ALPHABETA_ORDER + 1)])
+        assert result.exit_code == 2
+        assert "Usage:" in result.output
+        assert f"--order must be <= {MAX_ALPHABETA_ORDER} for alphabeta" in result.output
+        assert cache_sizes() == before  # refused before any coefficient work
 
     def test_signs_flag(self, runner):
         result = runner.invoke(main, ["coeffs", "--family", "omega", "--order", "5",

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from wallisprod import coeffs
 from wallisprod.bernoulli import bernoulli_number, bernoulli_poly
 from wallisprod.coeffs import (
     BiPoly,
@@ -18,6 +19,7 @@ from wallisprod.coeffs import (
     a_poly,
     alpha_beta,
     b_poly,
+    cache_sizes,
     eval_bipoly,
     exp_compose,
     generic_a,
@@ -263,30 +265,151 @@ class TestScalarFamilies:
         assert alpha_beta(2).values == alpha_beta(5).values[:2]
 
 
-def test_concurrent_cache_growth():
+SERIES_CACHES = ("_NU", "_MU", "_ALPHA_BETA", "_OMEGA", "_OMEGA_ALT")
+
+
+@pytest.fixture()
+def cold_series_caches():
+    """Empty the five series caches for one test and put their entries back after it."""
+    saved = {name: list(getattr(coeffs, name)) for name in SERIES_CACHES}
+    for name in SERIES_CACHES:
+        getattr(coeffs, name).clear()
+    try:
+        yield
+    finally:
+        for name, values in saved.items():
+            getattr(coeffs, name)[:] = values
+
+
+def omega_reference(nu: tuple, levels: int) -> list[Fraction]:
+    """Odd-index matching ``nu_(2l-1) = sum_{k<=l} omega_k C(2l-2, 2l-2k) / 2^(2l-2k)``."""
+    out = [F(-1, 4)]
+    for level in range(2, levels + 1):
+        out.append(nu[2 * level - 2] - sum(
+            out[k - 1] * F(math.comb(2 * level - 2, 2 * level - 2 * k), 4 ** (level - k))
+            for k in range(1, level)))
+    return out
+
+
+def omega_alt_reference(nu: tuple, levels: int) -> list[Fraction]:
+    """Even-index matching ``nu_2l = -sum_{k<=l} omega_k C(2l-1, 2l-2k+1) / 2^(2l-2k+1)``."""
+    out = [F(-1, 4)]
+    for level in range(2, levels + 1):
+        acc = nu[2 * level - 1] + sum(
+            out[k - 1] * F(math.comb(2 * level - 1, 2 * level - 2 * k + 1),
+                           2 ** (2 * level - 2 * k + 1))
+            for k in range(1, level))
+        out.append(-F(2, 2 * level - 1) * acc)
+    return out
+
+
+def mu_reference(order: int) -> list[Fraction]:
+    return exp_compose(list(wallis_nu_raw(order).values), order)
+
+
+# family, cached builder, its cache, cache-free reference for the first k entries, orders
+SERIES_CASES = [
+    ("nu", wallis_nu, "_NU", lambda k: list(wallis_nu_raw(k).values), (30, 5)),
+    ("mu", wallis_mu, "_MU", mu_reference, (30, 5)),
+    ("alpha_beta", alpha_beta, "_ALPHA_BETA",
+     lambda k: _alpha_beta_from_mu(mu_reference(2 * k), k), (6, 2)),
+    ("omega", omega, "_OMEGA",
+     lambda k: omega_reference(wallis_nu_raw(2 * k).values, k), (12, 3)),
+    ("omega_alt", omega_alt, "_OMEGA_ALT",
+     lambda k: omega_alt_reference(wallis_nu_raw(2 * k).values, k), (12, 3)),
+]
+
+
+class TestSeriesCache:
+    @pytest.mark.parametrize("name,build,cache,reference,orders", SERIES_CASES,
+                             ids=[case[0] for case in SERIES_CASES])
+    @pytest.mark.parametrize("high_first", [True, False], ids=["high_low", "low_high"])
+    def test_cold_cache_equals_reference(self, cold_series_caches, name, build, cache,
+                                         reference, orders, high_first):
+        high, low = orders
+        for k in ((high, low) if high_first else (low, high)):
+            assert list(build(k).values) == reference(k)
+        assert len(getattr(coeffs, cache)) == high
+        assert list(build(high).values) == reference(high)  # read back from the cache
+
+    def test_omega_alt_never_reads_omega(self, cold_series_caches):
+        omega_alt(6)
+        assert coeffs._OMEGA == []
+
+    def test_degenerate_level_keeps_earlier_levels(self, cold_series_caches):
+        # the fabricated mu of test_alpha_beta_degenerate_level_raises, placed in the cache
+        coeffs._MU[:] = [F(-1, 4), F(5, 32), F(-1, 4) * F(5, 8) ** 2, F(1, 7)]
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                alpha_beta(2)
+            assert coeffs._ALPHA_BETA == [(F(-1, 4), F(5, 8))]
+        assert alpha_beta(1).values == ((F(-1, 4), F(5, 8)),)
+
+    def test_cache_sizes_grow(self, cold_series_caches):
+        before = cache_sizes()
+        assert set(before) == {"bernoulli", "a_poly", "b_poly", "nu", "mu", "alpha_beta",
+                               "omega", "omega_alt"}
+        assert [before[k] for k in ("nu", "mu", "alpha_beta", "omega", "omega_alt")] == [0] * 5
+        j = 1 + max(coeffs._A_CACHE.keys() | coeffs._B_CACHE.keys(), default=0)
+        a_poly(j)
+        b_poly(j)
+        bernoulli_number(before["bernoulli"])
+        alpha_beta(3)
+        omega(4)
+        omega_alt(5)
+        after = cache_sizes()
+        assert after["bernoulli"] > before["bernoulli"]
+        assert after["a_poly"] == before["a_poly"] + 1
+        assert after["b_poly"] == before["b_poly"] + 1
+        assert (after["nu"], after["mu"], after["alpha_beta"], after["omega"],
+                after["omega_alt"]) == (10, 6, 3, 4, 5)
+
+
+def test_concurrent_cache_growth(cold_series_caches):
+    import sys
     import threading
 
     from wallisprod.bernoulli import BernoulliTable
 
+    def series():
+        return (wallis_mu(24).values, omega(10).values, alpha_beta(6).values,
+                omega_alt(10).values, wallis_nu(30).values)
+
+    expected = series()  # single-threaded
+    sizes = cache_sizes()
+    for name in SERIES_CACHES:
+        getattr(coeffs, name).clear()
+
     table = BernoulliTable()
     errors = []
+    results = []
+    start_series = threading.Barrier(8)
 
     def worker(order):
         try:
             for n in range(order, order + 20):
                 table.number(n)
                 table.polynomial(n)
-            wallis_mu(24)
-            omega(10)
+            start_series.wait(timeout=60)  # all threads grow the series caches together
+            results.append(series())
         except Exception as exc:  # surfaced after join
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=(k,)) for k in (1, 10, 25, 40)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in (1, 10, 25, 40) * 2]
+        assert len(threads) == start_series.parties
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
+    assert results == [expected] * len(threads)
+    assert cache_sizes() == sizes  # no entry appended twice
     assert table.number(12) == F(-691, 2730)
 
 
