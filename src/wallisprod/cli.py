@@ -49,10 +49,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-# The alpha-beta rationals triple in bit length per level, and a cold build
-# costs about 8x more per level: level 12 takes under a second, 13 several
-# seconds, 14 close to a minute.
-MAX_ALPHABETA_ORDER = 12
+MAX_ALPHABETA_ORDER = expansions._FAMILIES[ExpansionTag.WALLIS_ALPHA_BETA].max_order
 
 _ATOM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:/\d+)?"
 _COMPLEX_RE = re.compile(rf"^({_ATOM})?((?:{_ATOM})|[+-])?(i)?$")

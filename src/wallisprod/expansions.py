@@ -5,8 +5,8 @@ Every family is one entry of the table ``_FAMILIES``, keyed by
 (coefficient source, shift and exponent), the outer form ``1 + s`` or
 ``exp(s)``, the prefactor (``pi/2``, ``W_inf`` or ``R_inf``), the
 brute-force oracle, the shift used for order estimation and, for a finite
-family, its largest order.  One evaluator reads the table: in floats
-(complex for the two (p, q) families) behind the public ``eval_*``
+or costly family, its largest order.  One evaluator reads the table: in
+floats (complex for the two (p, q) families) behind the public ``eval_*``
 functions, and over ``Fraction`` for :func:`wallis_error_exact`.  The
 ``(n + 5/8)`` series of Elezovic, Lin and Vuksic is the ``mu`` series
 re-expanded at shift 5/8, so :data:`ELEZOVIC_TERMS` is derived, not typed.
@@ -189,9 +189,13 @@ _FAMILIES: dict[ExpansionTag, _Spec] = {
     ExpansionTag.WALLIS_NU_EXP: _Spec(
         lambda k, _: _powers(wallis_nu(k).values, 0),
         exp_form=True, oracle=_wallis_oracle, est_shift=lambda k: 0.0),
+    # The alpha-beta rationals triple in bit length per level, and a cold build
+    # costs about 8x more per level: level 12 takes under a second, 13 several
+    # seconds, 14 close to a minute.  The exact error kernel at order 12
+    # already takes tens of seconds.
     ExpansionTag.WALLIS_ALPHA_BETA: _Spec(
         lambda k, _: [(a, b, 2 * l - 1) for l, (a, b) in enumerate(alpha_beta(k).values, start=1)],
-        exp_form=False, oracle=_wallis_oracle, est_shift=_next_beta),
+        exp_form=False, oracle=_wallis_oracle, est_shift=_next_beta, max_order=12),
     ExpansionTag.WALLIS_OMEGA: _Spec(
         lambda k, _: [(c, _HALF, 2 * l - 1) for l, c in enumerate(omega(k).values, start=1)],
         exp_form=True, oracle=_wallis_oracle, est_shift=lambda k: 0.5),
@@ -298,8 +302,10 @@ def wallis_error_exact(tag: ExpansionTag, order: int, n: int) -> Fraction:
     pi, whose effect (~1e-50 relative) is far below any truncation error
     this package deals in.
     """
-    if _FAMILIES[tag].needs_params:
+    spec = _FAMILIES[tag]
+    if spec.needs_params:
         raise ValueError(f"not a Wallis-sequence family: {tag}")
+    spec.check_order(order)
     return abs(wallis_seq_exact(n) - _evaluate(tag, order, n, exact=True))
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallisprod.coeffs import b_poly, wallis_mu
+from wallisprod.coeffs import b_poly, cache_sizes, wallis_mu
 from wallisprod.expansions import (
     ELEZOVIC_TERMS,
     ExpansionFamily,
@@ -89,6 +89,17 @@ class TestWallisScalarFamilies:
     def test_nu_exp_small_n_value(self):
         want = (math.pi / 2) * math.exp(-0.25 + 0.125 - 5.0 / 96.0)
         assert eval_wallis_nu_exp(1, 3) == pytest.approx(want, rel=1e-15)
+
+    def test_alpha_beta_order_capped_before_any_work(self):
+        # level 13 alone would take seconds and its error kernel minutes
+        before = cache_sizes()
+        with pytest.raises(ValueError, match=r"1\.\.12"):
+            ExpansionFamily(ExpansionTag.WALLIS_ALPHA_BETA, 13)
+        with pytest.raises(ValueError, match=r"1\.\.12"):
+            eval_wallis_alpha_beta(100, 13)
+        with pytest.raises(ValueError, match=r"1\.\.12"):
+            wallis_error_exact(ExpansionTag.WALLIS_ALPHA_BETA, 13, 100)
+        assert cache_sizes() == before
 
     def test_alpha_beta_level_one_formula(self):
         for n in (4, 77):

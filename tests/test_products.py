@@ -4,13 +4,17 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallisprod.coeffs import b_poly
 from wallisprod.products import (
+    _CHUNK,
     ProductResult,
+    _Neumaier,
+    _tail_start,
     r_product,
     w_product,
     wallis_seq,
@@ -180,3 +184,163 @@ def test_product_result_shape():
     data = result.to_json_dict()
     assert set(data) == {"value", "log_abs", "phase_or_sign", "zero_factor_at",
                          "terms", "near_zero_at"}
+
+
+# ---------------------------------------------------------------------------
+# Head/tail accumulation against the per-factor loop and against mpmath
+# ---------------------------------------------------------------------------
+
+def _loop_oracle(n, p, q, denominator):
+    """Every factor through one loop, as the products were once summed: the log
+    of the rounded factor and the damping term in Neumaier sums, zero and
+    near-zero screens, and sign tracking for real parameters.
+
+    Returns ``(log_abs, phase_or_sign, zero_factor_at, near_zero_at, terms)``.
+    """
+    p, q = complex(p), complex(q)
+    real_mode = p.imag == 0.0 and q.imag == 0.0
+    re_sum, im_sum = _Neumaier(), _Neumaier()
+    sign = 1.0
+    near_at = None
+    for j in range(1, n + 1):
+        den = denominator(j)
+        factor = 1 + p / den + q / (den * den)
+        if abs(factor) < 1e-15:
+            d = Fraction(den)
+            if real_mode and d * d + Fraction(p.real) * d + Fraction(q.real) == 0:
+                return -math.inf, 0.0, j, near_at, n
+            if near_at is None:
+                near_at = j
+            if factor == 0:
+                return -math.inf, 0.0, None, near_at, n
+        if real_mode:
+            if factor.real < 0.0:
+                sign = -sign
+            re_sum.add(math.log(abs(factor.real)))
+            re_sum.add(-p.real / den)
+        else:
+            term = cmath.log(factor)
+            re_sum.add(term.real)
+            im_sum.add(term.imag)
+            re_sum.add(-p.real / den)
+            im_sum.add(-p.imag / den)
+    return re_sum.total, sign if real_mode else im_sum.total, None, near_at, n
+
+
+_PRODUCTS = {"w": (w_product, lambda j: j), "r": (r_product, lambda j: 2 * j - 1)}
+
+# Zero or at least 1e-2 in size: with tiny nonzero parameters consecutive
+# factors round the same way in the loop oracle, whose error then grows
+# linearly instead of like a random walk; those are left to the mpmath test.
+_part = st.one_of(st.just(0.0), st.floats(1e-2, 50.0), st.floats(-50.0, -1e-2))
+
+
+@st.composite
+def _head_tail_cases(draw):
+    kind = draw(st.sampled_from(["integer_roots", "near_root", "negative_span", "real", "complex"]))
+    if kind in ("integer_roots", "near_root"):
+        # factors (d - a)(d - b) / d^2: exact zeros at d = a, b (odd d only for r)
+        a, b = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        p, q = complex(-(a + b)), complex(a * b)
+        if kind == "near_root":
+            q *= 1 + 2.0**-50
+    elif kind == "negative_span":
+        # non-integer roots 0 < a < b: the factors between them are negative
+        a, b = sorted(draw(st.floats(0.5, 60.0)) for _ in range(2))
+        p, q = complex(-(a + b)), complex(a * b)
+    elif kind == "real":
+        p, q = complex(draw(_part)), complex(draw(_part))
+    else:
+        p, q = complex(draw(_part), draw(_part)), complex(draw(_part), draw(_part))
+    which = draw(st.sampled_from(sorted(_PRODUCTS)))
+    # denominators below the tail start: d0 - 1 of 1, 2, 3, ... and d0 // 2 of 1, 3, 5, ...
+    d0 = _tail_start(p, q)
+    head = d0 - 1 if which == "w" else d0 // 2
+    offset = draw(st.one_of(st.sampled_from([-1, 0, 1, _CHUNK, _CHUNK + 1]),
+                            st.integers(2, 2 * _CHUNK + 2)))
+    return which, max(1, head + offset), p, q
+
+
+@given(_head_tail_cases())
+@settings(max_examples=60, deadline=None)
+def test_head_tail_matches_loop_oracle(case):
+    which, n, p, q = case
+    product, denominator = _PRODUCTS[which]
+    got = product(n, p, q)
+    log_abs, phase, zero_at, near_at, terms = _loop_oracle(n, p, q, denominator)
+    assert (got.zero_factor_at, got.near_zero_at, got.terms) == (zero_at, near_at, terms)
+    if log_abs == -math.inf:
+        assert got.log_abs == -math.inf and got.value == 0
+        return
+    assert abs(got.log_abs - log_abs) <= 1e-13 * max(1.0, abs(log_abs))
+    if p.imag == 0.0 and q.imag == 0.0:
+        assert got.phase_or_sign == phase
+    else:
+        assert abs(got.phase_or_sign - phase) <= 1e-13 * max(1.0, abs(phase))
+
+
+_bound_part = st.floats(-1e12, 1e12, allow_nan=False)
+
+
+@given(p=st.one_of(_bound_part.map(complex), st.builds(complex, _bound_part, _bound_part)),
+       q=st.one_of(_bound_part.map(complex), st.builds(complex, _bound_part, _bound_part)))
+@settings(max_examples=300, deadline=None)
+def test_tail_start_bounds_every_tail_factor(p, q):
+    # |p|/d0 <= 1/4 and |q|/d0^2 <= 1/4, squared so that complex moduli stay
+    # rational; both terms fall as d grows, so |p/d + q/d^2| <= 1/2 for d >= d0
+    d0 = _tail_start(p, q)
+    assert isinstance(d0, int) and d0 >= 1
+    p_sq = Fraction(p.real) ** 2 + Fraction(p.imag) ** 2
+    q_sq = Fraction(q.real) ** 2 + Fraction(q.imag) ** 2
+    assert 16 * p_sq <= d0**2
+    assert 16 * q_sq <= d0**4
+
+
+def _mp_log_product(n, p, q, odd):
+    """Complex log (up to 2 pi i) of the product from gamma functions at 50 digits.
+
+    With ``mu + nu = p`` and ``mu nu = q`` each factor is
+    ``(d + mu)(d + nu) / d^2``; the damping is ``-p`` times the harmonic sum.
+    """
+    with mp.workdps(50):
+        p, q = mp.mpc(p), mp.mpc(q)
+        disc = mp.sqrt(p * p - 4 * q)
+        roots = ((p + disc) / 2, (p - disc) / 2)
+        if odd:  # d = 2j - 1: prod (d + r) = 2^n Gamma(n + 1/2 + r/2) / Gamma(1/2 + r/2)
+            half = mp.mpf(1) / 2
+            out = (-p * (mp.digamma(n + half) - mp.digamma(half)) / 2
+                   - 2 * (mp.loggamma(n + half) - mp.loggamma(half)))
+            for r in roots:
+                out += mp.loggamma(n + half + r / 2) - mp.loggamma(half + r / 2)
+        else:
+            out = -p * mp.harmonic(n) - 2 * mp.loggamma(n + 1)
+            for r in roots:
+                out += mp.loggamma(n + 1 + r) - mp.loggamma(1 + r)
+        return out
+
+
+_small = st.floats(-2e-3, 2e-3)
+
+
+@given(p=st.builds(complex, _small, _small), q=st.builds(complex, _small, _small),
+       real=st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_small_parameters_match_mpmath(p, q, real):
+    # the regime where every factor is within 1e-2 of 1 and the oracle's own
+    # rounding, not the parameters, sets the error
+    if real:
+        p, q = complex(p.real), complex(q.real)
+    real = p.imag == 0.0 and q.imag == 0.0  # then phase_or_sign is the sign
+    n = 10**5
+    for product, odd in ((w_product, False), (r_product, True)):
+        got = product(n, p, q)
+        ref = _mp_log_product(n, p, q, odd)
+        tol = 2e-15 * max(1.0, float(abs(ref)))
+        assert abs(got.log_abs - float(ref.real)) <= tol, (product.__name__, p, q)
+        if real:
+            assert got.phase_or_sign == 1.0
+        else:
+            with mp.workdps(50):
+                diff = got.phase_or_sign - ref.imag
+                wrapped = float(diff - 2 * mp.pi * mp.nint(diff / (2 * mp.pi)))
+            assert abs(wrapped) <= tol, (product.__name__, p, q)
