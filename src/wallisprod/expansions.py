@@ -5,26 +5,34 @@ Every family is one entry of the table ``_FAMILIES``, keyed by
 (coefficient source, shift and exponent), the outer form ``1 + s`` or
 ``exp(s)``, the prefactor (``pi/2``, ``W_inf`` or ``R_inf``), the
 brute-force oracle, the shift used for order estimation and, for a finite
-or costly family, its largest order.  One evaluator reads the table: in
-floats (complex for the two (p, q) families) behind the public ``eval_*``
-functions, and over ``Fraction`` for :func:`wallis_error_exact`.  The
-``(n + 5/8)`` series of Elezovic, Lin and Vuksic is the ``mu`` series
-re-expanded at shift 5/8, so :data:`ELEZOVIC_TERMS` is derived, not typed.
+or costly family, its largest order.  Two evaluators read the table: one
+in floats (complex for the two (p, q) families) behind the public
+``eval_*`` functions, and one in fixed-point integers behind
+:func:`wallis_error_exact`.  The ``(n + 5/8)`` series of Elezovic, Lin and
+Vuksic is the ``mu`` series re-expanded at shift 5/8, so
+:data:`ELEZOVIC_TERMS` is derived, not typed.
 
 Errors are always measured against the brute-force product oracle, never
 against the gamma closed form.  The Wallis-sequence families are measured
-in exact rational arithmetic, because their truncation errors drop far
-below double precision (the order-5 odd family is at 1e-24 by
-``n = 100``): the coefficients and the oracle ``prod 4k^2/(4k^2-1)`` are
-exact, and ``pi`` and ``exp`` are 50-digit rational surrogates.  The two
-(p, q) families are measured in double precision, where their errors sit
-far above the float noise for the orders of interest; estimates that
-would be dominated by noise are flagged as NaN.
+exactly, because their truncation errors drop far below double precision
+(the order-5 odd family is at 1e-24 by ``n = 100``).  The kernel works on
+integers scaled by ``2^G``: ``pi`` from Machin's formula, ``exp`` from a
+Taylor series with argument halving, each term ``c_k / (n + s_k)^e_k``
+rounded once, and ``W_n`` as the running product ``x <- x 4k^2 // (4k^2 - 1)``.
+Every step carries an integer bound on its rounding.  ``G`` starts at
+``(2 order + 4) log2(n) + 128`` bits and doubles until the total bound is
+below ``2^-60`` of the error (Ziv's strategy, Brent and Zimmermann, *Modern
+Computer Arithmetic*, ch. 3-4), so a measured error costs ``O(n)``
+operations on ``G``-bit integers.  The two (p, q) families are measured in
+double precision, where their errors sit far above the float noise for the
+orders of interest; estimates that would be dominated by noise are flagged
+as NaN.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -32,9 +40,18 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .coeffs import a_poly, alpha_beta, b_poly, eval_bipoly, omega, wallis_mu, wallis_nu
-from .products import _Neumaier, r_product, w_product, wallis_seq, wallis_seq_exact
-from .special import PI_STR, PoleError, r_inf, w_inf
+from .coeffs import (
+    _alpha_beta_level,
+    a_poly,
+    alpha_beta,
+    b_poly,
+    eval_bipoly,
+    omega,
+    wallis_mu,
+    wallis_nu,
+)
+from .products import _Neumaier, r_product, w_product, wallis_seq
+from .special import PoleError, r_inf, w_inf
 
 __all__ = [
     "ExpansionTag",
@@ -59,7 +76,6 @@ __all__ = [
     "deng_beta",
 ]
 
-_PI_RATIONAL = Fraction(PI_STR)
 _HALF = Fraction(1, 2)
 _FIVE_EIGHTHS = Fraction(5, 8)
 
@@ -145,11 +161,25 @@ def _powers(values, shift) -> list[tuple]:
 
 
 def _next_beta(levels: int) -> float:
-    """Shift of the first omitted alpha-beta term; 1/2 where that level degenerates."""
+    """Shift ``beta_{levels+1}`` of the first omitted alpha-beta term, as a float.
+
+    That level is solved from the exact mu series and the cached pairs
+    rounded to 256 bits, so it is never built exactly (level 13 would take
+    seconds).  Where the rounded ``alpha`` is within its rounding bound the
+    level may degenerate, and the shift is 1/2.
+    """
+    pairs = [(Fraction(_scaled(a, 256), 1 << 256), Fraction(_scaled(b, 256), 1 << 256))
+             for a, b in alpha_beta(levels).values]
+    # each a_k b_k^m C(2 levels, m), m = 2(levels + 1 - k), moves by at most this
+    # when a_k and b_k move by 2^-257 (a factor 2 to spare)
+    slack = 2.0 ** -256 * math.fsum(
+        math.comb(2 * levels, m) * (1 + m * abs(float(a))) * (1 + abs(float(b))) ** m
+        for m, (a, b) in zip(range(2 * levels, 0, -2), pairs))
     try:
-        return float(alpha_beta(levels + 1).values[levels][1])
+        alpha, beta = _alpha_beta_level(list(wallis_mu(2 * levels + 2).values), pairs)
     except ZeroDivisionError:
         return 0.5
+    return 0.5 if abs(alpha) <= slack else float(beta)
 
 
 def _reexpand(values, shift: Fraction, top: int) -> list[Fraction]:
@@ -191,8 +221,7 @@ _FAMILIES: dict[ExpansionTag, _Spec] = {
         exp_form=True, oracle=_wallis_oracle, est_shift=lambda k: 0.0),
     # The alpha-beta rationals triple in bit length per level, and a cold build
     # costs about 8x more per level: level 12 takes under a second, 13 several
-    # seconds, 14 close to a minute.  The exact error kernel at order 12
-    # already takes tens of seconds.
+    # seconds, 14 close to a minute.
     ExpansionTag.WALLIS_ALPHA_BETA: _Spec(
         lambda k, _: [(a, b, 2 * l - 1) for l, (a, b) in enumerate(alpha_beta(k).values, start=1)],
         exp_form=False, oracle=_wallis_oracle, est_shift=_next_beta, max_order=12),
@@ -206,31 +235,12 @@ _FAMILIES: dict[ExpansionTag, _Spec] = {
 }
 
 
-def _exp_rational(x: Fraction, cutoff: Fraction = Fraction(1, 10**45)) -> Fraction:
-    """Taylor ``exp(x)`` over rationals; requires ``|x| <= 1/2``."""
-    if abs(x) > _HALF:
-        raise ValueError("rational exp kernel needs |x| <= 1/2")
-    term = Fraction(1)
-    total = Fraction(1)
-    k = 1
-    while abs(term) > cutoff:
-        term = term * x / k
-        total += term
-        k += 1
-    return total
-
-
-def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None,
-              exact: bool = False):
-    """The truncated family at ``n``: a float, a complex for the (p, q) families,
-    or with ``exact`` a ``Fraction`` (pi and exp as rational surrogates)."""
+def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None):
+    """The truncated family at ``n``: a float, or a complex for the (p, q) families."""
     spec = _FAMILIES[tag]
     if n < 1:
         raise ValueError("n must be >= 1")
     spec.check_order(order)
-    if exact:
-        s = sum(c / (n + sh) ** e for c, sh, e in spec.terms(order, None))
-        return _PI_RATIONAL / 2 * (_exp_rational(s) if spec.exp_form else 1 + s)
     if not spec.needs_params:
         s = math.fsum(float(c) / (n + float(sh)) ** e for c, sh, e in spec.terms(order, None))
         return math.pi / 2 * (math.exp(s) if spec.exp_form else 1 + s)
@@ -242,6 +252,160 @@ def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None
     for c, sh, e in spec.terms(order, params):
         s += c / (n + float(sh)) ** e
     return limit * (cmath.exp(s) if spec.exp_form else 1 + s)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point kernel of the exact errors
+# ---------------------------------------------------------------------------
+# A real x is held at precision ``bits`` as an integer X near x 2^bits,
+# with an integer bound on |X - x 2^bits| in units of 2^-bits.
+
+_TERM_GUARD = 64  # extra bits of the rounded coefficients and shifts
+_EXP_MAX = 1024  # largest exp argument; the float evaluator overflows past 709.78
+_MAX_DOUBLINGS = 8  # 256 times the starting precision: past that the error is not resolved
+
+
+def _div_round(a: int, b: int) -> int:
+    """The integer nearest ``a / b`` for ``b > 0``, within half a unit."""
+    return (2 * a + b) // (2 * b)
+
+
+def _scaled(x: Fraction | int, bits: int) -> int:
+    """``x 2^bits`` rounded to the nearest integer."""
+    return _div_round(x.numerator << bits, x.denominator)
+
+
+def _atan_inv(x: int, bits: int) -> int:
+    """``atan(1/x) 2^bits`` from its Taylor series, within ``2 terms + 1`` units."""
+    term = (1 << bits) // x  # floor(2^bits / x^(2k+1)): a floor of a floor is exact
+    total, k = 0, 1
+    while term:
+        total += term // k if k % 4 == 1 else -(term // k)
+        term //= x * x
+        k += 2
+    return total
+
+
+@functools.lru_cache(maxsize=16)
+def _pi_scaled(bits: int) -> int:
+    """``pi 2^bits`` within one unit, by Machin's ``pi = 16 atan(1/5) - 4 atan(1/239)``."""
+    # the series err by under 8 w + 100 units at w bits, below 2^(guard-1)
+    guard = bits.bit_length() + 10
+    w = bits + guard
+    total = 16 * _atan_inv(5, w) - 4 * _atan_inv(239, w)
+    return (total + (1 << (guard - 1))) >> guard
+
+
+def _exp_scaled(s: int, bits: int) -> tuple[int, int]:
+    """``exp(s / 2^bits) 2^bits`` and its error bound, for an exact ``s``.
+
+    Sums the Taylor series of ``y = s / 2^(bits + r)``, ``|y| < 2^-8``, and
+    squares the sum ``r`` times, at ``bits + extra`` bits; the bound is
+    carried through every squaring.
+    """
+    if s > _EXP_MAX << bits:
+        raise OverflowError(f"exp argument above {_EXP_MAX}: the truncated series overflows")
+    r = max(0, abs(s).bit_length() - bits + 8)
+    extra = 2 * r + 2 * bits.bit_length() + 16
+    w = bits + extra
+    y = s << (extra - r)  # y / 2^w = s / 2^(bits + r)
+    z = term = 1 << w
+    k = 0
+    while term:  # each term is within 1 + 2^-8 units, and so is the first one dropped
+        k += 1
+        term = term * y // (k << w)
+        z += term
+    err = 2 * k + 2
+    for _ in range(r):
+        err = (err * (2 * z + err) >> w) + 2
+        z = z * z >> w
+    return (z + (1 << (extra - 1))) >> extra, (err >> extra) + 2
+
+
+def _wallis_scaled(ns: list[int], bits: int) -> list[int]:
+    """``W_n 2^bits`` for each ``n`` of the increasing ``ns``, each at most ``2n`` units low.
+
+    One running product: every step rounds down by under one unit, and
+    the earlier errors grow by at most ``W_n / W_1 < 1.18``.
+    """
+    out = []
+    x, done = 1 << bits, 0
+    for n in ns:
+        for k in range(done + 1, n + 1):
+            d = 4 * k * k
+            x = x * d // (d - 1)
+        done = n
+        out.append(x)
+    return out
+
+
+def _scaled_terms(spec: _Spec, order: int, bits: int) -> list[tuple[int, int, int]]:
+    """The family's ``(c_k, s_k, e_k)``, coefficient and shift rounded to ``bits + 64`` bits.
+
+    Rounding first keeps the powers small: an alpha-beta ``beta_12`` has
+    some 233k bits.
+    """
+    h = bits + _TERM_GUARD
+    return [(_scaled(c, h), _scaled(sh, h), e) for c, sh, e in spec.terms(order, None)]
+
+
+def _approx_scaled(spec: _Spec, terms: list[tuple[int, int, int]], n: int,
+                   bits: int) -> tuple[int, int]:
+    """``(pi/2) F(sum_k c_k / (n + s_k)^e_k) 2^bits`` and its error bound, from
+    :func:`_scaled_terms`.
+
+    Every shift is at least 0, so ``n + s_k >= 1``.  A term moves by at most
+    ``e |t| / |x|`` units when its shift ``x`` moves by half a unit, and by
+    ``2^(bits-h) / (n + s_k)^e`` when its coefficient does.
+    """
+    h = bits + _TERM_GUARD
+    s = bound = 0
+    for c, sh, e in terms:
+        x = (n << h) + sh
+        xe = x**e
+        k = bits + h * (e - 1)
+        t = _div_round(c << k, xe)
+        s += t
+        bound += -(-(1 << k) // xe) + (abs(t) + 1) * e // x + 2
+    if spec.exp_form:
+        # exp is increasing: enclose it by its values at the ends of s's interval
+        lo, lo_err = _exp_scaled(s - bound, bits)
+        hi, hi_err = _exp_scaled(s + bound, bits)
+        f = (lo + hi) // 2
+        bound = max(f - lo + lo_err, hi + hi_err - f)
+    else:
+        f = (1 << bits) + s
+    pi = _pi_scaled(bits)
+    # |pi F - pi~ f| <= |pi - pi~| |F| + pi~ |F - f|, all in units of 2^-2bits
+    return pi * f >> (bits + 1), ((abs(f) + bound + pi * bound) >> (bits + 1)) + 2
+
+
+def _wallis_errors(tag: ExpansionTag, order: int, ns: list[int]) -> list[Fraction]:
+    """``|(pi/2) F(s) - W_n|`` for each ``n`` of the increasing ``ns``, within ``2^-60`` relative.
+
+    All points share one precision and one walk of the running product.
+    """
+    spec = _FAMILIES[tag]
+    if spec.needs_params:
+        raise ValueError(f"not a Wallis-sequence family: {tag}")
+    spec.check_order(order)
+    if ns[0] < 1:
+        raise ValueError("n must be >= 1")
+    bits = (2 * order + 4) * ns[-1].bit_length() + 128
+    for _ in range(_MAX_DOUBLINGS):
+        terms = _scaled_terms(spec, order, bits)
+        errors = []
+        for n, w in zip(ns, _wallis_scaled(ns, bits)):
+            a, bound = _approx_scaled(spec, terms, n, bits)
+            bound += 2 * n
+            err = abs(w - a)
+            if bound << 60 > err - bound:
+                break
+            errors.append(Fraction(err, 1 << bits))
+        else:
+            return errors
+        bits *= 2
+    raise ArithmeticError(f"error of {tag.value} order {order} not resolved at {bits // 2} bits")
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +460,17 @@ def family_report(family: ExpansionFamily, n: int) -> ErrorReport:
 
 
 def wallis_error_exact(tag: ExpansionTag, order: int, n: int) -> Fraction:
-    """Exact |truncation - oracle| for a Wallis-sequence family.
+    """|truncation - W_n| for a Wallis-sequence family, to ``2^-60`` relative.
 
-    The only approximation left is the 50-digit rational surrogate for
-    pi, whose effect (~1e-50 relative) is far below any truncation error
-    this package deals in.
+    The result is a dyadic ``Fraction`` ``E / 2^G``.  The kernel computes
+    ``W_n`` and the truncated family in integers scaled by ``2^G`` and adds
+    up an explicit bound on every rounding; ``G`` starts at
+    ``(2 order + 4) log2(n) + 128`` bits and doubles until that bound is
+    below ``2^-60`` of the error.  The cost is ``O(n)`` operations on
+    ``G``-bit integers.  An ``exp`` argument above 1024 raises
+    ``OverflowError``, as the float evaluator does past 709.78.
     """
-    spec = _FAMILIES[tag]
-    if spec.needs_params:
-        raise ValueError(f"not a Wallis-sequence family: {tag}")
-    spec.check_order(order)
-    return abs(wallis_seq_exact(n) - _evaluate(tag, order, n, exact=True))
+    return _wallis_errors(tag, order, [n])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +482,10 @@ def convergence_order(family: ExpansionFamily, n_values: list[int]) -> list[floa
 
     One estimate per consecutive pair of ``n_values`` (which must be
     strictly increasing), with ``x = n + shift`` in the family's own
-    expansion variable.  Entries whose errors are degenerate (zero, or
-    at the double-precision noise floor for the (p, q) families) are
-    returned as NaN.
+    expansion variable.  The Wallis-sequence errors come from one walk of
+    the fixed-point kernel across the grid.  Entries whose errors are
+    degenerate (at the double-precision noise floor for the (p, q)
+    families) are returned as NaN.
     """
     if len(n_values) < 2:
         raise ValueError("need at least two n values")
@@ -329,14 +494,14 @@ def convergence_order(family: ExpansionFamily, n_values: list[int]) -> list[floa
     spec = _FAMILIES[family.tag]
     shift = spec.est_shift(family.order)
 
-    errors: list[Fraction | float] = []
-    for n in n_values:
-        if not spec.needs_params:
-            errors.append(wallis_error_exact(family.tag, family.order, n))
-        else:
+    if spec.needs_params:
+        errors: list[Fraction | float] = []
+        for n in n_values:
             report = family_report(family, n)
             noise = 64 * sys.float_info.epsilon * abs(report.exact)
             errors.append(report.abs_err if report.abs_err > noise else math.nan)
+    else:
+        errors = _wallis_errors(family.tag, family.order, n_values)
 
     # errors are >= 0 or NaN, so one test catches every degenerate pair
     return [math.log(float(e1 / e2)) / math.log((n2 + shift) / (n1 + shift))

@@ -236,11 +236,13 @@ def wallis_seq(n: int) -> float:
 def wallis_seq_exact(n: int) -> Fraction:
     """The same partial product as an exact rational.
 
-    ``prod 4k^2/(4k^2-1) = 16^n (n!)^4 / ((2n)! (2n+1)!)`` after
-    telescoping the odd factors into factorials.  Intended for oracle
-    use at moderate ``n``; the integers grow fast.
+    ``prod 4k^2/(4k^2-1) = 16^n / ((2n+1) C(2n, n)^2)`` after telescoping
+    the odd factors into factorials.  The factors of two of ``C(2n, n)`` are
+    cancelled against ``16^n`` first, so the fraction is built from a power
+    of two over an odd number and its reduction is cheap.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Fraction(16**n * math.factorial(n) ** 4,
-                    math.factorial(2 * n) * math.factorial(2 * n + 1))
+    c = math.comb(2 * n, n)
+    twos = (c & -c).bit_length() - 1
+    return Fraction(1 << (4 * n - 2 * twos), (2 * n + 1) * (c >> twos) ** 2)

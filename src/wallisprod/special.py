@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 # 50-digit literals; downstream comparisons at 1e-13 need the headroom.
+# PI_STR is kept for callers and plays no role in any precision: the exact
+# error kernel computes pi from Machin's formula at the precision it needs.
 EULER_GAMMA_STR = "0.57721566490153286060651209008240243104215933593992"
 EXP_EULER_GAMMA_STR = "1.78107241799019798523650410310717954916964521430343"
 PI_STR = "3.14159265358979323846264338327950288419716939937511"

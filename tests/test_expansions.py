@@ -1,11 +1,16 @@
 """Truncated expansions: values, measured errors, orders and bounds."""
 
 import math
+import time
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wallisprod.coeffs import b_poly, cache_sizes, wallis_mu
+from wallisprod import coeffs
+from wallisprod.coeffs import alpha_beta, b_poly, cache_sizes, wallis_mu
 from wallisprod.expansions import (
     ELEZOVIC_TERMS,
     ExpansionFamily,
@@ -23,6 +28,13 @@ from wallisprod.expansions import (
     eval_wallis_omega,
     family_report,
     wallis_error_exact,
+    _FAMILIES,
+    _approx_scaled,
+    _exp_scaled,
+    _next_beta,
+    _pi_scaled,
+    _scaled_terms,
+    _wallis_scaled,
 )
 from wallisprod.products import r_product, w_product, wallis_seq
 from wallisprod.special import PoleError
@@ -151,7 +163,7 @@ class TestElezovic:
 class TestImprovementClaims:
     """The shifted/odd families against the plain 1/n families.
 
-    Exact-rational error measurement; double precision cannot resolve
+    Exact error measurement (2^-60 relative); double precision cannot resolve
     these differences at n = 100.
     """
 
@@ -263,15 +275,183 @@ class TestScalingInvariants:
 
 
 def _exact_nu_exp(n, order):
-    from wallisprod.expansions import _evaluate
-
-    return _evaluate(ExpansionTag.WALLIS_NU_EXP, order, n, exact=True)
+    return _kernel_value(ExpansionTag.WALLIS_NU_EXP, order, n)
 
 
 def _exact_mu(n, order):
-    from wallisprod.expansions import _evaluate
+    return _kernel_value(ExpansionTag.WALLIS_MU, order, n)
 
-    return _evaluate(ExpansionTag.WALLIS_MU, order, n, exact=True)
+
+def _kernel_value(tag, order, n):
+    """The truncated family at ``n`` from the fixed-point kernel at 256 bits, as a Fraction."""
+    bits = 256
+    spec = _FAMILIES[tag]
+    value, _ = _approx_scaled(spec, _scaled_terms(spec, order, bits), n, bits)
+    return Fraction(value, 1 << bits)
+
+
+# ---------------------------------------------------------------------------
+# Oracles of the exact error kernel
+# ---------------------------------------------------------------------------
+
+WALLIS_TAGS = (ExpansionTag.WALLIS_MU, ExpansionTag.WALLIS_NU_EXP,
+               ExpansionTag.WALLIS_ALPHA_BETA, ExpansionTag.WALLIS_OMEGA, ExpansionTag.ELEZOVIC)
+# largest order drawn per family: the table's cap, or 20 / 12 where it has none
+MAX_ORDER = {ExpansionTag.WALLIS_MU: 20, ExpansionTag.WALLIS_NU_EXP: 20,
+             ExpansionTag.WALLIS_ALPHA_BETA: 12, ExpansionTag.WALLIS_OMEGA: 12,
+             ExpansionTag.ELEZOVIC: 6}
+KERNEL_REL = 2.0**-59
+
+with mp.workdps(210):
+    PI_200 = Fraction(mp.nstr(+mp.pi, 200))
+
+
+def _exp_rational(x, cutoff=Fraction(1, 10**200)):
+    """Taylor ``exp(x)`` over rationals; requires ``|x| <= 1/2``."""
+    assert abs(x) <= Fraction(1, 2)
+    term = total = Fraction(1)
+    k = 1
+    while abs(term) > cutoff:
+        term = term * x / k
+        total += term
+        k += 1
+    return total
+
+
+def _fraction_error(tag, order, n):
+    """Error of the family in Fraction arithmetic with a 200-digit pi and the factorial W_n."""
+    spec = _FAMILIES[tag]
+    s = sum(c / (n + sh) ** e for c, sh, e in spec.terms(order, None))
+    approx = PI_200 / 2 * (_exp_rational(s) if spec.exp_form else 1 + s)
+    w = Fraction(16**n * math.factorial(n) ** 4,
+                 math.factorial(2 * n) * math.factorial(2 * n + 1))
+    return abs(w - approx)
+
+
+def _mp_rational(x):
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def _mpmath_approx(tag, order, n):
+    """The truncated family at ``n`` in mpmath, at the working precision."""
+    spec = _FAMILIES[tag]
+    s = mp.fsum(_mp_rational(c) / (n + _mp_rational(sh)) ** e
+                for c, sh, e in spec.terms(order, None))
+    return mp.pi / 2 * (mp.exp(s) if spec.exp_form else 1 + s)
+
+
+def _mpmath_wallis(n):
+    """``W_n`` from the central binomial, at the working precision."""
+    return mp.mpf(16**n) / ((2 * n + 1) * math.comb(2 * n, n) ** 2)
+
+
+def _mpmath_error(tag, order, n):
+    """Error of the family in mpmath at 120 digits."""
+    with mp.workdps(120):
+        return abs(_mpmath_approx(tag, order, n) - _mpmath_wallis(n))
+
+
+def _kernel_rel_to_mpmath(tag, order, n):
+    got = wallis_error_exact(tag, order, n)
+    assert got.denominator & (got.denominator - 1) == 0  # dyadic
+    with mp.workdps(120):
+        ref = _mpmath_error(tag, order, n)
+        return float(abs(mp.mpf(got.numerator) / got.denominator - ref) / ref)
+
+
+class TestExactKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(WALLIS_TAGS), st.integers(1, 6), st.integers(1, 400))
+    def test_matches_fraction_oracle(self, tag, order, n):
+        if tag is ExpansionTag.WALLIS_ALPHA_BETA:
+            order = min(order, 5)  # exact powers of the higher betas are slow in the oracle
+        got = wallis_error_exact(tag, order, n)
+        want = _fraction_error(tag, order, n)
+        assert abs(got - want) <= KERNEL_REL * want, (tag, order, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(WALLIS_TAGS), st.data(),
+           st.one_of(st.integers(1, 30), st.integers(1, 10**4)))
+    def test_matches_mpmath(self, tag, data, n):
+        order = data.draw(st.integers(1, MAX_ORDER[tag]), label="order")
+        assert _kernel_rel_to_mpmath(tag, order, n) <= KERNEL_REL, (tag, order, n)
+
+    @pytest.mark.parametrize("tag, order, n", [
+        (ExpansionTag.WALLIS_ALPHA_BETA, 12, 200),
+        (ExpansionTag.WALLIS_OMEGA, 6, 10**4),  # error near 1e-54: past a 50-digit pi
+        (ExpansionTag.WALLIS_MU, 20, 10**4),
+    ])
+    def test_deep_errors_match_mpmath(self, tag, order, n):
+        assert _kernel_rel_to_mpmath(tag, order, n) <= KERNEL_REL
+
+    def test_alpha_beta_order_12_is_fast(self):
+        alpha_beta(12)
+        start = time.perf_counter()
+        wallis_error_exact(ExpansionTag.WALLIS_ALPHA_BETA, 12, 200)
+        assert time.perf_counter() - start < 2.0  # tens of seconds with exact powers of beta_12
+
+    def test_exp_argument_past_one_half(self):
+        # s = sum nu_j, j <= 20, at n = 1 is about 47
+        assert math.isfinite(eval_wallis_nu_exp(1, 20))
+        got = wallis_error_exact(ExpansionTag.WALLIS_NU_EXP, 20, 1)
+        assert got > 1
+        assert _kernel_rel_to_mpmath(ExpansionTag.WALLIS_NU_EXP, 20, 1) <= KERNEL_REL
+
+    def test_validation_messages_unchanged(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            wallis_error_exact(ExpansionTag.WALLIS_MU, 3, 0)
+        with pytest.raises(ValueError, match=r"order must be in 1\.\.12"):
+            wallis_error_exact(ExpansionTag.WALLIS_ALPHA_BETA, 13, 5)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            convergence_order(ExpansionFamily(ExpansionTag.WALLIS_OMEGA, 2), [0, 10])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(WALLIS_TAGS), st.data(), st.integers(1, 3000), st.integers(4, 200))
+    def test_bounds_cover_the_rounding(self, tag, data, n, bits):
+        # at low precision the roundings are many units, so a bound that
+        # misses one of them shows
+        order = data.draw(st.integers(1, MAX_ORDER[tag]), label="order")
+        spec = _FAMILIES[tag]
+        value, bound = _approx_scaled(spec, _scaled_terms(spec, order, bits), n, bits)
+        (w,) = _wallis_scaled([n], bits)
+        with mp.workdps(150):
+            scale = mp.mpf(2) ** bits
+            assert abs(value - _mpmath_approx(tag, order, n) * scale) <= bound, \
+                (tag, order, n, bits)
+            assert 0 <= _mpmath_wallis(n) * scale - w <= 2 * n
+
+    def test_pi_and_exp_within_their_bounds(self):
+        with mp.workdps(400):
+            for bits in (1, 64, 300, 1000):
+                assert abs(_pi_scaled(bits) - mp.pi * mp.mpf(2) ** bits) <= 1
+                for x in (0, 1e-30, -3e-5, 0.3, -0.7, 5.5, -40.2, 700.1, 1023.9, -1e6):
+                    s = int(mp.mpf(x) * mp.mpf(2) ** bits)
+                    value, bound = _exp_scaled(s, bits)
+                    assert abs(value - mp.exp(mp.mpf(s) / mp.mpf(2) ** bits)
+                               * mp.mpf(2) ** bits) <= bound, (bits, x)
+        with pytest.raises(OverflowError):
+            _exp_scaled(1025 << 64, 64)
+
+
+class TestNextBeta:
+    def test_equals_exact_next_level(self):
+        for levels in range(1, 10):
+            assert _next_beta(levels) == float(alpha_beta(levels + 1).values[levels][1])
+
+    def test_order_12_does_not_build_level_13(self):
+        family = ExpansionFamily(ExpansionTag.WALLIS_ALPHA_BETA, 12)
+        ests = convergence_order(family, [200, 400, 800])
+        assert cache_sizes()["alpha_beta"] == 12
+        assert all(est == pytest.approx(25, abs=0.3) for est in ests)
+
+    @pytest.mark.parametrize("offset", [F(0), F(1, 10**78), F(-1, 10**78)])
+    def test_degenerate_next_level_gives_one_half(self, monkeypatch, offset):
+        # fabricated mu with mu_3 = alpha_1 * beta_1^2 makes alpha_2 = 0; moved by
+        # 1e-78 it is nonzero but within the 256-bit rounding bound
+        mu_3 = F(-1, 4) * F(5, 8) ** 2 + offset
+        monkeypatch.setattr(coeffs, "_MU", [F(-1, 4), F(5, 32), mu_3, F(1, 7)])
+        monkeypatch.setattr(coeffs, "_ALPHA_BETA", [])
+        assert _next_beta(1) == 0.5
 
 
 class TestBounds:

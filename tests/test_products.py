@@ -112,6 +112,13 @@ class TestWallisSeq:
                 literal *= Fraction(4 * k * k, 4 * k * k - 1)
             assert wallis_seq_exact(n) == literal
 
+    def test_exact_equals_factorial_formula(self):
+        for n in [*range(1, 301), 5000]:
+            want = Fraction(16**n * math.factorial(n) ** 4,
+                            math.factorial(2 * n) * math.factorial(2 * n + 1))
+            got = wallis_seq_exact(n)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), n
+
     def test_float_tracks_exact(self):
         for n in (10, 100, 1000):
             assert wallis_seq(n) == pytest.approx(float(wallis_seq_exact(n)), rel=5e-15)
