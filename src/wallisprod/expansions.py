@@ -263,6 +263,7 @@ def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None
 _TERM_GUARD = 64  # extra bits of the rounded coefficients and shifts
 _EXP_MAX = 1024  # largest exp argument; the float evaluator overflows past 709.78
 _MAX_DOUBLINGS = 8  # 256 times the starting precision: past that the error is not resolved
+_LOG_BITS = 160  # precision of the log of an error ratio in convergence_order
 
 
 def _div_round(a: int, b: int) -> int:
@@ -294,6 +295,40 @@ def _pi_scaled(bits: int) -> int:
     w = bits + guard
     total = 16 * _atan_inv(5, w) - 4 * _atan_inv(239, w)
     return (total + (1 << (guard - 1))) >> guard
+
+
+def _atanh_scaled(t: int, bits: int) -> int:
+    """``atanh(t / 2^bits) 2^bits`` for ``|t| <= 2^bits / 3``, within ``2 terms + 1`` units."""
+    if t < 0:
+        return -_atanh_scaled(-t, bits)
+    t2 = t * t >> bits
+    total, power, k = 0, t, 1
+    while power:  # each power and quotient is floored: under two units per term
+        total += power // k
+        power = power * t2 >> bits
+        k += 2
+    return total
+
+
+def _log_ratio(a: Fraction, b: Fraction) -> float:
+    """``ln(a / b)`` for ``a, b > 0``, rounded once to a double.
+
+    With ``a / b = 2^k m``, ``1/2 < m < 2``, the log is
+    ``k ln 2 + 2 atanh((m - 1) / (m + 1))``, the atanh argument within
+    1/3; both series are summed at ``_LOG_BITS`` bits, so the result is the
+    correctly rounded log bar ties within ``2^-140`` of a rounding boundary.
+    A double ratio would cost up to an ulp of the log.
+    """
+    r = a / b
+    num, den = r.numerator, r.denominator
+    k = num.bit_length() - den.bit_length()
+    if k >= 0:
+        den <<= k
+    else:
+        num <<= -k
+    ln_m = 2 * _atanh_scaled(_div_round((num - den) << _LOG_BITS, num + den), _LOG_BITS)
+    ln_2 = 2 * _atanh_scaled(_div_round(1 << _LOG_BITS, 3), _LOG_BITS)
+    return float(Fraction(k * ln_2 + ln_m, 1 << _LOG_BITS))
 
 
 def _exp_scaled(s: int, bits: int) -> tuple[int, int]:
@@ -483,7 +518,8 @@ def convergence_order(family: ExpansionFamily, n_values: list[int]) -> list[floa
     One estimate per consecutive pair of ``n_values`` (which must be
     strictly increasing), with ``x = n + shift`` in the family's own
     expansion variable.  The Wallis-sequence errors come from one walk of
-    the fixed-point kernel across the grid.  Entries whose errors are
+    the fixed-point kernel across the grid, and the log of each ratio of
+    them is rounded once to a double.  Entries whose errors are
     degenerate (at the double-precision noise floor for the (p, q)
     families) are returned as NaN.
     """
@@ -503,8 +539,11 @@ def convergence_order(family: ExpansionFamily, n_values: list[int]) -> list[floa
     else:
         errors = _wallis_errors(family.tag, family.order, n_values)
 
+    # exact errors get a correctly rounded log, so an estimate does not move
+    # by an ulp with how the ratio happens to round to a double
+    log_ratio = (lambda e1, e2: math.log(e1 / e2)) if spec.needs_params else _log_ratio
     # errors are >= 0 or NaN, so one test catches every degenerate pair
-    return [math.log(float(e1 / e2)) / math.log((n2 + shift) / (n1 + shift))
+    return [log_ratio(e1, e2) / math.log((n2 + shift) / (n1 + shift))
             if e1 > 0 and e2 > 0 else math.nan
             for n1, n2, e1, e2 in zip(n_values, n_values[1:], errors, errors[1:])]
 

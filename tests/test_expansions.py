@@ -31,6 +31,7 @@ from wallisprod.expansions import (
     _FAMILIES,
     _approx_scaled,
     _exp_scaled,
+    _log_ratio,
     _next_beta,
     _pi_scaled,
     _scaled_terms,
@@ -431,6 +432,36 @@ class TestExactKernel:
                                * mp.mpf(2) ** bits) <= bound, (bits, x)
         with pytest.raises(OverflowError):
             _exp_scaled(1025 << 64, 64)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2**400), st.integers(1, 2**400), st.integers(1, 2**400),
+           st.integers(1, 2**400))
+    def test_log_ratio_is_correctly_rounded(self, p, q, r, s):
+        with mp.workdps(200):
+            want = float(mp.log(mp.mpf(p) * s / (mp.mpf(q) * r)))
+        assert _log_ratio(F(p, q), F(r, s)) == want
+
+    def test_log_ratio_near_one_and_far_apart(self):
+        with mp.workdps(200):
+            for a, b in [(F(1), F(1)), (F(10**30 + 1, 10**30), F(1)), (F(1, 3), F(2**-600)),
+                         (F(2**-700), F(7, 5)), (F(3, 2), F(3, 4))]:
+                want = float(mp.log(mp.mpf(a.numerator) * b.denominator
+                                    / (mp.mpf(a.denominator) * b.numerator)))
+                assert _log_ratio(a, b) == want, (a, b)
+
+    @pytest.mark.parametrize("tag", WALLIS_TAGS)
+    def test_exact_estimates_round_the_log_once(self, tag):
+        # close points: a log near 0.4 is where rounding the ratio first costs ulps
+        ns = list(range(500, 1000, 37))
+        order = min(4, MAX_ORDER[tag])
+        errors = [wallis_error_exact(tag, order, n) for n in ns]
+        shift = _FAMILIES[tag].est_shift(order)
+        with mp.workdps(60):
+            want = [float(mp.log(mp.mpf(e1.numerator) * e2.denominator
+                                 / (mp.mpf(e1.denominator) * e2.numerator)))
+                    / math.log((n2 + shift) / (n1 + shift))
+                    for n1, n2, e1, e2 in zip(ns, ns[1:], errors, errors[1:])]
+        assert convergence_order(ExpansionFamily(tag, order), ns) == want
 
 
 class TestNextBeta:
