@@ -27,13 +27,10 @@ from .coeffs import (
     BiPoly,
     CoeffSeries,
     Family,
-    GenericParams,
     a_poly,
     alpha_beta,
     b_poly,
     eval_bipoly,
-    exp_compose,
-    generic_a,
     omega,
     omega_alt,
     wallis_mu,

@@ -298,7 +298,11 @@ def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
                 family = ExpansionFamily(tag, order, params)
             except ValueError as exc:  # an order outside the family's range
                 raise click.UsageError(str(exc)) from exc
-            report = expansions.family_report(family, n)
+            try:
+                report = expansions.family_report(family, n)
+            except OverflowError as exc:  # the truncated sum leaves the double range
+                click.echo(f"domain error: {target} at n = {n}, order {order}: {exc}", err=True)
+                sys.exit(EXIT_DOMAIN)
             _emit_report(target, family, report, fmt)
         else:
             raise click.UsageError(f"unknown target {target!r}")

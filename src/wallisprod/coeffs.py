@@ -47,23 +47,19 @@ from .bernoulli import (
     bernoulli_number,
     bernoulli_poly,
     binomial,
-    eval_unipoly_complex,
     format_rational,
     parse_rational,
 )
 
 __all__ = [
     "BiPoly",
-    "GenericParams",
     "Family",
     "CoeffSeries",
-    "generic_a",
     "a_poly",
     "b_poly",
     "eval_bipoly",
     "wallis_nu",
     "wallis_nu_raw",
-    "exp_compose",
     "wallis_mu",
     "alpha_beta",
     "omega",
@@ -281,41 +277,6 @@ def eval_bipoly(poly: BiPoly, p: complex, q: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Generic complex coefficients a_j(lam, mu, nu)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GenericParams:
-    """Arbitrary complex triple (lam, mu, nu) for the generic coefficient."""
-
-    lam: complex
-    mu: complex
-    nu: complex
-
-
-def generic_a(j: int, params: GenericParams) -> complex:
-    """Coefficient of ``1/z^j`` in the log-expansion of the gamma-ratio kernel.
-
-    ``a_1 = (lam + B_2(mu) + B_2(nu) - 2 B_2) / 2`` and for ``j >= 2``
-    ``a_j = lam B_j / j + (-1)^(j+1) (B_{j+1}(mu) + B_{j+1}(nu) - 2 B_{j+1}) / (j (j+1))``.
-    """
-    if j < 1:
-        raise ValueError("coefficient index must be >= 1")
-    lam = complex(params.lam)
-    mu = complex(params.mu)
-    nu = complex(params.nu)
-    if j == 1:
-        poly = bernoulli_poly(2)
-        b2 = float(bernoulli_number(2))
-        return (lam + eval_unipoly_complex(poly, mu) + eval_unipoly_complex(poly, nu) - 2 * b2) / 2
-    poly = bernoulli_poly(j + 1)
-    bj = float(bernoulli_number(j))
-    bj1 = float(bernoulli_number(j + 1))
-    pair = eval_unipoly_complex(poly, mu) + eval_unipoly_complex(poly, nu) - 2 * bj1
-    return lam * bj / j + ((-1) ** (j + 1)) * pair / (j * (j + 1))
-
-
-# ---------------------------------------------------------------------------
 # Wallis-sequence coefficient families
 # ---------------------------------------------------------------------------
 
@@ -431,24 +392,6 @@ def wallis_nu_raw(order: int) -> CoeffSeries:
                - poly.evaluate(Fraction(3, 2)))
         values.append(Fraction((-1) ** (j + 1)) * num / (j * (j + 1)))
     return CoeffSeries(Family.NU, order, tuple(values))
-
-
-def exp_compose(a: list[Fraction] | tuple[Fraction, ...], order: int) -> list[Fraction]:
-    """Coefficients ``b_1 .. b_order`` of ``exp(sum a_k x^-k)``.
-
-    Uses ``b_0 = 1`` and ``b_n = (1/n) sum_{k=1}^{n} k a_k b_{n-k}``.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if len(a) < order:
-        raise ValueError("need at least `order` input coefficients")
-    b = [Fraction(1)]
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += k * Fraction(a[k - 1]) * b[n - k]
-        b.append(acc / n)
-    return b[1:]
 
 
 def _mu_step(mu: list[Fraction]) -> Fraction:

@@ -553,6 +553,7 @@ def convergence_order(family: ExpansionFamily, n_values: list[int]) -> list[floa
 # ---------------------------------------------------------------------------
 
 DENG_ALPHA = 2.5
+_EQUALITY_TOL = 1e-12  # an upper-bound gap this small counts as equality
 
 
 def deng_beta() -> float:
@@ -576,7 +577,7 @@ class BoundsReport:
         return asdict(self)
 
 
-def check_bounds(n_max: int, equality_tol: float = 1e-12) -> BoundsReport:
+def check_bounds(n_max: int) -> BoundsReport:
     """Verify the two-sided bound for every ``1 <= n <= n_max``.
 
     The running product is kept as a compensated log sum, so ``W_n`` is
@@ -605,7 +606,7 @@ def check_bounds(n_max: int, equality_tol: float = 1e-12) -> BoundsReport:
             if first_violation is None:
                 first_violation = n
         gap = abs(w - upper)
-        if gap <= equality_tol and gap < tight_gap:
+        if gap <= _EQUALITY_TOL and gap < tight_gap:
             tight_n = n
             tight_gap = gap
     return BoundsReport(n_max, violations, first_violation, tight_n,

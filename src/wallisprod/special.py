@@ -6,15 +6,24 @@ The products handled by this package are
     R_n(p, q) = prod_{j=1..n} exp(-p/(2j-1)) * (1 + p/(2j-1) + q/(2j-1)^2)
 
 with complex parameters ``p, q`` and discriminant root
-``D = sqrt(p^2 - 4q)`` (principal branch).  Writing ``mu = (p+D)/2`` and
-``nu = (p-D)/2``, both the finite products and their limits collapse to
-gamma-function ratios, which is what this module evaluates:
+``D = sqrt(p^2 - 4q)`` (principal branch).  Both are products of
+``exp(-p/d) (1 + p/d + q/d^2)`` over ``d = c (j + a - 1)``, with
+``(a, c) = (1, 1)`` for W and ``(1/2, 2)`` for R.  With the scaled roots
+``s, t = (p +- D) / (2c)`` each factor is ``(j+a-1+s)(j+a-1+t)/(j+a-1)^2``,
+so at ``z = n + a``
 
-    W_inf(p, q) = exp(-p*gamma) / (Gamma(1+mu) Gamma(1+nu))
-    R_inf(p, q) = 2^-p pi exp(-p*gamma/2)
-                  / (Gamma(1/2 + mu/2) Gamma(1/2 + nu/2))
+    ln P_n = -(p/c) (psi(z) - psi(a)) + 2 lnGamma(a)
+             + lnGamma(z+s) + lnGamma(z+t) - 2 lnGamma(z)
+             - lnGamma(a+s) - lnGamma(a+t)
 
-and the finite closed forms with the digamma correction factor.
+and, as n grows (the ``ln z`` parts cancel),
+
+    ln P_inf = (p/c) psi(a) + 2 lnGamma(a) - lnGamma(a+s) - lnGamma(a+t).
+
+One kernel evaluates each for both products.  W takes ``psi(1) = -gamma``
+and ``lnGamma(1) = 0``; R takes ``psi(1/2) = -gamma - 2 ln 2`` and
+``2 lnGamma(1/2) = ln pi``, which give its ``2^-p pi exp(-p gamma/2)``
+prefactor.
 
 Implementation notes
 --------------------
@@ -69,6 +78,17 @@ EXP_EULER_GAMMA = float(EXP_EULER_GAMMA_STR)
 _POLE_TOL = 1e-12
 _SHIFT_RE = 12.0
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# psi(a) and 2 lnGamma(a) at the offsets of W (a = 1) and R (a = 1/2):
+# psi(1) = -gamma, lnGamma(1) = 0, psi(1/2) = psi(1) - 2 ln 2 (duplication
+# formula) and Gamma(1/2)^2 = pi.  Their imaginary parts are -0.0: adding or
+# subtracting -0.0 leaves every signed zero alone, so W's sums keep the bits
+# of -p (psi(z) + gamma) and -p gamma.  For the same reason the kernels form
+# p/c componentwise: the complex p / 1 turns a -0.0 in p into +0.0.
+_PSI_ONE = complex(-EULER_GAMMA, -0.0)
+_TWO_LGAMMA_ONE = complex(-0.0, -0.0)
+_PSI_HALF = _PSI_ONE - 2 * math.log(2.0)
+_TWO_LGAMMA_HALF = complex(math.log(math.pi), -0.0)
 
 # Stirling tail coefficients B_{2n} / (2n (2n-1)) and B_{2n} / (2n),
 # derived once from the exact table.
@@ -173,6 +193,20 @@ def wilf_constant() -> float:
     return (math.exp(math.pi / 2) + math.exp(-math.pi / 2)) / (math.pi * EXP_EULER_GAMMA)
 
 
+def _limit(p: complex, q: complex, a: float, c: int,
+           psi_a: complex, two_lgamma_a: complex) -> complex:
+    # ln P_inf of the module docstring at offset a and scale c
+    p = complex(p)
+    q = complex(q)
+    d = delta(p, q)
+    g1 = a + (p + d) / (2 * c)
+    g2 = a + (p - d) / (2 * c)
+    if _nonpositive_int_near(g1) is not None or _nonpositive_int_near(g2) is not None:
+        return 0j
+    pc = complex(p.real / c, p.imag / c)
+    return cmath.exp(pc * psi_a + two_lgamma_a - ln_gamma(g1) - ln_gamma(g2))
+
+
 def w_inf(p: complex, q: complex) -> complex:
     """Limit of ``W_n(p, q)`` as n grows.
 
@@ -180,27 +214,12 @@ def w_inf(p: complex, q: complex) -> complex:
     a pole: the reciprocal gamma vanishes there, i.e. the infinite
     product converges to zero through a vanishing factor.
     """
-    p = complex(p)
-    q = complex(q)
-    d = delta(p, q)
-    g1 = 1 + (p + d) / 2
-    g2 = 1 + (p - d) / 2
-    if _nonpositive_int_near(g1) is not None or _nonpositive_int_near(g2) is not None:
-        return 0j
-    return cmath.exp(-p * EULER_GAMMA - ln_gamma(g1) - ln_gamma(g2))
+    return _limit(p, q, 1, 1, _PSI_ONE, _TWO_LGAMMA_ONE)
 
 
 def r_inf(p: complex, q: complex) -> complex:
     """Limit of ``R_n(p, q)`` as n grows; zero flag on gamma poles as in :func:`w_inf`."""
-    p = complex(p)
-    q = complex(q)
-    d = delta(p, q)
-    g1 = 0.5 + (p + d) / 4
-    g2 = 0.5 + (p - d) / 4
-    if _nonpositive_int_near(g1) is not None or _nonpositive_int_near(g2) is not None:
-        return 0j
-    pref = -p * math.log(2.0) - p * (EULER_GAMMA / 2) + math.log(math.pi)
-    return cmath.exp(pref - ln_gamma(g1) - ln_gamma(g2))
+    return _limit(p, q, 0.5, 2, _PSI_HALF, _TWO_LGAMMA_HALF)
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +261,49 @@ def _stirling_tail(z: complex, a: complex) -> complex:
 _ASYM_MIN_Z = 256.0
 
 
-def _log_rising(a: complex, n: int) -> tuple[complex | None, int | None]:
+def _log_rising(a: complex, n: int) -> complex:
     """Log of ``prod_{k=0}^{n-1} (a + k)`` up to a multiple of 2 pi i.
 
-    Returns ``(value, None)`` normally.  If ``a`` is within tolerance of a
-    nonpositive integer ``-k`` with ``k <= n - 1``, the product contains a
-    zero factor and ``(None, k)`` is returned.  When the near-pole sits
-    beyond the product range the gamma ratio is a removable 0/0 and the
-    logs are summed directly.
+    The caller has ruled out a zero factor.  When ``a`` is within
+    tolerance of a nonpositive integer beyond the product range, the gamma
+    ratio is a removable 0/0 and the logs are summed directly.
     """
-    pole = _nonpositive_int_near(a)
-    if pole is not None:
-        k = -pole
-        if k <= n - 1:
-            return None, k
+    if _nonpositive_int_near(a) is not None:
         return complex(math.fsum((cmath.log(a + j)).real for j in range(n)),
-                       math.fsum((cmath.log(a + j)).imag for j in range(n))), None
-    return ln_gamma(a + n) - ln_gamma(a), None
+                       math.fsum((cmath.log(a + j)).imag for j in range(n)))
+    return ln_gamma(a + n) - ln_gamma(a)
+
+
+def _closed(name: str, n: int, p: complex, q: complex, a: float, c: int,
+            psi_a: complex, two_lgamma_a: complex) -> complex:
+    # ln P_n of the module docstring at offset a and scale c; ``name`` labels the warning
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    p = complex(p)
+    q = complex(q)
+    d = delta(p, q)
+    s = (p + d) / (2 * c)
+    t = (p - d) / (2 * c)
+
+    for root in (s, t):
+        pole = _nonpositive_int_near(a + root)
+        if pole is not None and -pole + 1 <= n:
+            warnings.warn(f"{name}_{n}({p}, {q}) has a zero factor at j = {-pole + 1}",
+                          RuntimeWarning, stacklevel=3)
+            return 0j
+
+    z = complex(n + a)
+    pc = complex(p.real / c, p.imag / c)
+    if z.real >= _ASYM_MIN_Z and abs(s) <= z.real / 8 and abs(t) <= z.real / 8:
+        # ln z parts of the three large log-gammas cancel against -(p/c) psi(z)
+        total = (-pc * (_digamma_minus_log(z) - psi_a) + two_lgamma_a
+                 + _stirling_tail(z, s) + _stirling_tail(z, t) - 2 * _stirling_tail(z, 0j)
+                 - ln_gamma(a + s) - ln_gamma(a + t))
+        return cmath.exp(total)
+
+    total = (-pc * (digamma(z) - psi_a) + two_lgamma_a
+             + _log_rising(a + s, n) + _log_rising(a + t, n) - 2 * ln_gamma(z))
+    return cmath.exp(total)
 
 
 def w_closed(n: int, p: complex, q: complex) -> complex:
@@ -269,72 +314,12 @@ def w_closed(n: int, p: complex, q: complex) -> complex:
     carries the factor index.  Relative accuracy is ~1e-13 for ``n`` up
     to 10^6 with moderate parameters.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p = complex(p)
-    q = complex(q)
-    d = delta(p, q)
-    mu = (p + d) / 2
-    nu = (p - d) / 2
-
-    zero_j = None
-    for root in (mu, nu):
-        pole = _nonpositive_int_near(1 + root)
-        if pole is not None and -pole + 1 <= n:
-            zero_j = -pole + 1
-            break
-    if zero_j is not None:
-        warnings.warn(f"W_{n}({p}, {q}) has a zero factor at j = {zero_j}",
-                      RuntimeWarning, stacklevel=2)
-        return 0j
-
-    z = complex(n + 1)
-    if z.real >= _ASYM_MIN_Z and abs(mu) <= z.real / 8 and abs(nu) <= z.real / 8:
-        # ln z parts of the three large log-gammas cancel against -p psi(z)
-        total = (-p * (EULER_GAMMA + _digamma_minus_log(z))
-                 + _stirling_tail(z, mu) + _stirling_tail(z, nu) - 2 * _stirling_tail(z, 0j)
-                 - ln_gamma(1 + mu) - ln_gamma(1 + nu))
-        return cmath.exp(total)
-
-    lr_mu, _ = _log_rising(1 + mu, n)
-    lr_nu, _ = _log_rising(1 + nu, n)
-    total = -p * (digamma(z) + EULER_GAMMA) + lr_mu + lr_nu - 2 * ln_gamma(z)
-    return cmath.exp(total)
+    return _closed("W", n, p, q, 1, 1, _PSI_ONE, _TWO_LGAMMA_ONE)
 
 
 def r_closed(n: int, p: complex, q: complex) -> complex:
     """Gamma-ratio closed form of the odd-denominator product ``R_n(p, q)``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p = complex(p)
-    q = complex(q)
-    d = delta(p, q)
-    s = (p + d) / 4
-    t = (p - d) / 4
-
-    zero_j = None
-    for half_root in (s, t):
-        pole = _nonpositive_int_near(0.5 + half_root)
-        if pole is not None and -pole + 1 <= n:
-            zero_j = -pole + 1
-            break
-    if zero_j is not None:
-        warnings.warn(f"R_{n}({p}, {q}) has a zero factor at j = {zero_j}",
-                      RuntimeWarning, stacklevel=2)
-        return 0j
-
-    z = complex(n + 0.5)
-    pref = -(p / 2) * (EULER_GAMMA + 2 * math.log(2.0)) + math.log(math.pi)
-    if z.real >= _ASYM_MIN_Z and abs(s) <= z.real / 8 and abs(t) <= z.real / 8:
-        total = (pref - (p / 2) * _digamma_minus_log(z)
-                 + _stirling_tail(z, s) + _stirling_tail(z, t) - 2 * _stirling_tail(z, 0j)
-                 - ln_gamma(0.5 + s) - ln_gamma(0.5 + t))
-        return cmath.exp(total)
-
-    lr_s, _ = _log_rising(0.5 + s, n)
-    lr_t, _ = _log_rising(0.5 + t, n)
-    total = pref - (p / 2) * digamma(z) + lr_s + lr_t - 2 * ln_gamma(z)
-    return cmath.exp(total)
+    return _closed("R", n, p, q, 0.5, 2, _PSI_HALF, _TWO_LGAMMA_HALF)
 
 
 def ser_partial(terms: int) -> float:

@@ -4,16 +4,16 @@ import json
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from wallisprod import coeffs
-from wallisprod.bernoulli import bernoulli_number, bernoulli_poly
+from wallisprod.bernoulli import bernoulli_number, bernoulli_poly, eval_unipoly_complex
 from wallisprod.coeffs import (
     BiPoly,
     CoeffSeries,
     Family,
-    GenericParams,
     _alpha_beta_from_mu,
     _bernoulli_pair,
     a_poly,
@@ -21,8 +21,6 @@ from wallisprod.coeffs import (
     b_poly,
     cache_sizes,
     eval_bipoly,
-    exp_compose,
-    generic_a,
     omega,
     omega_alt,
     wallis_mu,
@@ -47,6 +45,50 @@ MU_11 = (F(-1, 4), F(5, 32), F(-11, 128), F(83, 2048), F(-143, 8192), F(625, 655
          F(-1843, 262144), F(24323, 8388608), F(61477, 33554432),
          F(-14165, 268435456), F(-8084893, 1073741824))
 OMEGA_5 = (F(-1, 4), F(1, 96), F(-1, 320), F(17, 7168), F(-31, 9216))
+
+
+class GenericParams(NamedTuple):
+    """Arbitrary complex triple (lam, mu, nu) for the generic coefficient."""
+
+    lam: complex
+    mu: complex
+    nu: complex
+
+
+def generic_a(j: int, params: GenericParams) -> complex:
+    """Coefficient of ``1/z^j`` in the log-expansion of the gamma-ratio kernel, in doubles.
+
+    ``a_1 = (lam + B_2(mu) + B_2(nu) - 2 B_2) / 2`` and for ``j >= 2``
+    ``a_j = lam B_j / j + (-1)^(j+1) (B_{j+1}(mu) + B_{j+1}(nu) - 2 B_{j+1}) / (j (j+1))``:
+    a route over the roots, independent of the exact ``a_poly`` in ``(p, q)``.
+    """
+    lam, mu, nu = map(complex, params)
+    if j == 1:
+        poly = bernoulli_poly(2)
+        b2 = float(bernoulli_number(2))
+        return (lam + eval_unipoly_complex(poly, mu) + eval_unipoly_complex(poly, nu) - 2 * b2) / 2
+    poly = bernoulli_poly(j + 1)
+    bj = float(bernoulli_number(j))
+    bj1 = float(bernoulli_number(j + 1))
+    pair = eval_unipoly_complex(poly, mu) + eval_unipoly_complex(poly, nu) - 2 * bj1
+    return lam * bj / j + ((-1) ** (j + 1)) * pair / (j * (j + 1))
+
+
+def exp_compose(a, order: int) -> list[Fraction]:
+    """Coefficients ``b_1 .. b_order`` of ``exp(sum a_k x^-k)``, a whole-series
+    route independent of the prefix cache behind ``wallis_mu``.
+
+    Uses ``b_0 = 1`` and ``b_n = (1/n) sum_{k=1}^{n} k a_k b_{n-k}``.
+    """
+    if len(a) < order:
+        raise ValueError("need at least `order` input coefficients")
+    b = [Fraction(1)]
+    for n in range(1, order + 1):
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            acc += k * Fraction(a[k - 1]) * b[n - k]
+        b.append(acc / n)
+    return b[1:]
 
 
 def d_route_branch(m: int, c: Fraction, sign: int) -> dict[tuple[int, int], Fraction]:

@@ -220,11 +220,14 @@ class TestClosedForms:
         assert abs(got / ref - 1) <= 1e-11
 
     def test_zero_factor_detected(self):
-        with pytest.warns(RuntimeWarning, match="zero factor at j = 1"):
+        with pytest.warns(RuntimeWarning, match="zero factor at j = 1") as w_record:
             assert w_closed(3, -2, 1) == 0j
-        with pytest.warns(RuntimeWarning, match="zero factor at j = 2"):
+        with pytest.warns(RuntimeWarning, match="zero factor at j = 2") as r_record:
             # mu = -3 makes the j = 3 odd denominator vanish: 1 - 3/3 = 0
             assert r_closed(5, -3, 0) == 0j
+        # the warning points at the caller, not into the shared kernel
+        assert [w.filename for w in w_record] == [__file__]
+        assert [w.filename for w in r_record] == [__file__]
 
     def test_root_beyond_range_is_removable(self):
         # mu = nu = -5: the vanishing factor sits at j = 5, beyond n = 3
@@ -233,10 +236,13 @@ class TestClosedForms:
         assert abs(got / ref - 1) <= 1e-11
 
     def test_large_n_asymptotic_path(self):
-        for p, q in ((1, 0.5), (complex(1, 1), complex(0.5, -1)), (-0.5, 0.125)):
-            got = w_closed(10**6, p, q)
-            ref = complex(_mp_w_closed(10**6, p, q))
-            assert abs(got / ref - 1) <= 1e-12
+        # n = 10^6 takes the asymptotic path; n = 200 (z < 256) the rising one
+        for n in (10**6, 200):
+            for p, q in ((1, 0.5), (complex(1, 1), complex(0.5, -1)), (-0.5, 0.125)):
+                for fn, a, c in ((w_closed, 1, 1), (r_closed, mp.mpf(1) / 2, 2)):
+                    got = fn(n, p, q)
+                    ref = complex(_mp_closed(n, p, q, a, c))
+                    assert abs(got / ref - 1) <= 1e-12, (fn.__name__, n, p, q)
 
     def test_limit_consistency(self):
         for p, q in ((0, -0.25), (1, 0.5), (2, 2)):
@@ -254,15 +260,17 @@ class TestClosedForms:
             assert abs(w_closed(40, p, q) / ref - 1) <= 1e-12
 
 
-def _mp_w_closed(n, p, q):
+def _mp_closed(n, p, q, a, c):
+    """The product over d = c (j + a - 1), j <= n, as a gamma ratio in mpmath."""
     p = mp.mpc(p)
     q = mp.mpc(q)
     d = mp.sqrt(p * p - 4 * q)
-    mu = (p + d) / 2
-    nu = (p - d) / 2
-    z = mp.mpf(n + 1)
-    return (mp.e ** (-p * (mp.digamma(z) + mp.euler)) * mp.gamma(z + mu) * mp.gamma(z + nu)
-            / (mp.gamma(z) ** 2 * mp.gamma(1 + mu) * mp.gamma(1 + nu)))
+    s = (p + d) / (2 * c)
+    t = (p - d) / (2 * c)
+    z = n + a
+    return (mp.e ** (-(p / c) * (mp.digamma(z) - mp.digamma(a)))
+            * mp.gamma(z + s) * mp.gamma(z + t) * mp.gamma(a) ** 2
+            / (mp.gamma(z) ** 2 * mp.gamma(a + s) * mp.gamma(a + t)))
 
 
 class TestSerProduct:
