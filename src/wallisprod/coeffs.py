@@ -8,9 +8,10 @@ Two kinds of objects live here:
   ``(p, q)``.  Each contains the symmetric Bernoulli pair
   ``B_m(x1) + B_m(x2)`` over the two roots of ``x^2 - 2c p x + 4c^2 q``
   (``c = 1/2`` for ``a``, ``1/4`` for ``b``).  The pair is a combination
-  of the Newton power sums ``x1^k + x2^k``, which a two-term recurrence
-  produces directly as polynomials in ``(p, q)``.  No square roots are
-  ever taken, so the construction is exact end to end.
+  of the power sums ``x1^k + x2^k``, whose coefficients in ``(p, q)``
+  Waring's formula gives in closed form, so every term is written once as
+  an integer quotient.  No square roots are ever taken, so the
+  construction is exact end to end.
 
 * the scalar families for the classical Wallis sequence
   ``W_n = prod 4k^2/(4k^2-1)``:
@@ -27,8 +28,10 @@ Two kinds of objects live here:
   ``omega`` and its second route ``omega_alt``) depends only on earlier
   entries and on a prefix of another series, so each is computed once per
   process: a call extends the family's list by prefix as far as it asks,
-  and later calls read it.  :func:`cache_sizes` reports how far every
-  coefficient cache has grown.
+  and later calls read it.  The ``mu`` and ``omega`` builds run over
+  integer numerators on a common denominator and reduce each new entry
+  once.  :func:`cache_sizes` reports how far every coefficient cache has
+  grown.
 
 All values are exact `Fraction`s; nothing here touches floating point
 except the complex evaluation helpers.
@@ -37,6 +40,8 @@ except the complex evaluation helpers.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -213,38 +218,36 @@ def _as_bipoly(x: "BiPoly | Fraction | int") -> BiPoly:
 # Symbolic construction of a_j(p, q) and b_j(p, q)
 # ---------------------------------------------------------------------------
 
-def _bernoulli_pair(m: int, c: Fraction) -> BiPoly:
-    """``B_m(x1) + B_m(x2)`` where ``x1, x2 = c*(p +- sqrt(p^2 - 4q))``.
+def _bernoulli_pair(m: int, c: Fraction, scale: Fraction = Fraction(1)) -> BiPoly:
+    """``scale * (B_m(x1) + B_m(x2))`` where ``x1, x2 = c*(p +- sqrt(p^2 - 4q))``.
 
-    ``x1, x2`` are the roots of ``x^2 - P x + Q`` with ``P = 2c p`` and
-    ``Q = 4c^2 q``, so the power sums ``s_k = x1^k + x2^k`` obey Newton's
-    recurrence ``s_k = P s_{k-1} - Q s_{k-2}`` from ``s_0 = 2``, ``s_1 = P``,
-    and the pair is ``sum_k C(m,k) B_{m-k} s_k``.
+    ``x1, x2`` are the roots of ``x^2 - P x + Q`` with ``P = 2c p``, ``Q = 4c^2 q``,
+    so by Waring's formula ``x1^k + x2^k = sum_i (-1)^i k/(k-i) C(k-i, i) P^(k-2i) Q^i``
+    (``2`` for ``k = 0``).  With ``beta_k`` the ``t^k`` coefficient of ``B_m(t)``,
+    the coefficient of ``p^(k-2i) q^i`` is ``beta_k (2c)^k (-1)^i k/(k-i) C(k-i, i)``.
+    Each monomial belongs to one ``k``, so the terms are written directly,
+    ``k`` ascending and then ``i`` ascending, with no polynomial arithmetic.
     """
-    P = BiPoly.var_p() * (2 * c)
-    Q = BiPoly.var_q() * (4 * c * c)
-    sums = [BiPoly.constant(2), P]
-    for _ in range(2, m + 1):
-        sums.append(P * sums[-1] - Q * sums[-2])
-    out = BiPoly()
+    terms: dict[tuple[int, int], Fraction] = {}
     for k, coef in enumerate(bernoulli_poly(m).coeffs):
         if coef:
-            out = out + sums[k] * coef
-    return out
+            coef *= (2 * c) ** k * scale
+            for i in range(k // 2 + 1):
+                weight = (-1) ** i * k * math.comb(k - i, i) // (k - i) if k else 2
+                terms[(k - 2 * i, i)] = Fraction(weight * coef.numerator, coef.denominator)
+    return BiPoly(terms)
 
 
-def _coeff_poly(j: int, c: Fraction, lam_coeff: Fraction) -> BiPoly:
-    # shared shape of the two families: a linear term lam_coeff * p plus the
-    # symmetrized Bernoulli pair at scale c
+def _coeff_poly(j: int, c: Fraction) -> BiPoly:
+    # shared shape of the two families: 2c B_j / j * p plus the Bernoulli pair at
+    # scale c, less its constant 2 B_(j+1), times (-1)^(j+1) / (j (j+1)) (1/2 for
+    # j = 1).  The scaled pair's p term is -2c B_j / j * p (B_j = 0 for odd j > 1),
+    # so only the terms of degree two and up remain.
     if j < 1:
         raise ValueError("coefficient index must be >= 1")
-    if j == 1:
-        num = BiPoly.var_p() * lam_coeff + _bernoulli_pair(2, c) - 2 * bernoulli_number(2)
-        return num / 2
-    sign = Fraction((-1) ** (j + 1))
-    head = BiPoly.var_p() * (lam_coeff * bernoulli_number(j) / j)
-    tail = (_bernoulli_pair(j + 1, c) - 2 * bernoulli_number(j + 1)) * (sign / Fraction(j * (j + 1)))
-    return head + tail
+    scale = Fraction(1, 2) if j == 1 else Fraction((-1) ** (j + 1), j * (j + 1))
+    pair = _bernoulli_pair(j + 1, c, scale)
+    return BiPoly({key: val for key, val in pair.terms.items() if key[0] + 2 * key[1] > 1})
 
 
 _POLY_LOCK = threading.Lock()
@@ -252,23 +255,23 @@ _A_CACHE: dict[int, BiPoly] = {}
 _B_CACHE: dict[int, BiPoly] = {}
 
 
-def _cached_poly(cache: dict[int, BiPoly], j: int, c: Fraction, lam_coeff: Fraction) -> BiPoly:
+def _cached_poly(cache: dict[int, BiPoly], j: int, c: Fraction) -> BiPoly:
     with _POLY_LOCK:
         poly = cache.get(j)
         if poly is None:
-            poly = _coeff_poly(j, c, lam_coeff)
+            poly = _coeff_poly(j, c)
             cache[j] = poly
         return poly
 
 
 def a_poly(j: int) -> BiPoly:
     """Exact correction coefficient of ``1/(n+1)^j`` for ``W_n(p, q)``."""
-    return _cached_poly(_A_CACHE, j, Fraction(1, 2), Fraction(1))
+    return _cached_poly(_A_CACHE, j, Fraction(1, 2))
 
 
 def b_poly(j: int) -> BiPoly:
     """Exact correction coefficient of ``1/(n+1/2)^j`` for ``R_n(p, q)``."""
-    return _cached_poly(_B_CACHE, j, Fraction(1, 4), Fraction(1, 2))
+    return _cached_poly(_B_CACHE, j, Fraction(1, 4))
 
 
 def eval_bipoly(poly: BiPoly, p: complex, q: complex) -> complex:
@@ -339,7 +342,7 @@ def _nu_closed(j: int) -> Fraction:
 
 
 # Series caches: list index ``k - 1`` holds entry ``k``.  The lock is
-# re-entrant because a step grows the series it depends on (mu reads nu,
+# re-entrant because a build grows the series it depends on (mu reads nu,
 # alpha_beta reads mu) while the lock is held.
 _SERIES_LOCK = threading.RLock()
 _NU: list[Fraction] = []
@@ -349,24 +352,45 @@ _OMEGA: list[Fraction] = []
 _OMEGA_ALT: list[Fraction] = []
 
 
-def _grow(values: list, step, count: int) -> list:
-    """Extend ``values`` to ``count`` entries by ``step(values)``; return its first ``count``.
+def _grow(values: list, entries, count: int, *args) -> list:
+    """Extend ``values`` to ``count`` entries; return its first ``count``.
 
-    A step that raises appends nothing, so the list keeps the entries
-    before the failing one and the next call runs that step again.
+    ``entries(values, count, *args)`` yields the missing entries in order, each
+    appended before the next is asked for; integer state it keeps is derived
+    from ``values`` when it starts, so the list stays the only cache.  An entry
+    that raises appends nothing, and the next call computes it again.
     """
     with _SERIES_LOCK:
-        while len(values) < count:
-            values.append(step(values))
+        if len(values) < count:
+            for value in entries(values, count, *args):
+                values.append(value)
         return values[:count]
 
 
-def _nu_step(nu: list[Fraction]) -> Fraction:
-    return _nu_closed(len(nu) + 1)
+class _Common:
+    """Exact fractions as integer numerators ``nums`` over one denominator ``den``."""
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self, values: list[Fraction]):
+        self.den = math.lcm(*(v.denominator for v in values))
+        self.nums = [v.numerator * (self.den // v.denominator) for v in values]
+
+    def append(self, value: Fraction) -> None:
+        scale = value.denominator // math.gcd(self.den, value.denominator)
+        if scale > 1:
+            self.den *= scale
+            for i, x in enumerate(self.nums):  # in place: no second copy of the list
+                self.nums[i] = x * scale
+        self.nums.append(value.numerator * (self.den // value.denominator))
+
+
+def _nu_entries(nu: list[Fraction], count: int):
+    return map(_nu_closed, range(len(nu) + 1, count + 1))
 
 
 def _nu_values(order: int) -> list[Fraction]:
-    return _grow(_NU, _nu_step, order)
+    return _grow(_NU, _nu_entries, order)
 
 
 def wallis_nu(order: int) -> CoeffSeries:
@@ -394,21 +418,23 @@ def wallis_nu_raw(order: int) -> CoeffSeries:
     return CoeffSeries(Family.NU, order, tuple(values))
 
 
-def _mu_step(mu: list[Fraction]) -> Fraction:
-    # mu_n = (1/n) sum_{k=1}^{n} k nu_k mu_{n-k} with mu_0 = 1
-    n = len(mu) + 1
-    nu = _nu_values(n)
-    acc = n * nu[n - 1]
-    for k in range(1, n):
-        acc += k * nu[k - 1] * mu[n - k - 1]
-    return acc / n
+def _mu_entries(mu: list[Fraction], count: int):
+    # mu_n = (1/n) sum_{k=1}^{n} k nu_k mu_{n-k} with mu_0 = 1: one integer dot
+    # product over the common denominators of the k nu_k and of mu_0 .. mu_(n-1)
+    weights = _Common([k * v for k, v in enumerate(_nu_values(count), 1)])
+    prefix = _Common([Fraction(1), *mu])
+    for n in range(len(mu) + 1, count + 1):
+        value = Fraction(sum(map(operator.mul, weights.nums, reversed(prefix.nums))),
+                         n * weights.den * prefix.den)
+        prefix.append(value)
+        yield value
 
 
 def wallis_mu(order: int) -> CoeffSeries:
     """Exact ``mu_1 .. mu_order`` of ``2 W_n / pi ~ 1 + sum mu_j / n^j``."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return CoeffSeries(Family.MU, order, tuple(_grow(_MU, _mu_step, order)))
+    return CoeffSeries(Family.MU, order, tuple(_grow(_MU, _mu_entries, order)))
 
 
 def _alpha_beta_level(mu: list[Fraction], pairs: list[tuple[Fraction, Fraction]]
@@ -446,54 +472,49 @@ def _alpha_beta_from_mu(mu: list[Fraction], levels: int) -> list[tuple[Fraction,
     return pairs
 
 
-def _alpha_beta_step(pairs: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
-    return _alpha_beta_level(_grow(_MU, _mu_step, 2 * len(pairs) + 2), pairs)
+def _alpha_beta_entries(pairs: list[tuple[Fraction, Fraction]], count: int):
+    while len(pairs) < count:
+        yield _alpha_beta_level(_grow(_MU, _mu_entries, 2 * len(pairs) + 2), pairs)
 
 
 def alpha_beta(levels: int) -> CoeffSeries:
     """Exact ``(alpha_l, beta_l)`` pairs of the shifted odd-power series."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    pairs = _grow(_ALPHA_BETA, _alpha_beta_step, levels)
+    pairs = _grow(_ALPHA_BETA, _alpha_beta_entries, levels)
     return CoeffSeries(Family.ALPHA_BETA, levels, tuple(pairs))
 
 
-def _omega_step(out: list[Fraction]) -> Fraction:
-    # odd-index matching: nu_(2l-1) = sum_{k<=l} omega_k C(2l-2, 2l-2k) / 2^(2l-2k)
-    level = len(out) + 1
-    if level == 1:
-        return Fraction(-1, 4)
-    val = _nu_values(2 * level - 1)[2 * level - 2]
-    for k in range(1, level):
-        val -= out[k - 1] * Fraction(1, 2 ** (2 * level - 2 * k)) \
-            * binomial(2 * level - 2, 2 * level - 2 * k)
-    return val
+def _omega_entries(out: list[Fraction], count: int, parity: int):
+    # Matching nu_(r+1), r = 2l - 2 + parity, gives sum_{k<=l} omega_k C(r, 2k-2) /
+    # 2^(r-2k+2) = (-1)^parity nu_(r+1): parity 0 is the odd-index route, 1 the even-index
+    # one, and neither reads the other's list.  With omega_k = w_k / e for k < l, the
+    # known part is sum_k w_k C(r, 2k-2) 2^(2k-2) / (e 2^r).
+    nu = _nu_values(2 * count - 1 + parity)
+    prefix = _Common(out)
+    for level in range(len(out) + 1, count + 1):
+        r = 2 * level - 2 + parity
+        known = sum(w * math.comb(r, 2 * i) << 2 * i for i, w in enumerate(prefix.nums))
+        den = prefix.den << r
+        v = nu[r]
+        value = Fraction(((-1) ** parity * v.numerator * den - known * v.denominator) << parity,
+                         math.comb(r, 2 * level - 2) * v.denominator * den)
+        prefix.append(value)
+        yield value
 
 
 def omega(levels: int) -> CoeffSeries:
     """Exact ``omega_l`` via matching of the odd-index nu coefficients."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    return CoeffSeries(Family.OMEGA, levels, tuple(_grow(_OMEGA, _omega_step, levels)))
-
-
-def _omega_alt_step(out: list[Fraction]) -> Fraction:
-    # even-index matching; never reads the omega list, so the two routes stay independent
-    level = len(out) + 1
-    if level == 1:
-        return Fraction(-1, 4)
-    acc = _nu_values(2 * level)[2 * level - 1]
-    for k in range(1, level):
-        acc += out[k - 1] * Fraction(1, 2 ** (2 * level - 2 * k + 1)) \
-            * binomial(2 * level - 1, 2 * level - 2 * k + 1)
-    return -Fraction(2, 2 * level - 1) * acc
+    return CoeffSeries(Family.OMEGA, levels, tuple(_grow(_OMEGA, _omega_entries, levels, 0)))
 
 
 def omega_alt(levels: int) -> CoeffSeries:
     """Same ``omega_l`` via the even-index nu matching; must agree with :func:`omega`."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    return CoeffSeries(Family.OMEGA, levels, tuple(_grow(_OMEGA_ALT, _omega_alt_step, levels)))
+    return CoeffSeries(Family.OMEGA, levels, tuple(_grow(_OMEGA_ALT, _omega_entries, levels, 1)))
 
 
 def cache_sizes() -> dict[str, int]:

@@ -311,8 +311,11 @@ def w_closed(n: int, p: complex, q: complex) -> complex:
 
     When some factor ``1 + p/j + q/j^2`` vanishes for ``j <= n`` the
     product is exactly zero; a zero is returned and a RuntimeWarning
-    carries the factor index.  Relative accuracy is ~1e-13 for ``n`` up
-    to 10^6 with moderate parameters.
+    carries the factor index.  Measured against mpmath for
+    ``|p|, |q| <= 10``, the relative error is at most 1.3e-13 on the
+    asymptotic path (``n >= 256``, up to 10^6); on the rising path it is
+    about 2e-13 for ``n <= 60`` (more when a factor is within 1e-2 of
+    zero) and reaches 1.3e-12 at ``n = 235..255``.
     """
     return _closed("W", n, p, q, 1, 1, _PSI_ONE, _TWO_LGAMMA_ONE)
 

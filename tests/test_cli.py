@@ -1,12 +1,15 @@
 """CLI: golden outputs, serialization round-trips, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import wallisprod
 from wallisprod.cli import MAX_ALPHABETA_ORDER, main, parse_complex_literal
 from wallisprod.coeffs import CoeffSeries, cache_sizes, wallis_nu
 
@@ -235,10 +238,13 @@ class TestConstantsCommand:
 
 
 def test_console_entry_point_runs():
+    # the child imports the package under test, installed or not
+    src = str(Path(wallisprod.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "wallisprod.cli", "coeffs", "--family", "nu",
          "--order", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "1, -1/4\n2, 1/8\n"

@@ -1,5 +1,6 @@
 """Coefficient engine: exact values, recurrences and symbolic consistency."""
 
+import functools
 import json
 import math
 import random
@@ -127,13 +128,50 @@ def d_route_pair(m: int, c: Fraction) -> BiPoly:
     return reduce_d(pd)
 
 
-def d_route_coeff(j: int, c: Fraction, lam_coeff: Fraction) -> BiPoly:
-    """``a_j`` (``c = 1/2``, ``lam_coeff = 1``) or ``b_j`` (``1/4``, ``1/2``) via the D-route."""
-    pair = d_route_pair(j + 1, c) - 2 * bernoulli_number(j + 1)
+def coeff_over_pair(pair_route, j: int, c: Fraction, lam_coeff: Fraction) -> BiPoly:
+    """``a_j`` (``c = 1/2``, ``lam_coeff = 1``) or ``b_j`` (``1/4``, ``1/2``) over a pair route.
+
+    The ``lam_coeff * p`` head is added in full, so its cancellation against
+    the pair's ``p`` term is checked, not assumed.
+    """
+    pair = pair_route(j + 1, c) - 2 * bernoulli_number(j + 1)
     if j == 1:
         return (BiPoly.var_p() * lam_coeff + pair) / 2
     head = BiPoly.var_p() * (lam_coeff * bernoulli_number(j) / j)
     return head + pair * F((-1) ** (j + 1), j * (j + 1))
+
+
+def newton_pair(m: int, c: Fraction) -> BiPoly:
+    """``B_m(x1) + B_m(x2)`` from Newton's recurrence for the power sums of the roots.
+
+    ``s_k = x1^k + x2^k`` obeys ``s_k = P s_(k-1) - Q s_(k-2)`` from ``s_0 = 2``,
+    ``s_1 = P`` with ``P = 2c p``, ``Q = 4c^2 q``, and the pair is
+    ``sum_k C(m,k) B_(m-k) s_k``, all in ``BiPoly`` arithmetic.
+    """
+    P = BiPoly.var_p() * (2 * c)
+    Q = BiPoly.var_q() * (4 * c * c)
+    sums = [BiPoly.constant(2), P]
+    for _ in range(2, m + 1):
+        sums.append(P * sums[-1] - Q * sums[-2])
+    out = BiPoly()
+    for k, coef in enumerate(bernoulli_poly(m).coeffs):
+        if coef:
+            out = out + sums[k] * coef
+    return out
+
+
+@pytest.fixture()
+def cold_poly_caches():
+    """Empty the a_j/b_j caches for one test and put their entries back after it."""
+    saved = {name: dict(getattr(coeffs, name)) for name in ("_A_CACHE", "_B_CACHE")}
+    for name in saved:
+        getattr(coeffs, name).clear()
+    try:
+        yield
+    finally:
+        for name, values in saved.items():
+            getattr(coeffs, name).clear()
+            getattr(coeffs, name).update(values)
 
 
 class TestBiPoly:
@@ -200,10 +238,23 @@ class TestPolynomialFamilies:
                     even = {key: 2 * val for key, val in branch.items() if key[1] % 2 == 0}
                     assert reduce_d(even) == _bernoulli_pair(j + 1, c)
 
+    def test_pair_equals_newton_oracle_in_order(self):
+        for m in range(1, 32):
+            for c in (F(1, 2), F(1, 4)):
+                assert list(_bernoulli_pair(m, c).terms.items()) == \
+                    list(newton_pair(m, c).terms.items())
+
+    def test_cold_builds_equal_newton_oracle_in_order_to_30(self, cold_poly_caches):
+        # the term order fixes the order of the float sum in BiPoly.evaluate
+        for j in range(1, 31):
+            for build, c, lam_coeff in ((a_poly, F(1, 2), F(1)), (b_poly, F(1, 4), F(1, 2))):
+                assert list(build(j).terms.items()) == \
+                    list(coeff_over_pair(newton_pair, j, c, lam_coeff).terms.items())
+
     def test_equals_d_route_oracle_to_20(self):
         for j in range(1, 21):
-            assert a_poly(j) == d_route_coeff(j, F(1, 2), F(1))
-            assert b_poly(j) == d_route_coeff(j, F(1, 4), F(1, 2))
+            assert a_poly(j) == coeff_over_pair(d_route_pair, j, F(1, 2), F(1))
+            assert b_poly(j) == coeff_over_pair(d_route_pair, j, F(1, 4), F(1, 2))
 
 
 class TestGenericCoefficients:
@@ -345,20 +396,28 @@ def omega_alt_reference(nu: tuple, levels: int) -> list[Fraction]:
     return out
 
 
+@functools.cache
+def nu_raw(order: int) -> tuple:
+    """The cache-free ``wallis_nu_raw`` values; each order is built once per session."""
+    return wallis_nu_raw(order).values
+
+
+@functools.cache
 def mu_reference(order: int) -> list[Fraction]:
-    return exp_compose(list(wallis_nu_raw(order).values), order)
+    """The ``Fraction`` convolution of :func:`exp_compose` over the raw nu."""
+    return exp_compose(list(nu_raw(order)), order)
 
 
-# family, cached builder, its cache, cache-free reference for the first k entries, orders
+# family, cached builder, its cache, cache-free reference for the first k entries,
+# orders: the exact_cold workload's order cold, and a low order extended to it
 SERIES_CASES = [
-    ("nu", wallis_nu, "_NU", lambda k: list(wallis_nu_raw(k).values), (30, 5)),
-    ("mu", wallis_mu, "_MU", mu_reference, (30, 5)),
+    ("nu", wallis_nu, "_NU", lambda k: list(nu_raw(k)), (240, 20)),
+    ("mu", wallis_mu, "_MU", mu_reference, (240, 20)),
     ("alpha_beta", alpha_beta, "_ALPHA_BETA",
      lambda k: _alpha_beta_from_mu(mu_reference(2 * k), k), (6, 2)),
-    ("omega", omega, "_OMEGA",
-     lambda k: omega_reference(wallis_nu_raw(2 * k).values, k), (12, 3)),
+    ("omega", omega, "_OMEGA", lambda k: omega_reference(nu_raw(2 * k), k), (100, 20)),
     ("omega_alt", omega_alt, "_OMEGA_ALT",
-     lambda k: omega_alt_reference(wallis_nu_raw(2 * k).values, k), (12, 3)),
+     lambda k: omega_alt_reference(nu_raw(2 * k), k), (100, 20)),
 ]
 
 
@@ -386,6 +445,15 @@ class TestSeriesCache:
                 alpha_beta(2)
             assert coeffs._ALPHA_BETA == [(F(-1, 4), F(5, 8))]
         assert alpha_beta(1).values == ((F(-1, 4), F(5, 8)),)
+
+    def test_mu_extends_a_fabricated_prefix(self, cold_series_caches):
+        # the integer state comes from the cached list, whatever its denominators
+        coeffs._MU[:] = [F(-1, 4), F(5, 32), F(-1, 4) * F(5, 8) ** 2, F(1, 7)]
+        nu = wallis_nu(8).values
+        want = [F(1), *coeffs._MU]
+        for n in range(5, 9):
+            want.append(sum(k * nu[k - 1] * want[n - k] for k in range(1, n + 1)) / n)
+        assert list(wallis_mu(8).values) == want[1:]
 
     def test_cache_sizes_grow(self, cold_series_caches):
         before = cache_sizes()
