@@ -51,7 +51,7 @@ EXIT_DOMAIN = 3
 
 MAX_ALPHABETA_ORDER = expansions._FAMILIES[ExpansionTag.WALLIS_ALPHA_BETA].max_order
 
-_ATOM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:/\d+)?"
+_ATOM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+|/\d+)?"
 _COMPLEX_RE = re.compile(rf"^({_ATOM})?((?:{_ATOM})|[+-])?(i)?$")
 
 
@@ -59,7 +59,7 @@ def parse_complex_literal(text: str) -> complex:
     """Parse ``a``, ``bi``, ``a+bi`` or ``a-bi`` with rational or decimal parts.
 
     Examples: ``1``, ``-0.5``, ``1/3``, ``i``, ``-i``, ``2i``, ``1+2i``,
-    ``1-1/2i``, ``0.5-0.25i``.
+    ``1-1/2i``, ``0.5-0.25i``, ``2.5E+4i``, ``1e-3-2e-4i``; not ``1e999``.
     """
     t = text.strip().replace(" ", "")
     if not t:
@@ -86,9 +86,13 @@ def parse_complex_literal(text: str) -> complex:
 
 
 def _parse_real(text: str) -> float:
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    try:
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except (ZeroDivisionError, OverflowError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _digits() -> int:

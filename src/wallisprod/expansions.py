@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import sys
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .coeffs import (
     _alpha_beta_level,
@@ -50,7 +51,7 @@ from .coeffs import (
     wallis_mu,
     wallis_nu,
 )
-from .products import _Neumaier, r_product, w_product, wallis_seq
+from .products import r_product, w_product, wallis_seq
 from .special import PoleError, r_inf, w_inf
 
 __all__ = [
@@ -357,21 +358,17 @@ def _exp_scaled(s: int, bits: int) -> tuple[int, int]:
     return (z + (1 << (extra - 1))) >> extra, (err >> extra) + 2
 
 
-def _wallis_scaled(ns: list[int], bits: int) -> list[int]:
-    """``W_n 2^bits`` for each ``n`` of the increasing ``ns``, each at most ``2n`` units low.
+def _wallis_scaled(bits: int) -> Iterator[int]:
+    """``W_n 2^bits`` for n = 1, 2, ..., each at most ``2n`` units low.
 
     One running product: every step rounds down by under one unit, and
     the earlier errors grow by at most ``W_n / W_1 < 1.18``.
     """
-    out = []
-    x, done = 1 << bits, 0
-    for n in ns:
-        for k in range(done + 1, n + 1):
-            d = 4 * k * k
-            x = x * d // (d - 1)
-        done = n
-        out.append(x)
-    return out
+    x = 1 << bits
+    for k in itertools.count(1):
+        d = 4 * k * k
+        x = x * d // (d - 1)
+        yield x
 
 
 def _scaled_terms(spec: _Spec, order: int, bits: int) -> list[tuple[int, int, int]]:
@@ -430,7 +427,9 @@ def _wallis_errors(tag: ExpansionTag, order: int, ns: list[int]) -> list[Fractio
     for _ in range(_MAX_DOUBLINGS):
         terms = _scaled_terms(spec, order, bits)
         errors = []
-        for n, w in zip(ns, _wallis_scaled(ns, bits)):
+        walk = _wallis_scaled(bits)
+        for n, prev in zip(ns, [0, *ns]):
+            w = next(itertools.islice(walk, n - prev - 1, None))
             a, bound = _approx_scaled(spec, terms, n, bits)
             bound += 2 * n
             err = abs(w - a)
@@ -553,7 +552,6 @@ def convergence_order(family: ExpansionFamily, n_values: list[int]) -> list[floa
 # ---------------------------------------------------------------------------
 
 DENG_ALPHA = 2.5
-_EQUALITY_TOL = 1e-12  # an upper-bound gap this small counts as equality
 
 
 def deng_beta() -> float:
@@ -569,7 +567,7 @@ class BoundsReport:
     violations: int
     first_violation: int | None
     tight_upper_n: int | None
-    tight_upper_gap: float
+    tight_upper_gap: float  # a bound on |W_n - upper| at tight_upper_n
     alpha: float
     beta: float
 
@@ -578,37 +576,51 @@ class BoundsReport:
 
 
 def check_bounds(n_max: int) -> BoundsReport:
-    """Verify the two-sided bound for every ``1 <= n <= n_max``.
+    """Verify the two-sided bound for every ``1 <= n <= n_max``, certified.
 
-    The running product is kept as a compensated log sum, so ``W_n`` is
-    accurate to a few ulp throughout; the inequalities are tested with a
-    slack of 8 ulp, far below the analytic margins for n >= 2.  Also
-    locates the ``n`` where the upper bound is an equality (by design of
-    beta, that is n = 1).
+    With ``beta = (32 - 9 pi) / (3 pi - 8)`` the bounds read
+    ``pi (8n + 3) < W_n (16n + 10)`` and ``2 W_n B_n <= pi A_n``, where
+    ``A_n = 12 (n - 1) pi - 8 (4n - 5)`` and ``B_n = (12n - 9) pi - 32 (n - 1) > 0``.
+    They are compared in integers scaled by ``2^P``, ``P = 4 log2(n_max) + 64``,
+    with ``W_n`` from the kernel's running product and ``pi`` from Machin's
+    formula, each side enclosed by its rounding bound: no float slack.  The
+    lower margin, about ``0.018 / n^3``, stays far above that rounding.  The
+    upper bound at n = 1, an equality by design of beta, stays unresolved and
+    is reported as ``tight_upper_n``; any other unresolved comparison raises
+    ``ArithmeticError``.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    beta = deng_beta()
-    half_pi = math.pi / 2
-    log_sum = _Neumaier()
+    bits = 4 * n_max.bit_length() + 64
+    pi, one = _pi_scaled(bits), 1 << bits
+    # Every form is linear in n and starts at n = 1: m = 16n + 10,
+    # low = (pi + 1)(8n + 3) >= pi (8n + 3), b2 = 2 B_n and up = pi A_n - E_n.
+    # E_n = n 2^shift >= 512 n^2 2^bits bounds how far pi A - 2 W B moves
+    # when pi moves by one unit and W by 2n.
+    shift = bits + 9 + n_max.bit_length()
+    m, low = 26, 11 * (pi + 1)
+    b2, up = 6 * pi, 8 * pi * one - (1 << shift)
+    up_step = 12 * pi * pi - 32 * pi * one - (1 << shift)
     violations = 0
-    first_violation: int | None = None
-    tight_n: int | None = None
-    tight_gap = math.inf
-    for n in range(1, n_max + 1):
-        log_sum.add(math.log1p(1.0 / (4.0 * n * n - 1.0)))
-        w = math.exp(log_sum.total)
-        slack = 8 * sys.float_info.epsilon * max(1.0, w)
-        lower = half_pi * (1 - 1 / (4 * n + DENG_ALPHA))
-        upper = half_pi * (1 - 1 / (4 * n + beta))
-        if w <= lower - slack or w > upper + slack:
-            violations += 1
-            if first_violation is None:
-                first_violation = n
-        gap = abs(w - upper)
-        if gap <= _EQUALITY_TOL and gap < tight_gap:
-            tight_n = n
-            tight_gap = gap
-    return BoundsReport(n_max, violations, first_violation, tight_n,
-                        tight_gap if tight_n is not None else math.nan,
-                        DENG_ALPHA, beta)
+    first_violation = tight_n = None
+    tight_gap = math.nan
+    for n, x in zip(range(1, n_max + 1), _wallis_scaled(bits)):
+        if x * m <= low or x * b2 > up:  # not certain to hold: test both ends
+            slack = n << shift
+            low_broken = (x + 2 * n) * m <= low - m
+            up_broken = x * b2 > up + 2 * slack
+            up_open = x * b2 > up and not up_broken
+            if x * m <= low and not low_broken or up_open and n > 1:
+                raise ArithmeticError(f"Wallis bounds at n = {n} not resolved at {bits} bits")
+            if low_broken or up_broken:
+                violations += 1
+                first_violation = first_violation or n
+            else:  # the n = 1 equality: |W - upper| = |pi A - 2 W B| / 2B, 2B >= b2 - 24n
+                tight_n = n
+                tight_gap = float(Fraction(abs(up + slack - x * b2) + slack, (b2 - 24 * n) << bits))
+        m += 16
+        low += 8 * (pi + 1)
+        b2 += 24 * pi - 64 * one
+        up += up_step
+    return BoundsReport(n_max, violations, first_violation, tight_n, tight_gap,
+                        DENG_ALPHA, deng_beta())

@@ -9,8 +9,9 @@ contribute ``-p/d`` terms and each polynomial factor contributes
 * the head, ``d < d0``, where a factor may be negative, near zero or zero,
   goes through a per-factor loop: exact-rational zero test, near-zero flag,
   float-underflow exit, explicit sign tracking when the parameters are real
-  (instead of complex logs), and Neumaier compensated sums of the logs of
-  the factors;
+  (instead of complex logs), with the logs of the factors and the damping
+  terms folded into one exactly rounded ``math.fsum`` every ``_CHUNK``
+  entries;
 * the tail, ``d >= d0``, has ``|z_d| <= 1/2``, so no factor can vanish or
   change sign.  It is summed in chunks of ``_CHUNK`` denominators:
   ``log1p(z_d)`` of the small part itself, never of a rounded ``1 + z_d``,
@@ -44,29 +45,7 @@ __all__ = [
 
 _ZERO_TOL = 1e-15
 _EXP_OVERFLOW = 709.0  # log of the largest finite double, minus slack
-_CHUNK = 4096  # tail denominators per fsum: C-level loops, bounded memory
-
-
-class _Neumaier:
-    """Running compensated sum (Neumaier's variant of Kahan summation)."""
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self) -> None:
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        s = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - s) + x
-        else:
-            self._c += (x - s) + self._s
-        self._s = s
-
-    @property
-    def total(self) -> float:
-        return self._s + self._c
+_CHUNK = 4096  # head terms or tail denominators per fsum: C-level loops, bounded memory
 
 
 @dataclass(frozen=True)
@@ -113,12 +92,19 @@ def _tail_start(p: complex, q: complex) -> int | float:
 
     ``d0 > 4|p|`` and ``d0 > 2 sqrt|q|`` bound ``|p|/d`` and ``|q|/d^2`` by 1/4
     each for every ``d >= d0``, so ``1 + p/d + q/d^2`` stays within 1/2 of 1.
-    Infinite when a parameter is not finite: every factor then takes the
+    Infinite when that bound overflows a double: every factor then takes the
     per-factor loop.
     """
-    if not math.isfinite(abs(p) + abs(q)):
-        return math.inf
-    return math.ceil(max(4 * abs(p), 2 * math.sqrt(abs(q)))) + 1
+    bound = max(4 * abs(p), 2 * math.sqrt(abs(q)))
+    return math.ceil(bound) + 1 if math.isfinite(bound) else math.inf
+
+
+def _fsum(terms: list[float]) -> float:
+    """``math.fsum``, or past the double range the plain sum, which overflows the same way."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # the huge terms are damping terms of one sign
+        return sum(terms)
 
 
 def _tail_sums(dens: range, p: complex, q: complex, real_mode: bool) -> tuple[float, float]:
@@ -146,61 +132,52 @@ def _tail_sums(dens: range, p: complex, q: complex, real_mode: bool) -> tuple[fl
 def _product(dens: range, p: complex, q: complex) -> ProductResult:
     p = complex(p)
     q = complex(q)
+    if not (cmath.isfinite(p) and cmath.isfinite(q)):
+        raise ValueError("p and q must be finite")
     real_mode = p.imag == 0.0 and q.imag == 0.0
     split = bisect.bisect_left(dens, _tail_start(p, q))
-    re_sum = _Neumaier()
-    im_sum = _Neumaier()
+    n = len(dens)
+    re_terms: list[float] = []
+    im_terms: list[float] = []
     sign = 1.0
-    zero_at: int | None = None
     near_at: int | None = None
 
     # head: factors that may be negative, near zero or zero, one at a time
-    underflow = False
     for j, den in enumerate(dens[:split], start=1):
         factor = 1 + p / den + q / (den * den)
         if abs(factor) < _ZERO_TOL:
             if real_mode and _exact_zero_real(den, p.real, q.real):
-                zero_at = j
-                break
+                return ProductResult(0j, -math.inf, 0.0, j, n, near_at)
             if near_at is None:
                 near_at = j
             if factor == 0:
                 # rounded to zero in double without being an exact root:
                 # the product is unrepresentably small, not exactly zero
-                underflow = True
-                break
+                return ProductResult(0j, -math.inf, 0.0, None, n, near_at)
         if real_mode:
             x = factor.real
             if x < 0.0:
                 sign = -sign
-            re_sum.add(math.log(abs(x)))
-            re_sum.add(-p.real / den)
+            re_terms += (math.log(abs(x)), -p.real / den)
         else:
             term = cmath.log(factor)
-            re_sum.add(term.real)
-            im_sum.add(term.imag)
-            re_sum.add(-p.real / den)
-            im_sum.add(-p.imag / den)
-
-    n = len(dens)
-    if zero_at is not None:
-        return ProductResult(0j, -math.inf, 0.0, zero_at, n, near_at)
-    if underflow:
-        return ProductResult(0j, -math.inf, 0.0, None, n, near_at)
+            re_terms += (term.real, -p.real / den)
+            im_terms += (term.imag, -p.imag / den)
+        if len(re_terms) >= _CHUNK:
+            re_terms = [_fsum(re_terms)]
+            im_terms = [_fsum(im_terms)]
 
     # tail: every factor within 1/2 of 1, summed a bounded chunk at a time
-    re_parts = [re_sum.total]
-    im_parts = [im_sum.total]
     for start in range(split, n, _CHUNK):
         re_part, im_part = _tail_sums(dens[start:start + _CHUNK], p, q, real_mode)
-        re_parts.append(re_part)
-        im_parts.append(im_part)
+        re_terms.append(re_part)
+        im_terms.append(im_part)
 
-    log_abs = math.fsum(re_parts)
+    log_abs = _fsum(re_terms)
     if real_mode:
         mag = math.inf if log_abs > _EXP_OVERFLOW else math.exp(log_abs)
         return ProductResult(complex(sign * mag, 0.0), log_abs, sign, None, n, near_at)
-    phase = math.fsum(im_parts)
+    phase = _fsum(im_terms)
     if log_abs > _EXP_OVERFLOW:
         value = complex(math.inf, math.inf)
     else:

@@ -110,6 +110,8 @@ class PoleError(ArithmeticError):
 def _nonpositive_int_near(z: complex) -> int | None:
     """The nonpositive integer within the pole tolerance of ``z``, if any."""
     z = complex(z)
+    if not cmath.isfinite(z):  # every gamma argument of the public functions passes here
+        raise ValueError(f"gamma argument {z} must be finite")
     if abs(z.imag) > _POLE_TOL:
         return None
     k = round(z.real)
@@ -123,7 +125,8 @@ def _nonpositive_int_near(z: complex) -> int | None:
 def ln_gamma(z: complex) -> complex:
     """Principal branch of ``ln Gamma(z)`` for complex ``z``.
 
-    Raises :class:`PoleError` within 1e-12 of a nonpositive integer.
+    Raises :class:`PoleError` within 1e-12 of a nonpositive integer and
+    ``ValueError`` for a NaN or infinite ``z``.
     """
     z = complex(z)
     if _nonpositive_int_near(z) is not None:

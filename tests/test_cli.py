@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wallisprod
-from wallisprod.cli import MAX_ALPHABETA_ORDER, main, parse_complex_literal
+from wallisprod.cli import MAX_ALPHABETA_ORDER, fmt_complex, main, parse_complex_literal
 from wallisprod.coeffs import CoeffSeries, cache_sizes, wallis_nu
 
 
@@ -35,14 +37,24 @@ class TestComplexLiterals:
         ("1-1/2i", 1 - 0.5j),
         ("0.5-0.25i", 0.5 - 0.25j),
         ("-3/4+2.5i", complex(-0.75, 2.5)),
+        ("1e5", 1e5 + 0j),
+        ("1e-3", 1e-3 + 0j),
+        ("2.5E+4i", 2.5e4j),
+        ("1e-3-2e-4i", complex(1e-3, -2e-4)),
     ])
     def test_parses(self, text, value):
         assert parse_complex_literal(text) == value
 
-    @pytest.mark.parametrize("bad", ["", "i2", "1+2", "2+i3", "1e5", "one"])
+    @pytest.mark.parametrize("bad", ["", "i2", "1+2", "2+i3", "one", "1e", "1e5/2",
+                                     "1e999", "-1e999i", "1/0",
+                                     pytest.param("1" + "0" * 400 + "/1", id="1e400/1")])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_complex_literal(bad)
+
+    @given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+    def test_printed_values_read_back(self, z):
+        assert parse_complex_literal(fmt_complex(z)) == z
 
 
 class TestCoeffsCommand:
@@ -155,6 +167,16 @@ class TestEvalCommand:
         assert data["phase_or_sign"] == -1.0
         assert data["value"]["re"] < 0
         assert data["zero_factor_at"] is None
+
+    def test_exponent_literals(self, runner):
+        small = invoke(runner, "eval", "--target", "wproduct", "--n", "10",
+                       "--p", "1e-3", "--q", "-2.5E-4i", "--format", "json")
+        assert small.exit_code == 0
+        assert json.loads(small.output)["terms"] == 10
+        result = runner.invoke(main, ["eval", "--target", "wproduct", "--n", "10",
+                                      "--p", "1e999", "--q", "0"])
+        assert result.exit_code == 2
+        assert "not a finite number" in result.output
 
     def test_missing_pq_exit_2(self, runner):
         result = runner.invoke(main, ["eval", "--target", "wproduct", "--n", "5"])

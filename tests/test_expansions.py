@@ -1,19 +1,22 @@
 """Truncated expansions: values, measured errors, orders and bounds."""
 
 import math
+import random
 import time
 from fractions import Fraction
+from itertools import islice
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallisprod import coeffs
+from wallisprod import coeffs, expansions
 from wallisprod.coeffs import alpha_beta, b_poly, cache_sizes, wallis_mu
 from wallisprod.expansions import (
     ELEZOVIC_TERMS,
     ExpansionFamily,
+    DENG_ALPHA,
     ExpansionTag,
     check_bounds,
     convergence_order,
@@ -414,7 +417,7 @@ class TestExactKernel:
         order = data.draw(st.integers(1, MAX_ORDER[tag]), label="order")
         spec = _FAMILIES[tag]
         value, bound = _approx_scaled(spec, _scaled_terms(spec, order, bits), n, bits)
-        (w,) = _wallis_scaled([n], bits)
+        w = next(islice(_wallis_scaled(bits), n - 1, None))
         with mp.workdps(150):
             scale = mp.mpf(2) ** bits
             assert abs(value - _mpmath_approx(tag, order, n) * scale) <= bound, \
@@ -501,6 +504,61 @@ class TestBounds:
         # direct substitution: W_1 = 4/3 meets the upper bound exactly
         upper = (math.pi / 2) * (1 - 1 / (4 + deng_beta()))
         assert abs(4.0 / 3.0 - upper) <= 1e-12
+
+    def test_bounds_hold_against_mpmath(self):
+        report = check_bounds(10**5)
+        assert (report.violations, report.first_violation) == (0, None)
+        assert report.tight_upper_n == 1 and report.tight_upper_gap <= 1e-12
+        rng = random.Random(9)
+        ns = [1, 2, 3, 17, 777, 2 * 10**4, 10**5] + [rng.randint(4, 10**5) for _ in range(8)]
+        with mp.workdps(60):
+            beta = (32 - 9 * mp.pi) / (3 * mp.pi - 8)
+            for n in ns:
+                w = mp.pi / 2 * mp.gamma(n + 1) ** 2 / (mp.gamma(n + 0.5) * mp.gamma(n + 1.5))
+                lower = mp.pi / 2 * (1 - 1 / (4 * n + mp.mpf(DENG_ALPHA)))
+                upper = mp.pi / 2 * (1 - 1 / (4 * n + beta))
+                # the lower margin tends to 3 pi / (512 n^3), about 0.018 / n^3
+                assert (w - lower) * n**3 > 0.004, n
+                if n == 1:
+                    assert abs(w - upper) < mp.mpf(10) ** -55
+                else:
+                    assert w < upper, n
+
+    @staticmethod
+    def _patch_walk(monkeypatch, at, change):
+        """Run the scan on the running product with ``W_at 2^bits`` replaced by ``change``."""
+        walk = expansions._wallis_scaled
+
+        def patched(bits):
+            for n, x in enumerate(walk(bits), start=1):
+                yield change(x, bits) if n == at else x
+
+        monkeypatch.setattr(expansions, "_wallis_scaled", patched)
+
+    def test_one_ulp_low_at_1e5_is_a_violation(self, monkeypatch):
+        # the lower margin at 10^5 is about 0.1 ulp of W_n near pi/2
+        self._patch_walk(monkeypatch, 10**5, lambda x, bits: x - (1 << (bits - 52)))
+        report = check_bounds(10**5)
+        assert (report.violations, report.first_violation) == (1, 10**5)
+        assert report.tight_upper_n == 1
+
+    def test_above_the_upper_bound_is_a_violation(self, monkeypatch):
+        # the upper margin at 500 is about 5e-8 relative
+        self._patch_walk(monkeypatch, 500, lambda x, bits: x + (x >> 20))
+        report = check_bounds(600)
+        assert (report.violations, report.first_violation) == (1, 500)
+
+    @pytest.mark.parametrize("at,on_bound", [
+        # the lower bound pi (8n + 3) / (16n + 10) at n = 7
+        (7, lambda pi, one: pi * 59 // 122),
+        # the upper bound pi A_n / (2 B_n) at n = 500
+        (500, lambda pi, one: pi * (12 * 499 * pi - 8 * 1995 * one)
+         // (2 * (5991 * pi - 32 * 499 * one))),
+    ])
+    def test_unresolved_comparison_raises(self, monkeypatch, at, on_bound):
+        self._patch_walk(monkeypatch, at, lambda x, bits: on_bound(_pi_scaled(bits), 1 << bits))
+        with pytest.raises(ArithmeticError, match=f"n = {at} "):
+            check_bounds(600)
 
     def test_validation(self):
         with pytest.raises(ValueError):

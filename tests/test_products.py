@@ -13,7 +13,6 @@ from wallisprod.coeffs import b_poly
 from wallisprod.products import (
     _CHUNK,
     ProductResult,
-    _Neumaier,
     _tail_start,
     r_product,
     w_product,
@@ -198,15 +197,15 @@ def test_product_result_shape():
 # ---------------------------------------------------------------------------
 
 def _loop_oracle(n, p, q, denominator):
-    """Every factor through one loop, as the products were once summed: the log
-    of the rounded factor and the damping term in Neumaier sums, zero and
+    """Every factor through one loop: the log of the rounded factor and the
+    damping term in one exactly rounded ``math.fsum`` each, zero and
     near-zero screens, and sign tracking for real parameters.
 
     Returns ``(log_abs, phase_or_sign, zero_factor_at, near_zero_at, terms)``.
     """
     p, q = complex(p), complex(q)
     real_mode = p.imag == 0.0 and q.imag == 0.0
-    re_sum, im_sum = _Neumaier(), _Neumaier()
+    re_terms, im_terms = [], []
     sign = 1.0
     near_at = None
     for j in range(1, n + 1):
@@ -223,15 +222,13 @@ def _loop_oracle(n, p, q, denominator):
         if real_mode:
             if factor.real < 0.0:
                 sign = -sign
-            re_sum.add(math.log(abs(factor.real)))
-            re_sum.add(-p.real / den)
+            re_terms += (math.log(abs(factor.real)), -p.real / den)
         else:
             term = cmath.log(factor)
-            re_sum.add(term.real)
-            im_sum.add(term.imag)
-            re_sum.add(-p.real / den)
-            im_sum.add(-p.imag / den)
-    return re_sum.total, sign if real_mode else im_sum.total, None, near_at, n
+            re_terms += (term.real, -p.real / den)
+            im_terms += (term.imag, -p.imag / den)
+    return (math.fsum(re_terms), sign if real_mode else math.fsum(im_terms),
+            None, near_at, n)
 
 
 _PRODUCTS = {"w": (w_product, lambda j: j), "r": (r_product, lambda j: 2 * j - 1)}
@@ -284,6 +281,37 @@ def test_head_tail_matches_loop_oracle(case):
         assert got.phase_or_sign == phase
     else:
         assert abs(got.phase_or_sign - phase) <= 1e-13 * max(1.0, abs(phase))
+
+
+@pytest.mark.parametrize("which", sorted(_PRODUCTS))
+@pytest.mark.parametrize("p,q", [(-3000 + 0.5j, 100), (-1500.5, 3.0)])
+def test_head_of_several_chunks_matches_loop_oracle(which, p, q):
+    # a head of thousands of factors: its terms are flushed into several fsum parts
+    product, denominator = _PRODUCTS[which]
+    head = _tail_start(p, q) // (1 if which == "w" else 2)
+    assert 2 * head > _CHUNK
+    n = head + 10
+    got = product(n, p, q)
+    log_abs, phase, zero_at, near_at, terms = _loop_oracle(n, p, q, denominator)
+    assert (got.zero_factor_at, got.near_zero_at, got.terms) == (zero_at, near_at, terms)
+    assert abs(got.log_abs - log_abs) <= 1e-13 * max(1.0, abs(log_abs))
+    if isinstance(p, float):
+        assert got.phase_or_sign == phase
+    else:
+        assert abs(got.phase_or_sign - phase) <= 1e-13 * max(1.0, abs(phase))
+
+
+def test_parameters_at_the_edge_of_the_double_range():
+    # the damping terms sum past the largest double: an infinite log, not an OverflowError
+    assert w_product(100, 4e307, 0).log_abs == -math.inf
+    assert w_product(100, -4e307, 0).log_abs == math.inf
+    assert r_product(100, 4e307j, 0).value == complex(math.inf, math.inf)
+    # 4|p| overflows, so every factor takes the per-factor loop
+    assert w_product(3, 1e308, 0).value == 0
+    for bad in (math.inf, -math.inf, math.nan):
+        for p, q in ((bad, 0), (1, complex(0, bad))):
+            with pytest.raises(ValueError, match="must be finite"):
+                w_product(3, p, q)
 
 
 _bound_part = st.floats(-1e12, 1e12, allow_nan=False)

@@ -260,6 +260,20 @@ class TestClosedForms:
             assert abs(w_closed(40, p, q) / ref - 1) <= 1e-12
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: ln_gamma(x),
+    lambda x: digamma(complex(1, x)),
+    lambda x: w_inf(x, 0),
+    lambda x: r_inf(0.5, x),
+    lambda x: w_closed(10, complex(x, 1), 0),
+    lambda x: r_closed(10, 1, x),
+], ids=["ln_gamma", "digamma", "w_inf", "r_inf", "w_closed", "r_closed"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_arguments_rejected(call, x):
+    with pytest.raises(ValueError, match="must be finite"):
+        call(x)
+
+
 def _mp_closed(n, p, q, a, c):
     """The product over d = c (j + a - 1), j <= n, as a gamma ratio in mpmath."""
     p = mp.mpc(p)
