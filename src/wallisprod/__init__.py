@@ -13,15 +13,10 @@ brute-force product evaluation.
 
 from .bernoulli import (
     BernoulliTable,
-    Rational,
     UniPoly,
     bernoulli_number,
     bernoulli_poly,
-    binomial,
-    eval_unipoly,
-    eval_unipoly_complex,
     format_rational,
-    parse_rational,
 )
 from .coeffs import (
     BiPoly,
@@ -30,6 +25,7 @@ from .coeffs import (
     a_poly,
     alpha_beta,
     b_poly,
+    cache_sizes,
     eval_bipoly,
     omega,
     omega_alt,
@@ -65,7 +61,6 @@ from .special import (
     EULER_GAMMA_STR,
     EXP_EULER_GAMMA,
     EXP_EULER_GAMMA_STR,
-    PI_STR,
     PoleError,
     delta,
     digamma,

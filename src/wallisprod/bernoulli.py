@@ -10,8 +10,9 @@ under both conventions, and ``B_{2k+1} = 0`` for ``k >= 1``.
 
 Numbers come from the integer tangent-number recurrence and
 polynomials from their binomial sum; see :class:`BernoulliTable`.
-Everything in this module is exact: values are `fractions.Fraction`
-and polynomial evaluation at a rational point stays rational.
+Everything in this module is exact: values are `fractions.Fraction`,
+and :meth:`UniPoly.evaluate` at a rational point stays rational.  Callers
+that need a polynomial in floating point read its ``coeffs`` themselves.
 """
 
 from __future__ import annotations
@@ -22,21 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "format_rational",
-    "parse_rational",
-    "binomial",
     "UniPoly",
     "BernoulliTable",
     "bernoulli_number",
     "bernoulli_poly",
-    "eval_unipoly",
-    "eval_unipoly_complex",
 ]
-
-# Exact rational substrate.  `fractions.Fraction` already guarantees the
-# canonical form we need: lowest terms, positive denominator, value equality.
-Rational = Fraction
 
 
 def format_rational(x: Fraction) -> str:
@@ -45,18 +37,6 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational` (also accepts decimal strings)."""
-    return Fraction(text.strip())
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k); zero when ``k > n``."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires non-negative arguments")
-    return math.comb(n, k)
 
 
 @dataclass(frozen=True)
@@ -77,28 +57,12 @@ class UniPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def evaluate(self, x: Fraction | int) -> Fraction:
         """Exact Horner evaluation at a rational point."""
         x = Fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def evaluate_complex(self, z: complex) -> complex:
-        """Horner evaluation in double-precision complex arithmetic.
-
-        Raises OverflowError if a coefficient does not fit in a double.
-        """
-        z = complex(z)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + float(c)
         return acc
 
 
@@ -181,13 +145,3 @@ def bernoulli_number(n: int) -> Fraction:
 def bernoulli_poly(n: int) -> UniPoly:
     """Exact Bernoulli polynomial ``B_n(t)`` from the shared table."""
     return _TABLE.polynomial(n)
-
-
-def eval_unipoly(poly: UniPoly, x: Fraction | int) -> Fraction:
-    """Exact value of ``poly`` at the rational point ``x``."""
-    return poly.evaluate(x)
-
-
-def eval_unipoly_complex(poly: UniPoly, z: complex) -> complex:
-    """Double-precision value of ``poly`` at the complex point ``z``."""
-    return poly.evaluate_complex(z)

@@ -280,7 +280,12 @@ def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
         elif target in ("wproduct", "rproduct"):
             p, q = _require_pq(p_text, q_text)
             fn = products.w_product if target == "wproduct" else products.r_product
-            _emit_product(target, fn(n, p, q), fmt)
+            try:
+                result = fn(n, p, q)
+            except ValueError as exc:  # the phase sum leaves the double range
+                click.echo(f"domain error: {exc}", err=True)
+                sys.exit(EXIT_DOMAIN)
+            _emit_product(target, result, fmt)
         elif target in ("wclosed", "rclosed"):
             p, q = _require_pq(p_text, q_text)
             fn = special.w_closed if target == "wclosed" else special.r_closed

@@ -33,13 +33,14 @@ Two kinds of objects live here:
   once.  :func:`cache_sizes` reports how far every coefficient cache has
   grown.
 
-All values are exact `Fraction`s; nothing here touches floating point
-except the complex evaluation helpers.
+All values are exact `Fraction`s.  Floating point enters only where a
+coefficient polynomial is evaluated at a complex point
+(:meth:`BiPoly.evaluate`, :func:`eval_bipoly`).
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 import operator
 import threading
@@ -48,13 +49,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .bernoulli import _TABLE as _BERNOULLI_TABLE
-from .bernoulli import (
-    bernoulli_number,
-    bernoulli_poly,
-    binomial,
-    format_rational,
-    parse_rational,
-)
+from .bernoulli import bernoulli_number, bernoulli_poly, format_rational
 
 __all__ = [
     "BiPoly",
@@ -77,8 +72,10 @@ class BiPoly:
     """Sparse bivariate polynomial ``sum c_ij * p^i * q^j`` over Fractions.
 
     The term map never stores zero coefficients, so two polynomials are
-    equal iff their maps are equal.  Instances are treated as immutable;
-    arithmetic returns new objects.
+    equal iff their maps are equal.  The class holds, evaluates and prints
+    coefficients but does no polynomial arithmetic: each ``a_j``/``b_j`` is
+    written term by term in closed form.  Instances are shared by the
+    coefficient memo, so treat them as immutable.
     """
 
     __slots__ = ("terms",)
@@ -92,71 +89,12 @@ class BiPoly:
                     clean[(int(key[0]), int(key[1]))] = val
         self.terms = clean
 
-    @classmethod
-    def constant(cls, c: Fraction | int) -> "BiPoly":
-        return cls({(0, 0): Fraction(c)})
-
-    @classmethod
-    def var_p(cls) -> "BiPoly":
-        return cls({(1, 0): Fraction(1)})
-
-    @classmethod
-    def var_q(cls) -> "BiPoly":
-        return cls({(0, 1): Fraction(1)})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
         return self.terms == other.terms
 
     __hash__ = None  # mutable dict inside; not hashable
-
-    def __add__(self, other: "BiPoly | Fraction | int") -> "BiPoly":
-        other = _as_bipoly(other)
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + val
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "BiPoly | Fraction | int") -> "BiPoly":
-        return self + (-_as_bipoly(other))
-
-    def __rsub__(self, other: "BiPoly | Fraction | int") -> "BiPoly":
-        return _as_bipoly(other) + (-self)
-
-    def __mul__(self, other: "BiPoly | Fraction | int") -> "BiPoly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return BiPoly({k: v * c for k, v in self.terms.items()})
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, c: Fraction | int) -> "BiPoly":
-        return self * (Fraction(1) / Fraction(c))
-
-    def __pow__(self, exponent: int) -> "BiPoly":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = BiPoly.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def evaluate(self, p: complex, q: complex) -> complex:
         """Double-precision complex value at ``(p, q)``."""
@@ -208,12 +146,6 @@ class BiPoly:
         return f"BiPoly({self})"
 
 
-def _as_bipoly(x: "BiPoly | Fraction | int") -> BiPoly:
-    if isinstance(x, BiPoly):
-        return x
-    return BiPoly.constant(x)
-
-
 # ---------------------------------------------------------------------------
 # Symbolic construction of a_j(p, q) and b_j(p, q)
 # ---------------------------------------------------------------------------
@@ -250,28 +182,17 @@ def _coeff_poly(j: int, c: Fraction) -> BiPoly:
     return BiPoly({key: val for key, val in pair.terms.items() if key[0] + 2 * key[1] > 1})
 
 
-_POLY_LOCK = threading.Lock()
-_A_CACHE: dict[int, BiPoly] = {}
-_B_CACHE: dict[int, BiPoly] = {}
-
-
-def _cached_poly(cache: dict[int, BiPoly], j: int, c: Fraction) -> BiPoly:
-    with _POLY_LOCK:
-        poly = cache.get(j)
-        if poly is None:
-            poly = _coeff_poly(j, c)
-            cache[j] = poly
-        return poly
-
-
+# Each entry depends on j alone, so a memo per family is the whole cache.
+@functools.cache
 def a_poly(j: int) -> BiPoly:
     """Exact correction coefficient of ``1/(n+1)^j`` for ``W_n(p, q)``."""
-    return _cached_poly(_A_CACHE, j, Fraction(1, 2))
+    return _coeff_poly(j, Fraction(1, 2))
 
 
+@functools.cache
 def b_poly(j: int) -> BiPoly:
     """Exact correction coefficient of ``1/(n+1/2)^j`` for ``R_n(p, q)``."""
-    return _cached_poly(_B_CACHE, j, Fraction(1, 4))
+    return _coeff_poly(j, Fraction(1, 4))
 
 
 def eval_bipoly(poly: BiPoly, p: complex, q: complex) -> complex:
@@ -310,18 +231,6 @@ class CoeffSeries:
         else:
             vals = [format_rational(v) for v in self.values]
         return {"family": self.family.value, "order": self.order, "values": vals}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CoeffSeries":
-        family = Family(data["family"])
-        if family is Family.ALPHA_BETA:
-            values = tuple((parse_rational(a), parse_rational(b)) for a, b in data["values"])
-        else:
-            values = tuple(parse_rational(v) for v in data["values"])
-        return cls(family, int(data["order"]), values)
 
     def csv_rows(self) -> list[list[str]]:
         if self.family is Family.ALPHA_BETA:
@@ -450,7 +359,7 @@ def _alpha_beta_level(mu: list[Fraction], pairs: list[tuple[Fraction, Fraction]]
     alpha = mu[2 * level - 2]
     for k in range(1, level):
         ak, bk = pairs[k - 1]
-        alpha -= ak * bk ** (2 * level - 2 * k) * binomial(2 * level - 2, 2 * level - 2 * k)
+        alpha -= ak * bk ** (2 * level - 2 * k) * math.comb(2 * level - 2, 2 * level - 2 * k)
     if alpha == 0:
         raise ZeroDivisionError(
             f"alpha_{level} = 0: the shifted expansion degenerates at level {level}"
@@ -458,18 +367,8 @@ def _alpha_beta_level(mu: list[Fraction], pairs: list[tuple[Fraction, Fraction]]
     acc = mu[2 * level - 1]
     for k in range(1, level):
         ak, bk = pairs[k - 1]
-        acc += ak * bk ** (2 * level - 2 * k + 1) * binomial(2 * level - 1, 2 * level - 2 * k + 1)
+        acc += ak * bk ** (2 * level - 2 * k + 1) * math.comb(2 * level - 1, 2 * level - 2 * k + 1)
     return alpha, -acc / ((2 * level - 1) * alpha)
-
-
-def _alpha_beta_from_mu(mu: list[Fraction], levels: int) -> list[tuple[Fraction, Fraction]]:
-    """The first ``levels`` pairs solved from a given mu list, without the cache."""
-    if len(mu) < 2 * levels:
-        raise ValueError("need mu coefficients up to order 2*levels")
-    pairs: list[tuple[Fraction, Fraction]] = []
-    for _ in range(levels):
-        pairs.append(_alpha_beta_level(mu, pairs))
-    return pairs
 
 
 def _alpha_beta_entries(pairs: list[tuple[Fraction, Fraction]], count: int):
@@ -521,8 +420,8 @@ def cache_sizes() -> dict[str, int]:
     """Entry count of every coefficient cache and of the Bernoulli number table."""
     return {
         "bernoulli": len(_BERNOULLI_TABLE),
-        "a_poly": len(_A_CACHE),
-        "b_poly": len(_B_CACHE),
+        "a_poly": a_poly.cache_info().currsize,
+        "b_poly": b_poly.cache_info().currsize,
         "nu": len(_NU),
         "mu": len(_MU),
         "alpha_beta": len(_ALPHA_BETA),

@@ -42,6 +42,7 @@ cancellation even at ``n = 10^6``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 
@@ -52,7 +53,6 @@ __all__ = [
     "EULER_GAMMA_STR",
     "EXP_EULER_GAMMA",
     "EXP_EULER_GAMMA_STR",
-    "PI_STR",
     "PoleError",
     "ln_gamma",
     "digamma",
@@ -66,11 +66,8 @@ __all__ = [
 ]
 
 # 50-digit literals; downstream comparisons at 1e-13 need the headroom.
-# PI_STR is kept for callers and plays no role in any precision: the exact
-# error kernel computes pi from Machin's formula at the precision it needs.
 EULER_GAMMA_STR = "0.57721566490153286060651209008240243104215933593992"
 EXP_EULER_GAMMA_STR = "1.78107241799019798523650410310717954916964521430343"
-PI_STR = "3.14159265358979323846264338327950288419716939937511"
 
 EULER_GAMMA = float(EULER_GAMMA_STR)
 EXP_EULER_GAMMA = float(EXP_EULER_GAMMA_STR)
@@ -98,9 +95,6 @@ _LNGAMMA_COEFFS = [
 _DIGAMMA_COEFFS = [
     float(bernoulli_number(2 * n) / (2 * n)) for n in range(1, 17)
 ]
-
-# float coefficient lists of B_m(t) for the combined large-n tail
-_BPOLY_FLOAT: dict[int, tuple[float, ...]] = {}
 
 
 class PoleError(ArithmeticError):
@@ -229,12 +223,10 @@ def r_inf(p: complex, q: complex) -> complex:
 # Finite closed forms
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _bpoly_float(m: int) -> tuple[float, ...]:
-    coeffs = _BPOLY_FLOAT.get(m)
-    if coeffs is None:
-        coeffs = tuple(float(c) for c in bernoulli_poly(m).coeffs)
-        _BPOLY_FLOAT[m] = coeffs
-    return coeffs
+    """Float coefficients of ``B_m(t)`` for the combined large-n tail."""
+    return tuple(float(c) for c in bernoulli_poly(m).coeffs)
 
 
 def _stirling_tail(z: complex, a: complex) -> complex:
@@ -272,8 +264,8 @@ def _log_rising(a: complex, n: int) -> complex:
     ratio is a removable 0/0 and the logs are summed directly.
     """
     if _nonpositive_int_near(a) is not None:
-        return complex(math.fsum((cmath.log(a + j)).real for j in range(n)),
-                       math.fsum((cmath.log(a + j)).imag for j in range(n)))
+        logs = [cmath.log(a + j) for j in range(n)]
+        return complex(math.fsum(z.real for z in logs), math.fsum(z.imag for z in logs))
     return ln_gamma(a + n) - ln_gamma(a)
 
 
@@ -332,11 +324,18 @@ def ser_partial(terms: int) -> float:
     """Partial product of Ser's radical representation of ``e^gamma``.
 
     Factor ``m`` is ``(prod_{k=0}^{m} (k+1)^((-1)^(k+1) C(m,k)))^(1/(m+1))``;
-    the binomially weighted exponents grow fast, so each factor is
-    accumulated in log space with exact summation.
+    each factor is accumulated in log space with exact summation.
+
+    Domain: ``1 <= terms <= 17``, where the result is within 1e-12
+    relative; other counts raise ``ValueError``.  The inner sum alternates
+    binomially weighted logs, so the rounding of each ``C(m, k) log(k+1)``
+    is magnified by about ``2^m`` against the tiny result: against a
+    60-digit reference the relative error is 1.5e-14 at 12 terms, 7.1e-13
+    at 17, 1.3e-12 at 18, 6.7e-10 at 30 and 10% at 60, and by 100 terms the
+    accumulated error overflows ``exp``.
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    if not 1 <= terms <= 17:
+        raise ValueError(f"terms must be in 1..17, got {terms}")
     factor_logs = []
     for m in range(1, terms + 1):
         inner = math.fsum(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coeffs, expansions, products, special
-from .bernoulli import bernoulli_number, bernoulli_poly, binomial
+from .bernoulli import bernoulli_number, bernoulli_poly
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
@@ -39,7 +39,7 @@ def _rel(a: complex, b: complex) -> float:
 def suite_bernoulli() -> list[CheckResult]:
     out = []
     ok = all(
-        sum(binomial(n + 1, k) * bernoulli_number(k) for k in range(n + 1)) == 0
+        sum(math.comb(n + 1, k) * bernoulli_number(k) for k in range(n + 1)) == 0
         for n in range(1, 31)
     )
     out.append(_check("bernoulli.recurrence_sum_zero_n<=30", ok))

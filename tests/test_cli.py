@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import wallisprod
 from wallisprod.cli import MAX_ALPHABETA_ORDER, fmt_complex, main, parse_complex_literal
-from wallisprod.coeffs import CoeffSeries, cache_sizes, wallis_nu
+from wallisprod.coeffs import CoeffSeries, Family, cache_sizes, wallis_nu
 
 
 @pytest.fixture()
@@ -82,7 +83,9 @@ class TestCoeffsCommand:
     def test_json_round_trip(self, runner):
         result = invoke(runner, "coeffs", "--family", "nu", "--order", "7",
                         "--format", "json")
-        series = CoeffSeries.from_json_dict(json.loads(result.output))
+        data = json.loads(result.output)
+        values = tuple(map(Fraction, data["values"]))
+        series = CoeffSeries(Family(data["family"]), data["order"], values)
         assert series == wallis_nu(7)
 
     def test_json_rationals_not_decimal(self, runner):
@@ -178,6 +181,13 @@ class TestEvalCommand:
         assert result.exit_code == 2
         assert "not a finite number" in result.output
 
+    def test_huge_parameter_prints_its_log(self, runner):
+        # |q| passes the largest double: the log form is printed, not an OverflowError
+        result = invoke(runner, "eval", "--target", "wproduct", "--n", "3",
+                        "--p", "0", "--q", "1.7e308+1.7e308i")
+        assert result.exit_code == 0
+        assert "log_abs: 2126.63" in result.output
+
     def test_missing_pq_exit_2(self, runner):
         result = runner.invoke(main, ["eval", "--target", "wproduct", "--n", "5"])
         assert result.exit_code == 2
@@ -186,7 +196,10 @@ class TestEvalCommand:
         for argv in (["eval", "--target", "expansion:w", "--n", "50",
                       "--order", "3", "--p", "-2", "--q", "1"],
                      # the truncated nu sum at n = 1 is about 8000: exp overflows
-                     ["eval", "--target", "expansion:nu", "--n", "1", "--order", "25"]):
+                     ["eval", "--target", "expansion:nu", "--n", "1", "--order", "25"],
+                     # the phase sum of the damping terms -Im(p)/j leaves the double range
+                     ["eval", "--target", "rproduct", "--n", "3", "--p", "1e300+1.7e308i",
+                      "--q", "0"]):
             result = runner.invoke(main, argv)
             assert result.exit_code == 3, argv
             assert "domain error" in result.output

@@ -8,14 +8,15 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
+from test_bernoulli import horner
 
 from wallisprod import coeffs
-from wallisprod.bernoulli import bernoulli_number, bernoulli_poly, eval_unipoly_complex
+from wallisprod.bernoulli import bernoulli_number, bernoulli_poly
 from wallisprod.coeffs import (
     BiPoly,
     CoeffSeries,
     Family,
-    _alpha_beta_from_mu,
+    _alpha_beta_level,
     _bernoulli_pair,
     a_poly,
     alpha_beta,
@@ -67,11 +68,11 @@ def generic_a(j: int, params: GenericParams) -> complex:
     if j == 1:
         poly = bernoulli_poly(2)
         b2 = float(bernoulli_number(2))
-        return (lam + eval_unipoly_complex(poly, mu) + eval_unipoly_complex(poly, nu) - 2 * b2) / 2
+        return (lam + horner(poly, mu) + horner(poly, nu) - 2 * b2) / 2
     poly = bernoulli_poly(j + 1)
     bj = float(bernoulli_number(j))
     bj1 = float(bernoulli_number(j + 1))
-    pair = eval_unipoly_complex(poly, mu) + eval_unipoly_complex(poly, nu) - 2 * bj1
+    pair = horner(poly, mu) + horner(poly, nu) - 2 * bj1
     return lam * bj / j + ((-1) ** (j + 1)) * pair / (j * (j + 1))
 
 
@@ -90,6 +91,22 @@ def exp_compose(a, order: int) -> list[Fraction]:
             acc += k * Fraction(a[k - 1]) * b[n - k]
         b.append(acc / n)
     return b[1:]
+
+
+def combine(*parts) -> dict[tuple[int, int], Fraction]:
+    """``sum c f g`` over ``(c, f, g)`` of term maps ``{(i, j): coefficient}``, keys in
+    the order first met (the order of a term-by-term build), zero sums dropped."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for c, f, g in parts:
+        for (i1, j1), c1 in f.items():
+            for (i2, j2), c2 in g.items():
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, 0) + c * c1 * c2
+    return {key: val for key, val in out.items() if val}
+
+
+ONE = {(0, 0): F(1)}
+P_VAR = {(1, 0): F(1)}
 
 
 def d_route_branch(m: int, c: Fraction, sign: int) -> dict[tuple[int, int], Fraction]:
@@ -134,11 +151,11 @@ def coeff_over_pair(pair_route, j: int, c: Fraction, lam_coeff: Fraction) -> BiP
     The ``lam_coeff * p`` head is added in full, so its cancellation against
     the pair's ``p`` term is checked, not assumed.
     """
-    pair = pair_route(j + 1, c) - 2 * bernoulli_number(j + 1)
+    pair = combine((1, pair_route(j + 1, c).terms, ONE), (-2 * bernoulli_number(j + 1), ONE, ONE))
     if j == 1:
-        return (BiPoly.var_p() * lam_coeff + pair) / 2
-    head = BiPoly.var_p() * (lam_coeff * bernoulli_number(j) / j)
-    return head + pair * F((-1) ** (j + 1), j * (j + 1))
+        return BiPoly(combine((lam_coeff / 2, P_VAR, ONE), (F(1, 2), pair, ONE)))
+    return BiPoly(combine((lam_coeff * bernoulli_number(j) / j, P_VAR, ONE),
+                          (F((-1) ** (j + 1), j * (j + 1)), pair, ONE)))
 
 
 def newton_pair(m: int, c: Fraction) -> BiPoly:
@@ -146,44 +163,28 @@ def newton_pair(m: int, c: Fraction) -> BiPoly:
 
     ``s_k = x1^k + x2^k`` obeys ``s_k = P s_(k-1) - Q s_(k-2)`` from ``s_0 = 2``,
     ``s_1 = P`` with ``P = 2c p``, ``Q = 4c^2 q``, and the pair is
-    ``sum_k C(m,k) B_(m-k) s_k``, all in ``BiPoly`` arithmetic.
+    ``sum_k C(m,k) B_(m-k) s_k``, all in term-map arithmetic.
     """
-    P = BiPoly.var_p() * (2 * c)
-    Q = BiPoly.var_q() * (4 * c * c)
-    sums = [BiPoly.constant(2), P]
+    P = {(1, 0): 2 * c}
+    Q = {(0, 1): 4 * c * c}
+    sums = [{(0, 0): F(2)}, P]
     for _ in range(2, m + 1):
-        sums.append(P * sums[-1] - Q * sums[-2])
-    out = BiPoly()
-    for k, coef in enumerate(bernoulli_poly(m).coeffs):
-        if coef:
-            out = out + sums[k] * coef
-    return out
+        sums.append(combine((1, P, sums[-1]), (-1, Q, sums[-2])))
+    coeffs = bernoulli_poly(m).coeffs
+    return BiPoly(combine(*((coef, sums[k], ONE) for k, coef in enumerate(coeffs))))
 
 
 @pytest.fixture()
 def cold_poly_caches():
-    """Empty the a_j/b_j caches for one test and put their entries back after it."""
-    saved = {name: dict(getattr(coeffs, name)) for name in ("_A_CACHE", "_B_CACHE")}
-    for name in saved:
-        getattr(coeffs, name).clear()
-    try:
-        yield
-    finally:
-        for name, values in saved.items():
-            getattr(coeffs, name).clear()
-            getattr(coeffs, name).update(values)
+    """Empty the a_j/b_j memos for one test; later calls rebuild what they ask for."""
+    a_poly.cache_clear()
+    b_poly.cache_clear()
 
 
 class TestBiPoly:
-    def test_algebra(self):
-        p = BiPoly.var_p()
-        q = BiPoly.var_q()
-        poly = (p + q) * (p - q)
-        assert poly == p**2 - q**2
-        assert poly.evaluate_exact(F(3), F(2)) == 5
-
     def test_no_zero_terms_stored(self):
-        poly = BiPoly({(1, 0): F(1)}) - BiPoly({(1, 0): F(1)})
+        assert BiPoly({(1, 0): F(0), (0, 1): F(-2)}).terms == {(0, 1): F(-2)}
+        poly = BiPoly({(1, 0): F(0)})
         assert poly.terms == {}
         assert str(poly) == "0"
 
@@ -337,7 +338,7 @@ class TestScalarFamilies:
         # fabricated mu with mu_3 = alpha_1 * beta_1^2 makes alpha_2 = 0
         mu = [F(-1, 4), F(5, 32), F(-1, 4) * F(5, 8) ** 2, F(1, 7)]
         with pytest.raises(ZeroDivisionError):
-            _alpha_beta_from_mu(mu, 2)
+            alpha_beta_from_mu(mu, 2)
 
     def test_omega_values(self):
         assert omega(5).values == OMEGA_5
@@ -356,6 +357,14 @@ class TestScalarFamilies:
         assert wallis_mu(3).values == wallis_mu(11).values[:3]
         assert omega(2).values == omega(8).values[:2]
         assert alpha_beta(2).values == alpha_beta(5).values[:2]
+
+
+def alpha_beta_from_mu(mu: list[Fraction], levels: int) -> list[tuple[Fraction, Fraction]]:
+    """The first ``levels`` pairs solved level by level from a given mu list, without the cache."""
+    pairs: list[tuple[Fraction, Fraction]] = []
+    for _ in range(levels):
+        pairs.append(_alpha_beta_level(mu, pairs))
+    return pairs
 
 
 SERIES_CACHES = ("_NU", "_MU", "_ALPHA_BETA", "_OMEGA", "_OMEGA_ALT")
@@ -414,7 +423,7 @@ SERIES_CASES = [
     ("nu", wallis_nu, "_NU", lambda k: list(nu_raw(k)), (240, 20)),
     ("mu", wallis_mu, "_MU", mu_reference, (240, 20)),
     ("alpha_beta", alpha_beta, "_ALPHA_BETA",
-     lambda k: _alpha_beta_from_mu(mu_reference(2 * k), k), (6, 2)),
+     lambda k: alpha_beta_from_mu(mu_reference(2 * k), k), (6, 2)),
     ("omega", omega, "_OMEGA", lambda k: omega_reference(nu_raw(2 * k), k), (100, 20)),
     ("omega_alt", omega_alt, "_OMEGA_ALT",
      lambda k: omega_alt_reference(nu_raw(2 * k), k), (100, 20)),
@@ -455,14 +464,15 @@ class TestSeriesCache:
             want.append(sum(k * nu[k - 1] * want[n - k] for k in range(1, n + 1)) / n)
         assert list(wallis_mu(8).values) == want[1:]
 
-    def test_cache_sizes_grow(self, cold_series_caches):
+    def test_cache_sizes_grow(self, cold_series_caches, cold_poly_caches):
         before = cache_sizes()
         assert set(before) == {"bernoulli", "a_poly", "b_poly", "nu", "mu", "alpha_beta",
                                "omega", "omega_alt"}
-        assert [before[k] for k in ("nu", "mu", "alpha_beta", "omega", "omega_alt")] == [0] * 5
-        j = 1 + max(coeffs._A_CACHE.keys() | coeffs._B_CACHE.keys(), default=0)
-        a_poly(j)
-        b_poly(j)
+        assert [before[k] for k in ("a_poly", "b_poly", "nu", "mu", "alpha_beta", "omega",
+                                    "omega_alt")] == [0] * 7
+        a_poly(3)
+        a_poly(3)
+        b_poly(3)
         bernoulli_number(before["bernoulli"])
         alpha_beta(3)
         omega(4)
@@ -475,7 +485,7 @@ class TestSeriesCache:
                 after["omega_alt"]) == (10, 6, 3, 4, 5)
 
 
-def test_concurrent_cache_growth(cold_series_caches):
+def test_concurrent_cache_growth(cold_series_caches, cold_poly_caches):
     import sys
     import threading
 
@@ -483,12 +493,15 @@ def test_concurrent_cache_growth(cold_series_caches):
 
     def series():
         return (wallis_mu(24).values, omega(10).values, alpha_beta(6).values,
-                omega_alt(10).values, wallis_nu(30).values)
+                omega_alt(10).values, wallis_nu(30).values,
+                [a_poly(j) for j in range(1, 31)], [b_poly(j) for j in range(1, 31)])
 
     expected = series()  # single-threaded
     sizes = cache_sizes()
     for name in SERIES_CACHES:
         getattr(coeffs, name).clear()
+    a_poly.cache_clear()
+    b_poly.cache_clear()
 
     table = BernoulliTable()
     errors = []
@@ -525,9 +538,11 @@ def test_concurrent_cache_growth(cold_series_caches):
 
 class TestCoeffSeries:
     def test_json_round_trip(self):
+        # the exact strings read back with Fraction, as a consumer of the JSON reads them
         for series in (wallis_nu(5), wallis_mu(4), omega(3), alpha_beta(3)):
-            data = json.loads(series.to_json())
-            assert CoeffSeries.from_json_dict(data) == series
+            data = json.loads(json.dumps(series.to_json_dict()))
+            read = [tuple(map(F, v)) if isinstance(v, list) else F(v) for v in data["values"]]
+            assert CoeffSeries(Family(data["family"]), data["order"], tuple(read)) == series
 
     def test_json_values_are_exact_strings(self):
         data = wallis_nu(3).to_json_dict()

@@ -1,6 +1,7 @@
 """Brute-force product oracles: accumulation quality and diagnostics."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -312,6 +313,35 @@ def test_parameters_at_the_edge_of_the_double_range():
         for p, q in ((bad, 0), (1, complex(0, bad))):
             with pytest.raises(ValueError, match="must be finite"):
                 w_product(3, p, q)
+
+
+_HUGE_PARTS = (0.0, 1.0, -1.0, 1e300, 1.7e308, -1.7e308, 8.9e307)
+
+
+@pytest.mark.parametrize("fn", [w_product, r_product])
+def test_huge_complex_parameters_give_a_log_or_a_phase_error(fn):
+    # abs() of a complex whose modulus passes the largest double raises OverflowError;
+    # the products measure moduli with hypot, and only a phase sum that is not finite fails
+    parts = [complex(x, y) for x in _HUGE_PARTS for y in _HUGE_PARTS]
+    for p, q, n in itertools.product(parts, parts, (3, 50)):
+        try:
+            result = fn(n, p, q)
+        except ValueError as exc:
+            assert "phase" in str(exc) and "leaves the double range" in str(exc), (p, q, n)
+            continue
+        assert isinstance(result, ProductResult) and not math.isnan(result.log_abs), (p, q, n)
+
+
+def test_huge_complex_parameter_values():
+    q = complex(1.7e308, 1.7e308)
+    with mp.workdps(30):
+        want = sum(mp.log(abs(1 + mp.mpc(q) / (j * j))) for j in (1, 2, 3))
+    assert w_product(3, 0, q).log_abs == pytest.approx(float(want), rel=1e-15)
+    # the damping terms send the log to -inf: the value is 0 whatever the phase
+    result = w_product(3, q, 0)
+    assert (result.value, result.log_abs, result.phase_or_sign) == (0j, -math.inf, -math.inf)
+    with pytest.raises(ValueError, match="phase"):
+        r_product(3, complex(1e300, 1.7e308), 0)
 
 
 _bound_part = st.floats(-1e12, 1e12, allow_nan=False)
