@@ -289,7 +289,12 @@ def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
         elif target in ("wclosed", "rclosed"):
             p, q = _require_pq(p_text, q_text)
             fn = special.w_closed if target == "wclosed" else special.r_closed
-            _emit_scalar(target, fn(n, p, q), fmt)
+            try:
+                value = fn(n, p, q)
+            except ValueError as exc:  # the discriminant p^2 - 4q leaves the double range
+                click.echo(f"domain error: {exc}", err=True)
+                sys.exit(EXIT_DOMAIN)
+            _emit_scalar(target, value, fmt)
         elif target.startswith("expansion:"):
             key = target.split(":", 1)[1]
             if key not in _EXPANSION_TAGS:
@@ -309,7 +314,7 @@ def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
                 raise click.UsageError(str(exc)) from exc
             try:
                 report = expansions.family_report(family, n)
-            except OverflowError as exc:  # the truncated sum leaves the double range
+            except (OverflowError, ValueError) as exc:  # a sum or p^2 - 4q leaves the double range
                 click.echo(f"domain error: {target} at n = {n}, order {order}: {exc}", err=True)
                 sys.exit(EXIT_DOMAIN)
             _emit_report(target, family, report, fmt)

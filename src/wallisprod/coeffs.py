@@ -30,8 +30,12 @@ Two kinds of objects live here:
   process: a call extends the family's list by prefix as far as it asks,
   and later calls read it.  The ``mu`` and ``omega`` builds run over
   integer numerators on a common denominator and reduce each new entry
-  once.  :func:`cache_sizes` reports how far every coefficient cache has
-  grown.
+  once.  The ``alpha_beta`` build runs in integers over a factor base
+  (:class:`_FactorBase`): the primes up to ``2l - 1`` and the numerators
+  of the earlier ``alpha_k``, whose products make up every denominator of
+  the family, so its sums cancel whole pieces without a gcd and the
+  ``Fraction`` constructor reduces each new entry once.
+  :func:`cache_sizes` reports how far every coefficient cache has grown.
 
 All values are exact `Fraction`s.  Floating point enters only where a
 coefficient polynomial is evaluated at a complex point
@@ -346,34 +350,146 @@ def wallis_mu(order: int) -> CoeffSeries:
     return CoeffSeries(Family.MU, order, tuple(_grow(_MU, _mu_entries, order)))
 
 
-def _alpha_beta_level(mu: list[Fraction], pairs: list[tuple[Fraction, Fraction]]
-                      ) -> tuple[Fraction, Fraction]:
-    """``(alpha_l, beta_l)``, ``l = len(pairs) + 1``, from ``mu_1 .. mu_2l`` and the earlier pairs.
+class _FactorBase:
+    """Exact rationals as ``n * prod pieces[i] ** e[i]`` with an integer ``n``.
+
+    ``pieces[0]`` is 2 and the next are the odd primes up to a bound (the
+    small pieces); every other piece is a larger factor kept whole, met as
+    the rest of a numerator or a denominator.  A value is a pair ``(n, e)``
+    with ``e`` a dict from piece index to exponent.  The pieces need not be
+    coprime and ``n`` need not be reduced: :meth:`fraction` hands the
+    product to the ``Fraction`` constructor, which reduces it in any case.
+    """
+
+    def __init__(self, bound: int):
+        self.pieces = [2] + [p for p in range(3, bound + 1, 2)
+                             if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+        self.small = len(self.pieces)
+
+    def _take(self, x: int, e: dict, sign: int, stop: int) -> int:
+        # divide pieces[:stop] out of x > 0 as often as each goes, adding sign to e per division
+        twos = (x & -x).bit_length() - 1
+        if twos:
+            x >>= twos
+            e[0] = e.get(0, 0) + sign * twos
+        for i in range(1, stop):
+            if x == 1:
+                break
+            while True:
+                q, r = divmod(x, self.pieces[i])
+                if r:
+                    break
+                x = q
+                e[i] = e.get(i, 0) + sign
+        return x
+
+    def _add_piece(self, x: int, e: dict, sign: int) -> None:
+        if x > 1:
+            self.pieces.append(x)
+            e[len(self.pieces) - 1] = sign
+
+    def divide(self, x: int, e: dict) -> None:
+        """Divide the exponents ``e`` by ``x > 0``; the part no piece divides becomes a piece."""
+        self._add_piece(self._take(x, e, -1, len(self.pieces)), e, -1)
+
+    def read(self, value: Fraction) -> tuple[int, dict]:
+        """``value`` as a pair, its denominator over the pieces."""
+        e: dict = {}
+        self.divide(value.denominator, e)
+        return value.numerator, e
+
+    def reduce(self, n: int, e: dict) -> int:
+        """``n`` less its small pieces, which go into ``e``."""
+        if n == 0:
+            return 0
+        rest = self._take(abs(n), e, 1, self.small)
+        return rest if n > 0 else -rest
+
+    def split(self, n: int, e: dict) -> int:
+        """Sign of ``n != 0``; its small pieces go into ``e`` and the rest becomes a piece."""
+        rest = self.reduce(n, e)
+        self._add_piece(abs(rest), e, 1)
+        return 1 if rest > 0 else -1
+
+    def _scale(self, n: int, e: dict, low: dict) -> int:
+        for i, m in low.items():
+            d = e.get(i, 0) - m
+            if d:
+                n = n << d if i == 0 else n * self.pieces[i] ** d
+        return n
+
+    def add(self, a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
+        """``a + b`` over the exponent-wise minimum of their pieces."""
+        (n1, e1), (n2, e2) = a, b
+        low = {i: min(e1.get(i, 0), e2.get(i, 0)) for i in e1.keys() | e2.keys()}
+        return self._scale(n1, e1, low) + self._scale(n2, e2, low), low
+
+    def fraction(self, n: int, e: dict) -> Fraction:
+        num, den = n, 1
+        for i, x in e.items():
+            if x > 0:
+                num = num << x if i == 0 else num * self.pieces[i] ** x
+            elif x < 0:
+                den = den << -x if i == 0 else den * self.pieces[i] ** -x
+        return Fraction(num, den)
+
+
+def _exponents(e1: dict, e2: dict, k: int) -> dict:
+    # exponents of a * b^k from those of a and b
+    return {i: e1.get(i, 0) + k * e2.get(i, 0) for i in e1.keys() | e2.keys()}
+
+
+def _alpha_beta_levels(mu: list[Fraction], pairs: list[tuple[Fraction, Fraction]], count: int):
+    """Yield ``(alpha_l, beta_l)`` for ``l = len(pairs) + 1 .. count`` from ``mu_1 .. mu_2count``.
 
     Matching the ``1/n^(2l-1)`` and ``1/n^(2l)`` coefficients of
-    ``sum alpha_l / (n + beta_l)^(2l-1)`` against the mu-series gives one
-    linear solve per level; it divides by ``alpha_l``, so a vanishing
-    ``alpha_l`` means the family degenerates at that level.
+    ``sum alpha_l / (n + beta_l)^(2l-1)`` against the mu-series gives
+
+        alpha_l = mu_(2l-1) - sum_(k<l) C(2l-2, 2l-2k) alpha_k beta_k^(2l-2k)
+        beta_l  = -(mu_2l + sum_(k<l) C(2l-1, 2l-2k+1) alpha_k beta_k^(2l-2k+1))
+                  / ((2l-1) alpha_l),
+
+    so a vanishing ``alpha_l`` means the family degenerates at that level.
+    The sums run in integers over a :class:`_FactorBase` of the primes up to
+    ``2 count - 1`` and the numerator of every ``alpha_k`` (less those
+    primes): the denominators of ``alpha_k`` and ``beta_k`` are products of
+    these pieces, so a term ``alpha_k beta_k^m`` is one integer power plus
+    exponent arithmetic, and the ascending-``k`` sum cancels the pieces
+    without a gcd.  The base comes from ``pairs`` when the generator starts;
+    each output is the reduced ``Fraction`` however the pieces fall.
     """
-    level = len(pairs) + 1
-    alpha = mu[2 * level - 2]
-    for k in range(1, level):
-        ak, bk = pairs[k - 1]
-        alpha -= ak * bk ** (2 * level - 2 * k) * math.comb(2 * level - 2, 2 * level - 2 * k)
-    if alpha == 0:
-        raise ZeroDivisionError(
-            f"alpha_{level} = 0: the shifted expansion degenerates at level {level}"
-        )
-    acc = mu[2 * level - 1]
-    for k in range(1, level):
-        ak, bk = pairs[k - 1]
-        acc += ak * bk ** (2 * level - 2 * k + 1) * math.comb(2 * level - 1, 2 * level - 2 * k + 1)
-    return alpha, -acc / ((2 * level - 1) * alpha)
+    base = _FactorBase(2 * count - 1)
+    reps = []  # (sign, exponents) of alpha_k and (integer, exponents) of beta_k
+    for a, b in pairs:
+        num, ea = base.read(a)
+        sign = base.split(num, ea)
+        reps.append((sign, ea, *base.read(b)))
+    for level in range(len(pairs) + 1, count + 1):
+        alpha = base.read(mu[2 * level - 2])
+        acc = base.read(mu[2 * level - 1])
+        for k, (sa, ea, nb, eb) in enumerate(reps, 1):
+            m = 2 * level - 2 * k
+            term = sa * nb**m
+            alpha = base.add(alpha, (-term * math.comb(2 * level - 2, m), _exponents(ea, eb, m)))
+            acc = base.add(acc, (term * nb * math.comb(2 * level - 1, m + 1),
+                                 _exponents(ea, eb, m + 1)))
+        num, ea = alpha
+        if num == 0:
+            raise ZeroDivisionError(
+                f"alpha_{level} = 0: the shifted expansion degenerates at level {level}"
+            )
+        sa = base.split(num, ea)
+        num, eb = acc
+        eb = _exponents(eb, ea, -1)
+        base.divide(2 * level - 1, eb)
+        nb = base.reduce(-sa * num, eb)
+        value = (base.fraction(sa, ea), base.fraction(nb, eb))
+        reps.append((sa, ea, nb, eb))
+        yield value
 
 
 def _alpha_beta_entries(pairs: list[tuple[Fraction, Fraction]], count: int):
-    while len(pairs) < count:
-        yield _alpha_beta_level(_grow(_MU, _mu_entries, 2 * len(pairs) + 2), pairs)
+    return _alpha_beta_levels(_grow(_MU, _mu_entries, 2 * count), pairs, count)
 
 
 def alpha_beta(levels: int) -> CoeffSeries:

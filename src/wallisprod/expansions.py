@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .coeffs import (
-    _alpha_beta_level,
+    _alpha_beta_levels,
     a_poly,
     alpha_beta,
     b_poly,
@@ -164,10 +164,11 @@ def _powers(values, shift) -> list[tuple]:
 def _next_beta(levels: int) -> float:
     """Shift ``beta_{levels+1}`` of the first omitted alpha-beta term, as a float.
 
-    That level is solved from the exact mu series and the cached pairs
-    rounded to 256 bits, so it is never built exactly (level 13 would take
-    seconds).  Where the rounded ``alpha`` is within its rounding bound the
-    level may degenerate, and the shift is 1/2.
+    That level is solved by the alpha-beta kernel from the exact mu series
+    and the cached pairs rounded to 256 bits, so it is never built exactly
+    (an exact level 13 adds about 1.3 s to the 0.2 s of a cold level 12;
+    this takes about 2 ms).  Where the rounded ``alpha`` is within
+    its rounding bound the level may degenerate, and the shift is 1/2.
     """
     pairs = [(Fraction(_scaled(a, 256), 1 << 256), Fraction(_scaled(b, 256), 1 << 256))
              for a, b in alpha_beta(levels).values]
@@ -177,7 +178,8 @@ def _next_beta(levels: int) -> float:
         math.comb(2 * levels, m) * (1 + m * abs(float(a))) * (1 + abs(float(b))) ** m
         for m, (a, b) in zip(range(2 * levels, 0, -2), pairs))
     try:
-        alpha, beta = _alpha_beta_level(list(wallis_mu(2 * levels + 2).values), pairs)
+        alpha, beta = next(_alpha_beta_levels(list(wallis_mu(2 * levels + 2).values),
+                                              pairs, levels + 1))
     except ZeroDivisionError:
         return 0.5
     return 0.5 if abs(alpha) <= slack else float(beta)
@@ -220,9 +222,9 @@ _FAMILIES: dict[ExpansionTag, _Spec] = {
     ExpansionTag.WALLIS_NU_EXP: _Spec(
         lambda k, _: _powers(wallis_nu(k).values, 0),
         exp_form=True, oracle=_wallis_oracle, est_shift=lambda k: 0.0),
-    # The alpha-beta rationals triple in bit length per level, and a cold build
-    # costs about 8x more per level: level 12 takes under a second, 13 several
-    # seconds, 14 close to a minute.
+    # The alpha-beta rationals triple in bit length per level: with mu built, a
+    # cold build to level 12 takes about 0.2 s, and level 13 would add 1.3 s and
+    # level 14 about 13 s, nearly all of it the Fraction constructor's gcd.
     ExpansionTag.WALLIS_ALPHA_BETA: _Spec(
         lambda k, _: [(a, b, 2 * l - 1) for l, (a, b) in enumerate(alpha_beta(k).values, start=1)],
         exp_form=False, oracle=_wallis_oracle, est_shift=_next_beta, max_order=12),

@@ -178,8 +178,14 @@ def delta(p: complex, q: complex) -> complex:
 
     Branch cut on the negative real axis: the result has nonnegative
     real part, and nonnegative imaginary part when the real part is 0.
+    Raises ``ValueError`` naming ``p`` and ``q`` when they are finite but
+    ``p^2 - 4q`` leaves the double range (``|p|`` above about 1.3e154).
     """
-    d = complex(p) * complex(p) - 4 * complex(q)
+    p = complex(p)
+    q = complex(q)
+    d = p * p - 4 * q
+    if not cmath.isfinite(d) and cmath.isfinite(p) and cmath.isfinite(q):
+        raise ValueError(f"p^2 - 4q leaves the double range at p = {p}, q = {q}")
     if d.imag == 0.0:
         d = complex(d.real, 0.0)  # normalize -0.0 so the cut side is fixed
     return cmath.sqrt(d)

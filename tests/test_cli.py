@@ -205,6 +205,17 @@ class TestEvalCommand:
             assert "domain error" in result.output
             assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("target", ["wclosed", "rclosed", "expansion:w"])
+    @pytest.mark.parametrize("p,q", [("1e200", "0"), ("0", "1.7e308+1.7e308i")])
+    def test_overflowing_discriminant_exit_3(self, runner, target, p, q):
+        # p^2 - 4q leaves the double range for finite p and q
+        result = runner.invoke(main, ["eval", "--target", target, "--n", "3", "--order", "2",
+                                      "--p", p, "--q", q])
+        assert result.exit_code == 3
+        assert "domain error" in result.output
+        assert "leaves the double range at p = " in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("family,order", [("elezovic", "7"), ("mu", "0"), ("w", "0")])
     def test_order_out_of_range_exit_2(self, runner, family, order):
         result = runner.invoke(main, ["eval", "--target", f"expansion:{family}", "--n", "50",

@@ -8,6 +8,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_bernoulli import horner
 
 from wallisprod import coeffs
@@ -16,7 +18,7 @@ from wallisprod.coeffs import (
     BiPoly,
     CoeffSeries,
     Family,
-    _alpha_beta_level,
+    _alpha_beta_levels,
     _bernoulli_pair,
     a_poly,
     alpha_beta,
@@ -336,9 +338,11 @@ class TestScalarFamilies:
 
     def test_alpha_beta_degenerate_level_raises(self):
         # fabricated mu with mu_3 = alpha_1 * beta_1^2 makes alpha_2 = 0
-        mu = [F(-1, 4), F(5, 32), F(-1, 4) * F(5, 8) ** 2, F(1, 7)]
+        mu = (F(-1, 4), F(5, 32), F(-1, 4) * F(5, 8) ** 2, F(1, 7))
         with pytest.raises(ZeroDivisionError):
             alpha_beta_from_mu(mu, 2)
+        with pytest.raises(ZeroDivisionError):
+            list(_alpha_beta_levels(mu, [], 2))
 
     def test_omega_values(self):
         assert omega(5).values == OMEGA_5
@@ -359,12 +363,117 @@ class TestScalarFamilies:
         assert alpha_beta(2).values == alpha_beta(5).values[:2]
 
 
-def alpha_beta_from_mu(mu: list[Fraction], levels: int) -> list[tuple[Fraction, Fraction]]:
-    """The first ``levels`` pairs solved level by level from a given mu list, without the cache."""
+def alpha_beta_level(mu, pairs) -> tuple[Fraction, Fraction]:
+    """``(alpha_l, beta_l)``, ``l = len(pairs) + 1``, from ``mu_1 .. mu_2l`` and the earlier pairs.
+
+    The ``Fraction`` recurrence, the oracle of the library's factor-base
+    kernel: matching the ``1/n^(2l-1)`` and ``1/n^(2l)`` coefficients of
+    ``sum alpha_l / (n + beta_l)^(2l-1)`` against the mu-series gives one
+    linear solve per level, which divides by ``alpha_l``.
+    """
+    level = len(pairs) + 1
+    alpha = mu[2 * level - 2]
+    for k in range(1, level):
+        ak, bk = pairs[k - 1]
+        alpha -= ak * bk ** (2 * level - 2 * k) * math.comb(2 * level - 2, 2 * level - 2 * k)
+    if alpha == 0:
+        raise ZeroDivisionError(
+            f"alpha_{level} = 0: the shifted expansion degenerates at level {level}"
+        )
+    acc = mu[2 * level - 1]
+    for k in range(1, level):
+        ak, bk = pairs[k - 1]
+        acc += ak * bk ** (2 * level - 2 * k + 1) * math.comb(2 * level - 1, 2 * level - 2 * k + 1)
+    return alpha, -acc / ((2 * level - 1) * alpha)
+
+
+@functools.cache
+def alpha_beta_from_mu(mu: tuple, levels: int) -> tuple:
+    """The first ``levels`` pairs solved by the oracle from a given mu, once per session."""
     pairs: list[tuple[Fraction, Fraction]] = []
     for _ in range(levels):
-        pairs.append(_alpha_beta_level(mu, pairs))
-    return pairs
+        pairs.append(alpha_beta_level(mu, pairs))
+    return tuple(pairs)
+
+
+def without_2_3(x: int) -> tuple[int, int, int]:
+    """``(r, i, j)`` with ``x = 2^i 3^j r`` and ``r`` prime to 6."""
+    i = j = 0
+    while x % 2 == 0:
+        x, i = x // 2, i + 1
+    while x % 3 == 0:
+        x, j = x // 3, j + 1
+    return x, i, j
+
+
+# a mu entry: small or composite denominators, prime ones past the kernel's
+# small primes (7, 1001 = 7 11 13), signs of both kinds, zero
+MU_ENTRY = st.builds(F, st.integers(-60, 60), st.sampled_from([1, 2, 3, 7, 9, 49, 1001, 3 << 40]))
+# a pair rounded to 256 bits, as _next_beta passes them, or one of small fractions
+DYADIC = st.builds(F, st.integers(-(1 << 258), 1 << 258), st.just(1 << 256))
+SMALL = st.builds(F, st.integers(-40, 40), st.integers(1, 30))
+PAIR = st.tuples(DYADIC, DYADIC) | st.tuples(SMALL, SMALL)
+
+
+class TestAlphaBetaKernel:
+    def test_denominator_structure_to_12(self):
+        """With ``P_k = |num alpha_k|`` less its factors 2 and 3, for ``l <= 12``:
+        ``den beta_l = 2^i 3^j prod_(k<=l) P_k``,
+        ``den alpha_l = 2^i 3^j prod_(k<l) P_k^(2(l-k)-1)``, the ``P_k`` are
+        pairwise coprime and ``num alpha_l`` is prime to ``num beta_l``.
+
+        The factor-base kernel's speed rests on this structure: its sums
+        then cancel whole pieces, and the ``Fraction`` constructor finds
+        nothing left to reduce.  Its correctness does not: the constructor
+        reduces whatever the pieces are (see the Hypothesis test below).
+        """
+        pairs = alpha_beta(12).values
+        pieces = [without_2_3(abs(a.numerator))[0] for a, _ in pairs]
+        beta_cofactors, alpha_cofactors = [], []
+        for level, (a, b) in enumerate(pairs, 1):
+            quotient, rest = divmod(b.denominator, math.prod(pieces[:level]))
+            assert rest == 0
+            beta_cofactors.append(without_2_3(quotient))
+            quotient, rest = divmod(a.denominator, math.prod(
+                pieces[k - 1] ** (2 * (level - k) - 1) for k in range(1, level)))
+            assert rest == 0
+            alpha_cofactors.append(without_2_3(quotient))
+            assert math.gcd(a.numerator, b.numerator) == 1
+        assert beta_cofactors == [(1, 3, 0), (1, 2, 1), (1, 3, 2)] + [
+            (1, 7, j) for j in range(3, 12)]
+        assert alpha_cofactors == [(1, i, j) for i, j in (
+            (2, 0), (8, 0), (14, 0), (16, 3), (28, 9), (43, 15), (56, 24), (72, 36),
+            (83, 49), (98, 63), (111, 81), (128, 100))]
+        assert all(math.gcd(x, y) == 1 for i, x in enumerate(pieces) for y in pieces[:i])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_kernel_equals_oracle(self, data):
+        # random mu and cached pairs, optionally made to degenerate at one level:
+        # the kernel yields the oracle's pairs and raises where the oracle does
+        count = data.draw(st.integers(1, 5), label="count")
+        pairs = data.draw(st.lists(PAIR.filter(lambda ab: ab[0] != 0), max_size=count - 1),
+                          label="pairs")
+        mu = data.draw(st.lists(MU_ENTRY, min_size=2 * count, max_size=2 * count), label="mu")
+        vanish = data.draw(st.none() | st.integers(len(pairs) + 1, count), label="vanish")
+        want = list(pairs)
+        for level in range(len(pairs) + 1, count + 1):
+            if level == vanish:  # mu_(2l-1) equal to the sum it meets, so alpha_l = 0
+                mu[2 * level - 2] = sum(a * b ** (2 * level - 2 * k) * math.comb(
+                    2 * level - 2, 2 * level - 2 * k) for k, (a, b) in enumerate(want, 1))
+            try:
+                want.append(alpha_beta_level(mu, want))
+            except ZeroDivisionError:
+                break
+        got = list(pairs)
+        levels = _alpha_beta_levels(mu, pairs, count)
+        if len(want) < count:
+            with pytest.raises(ZeroDivisionError, match=f"alpha_{len(want) + 1} = 0"):
+                got.extend(levels)
+        else:
+            got.extend(levels)
+        assert got == want
+        assert all(type(x) is Fraction for pair in got for x in pair)
 
 
 SERIES_CACHES = ("_NU", "_MU", "_ALPHA_BETA", "_OMEGA", "_OMEGA_ALT")
@@ -423,7 +532,7 @@ SERIES_CASES = [
     ("nu", wallis_nu, "_NU", lambda k: list(nu_raw(k)), (240, 20)),
     ("mu", wallis_mu, "_MU", mu_reference, (240, 20)),
     ("alpha_beta", alpha_beta, "_ALPHA_BETA",
-     lambda k: alpha_beta_from_mu(mu_reference(2 * k), k), (6, 2)),
+     lambda k: list(alpha_beta_from_mu(tuple(mu_reference(2 * k)), k)), (12, 5)),
     ("omega", omega, "_OMEGA", lambda k: omega_reference(nu_raw(2 * k), k), (100, 20)),
     ("omega_alt", omega_alt, "_OMEGA_ALT",
      lambda k: omega_alt_reference(nu_raw(2 * k), k), (100, 20)),

@@ -138,6 +138,18 @@ class TestDelta:
         assert d.real == 0 and d.imag == 2
         assert delta(3, 2).real > 0
 
+    @pytest.mark.parametrize("p,q", [(1e200, 0), (0, complex(1.7e308, 1.7e308)),
+                                     (complex(1e160, 1e160), 1)])
+    def test_overflowing_discriminant_names_the_input(self, p, q):
+        for call in (lambda: delta(p, q), lambda: w_closed(3, p, q), lambda: r_closed(3, p, q),
+                     lambda: w_inf(p, q), lambda: r_inf(p, q)):
+            with pytest.raises(ValueError, match=r"p\^2 - 4q leaves the double range") as info:
+                call()
+            assert f"p = {complex(p)}, q = {complex(q)}" in str(info.value)
+
+    def test_largest_finite_discriminant(self):
+        assert delta(1e154, 0) == 1e154
+
 
 class TestLimits:
     def test_wallis_reciprocal_limit(self):
