@@ -10,10 +10,36 @@ Subcommands:
 * ``verify``     run the built-in identity suites; exit 1 on any failure
 * ``constants``  the classical constants this package revolves around
 
+Each subcommand builds one record, an ordered dict, and ``--format json``
+prints it as one JSON object with these keys:
+
+* ``coeffs``     ``family, order, values``: ``num/den`` strings (nu, mu,
+                 omega), ``[alpha, beta]`` pairs (alphabeta) or polynomial
+                 strings (a, b); with ``--p``/``--q`` the keys are
+                 ``family, order, p, q, values``
+* ``eval``       ``target, value`` (wallis, wclosed, rclosed); the products
+                 add ``log_abs, phase_or_sign, zero_factor_at, terms,
+                 near_zero_at``; an expansion has ``target, family, order, n,
+                 approx, exact, abs_err, rel_err, note``
+* ``verify``     ``suite, passed, failed, checks``, each check with
+                 ``name, passed, detail``
+* ``constants``  one decimal string per constant
+
+A complex value is ``{"re": ..., "im": ...}`` and an exact rational is
+always a ``num/den`` string, never a decimal.  ``--format csv`` derives a table from the record.  A
+record with a list field prints one row per item after an ``index`` column;
+the item's columns are its keys (a dict), ``re,im`` (a complex),
+``alpha,beta`` (an alpha-beta pair) or else ``value``.  Any other record
+prints one header of its keys and one row, where a complex field ``k``
+becomes the columns ``k.re,k.im``.  Floats print with ``repr``, ``None`` as
+an empty cell and booleans as ``true``/``false``.  ``--format plain``, the
+default, prints each command's own lines.
+
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 domain error
-(a gamma pole).  Output goes to stdout, diagnostics to stderr.  Floats
-print with 17 significant digits by default; set ``WALLISPROD_DIGITS``
-to override.  Exact rationals are always printed as ``num/den``.
+(a gamma pole).  Output goes to stdout, diagnostics (``note:``, ``domain
+error:``) to stderr.  Plain output prints floats with 17 significant
+digits; ``WALLISPROD_DIGITS`` overrides that and changes no JSON or CSV
+byte.
 """
 
 from __future__ import annotations
@@ -25,28 +51,19 @@ import math
 import os
 import re
 import sys
+import warnings
+from dataclasses import asdict
 from fractions import Fraction
+from typing import NamedTuple, NoReturn
 
 import click
 
-from . import expansions, products, special, verify
+from . import coeffs, expansions, products, special, verify
 from .bernoulli import format_rational
-from .coeffs import (
-    CoeffSeries,
-    Family,
-    a_poly,
-    alpha_beta,
-    b_poly,
-    eval_bipoly,
-    omega,
-    wallis_mu,
-    wallis_nu,
-)
 from .expansions import ExpansionFamily, ExpansionTag
 from .special import PoleError
 
 EXIT_VERIFY_FAILED = 1
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 MAX_ALPHABETA_ORDER = expansions._FAMILIES[ExpansionTag.WALLIS_ALPHA_BETA].max_order
@@ -117,11 +134,83 @@ def fmt_complex(z: complex) -> str:
     return f"{fmt_float(z.real)}{sign}{fmt_float(abs(z.imag))}i"
 
 
-def _echo_csv(rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    click.echo(buf.getvalue(), nl=False)
+# ---------------------------------------------------------------------------
+# output: one record per command, rendered by _emit
+# ---------------------------------------------------------------------------
+
+class _AlphaBeta(NamedTuple):
+    """One ``(alpha_l, beta_l)`` level; JSON writes it as a 2-element array."""
+
+    alpha: Fraction
+    beta: Fraction
+
+
+def _json_value(value: object) -> object:
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, coeffs.BiPoly):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not part of a record")
+
+
+def _cell(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return str(value)  # a float's str is its repr
+
+
+def _item_columns(item: object) -> dict:
+    if isinstance(item, dict):
+        return item
+    if isinstance(item, complex):
+        return _json_value(item)
+    if isinstance(item, _AlphaBeta):
+        return item._asdict()
+    return {"value": item}
+
+
+def _csv_table(record: dict) -> list[list[str]]:
+    """The CSV rows of ``record``, by the rule in the module docstring."""
+    items = next((v for v in record.values() if isinstance(v, list)), None)
+    if items is not None:
+        rows = [_item_columns(item) for item in items]
+        return [["index", *rows[0]], *([str(k), *map(_cell, row.values())]
+                                       for k, row in enumerate(rows, start=1))]
+    columns = {}
+    for key, value in record.items():
+        if isinstance(value, complex):
+            columns[f"{key}.re"], columns[f"{key}.im"] = value.real, value.imag
+        else:
+            columns[key] = value
+    return [list(columns), [_cell(v) for v in columns.values()]]
+
+
+def _emit(fmt: str, record: dict, plain: list[str]) -> None:
+    """Print ``record`` as JSON or CSV, or the command's own ``plain`` lines."""
+    if fmt == "json":
+        click.echo(json.dumps(record, default=_json_value))
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(_csv_table(record))
+        click.echo(buf.getvalue(), nl=False)
+    else:
+        for line in plain:
+            click.echo(line)
+
+
+def _domain_error(message: str) -> NoReturn:
+    click.echo(f"domain error: {message}", err=True)
+    sys.exit(EXIT_DOMAIN)
+
+
+_FORMAT = click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]),
+                       default="plain")
 
 
 @click.group()
@@ -135,10 +224,10 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 
 _SERIES_BUILDERS = {
-    "nu": wallis_nu,
-    "mu": wallis_mu,
-    "omega": omega,
-    "alphabeta": alpha_beta,
+    "nu": coeffs.wallis_nu,
+    "mu": coeffs.wallis_mu,
+    "omega": coeffs.omega,
+    "alphabeta": coeffs.alpha_beta,
 }
 
 
@@ -150,7 +239,7 @@ _SERIES_BUILDERS = {
               help=f"Number of coefficients (alphabeta: at most {MAX_ALPHABETA_ORDER}).")
 @click.option("--p", "p_text", default=None, help="Complex literal; evaluates a/b at (p, q).")
 @click.option("--q", "q_text", default=None, help="Complex literal; evaluates a/b at (p, q).")
-@click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain")
+@_FORMAT
 @click.option("--signs", is_flag=True, help="Also print the sign pattern (to stderr).")
 def cmd_coeffs(family: str, order: int, p_text: str | None, q_text: str | None,
                fmt: str, signs: bool) -> None:
@@ -168,22 +257,20 @@ def cmd_coeffs(family: str, order: int, p_text: str | None, q_text: str | None,
     if family == "alphabeta":
         _check_alphabeta_order(order)
     if family in ("a", "b"):
-        _emit_poly_family(family, order, p_text, q_text, fmt)
+        _emit(fmt, *_poly_record(family, order, p_text, q_text))
         return
     series = _SERIES_BUILDERS[family](order)
-    if signs:
-        _emit_signs(series)
-    if fmt == "json":
-        click.echo(json.dumps(series.to_json_dict()))
-    elif fmt == "csv":
-        _echo_csv(series.csv_rows())
+    if family == "alphabeta":
+        values = [_AlphaBeta(a, b) for a, b in series.values]
+        plain = [", ".join(f"({format_rational(a)}, {format_rational(b)})" for a, b in values)]
+        leading = [v.alpha for v in values]
     else:
-        if series.family is Family.ALPHA_BETA:
-            click.echo(", ".join(
-                f"({format_rational(a)}, {format_rational(b)})" for a, b in series.values))
-        else:
-            for k, value in enumerate(series.values, start=1):
-                click.echo(f"{k}, {format_rational(value)}")
+        values = leading = list(series.values)
+        plain = [f"{k}, {format_rational(v)}" for k, v in enumerate(values, start=1)]
+    if signs:
+        pattern = " ".join("+" if v > 0 else ("-" if v < 0 else "0") for v in leading)
+        click.echo(f"signs: {pattern}", err=True)
+    _emit(fmt, {"family": series.family.value, "order": series.order, "values": values}, plain)
 
 
 def _check_alphabeta_order(order: int) -> None:
@@ -192,49 +279,18 @@ def _check_alphabeta_order(order: int) -> None:
                                "(its rationals triple in bit length per level)")
 
 
-def _emit_signs(series: CoeffSeries) -> None:
-    if series.family is Family.ALPHA_BETA:
-        pattern = " ".join("+" if a > 0 else "-" for a, _ in series.values)
-    else:
-        pattern = " ".join("+" if v > 0 else ("-" if v < 0 else "0") for v in series.values)
-    click.echo(f"signs: {pattern}", err=True)
-
-
-def _emit_poly_family(family: str, order: int, p_text: str | None, q_text: str | None,
-                      fmt: str) -> None:
-    build = a_poly if family == "a" else b_poly
-    polys = [build(j) for j in range(1, order + 1)]
+def _poly_record(family: str, order: int, p_text: str | None,
+                 q_text: str | None) -> tuple[dict, list[str]]:
     if (p_text is None) != (q_text is None):
         raise click.UsageError("--p and --q must be given together")
+    build = coeffs.a_poly if family == "a" else coeffs.b_poly
+    polys = [build(j) for j in range(1, order + 1)]
     if p_text is None:
-        if fmt == "json":
-            click.echo(json.dumps(
-                {"family": family, "order": order, "values": [str(poly) for poly in polys]}))
-        elif fmt == "csv":
-            _echo_csv([["index", "polynomial"],
-                       *[[str(j), str(poly)] for j, poly in enumerate(polys, start=1)]])
-        else:
-            for poly in polys:
-                click.echo(str(poly))
-        return
-    try:
-        p = parse_complex_literal(p_text)
-        q = parse_complex_literal(q_text)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    values = [eval_bipoly(poly, p, q) for poly in polys]
-    if fmt == "json":
-        click.echo(json.dumps({
-            "family": family, "order": order,
-            "p": {"re": p.real, "im": p.imag}, "q": {"re": q.real, "im": q.imag},
-            "values": [{"re": v.real, "im": v.imag} for v in values],
-        }))
-    elif fmt == "csv":
-        _echo_csv([["index", "re", "im"],
-                   *[[str(j), repr(v.real), repr(v.imag)] for j, v in enumerate(values, start=1)]])
-    else:
-        for j, v in enumerate(values, start=1):
-            click.echo(f"{j}, {fmt_complex(v)}")
+        return {"family": family, "order": order, "values": polys}, [str(f) for f in polys]
+    p, q = _require_pq(p_text, q_text)
+    values = [coeffs.eval_bipoly(poly, p, q) for poly in polys]
+    plain = [f"{j}, {fmt_complex(v)}" for j, v in enumerate(values, start=1)]
+    return {"family": family, "order": order, "p": p, "q": q, "values": values}, plain
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +307,13 @@ _EXPANSION_TAGS = {
     "elezovic": ExpansionTag.ELEZOVIC,
 }
 
+_PQ_TARGETS = {
+    "wproduct": products.w_product,
+    "rproduct": products.r_product,
+    "wclosed": special.w_closed,
+    "rclosed": special.r_closed,
+}
+
 
 @main.command("eval")
 @click.option("--target", required=True,
@@ -260,7 +323,7 @@ _EXPANSION_TAGS = {
 @click.option("--q", "q_text", default=None, help="Complex literal.")
 @click.option("--order", type=int, default=None,
               help=f"Truncation order for expansions (alphabeta: at most {MAX_ALPHABETA_ORDER}).")
-@click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain")
+@_FORMAT
 def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
              order: int | None, fmt: str) -> None:
     """Evaluate a product, a closed form, or a truncated expansion.
@@ -274,55 +337,75 @@ def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
     """
     if n < 1:
         raise click.UsageError("--n must be >= 1")
+    # a library warning (a zero factor of a closed form) becomes a note
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            record, plain = _eval_record(target, n, p_text, q_text, order)
+        except PoleError as exc:
+            _domain_error(str(exc))
+    _emit(fmt, record, plain)
+    notes = [str(w.message) for w in caught]
+    if record.get("note"):
+        notes.append(record["note"])
+    for note in notes:
+        click.echo(f"note: {note}", err=True)
+
+
+def _eval_record(target: str, n: int, p_text: str | None, q_text: str | None,
+                 order: int | None) -> tuple[dict, list[str]]:
+    if target == "wallis":
+        value = complex(products.wallis_seq(n))
+        return {"target": target, "value": value}, [fmt_complex(value)]
+    if target in _PQ_TARGETS:
+        p, q = _require_pq(p_text, q_text)
+        try:
+            result = _PQ_TARGETS[target](n, p, q)
+        except ValueError as exc:  # the phase sum or p^2 - 4q leaves the double range
+            _domain_error(str(exc))
+        if not isinstance(result, products.ProductResult):
+            value = complex(result)
+            return {"target": target, "value": value}, [fmt_complex(value)]
+        return {"target": target, **asdict(result)}, [
+            f"value: {fmt_complex(result.value)}",
+            f"log_abs: {fmt_float(result.log_abs)}",
+            f"phase_or_sign: {fmt_float(result.phase_or_sign)}",
+            f"zero_factor_at: {result.zero_factor_at}",
+            f"near_zero_at: {result.near_zero_at}",
+            f"terms: {result.terms}",
+        ]
+    if not target.startswith("expansion:"):
+        raise click.UsageError(f"unknown target {target!r}")
+    key = target.split(":", 1)[1]
+    if key not in _EXPANSION_TAGS:
+        raise click.UsageError(
+            f"unknown expansion family {key!r} (choose from {sorted(_EXPANSION_TAGS)})")
+    tag = _EXPANSION_TAGS[key]
+    if order is None:
+        raise click.UsageError("--order is required for expansion targets")
+    if key == "alphabeta":
+        _check_alphabeta_order(order)
+    params = None
+    if expansions._FAMILIES[tag].needs_params:
+        params = _require_pq(p_text, q_text)
     try:
-        if target == "wallis":
-            _emit_scalar("wallis", products.wallis_seq(n), fmt)
-        elif target in ("wproduct", "rproduct"):
-            p, q = _require_pq(p_text, q_text)
-            fn = products.w_product if target == "wproduct" else products.r_product
-            try:
-                result = fn(n, p, q)
-            except ValueError as exc:  # the phase sum leaves the double range
-                click.echo(f"domain error: {exc}", err=True)
-                sys.exit(EXIT_DOMAIN)
-            _emit_product(target, result, fmt)
-        elif target in ("wclosed", "rclosed"):
-            p, q = _require_pq(p_text, q_text)
-            fn = special.w_closed if target == "wclosed" else special.r_closed
-            try:
-                value = fn(n, p, q)
-            except ValueError as exc:  # the discriminant p^2 - 4q leaves the double range
-                click.echo(f"domain error: {exc}", err=True)
-                sys.exit(EXIT_DOMAIN)
-            _emit_scalar(target, value, fmt)
-        elif target.startswith("expansion:"):
-            key = target.split(":", 1)[1]
-            if key not in _EXPANSION_TAGS:
-                raise click.UsageError(
-                    f"unknown expansion family {key!r} (choose from {sorted(_EXPANSION_TAGS)})")
-            tag = _EXPANSION_TAGS[key]
-            if order is None:
-                raise click.UsageError("--order is required for expansion targets")
-            if key == "alphabeta":
-                _check_alphabeta_order(order)
-            params = None
-            if expansions._FAMILIES[tag].needs_params:
-                params = _require_pq(p_text, q_text)
-            try:
-                family = ExpansionFamily(tag, order, params)
-            except ValueError as exc:  # an order outside the family's range
-                raise click.UsageError(str(exc)) from exc
-            try:
-                report = expansions.family_report(family, n)
-            except (OverflowError, ValueError) as exc:  # a sum or p^2 - 4q leaves the double range
-                click.echo(f"domain error: {target} at n = {n}, order {order}: {exc}", err=True)
-                sys.exit(EXIT_DOMAIN)
-            _emit_report(target, family, report, fmt)
-        else:
-            raise click.UsageError(f"unknown target {target!r}")
-    except PoleError as exc:
-        click.echo(f"domain error: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN)
+        family = ExpansionFamily(tag, order, params)
+    except ValueError as exc:  # an order outside the family's range
+        raise click.UsageError(str(exc)) from exc
+    try:
+        report = expansions.family_report(family, n)
+    except (OverflowError, ValueError) as exc:  # a sum or p^2 - 4q leaves the double range
+        _domain_error(f"{target} at n = {n}, order {order}: {exc}")
+    record = {"target": target, "family": tag.value, "order": order, **asdict(report)}
+    return record, [
+        f"family: {tag.value}",
+        f"order: {order}",
+        f"n: {report.n}",
+        f"approx: {fmt_complex(report.approx)}",
+        f"exact: {fmt_complex(report.exact)}",
+        f"abs_err: {fmt_float(report.abs_err)}",
+        "rel_err: " + ("n/a" if report.rel_err is None else fmt_float(report.rel_err)),
+    ]
 
 
 def _require_pq(p_text: str | None, q_text: str | None) -> tuple[complex, complex]:
@@ -334,89 +417,22 @@ def _require_pq(p_text: str | None, q_text: str | None) -> tuple[complex, comple
         raise click.UsageError(str(exc)) from exc
 
 
-def _emit_scalar(name: str, value: complex, fmt: str) -> None:
-    value = complex(value)
-    if fmt == "json":
-        click.echo(json.dumps({"target": name, "value": {"re": value.real, "im": value.imag}}))
-    elif fmt == "csv":
-        _echo_csv([["target", "re", "im"], [name, repr(value.real), repr(value.imag)]])
-    else:
-        click.echo(fmt_complex(value))
-
-
-def _emit_product(name: str, result: products.ProductResult, fmt: str) -> None:
-    if fmt == "json":
-        click.echo(json.dumps({"target": name, **result.to_json_dict()}))
-    elif fmt == "csv":
-        _echo_csv([
-            ["target", "re", "im", "log_abs", "phase_or_sign", "zero_factor_at", "terms"],
-            [name, repr(result.value.real), repr(result.value.imag), repr(result.log_abs),
-             repr(result.phase_or_sign),
-             "" if result.zero_factor_at is None else str(result.zero_factor_at),
-             str(result.terms)],
-        ])
-    else:
-        click.echo(f"value: {fmt_complex(result.value)}")
-        click.echo(f"log_abs: {fmt_float(result.log_abs)}")
-        click.echo(f"phase_or_sign: {fmt_float(result.phase_or_sign)}")
-        click.echo(f"zero_factor_at: {result.zero_factor_at}")
-        click.echo(f"terms: {result.terms}")
-
-
-def _emit_report(name: str, family: ExpansionFamily, report, fmt: str) -> None:
-    if fmt == "json":
-        click.echo(json.dumps({
-            "target": name, "family": family.tag.value, "order": family.order,
-            **report.to_json_dict(),
-        }))
-    elif fmt == "csv":
-        _echo_csv([
-            ["family", "order", "n", "approx", "exact", "abs_err", "rel_err", "est_order"],
-            [family.tag.value, str(family.order), str(report.n),
-             fmt_complex(report.approx), fmt_complex(report.exact),
-             repr(report.abs_err),
-             "" if report.rel_err is None else repr(report.rel_err), ""],
-        ])
-    else:
-        click.echo(f"family: {family.tag.value}")
-        click.echo(f"order: {family.order}")
-        click.echo(f"n: {report.n}")
-        click.echo(f"approx: {fmt_complex(report.approx)}")
-        click.echo(f"exact: {fmt_complex(report.exact)}")
-        click.echo(f"abs_err: {fmt_float(report.abs_err)}")
-        click.echo("rel_err: " + ("n/a" if report.rel_err is None else fmt_float(report.rel_err)))
-        if report.note:
-            click.echo(f"note: {report.note}", err=True)
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
 @main.command("verify")
 @click.option("--suite", required=True, type=click.Choice(list(verify.SUITE_NAMES)))
-@click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain")
+@_FORMAT
 def cmd_verify(suite: str, fmt: str) -> None:
     """Run an identity suite; exit 0 iff every check passes."""
     results = verify.run_suite(suite)
-    failed = [r for r in results if not r.passed]
-    if fmt == "json":
-        click.echo(json.dumps({
-            "suite": suite,
-            "passed": len(results) - len(failed),
-            "failed": len(failed),
-            "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                       for r in results],
-        }))
-    elif fmt == "csv":
-        _echo_csv([["name", "passed", "detail"],
-                   *[[r.name, str(r.passed).lower(), r.detail] for r in results]])
-    else:
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            suffix = f"  ({r.detail})" if r.detail else ""
-            click.echo(f"{mark} {r.name}{suffix}")
-        click.echo(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    failed = sum(not r.passed for r in results)
+    plain = [("PASS " if r.passed else "FAIL ") + r.name + (f"  ({r.detail})" if r.detail else "")
+             for r in results]
+    plain.append(f"{len(results) - failed}/{len(results)} checks passed")
+    _emit(fmt, {"suite": suite, "passed": len(results) - failed, "failed": failed,
+                "checks": [asdict(r) for r in results]}, plain)
     if failed:
         sys.exit(EXIT_VERIFY_FAILED)
 
@@ -426,26 +442,22 @@ def cmd_verify(suite: str, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 @main.command("constants")
-@click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain")
+@_FORMAT
 def cmd_constants(fmt: str) -> None:
     """Print the classical constants (gamma to 40+ digits)."""
     eg = special.EXP_EULER_GAMMA
-    entries = [
-        ("euler_gamma", special.EULER_GAMMA_STR),
-        ("exp_euler_gamma", special.EXP_EULER_GAMMA_STR),
-        ("pi_over_2", fmt_float(math.pi / 2)),
-        ("wilf", fmt_float(special.wilf_constant())),
-        ("two_over_pi", fmt_float(2 / math.pi)),
-        ("neg_two_exp_gamma", fmt_float(-2 * eg)),
-        ("half_exp_neg_gamma", fmt_float(1 / (2 * eg))),
-    ]
-    if fmt == "json":
-        click.echo(json.dumps(dict(entries)))
-    elif fmt == "csv":
-        _echo_csv([["name", "value"], *[[k, v] for k, v in entries]])
-    else:
-        for key, value in entries:
-            click.echo(f"{key} = {value}")
+    exact = {"euler_gamma": special.EULER_GAMMA_STR,
+             "exp_euler_gamma": special.EXP_EULER_GAMMA_STR}
+    floats = {
+        "pi_over_2": math.pi / 2,
+        "wilf": special.wilf_constant(),
+        "two_over_pi": 2 / math.pi,
+        "neg_two_exp_gamma": -2 * eg,
+        "half_exp_neg_gamma": 1 / (2 * eg),
+    }
+    record = {**exact, **{k: f"{x:.17g}" for k, x in floats.items()}}
+    shown = {**exact, **{k: fmt_float(x) for k, x in floats.items()}}
+    _emit(fmt, record, [f"{k} = {v}" for k, v in shown.items()])
 
 
 if __name__ == "__main__":

@@ -229,23 +229,6 @@ class CoeffSeries:
         if len(self.values) != self.order:
             raise ValueError("value count must equal the order")
 
-    def to_json_dict(self) -> dict:
-        if self.family is Family.ALPHA_BETA:
-            vals = [[format_rational(a), format_rational(b)] for a, b in self.values]
-        else:
-            vals = [format_rational(v) for v in self.values]
-        return {"family": self.family.value, "order": self.order, "values": vals}
-
-    def csv_rows(self) -> list[list[str]]:
-        if self.family is Family.ALPHA_BETA:
-            header = ["index", "alpha", "beta"]
-            rows = [[str(k + 1), format_rational(a), format_rational(b)]
-                    for k, (a, b) in enumerate(self.values)]
-        else:
-            header = ["index", "value"]
-            rows = [[str(k + 1), format_rational(v)] for k, v in enumerate(self.values)]
-        return [header, *rows]
-
 
 def _nu_closed(j: int) -> Fraction:
     # reduced closed form: only B_{j+1} and powers of two appear

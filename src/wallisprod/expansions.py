@@ -36,7 +36,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -116,10 +116,6 @@ class ErrorReport:
     abs_err: float
     rel_err: float | None
     note: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "approx": {"re": self.approx.real, "im": self.approx.imag},
-                "exact": {"re": self.exact.real, "im": self.exact.imag}}
 
 
 def error_report(n: int, approx: complex, exact: complex, note: str | None = None) -> ErrorReport:
@@ -572,9 +568,6 @@ class BoundsReport:
     tight_upper_gap: float  # a bound on |W_n - upper| at tight_upper_n
     alpha: float
     beta: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def check_bounds(n_max: int) -> BoundsReport:

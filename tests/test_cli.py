@@ -1,6 +1,9 @@
 """CLI: golden outputs, serialization round-trips, exit codes."""
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +16,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wallisprod
+from wallisprod import expansions, products, special
 from wallisprod.cli import MAX_ALPHABETA_ORDER, fmt_complex, main, parse_complex_literal
-from wallisprod.coeffs import CoeffSeries, Family, cache_sizes, wallis_nu
+from wallisprod.coeffs import (
+    CoeffSeries,
+    Family,
+    a_poly,
+    alpha_beta,
+    cache_sizes,
+    eval_bipoly,
+    omega,
+    wallis_mu,
+    wallis_nu,
+)
 
 
 @pytest.fixture()
@@ -24,6 +38,19 @@ def runner():
 
 def invoke(runner, *args, env=None):
     return runner.invoke(main, list(args), env=env, catch_exceptions=False)
+
+
+def run_module(*args):
+    """``python -m wallisprod.cli`` in a child that imports the package under test."""
+    src = str(Path(wallisprod.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "wallisprod.cli", *args],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def cx(z):
+    """A complex value as the JSON prints it."""
+    return f'{{"re": {z.real!r}, "im": {z.imag!r}}}'
 
 
 class TestComplexLiterals:
@@ -161,7 +188,8 @@ class TestEvalCommand:
         result = invoke(runner, "eval", "--target", "expansion:mu", "--n", "100",
                         "--order", "4", "--format", "csv")
         header = result.output.splitlines()[0]
-        assert header == "family,order,n,approx,exact,abs_err,rel_err,est_order"
+        assert header == ("target,family,order,n,approx.re,approx.im,exact.re,exact.im,"
+                          "abs_err,rel_err,note")
 
     def test_product_json_fields(self, runner):
         result = invoke(runner, "eval", "--target", "rproduct", "--n", "10",
@@ -233,6 +261,23 @@ class TestEvalCommand:
         assert result.exit_code == 0
         assert "asymptotic regime not reached" in result.output
 
+    def test_zero_factor_note_on_stderr(self, runner):
+        # the library's RuntimeWarning becomes a note, without the CLI's source line
+        args = ["eval", "--target", "wclosed", "--n", "10", "--p", "-2", "--q", "0"]
+        note = "note: W_10((-2+0j), 0j) has a zero factor at j = 2\n"
+        result = invoke(runner, *args)
+        assert (result.exit_code, result.stdout, result.stderr) == (0, "0\n", note)
+        proc = run_module(*args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", note)
+        assert "cli.py" not in proc.stderr
+
+    def test_plain_product_shows_near_zero_at(self, runner):
+        result = invoke(runner, "eval", "--target", "wproduct", "--n", "5", "--p", "1",
+                        "--q", "-5.999999999999999")
+        assert "zero_factor_at: None\nnear_zero_at: 2\nterms: 5\n" in result.stdout
+        result = invoke(runner, "eval", "--target", "wproduct", *PRODUCT_ARGS)
+        assert "zero_factor_at: None\nnear_zero_at: None\nterms: 50\n" in result.stdout
+
 
 class TestVerifyCommand:
     def test_bounds_suite_passes(self, runner):
@@ -282,15 +327,203 @@ class TestConstantsCommand:
         result = invoke(runner, "constants", env={"WALLISPROD_DIGITS": "5"})
         assert "pi_over_2 = 1.5708\n" in result.output
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("args", [
+        ("constants",),
+        ("eval", "--target", "expansion:mu", "--n", "100", "--order", "4"),
+    ])
+    def test_digits_env_leaves_machine_output_alone(self, runner, args, fmt):
+        default = invoke(runner, *args, "--format", fmt).stdout
+        short = invoke(runner, *args, "--format", fmt, env={"WALLISPROD_DIGITS": "5"}).stdout
+        assert short == default
+
 
 def test_console_entry_point_runs():
-    # the child imports the package under test, installed or not
-    src = str(Path(wallisprod.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "wallisprod.cli", "coeffs", "--family", "nu",
-         "--order", "2"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_module("coeffs", "--family", "nu", "--order", "2")
     assert proc.returncode == 0
     assert proc.stdout == "1, -1/4\n2, 1/8\n"
+
+
+class TestCoeffSeriesOutput:
+    """The exact series values as the CLI prints them."""
+
+    def test_json_round_trip(self, runner):
+        # the exact strings read back with Fraction, as a consumer of the JSON reads them
+        for family, build, order in (("nu", wallis_nu, 5), ("mu", wallis_mu, 4),
+                                     ("omega", omega, 3), ("alphabeta", alpha_beta, 3)):
+            result = invoke(runner, "coeffs", "--family", family, "--order", str(order),
+                            "--format", "json")
+            data = json.loads(result.stdout)
+            read = [tuple(map(Fraction, v)) if isinstance(v, list) else Fraction(v)
+                    for v in data["values"]]
+            series = CoeffSeries(Family(data["family"]), data["order"], tuple(read))
+            assert series == build(order)
+
+    def test_json_values_are_exact_strings(self, runner):
+        result = invoke(runner, "coeffs", "--family", "nu", "--order", "3", "--format", "json")
+        data = json.loads(result.stdout)
+        assert data == {"family": "nu", "order": 3, "values": ["-1/4", "1/8", "-5/96"]}
+
+    def test_csv_rows(self, runner):
+        result = invoke(runner, "coeffs", "--family", "alphabeta", "--order", "2",
+                        "--format", "csv")
+        rows = list(csv.reader(io.StringIO(result.stdout)))
+        assert rows[0] == ["index", "alpha", "beta"]
+        assert rows[1] == ["1", "-1/4", "5/8"]
+
+
+P_POINT, Q_POINT = complex(1, 2), complex(0, -0.5)  # the literals 1+2i and -0.5i
+PRODUCT_ARGS = ("--n", "50", "--p", "1+1i", "--q", "0.5-1i")
+
+
+def _product():
+    result = products.w_product(50, complex(1, 1), complex(0.5, -1))
+    assert result.zero_factor_at is None and result.near_zero_at is None
+    return result
+
+
+def _mu_report(n, order):
+    family = expansions.ExpansionFamily(expansions.ExpansionTag.WALLIS_MU, order)
+    return expansions.family_report(family, n)
+
+
+def _constants():
+    eg = special.EXP_EULER_GAMMA
+    floats = {"pi_over_2": math.pi / 2, "wilf": special.wilf_constant(),
+              "two_over_pi": 2 / math.pi, "neg_two_exp_gamma": -2 * eg,
+              "half_exp_neg_gamma": 1 / (2 * eg)}
+    return {"euler_gamma": special.EULER_GAMMA_STR,
+            "exp_euler_gamma": special.EXP_EULER_GAMMA_STR,
+            **{k: f"{x:.17g}" for k, x in floats.items()}}
+
+
+class TestJsonRecords:
+    """Byte-exact JSON, one test per record kind; the values come from the library."""
+
+    @staticmethod
+    def stdout(runner, *args):
+        result = invoke(runner, *args, "--format", "json")
+        assert result.exit_code == 0
+        return result.stdout
+
+    def test_series(self, runner):
+        values = ", ".join(f'"{v}"' for v in wallis_nu(4).values)
+        assert self.stdout(runner, "coeffs", "--family", "nu", "--order", "4") == (
+            f'{{"family": "nu", "order": 4, "values": [{values}]}}\n')
+
+    def test_alpha_beta_pairs(self, runner):
+        pairs = ", ".join(f'["{a}", "{b}"]' for a, b in alpha_beta(3).values)
+        assert self.stdout(runner, "coeffs", "--family", "alphabeta", "--order", "3") == (
+            f'{{"family": "alpha_beta", "order": 3, "values": [{pairs}]}}\n')
+
+    def test_polynomials(self, runner):
+        polys = ", ".join(f'"{a_poly(j)}"' for j in (1, 2, 3))
+        assert self.stdout(runner, "coeffs", "--family", "a", "--order", "3") == (
+            f'{{"family": "a", "order": 3, "values": [{polys}]}}\n')
+
+    def test_polynomials_at_a_point(self, runner):
+        values = ", ".join(cx(eval_bipoly(a_poly(j), P_POINT, Q_POINT)) for j in (1, 2))
+        out = self.stdout(runner, "coeffs", "--family", "a", "--order", "2",
+                          "--p", "1+2i", "--q", "-0.5i")
+        assert out == (f'{{"family": "a", "order": 2, "p": {cx(P_POINT)}, "q": {cx(Q_POINT)}, '
+                       f'"values": [{values}]}}\n')
+
+    def test_wallis(self, runner):
+        value = complex(products.wallis_seq(5))
+        assert self.stdout(runner, "eval", "--target", "wallis", "--n", "5") == (
+            f'{{"target": "wallis", "value": {cx(value)}}}\n')
+
+    def test_wclosed(self, runner):
+        value = special.w_closed(100, complex(1, 0), complex(0.5, 0))
+        out = self.stdout(runner, "eval", "--target", "wclosed", "--n", "100",
+                          "--p", "1", "--q", "0.5")
+        assert out == f'{{"target": "wclosed", "value": {cx(value)}}}\n'
+
+    def test_wproduct(self, runner):
+        r = _product()
+        assert self.stdout(runner, "eval", "--target", "wproduct", *PRODUCT_ARGS) == (
+            f'{{"target": "wproduct", "value": {cx(r.value)}, "log_abs": {r.log_abs!r}, '
+            f'"phase_or_sign": {r.phase_or_sign!r}, "zero_factor_at": null, "terms": 50, '
+            f'"near_zero_at": null}}\n')
+
+    def test_expansion_report(self, runner):
+        rep = _mu_report(100, 4)
+        out = self.stdout(runner, "eval", "--target", "expansion:mu", "--n", "100",
+                          "--order", "4")
+        assert out == (
+            f'{{"target": "expansion:mu", "family": "wallis_mu", "order": 4, "n": 100, '
+            f'"approx": {cx(rep.approx)}, "exact": {cx(rep.exact)}, '
+            f'"abs_err": {rep.abs_err!r}, "rel_err": {rep.rel_err!r}, "note": null}}\n')
+
+    def test_constants(self, runner):
+        fields = ", ".join(f'"{k}": "{v}"' for k, v in _constants().items())
+        assert self.stdout(runner, "constants") == f"{{{fields}}}\n"
+
+    def test_verify_keys_and_rows(self, runner):
+        data = json.loads(self.stdout(runner, "verify", "--suite", "limits"))
+        assert list(data) == ["suite", "passed", "failed", "checks"]
+        assert (data["suite"], data["passed"], data["failed"]) == ("limits", 9, 0)
+        assert len(data["checks"]) == 9
+        for check in data["checks"]:
+            assert list(check) == ["name", "passed", "detail"]
+            assert check["name"].startswith("limits.") and check["passed"] is True
+            assert isinstance(check["detail"], str)
+
+
+class TestCsvShapes:
+    """The CSV table each record kind derives."""
+
+    @staticmethod
+    def stdout(runner, *args):
+        result = invoke(runner, *args, "--format", "csv")
+        assert result.exit_code == 0
+        return result.stdout
+
+    def test_alpha_beta_pairs(self, runner):
+        out = self.stdout(runner, "coeffs", "--family", "alphabeta", "--order", "2")
+        assert out == "index,alpha,beta\n1,-1/4,5/8\n2,3/256,7/12\n"
+
+    def test_polynomials(self, runner):
+        out = self.stdout(runner, "coeffs", "--family", "a", "--order", "2")
+        assert out == f"index,value\n1,{a_poly(1)}\n2,{a_poly(2)}\n"
+
+    def test_polynomials_at_a_point(self, runner):
+        rows = "".join(f"{j},{v.real!r},{v.imag!r}\n" for j, v in
+                       ((j, eval_bipoly(a_poly(j), P_POINT, Q_POINT)) for j in (1, 2)))
+        out = self.stdout(runner, "coeffs", "--family", "a", "--order", "2",
+                          "--p", "1+2i", "--q", "-0.5i")
+        assert out == "index,re,im\n" + rows
+
+    def test_scalar(self, runner):
+        value = products.wallis_seq(5)
+        out = self.stdout(runner, "eval", "--target", "wallis", "--n", "5")
+        assert out == f"target,value.re,value.im\nwallis,{value!r},0.0\n"
+
+    def test_product(self, runner):
+        r = _product()
+        out = self.stdout(runner, "eval", "--target", "wproduct", *PRODUCT_ARGS)
+        assert out == (
+            "target,value.re,value.im,log_abs,phase_or_sign,zero_factor_at,terms,near_zero_at\n"
+            f"wproduct,{r.value.real!r},{r.value.imag!r},{r.log_abs!r},{r.phase_or_sign!r},"
+            ",50,\n")
+
+    def test_report_with_note(self, runner):
+        rep = _mu_report(2, 9)
+        out = self.stdout(runner, "eval", "--target", "expansion:mu", "--n", "2",
+                          "--order", "9")
+        assert out == (
+            "target,family,order,n,approx.re,approx.im,exact.re,exact.im,abs_err,rel_err,note\n"
+            f"expansion:mu,wallis_mu,9,2,{rep.approx.real!r},{rep.approx.imag!r},"
+            f"{rep.exact.real!r},{rep.exact.imag!r},{rep.abs_err!r},{rep.rel_err!r},"
+            "asymptotic regime not reached (n < order)\n")
+
+    def test_verify_rows(self, runner):
+        rows = list(csv.reader(io.StringIO(self.stdout(runner, "verify", "--suite", "limits"))))
+        assert rows[0] == ["index", "name", "passed", "detail"]
+        assert [row[0] for row in rows[1:]] == [str(k) for k in range(1, 10)]
+        assert all(row[1].startswith("limits.") and row[2] == "true" for row in rows[1:])
+
+    def test_constants_one_wide_row(self, runner):
+        fields = _constants()
+        assert self.stdout(runner, "constants") == (
+            ",".join(fields) + "\n" + ",".join(fields.values()) + "\n")

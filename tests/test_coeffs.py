@@ -1,7 +1,6 @@
 """Coefficient engine: exact values, recurrences and symbolic consistency."""
 
 import functools
-import json
 import math
 import random
 from fractions import Fraction
@@ -646,22 +645,6 @@ def test_concurrent_cache_growth(cold_series_caches, cold_poly_caches):
 
 
 class TestCoeffSeries:
-    def test_json_round_trip(self):
-        # the exact strings read back with Fraction, as a consumer of the JSON reads them
-        for series in (wallis_nu(5), wallis_mu(4), omega(3), alpha_beta(3)):
-            data = json.loads(json.dumps(series.to_json_dict()))
-            read = [tuple(map(F, v)) if isinstance(v, list) else F(v) for v in data["values"]]
-            assert CoeffSeries(Family(data["family"]), data["order"], tuple(read)) == series
-
-    def test_json_values_are_exact_strings(self):
-        data = wallis_nu(3).to_json_dict()
-        assert data == {"family": "nu", "order": 3, "values": ["-1/4", "1/8", "-5/96"]}
-
-    def test_csv_rows(self):
-        rows = alpha_beta(2).csv_rows()
-        assert rows[0] == ["index", "alpha", "beta"]
-        assert rows[1] == ["1", "-1/4", "5/8"]
-
     def test_order_validation(self):
         with pytest.raises(ValueError):
             CoeffSeries(Family.NU, 2, (F(1),))
