@@ -240,7 +240,8 @@ _SERIES_BUILDERS = {
 @click.option("--p", "p_text", default=None, help="Complex literal; evaluates a/b at (p, q).")
 @click.option("--q", "q_text", default=None, help="Complex literal; evaluates a/b at (p, q).")
 @_FORMAT
-@click.option("--signs", is_flag=True, help="Also print the sign pattern (to stderr).")
+@click.option("--signs", is_flag=True,
+              help="Also print the sign pattern to stderr (nu, mu, omega, alphabeta).")
 def cmd_coeffs(family: str, order: int, p_text: str | None, q_text: str | None,
                fmt: str, signs: bool) -> None:
     """Print exact expansion coefficients.
@@ -256,6 +257,8 @@ def cmd_coeffs(family: str, order: int, p_text: str | None, q_text: str | None,
         raise click.UsageError("--order must be >= 1")
     if family == "alphabeta":
         _check_alphabeta_order(order)
+    if signs and family not in _SERIES_BUILDERS:
+        raise click.UsageError("--signs applies to the nu, mu, omega and alphabeta families only")
     if family in ("a", "b"):
         _emit(fmt, *_poly_record(family, order, p_text, q_text))
         return

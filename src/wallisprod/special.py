@@ -33,20 +33,25 @@ yields the principal branch everywhere off the cut (the identity
 ``lnGamma(z) = lnGamma(z+m) - sum log(z+k)`` holds exactly there) and
 keeps the relative error a couple of decades below the 1e-13 contract.
 The closed forms are evaluated entirely in log space and exponentiated
-once.  For large ``n`` the three big log-gamma terms are combined
-analytically before any floating point is done (their ``ln z`` parts
-cancel against the digamma term), so no precision is lost to
-cancellation even at ``n = 10^6``.
+once.  Once ``z``, ``z+s`` and ``z+t`` all have real part at least 12,
+each ``lnGamma(z+r) - lnGamma(z)`` is written as
+``(z+r-1/2) log1p(r/z) - r + r ln z`` plus the difference of two Stirling
+tails, and the ``r ln z`` parts cancel against the ``(p/c) ln z`` of the
+digamma term before any floating point is done, so no ``n ln n`` terms are
+formed.  Below that the log-gammas are taken directly.  Against mpmath at
+50 digits, on 200 seeded points with ``n`` log-uniform in 1..10^6 and
+complex ``|p|, |q| <= 10``, the worst relative error of ``W_n`` and
+``R_n`` is 1.9e-14 (1.7e-14 for ``n > 255``).  A factor within ``eps`` of
+zero adds about ``1e-17/eps``, the conditioning of that factor.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
 
-from .bernoulli import bernoulli_number, bernoulli_poly
+from .bernoulli import bernoulli_number
 
 __all__ = [
     "EULER_GAMMA",
@@ -135,13 +140,18 @@ def ln_gamma(z: complex) -> complex:
         log_re.append(term.real)
         log_im.append(term.imag)
     w = z + shift
+    value = (w - 0.5) * cmath.log(w) - w + _HALF_LN_2PI + _lngamma_tail(w)
+    return value - complex(math.fsum(log_re), math.fsum(log_im))
+
+
+def _lngamma_tail(w: complex) -> complex:
+    # sum_k B_2k / (2k (2k-1) w^(2k-1)), the Stirling tail of lnGamma(w) for Re(w) >= _SHIFT_RE
     inv = 1.0 / w
     inv2 = inv * inv
     tail = 0j
     for c in reversed(_LNGAMMA_COEFFS):
         tail = tail * inv2 + c
-    value = (w - 0.5) * cmath.log(w) - w + _HALF_LN_2PI + tail * inv
-    return value - complex(math.fsum(log_re), math.fsum(log_im))
+    return tail * inv
 
 
 def digamma(z: complex) -> complex:
@@ -196,18 +206,33 @@ def wilf_constant() -> float:
     return (math.exp(math.pi / 2) + math.exp(-math.pi / 2)) / (math.pi * EXP_EULER_GAMMA)
 
 
+def _roots(p: complex, q: complex, c: int) -> tuple[complex, complex, complex]:
+    # the scaled roots s, t = (p +- D) / (2c) and p/c
+    d = delta(p, q)
+    return (p + d) / (2 * c), (p - d) / (2 * c), complex(p.real / c, p.imag / c)
+
+
+def _ln_limit(s: complex, t: complex, pc: complex, a: float,
+              psi_a: complex, two_lgamma_a: complex) -> complex:
+    # ln P_inf of the module docstring; a + s and a + t must be off the poles
+    return pc * psi_a + two_lgamma_a - ln_gamma(a + s) - ln_gamma(a + t)
+
+
+def _exp(total: complex, p: complex, q: complex) -> complex:
+    # the one exponentiation of the limits and closed forms: real (p, q) give a real value
+    value = cmath.exp(total)
+    return complex(value.real, 0.0) if p.imag == 0.0 and q.imag == 0.0 else value
+
+
 def _limit(p: complex, q: complex, a: float, c: int,
            psi_a: complex, two_lgamma_a: complex) -> complex:
-    # ln P_inf of the module docstring at offset a and scale c
+    # P_inf at offset a and scale c
     p = complex(p)
     q = complex(q)
-    d = delta(p, q)
-    g1 = a + (p + d) / (2 * c)
-    g2 = a + (p - d) / (2 * c)
-    if _nonpositive_int_near(g1) is not None or _nonpositive_int_near(g2) is not None:
+    s, t, pc = _roots(p, q, c)
+    if _nonpositive_int_near(a + s) is not None or _nonpositive_int_near(a + t) is not None:
         return 0j
-    pc = complex(p.real / c, p.imag / c)
-    return cmath.exp(pc * psi_a + two_lgamma_a - ln_gamma(g1) - ln_gamma(g2))
+    return _exp(_ln_limit(s, t, pc, a, psi_a, two_lgamma_a), p, q)
 
 
 def w_inf(p: complex, q: complex) -> complex:
@@ -229,37 +254,12 @@ def r_inf(p: complex, q: complex) -> complex:
 # Finite closed forms
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _bpoly_float(m: int) -> tuple[float, ...]:
-    """Float coefficients of ``B_m(t)`` for the combined large-n tail."""
-    return tuple(float(c) for c in bernoulli_poly(m).coeffs)
-
-
-def _stirling_tail(z: complex, a: complex) -> complex:
-    """``sum_m (-1)^(m+1) B_{m+1}(a) / (m (m+1) z^m)``, the lnGamma(z+a) tail."""
-    acc = 0j
-    zp = complex(1.0)
-    quiet = 0
-    for m in range(1, 25):
-        zp *= z
-        coeffs = _bpoly_float(m + 1)
-        val = 0j
-        for c in reversed(coeffs):
-            val = val * a + c
-        term = ((-1) ** (m + 1)) * val / ((m * (m + 1)) * zp)
-        acc += term
-        # odd Bernoulli polynomials vanish at a=0: require two quiet terms
-        if abs(term) <= 1e-19 * (1.0 + abs(acc)):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-    return acc
-
-
-# crossover to the analytically combined big-argument path
-_ASYM_MIN_Z = 256.0
+def _log1p(w: complex) -> complex:
+    # principal log(1 + w), without rounding 1 + w when w is small
+    if abs(w) < 0.5:
+        x, y = w.real, w.imag
+        return complex(math.log1p(x * (2.0 + x) + y * y) / 2, math.atan2(y, 1.0 + x))
+    return cmath.log(1 + w)
 
 
 def _log_rising(a: complex, n: int) -> complex:
@@ -282,9 +282,7 @@ def _closed(name: str, n: int, p: complex, q: complex, a: float, c: int,
         raise ValueError("n must be >= 1")
     p = complex(p)
     q = complex(q)
-    d = delta(p, q)
-    s = (p + d) / (2 * c)
-    t = (p - d) / (2 * c)
+    s, t, pc = _roots(p, q, c)
 
     for root in (s, t):
         pole = _nonpositive_int_near(a + root)
@@ -294,17 +292,17 @@ def _closed(name: str, n: int, p: complex, q: complex, a: float, c: int,
             return 0j
 
     z = complex(n + a)
-    pc = complex(p.real / c, p.imag / c)
-    if z.real >= _ASYM_MIN_Z and abs(s) <= z.real / 8 and abs(t) <= z.real / 8:
-        # ln z parts of the three large log-gammas cancel against -(p/c) psi(z)
-        total = (-pc * (_digamma_minus_log(z) - psi_a) + two_lgamma_a
-                 + _stirling_tail(z, s) + _stirling_tail(z, t) - 2 * _stirling_tail(z, 0j)
-                 - ln_gamma(a + s) - ln_gamma(a + t))
-        return cmath.exp(total)
-
-    total = (-pc * (digamma(z) - psi_a) + two_lgamma_a
-             + _log_rising(a + s, n) + _log_rising(a + t, n) - 2 * ln_gamma(z))
-    return cmath.exp(total)
+    if min(z.real, (z + s).real, (z + t).real) >= _SHIFT_RE:
+        # ln P_inf - (p/c) psi(z) + sum_r lnGamma(z + r) - 2 lnGamma(z), where the r ln z parts
+        # of lnGamma(z + r) - lnGamma(z) sum to (p/c) ln z and cancel against psi(z)'s; both
+        # real parts are positive, so log1p(r/z) is the principal ln(z + r) - ln z
+        total = (_ln_limit(s, t, pc, a, psi_a, two_lgamma_a) - pc * _digamma_minus_log(z)
+                 - 2 * _lngamma_tail(z)
+                 + sum((z + r - 0.5) * _log1p(r / z) - r + _lngamma_tail(z + r) for r in (s, t)))
+    else:
+        total = (-pc * (digamma(z) - psi_a) + two_lgamma_a
+                 + _log_rising(a + s, n) + _log_rising(a + t, n) - 2 * ln_gamma(z))
+    return _exp(total, p, q)
 
 
 def w_closed(n: int, p: complex, q: complex) -> complex:
@@ -312,11 +310,10 @@ def w_closed(n: int, p: complex, q: complex) -> complex:
 
     When some factor ``1 + p/j + q/j^2`` vanishes for ``j <= n`` the
     product is exactly zero; a zero is returned and a RuntimeWarning
-    carries the factor index.  Measured against mpmath for
-    ``|p|, |q| <= 10``, the relative error is at most 1.3e-13 on the
-    asymptotic path (``n >= 256``, up to 10^6); on the rising path it is
-    about 2e-13 for ``n <= 60`` (more when a factor is within 1e-2 of
-    zero) and reaches 1.3e-12 at ``n = 235..255``.
+    carries the factor index.  Against mpmath, on 200 seeded points with
+    ``n`` log-uniform in 1..10^6 and complex ``|p|, |q| <= 10``, the worst
+    relative error of this and :func:`r_closed` is 1.9e-14 (1.7e-14 for
+    ``n > 255``); a factor within ``eps`` of zero adds about ``1e-17/eps``.
     """
     return _closed("W", n, p, q, 1, 1, _PSI_ONE, _TWO_LGAMMA_ONE)
 

@@ -158,6 +158,13 @@ class TestCoeffsCommand:
         assert result.exit_code == 0
         assert "signs: - + - + -" in result.output
 
+    @pytest.mark.parametrize("family", ["a", "b"])
+    def test_signs_refused_for_polynomial_families(self, runner, family):
+        result = runner.invoke(main, ["coeffs", "--family", family, "--order", "2", "--signs"])
+        assert result.exit_code == 2
+        assert "Usage:" in result.output
+        assert "--signs applies to the nu, mu, omega and alphabeta families only" in result.output
+
 
 class TestEvalCommand:
     def test_wallis_value(self, runner):

@@ -7,6 +7,8 @@ harmonic sums) are independent of any implementation.
 
 import cmath
 import math
+import random
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -247,14 +249,38 @@ class TestClosedForms:
         ref = w_product(3, -10, 25).value
         assert abs(got / ref - 1) <= 1e-11
 
-    def test_large_n_asymptotic_path(self):
-        # n = 10^6 takes the asymptotic path; n = 200 (z < 256) the rising one
-        for n in (10**6, 200):
-            for p, q in ((1, 0.5), (complex(1, 1), complex(0.5, -1)), (-0.5, 0.125)):
-                for fn, a, c in ((w_closed, 1, 1), (r_closed, mp.mpf(1) / 2, 2)):
-                    got = fn(n, p, q)
-                    ref = complex(_mp_closed(n, p, q, a, c))
-                    assert abs(got / ref - 1) <= 1e-12, (fn.__name__, n, p, q)
+    def test_mpmath_grid(self):
+        # n log-uniform in 1..10^6 with complex p, q in the disk of radius 10; then the
+        # scaled roots -5.5+0.7i and 1.2-0.3i at n = 14..19, where Re(n + a - 5.5) reaches
+        # 12 and the Stirling tails take over from the direct log-gammas (W at 17, R at 18)
+        rng = random.Random(2015)
+        kernels = ((w_closed, 1, 1), (r_closed, mp.mpf(1) / 2, 2))
+        cases = []
+        for _ in range(200):
+            n = round(math.exp(rng.uniform(0.0, math.log(1e6))))
+            p, q = (cmath.rect(10 * rng.random(), rng.uniform(-math.pi, math.pi))
+                    for _ in range(2))
+            cases += [(fn, a, c, n, p, q) for fn, a, c in kernels]
+        s, t = complex(-5.5, 0.7), complex(1.2, -0.3)
+        for n in range(14, 20):
+            cases += [(fn, a, c, n, c * (s + t), c * c * s * t) for fn, a, c in kernels]
+        errors = ((abs(fn(n, p, q) / complex(_mp_closed(n, p, q, a, c)) - 1), fn.__name__, n, p, q)
+                  for fn, a, c, n, p, q in cases)
+        worst = max(errors, key=lambda e: e[0])
+        assert worst[0] <= 1e-13, worst
+
+    def test_real_parameters_give_real_values(self):
+        for p in range(-5, 6):
+            for q in range(-8, 9):
+                assert w_inf(p, q).imag == 0.0 and r_inf(p, q).imag == 0.0, (p, q)
+                for n in (3, 10, 100, 1000):
+                    for fn, oracle in ((w_closed, w_product), (r_closed, r_product)):
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore", RuntimeWarning)  # zero factors
+                            got = fn(n, p, q)
+                        ref = oracle(n, p, q).value
+                        assert got.imag == 0.0, (fn.__name__, n, p, q)
+                        assert abs(got - ref) <= 1e-12 * abs(ref), (fn.__name__, n, p, q)
 
     def test_limit_consistency(self):
         for p, q in ((0, -0.25), (1, 0.5), (2, 2)):
