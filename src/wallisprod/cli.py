@@ -36,10 +36,17 @@ an empty cell and booleans as ``true``/``false``.  ``--format plain``, the
 default, prints each command's own lines.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 domain error
-(a gamma pole).  Output goes to stdout, diagnostics (``note:``, ``domain
-error:``) to stderr.  Plain output prints floats with 17 significant
-digits; ``WALLISPROD_DIGITS`` overrides that and changes no JSON or CSV
-byte.
+(a gamma pole).  ``eval`` refuses, with exit 2, an option its target does
+not read (``--p``/``--q`` for ``wallis`` and the Wallis-sequence
+expansions, ``--order`` outside ``expansion:*``) and, for the targets that
+multiply ``n`` factors one by one, an ``--n`` above ``MAX_BRUTE_FORCE_N``.
+Output goes to stdout, diagnostics (``note:``, ``domain error:``) to
+stderr.  Plain output prints floats with 17 significant digits;
+``WALLISPROD_DIGITS`` overrides that and changes no JSON or CSV byte.
+
+The module imports no library module at its top: each subcommand imports
+what it uses, so ``wallisprod --help`` loads only ``click``, and ``eval
+--target wallis`` only ``products``.
 """
 
 from __future__ import annotations
@@ -58,15 +65,15 @@ from typing import NamedTuple, NoReturn
 
 import click
 
-from . import coeffs, expansions, products, special, verify
-from .bernoulli import format_rational
-from .expansions import ExpansionFamily, ExpansionTag
-from .special import PoleError
+from . import __version__
 
 EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 3
 
-MAX_ALPHABETA_ORDER = expansions._FAMILIES[ExpansionTag.WALLIS_ALPHA_BETA].max_order
+# coeffs.MAX_ALPHA_BETA_ORDER, written out so that the --help texts import nothing
+MAX_ALPHABETA_ORDER = 12
+# wallis, wproduct, rproduct and expansion:* multiply n factors, 130-800 ns each
+MAX_BRUTE_FORCE_N = 10**8
 
 _ATOM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+|/\d+)?"
 _COMPLEX_RE = re.compile(rf"^({_ATOM})?((?:{_ATOM})|[+-])?(i)?$")
@@ -145,13 +152,16 @@ class _AlphaBeta(NamedTuple):
     beta: Fraction
 
 
+def _rational(x: Fraction) -> str:
+    from .bernoulli import format_rational
+    return format_rational(x)
+
+
 def _json_value(value: object) -> object:
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, coeffs.BiPoly):
-        return str(value)
+        return _rational(value)
     raise TypeError(f"{type(value).__name__} is not part of a record")
 
 
@@ -161,7 +171,7 @@ def _cell(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Fraction):
-        return format_rational(value)
+        return _rational(value)
     return str(value)  # a float's str is its repr
 
 
@@ -214,7 +224,7 @@ _FORMAT = click.option("--format", "fmt", type=click.Choice(["plain", "json", "c
 
 
 @click.group()
-@click.version_option(package_name="wallisprod")
+@click.version_option(version=__version__)
 def main() -> None:
     """Exact expansion coefficients and numeric checks for Wallis-type products."""
 
@@ -222,14 +232,6 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 # coeffs
 # ---------------------------------------------------------------------------
-
-_SERIES_BUILDERS = {
-    "nu": coeffs.wallis_nu,
-    "mu": coeffs.wallis_mu,
-    "omega": coeffs.omega,
-    "alphabeta": coeffs.alpha_beta,
-}
-
 
 @main.command("coeffs")
 @click.option("--family", required=True,
@@ -257,19 +259,22 @@ def cmd_coeffs(family: str, order: int, p_text: str | None, q_text: str | None,
         raise click.UsageError("--order must be >= 1")
     if family == "alphabeta":
         _check_alphabeta_order(order)
-    if signs and family not in _SERIES_BUILDERS:
+    if signs and family in ("a", "b"):
         raise click.UsageError("--signs applies to the nu, mu, omega and alphabeta families only")
     if family in ("a", "b"):
         _emit(fmt, *_poly_record(family, order, p_text, q_text))
         return
-    series = _SERIES_BUILDERS[family](order)
+    from . import coeffs
+    build = {"nu": coeffs.wallis_nu, "mu": coeffs.wallis_mu, "omega": coeffs.omega,
+             "alphabeta": coeffs.alpha_beta}[family]
+    series = build(order)
     if family == "alphabeta":
         values = [_AlphaBeta(a, b) for a, b in series.values]
-        plain = [", ".join(f"({format_rational(a)}, {format_rational(b)})" for a, b in values)]
+        plain = [", ".join(f"({_rational(a)}, {_rational(b)})" for a, b in values)]
         leading = [v.alpha for v in values]
     else:
         values = leading = list(series.values)
-        plain = [f"{k}, {format_rational(v)}" for k, v in enumerate(values, start=1)]
+        plain = [f"{k}, {_rational(v)}" for k, v in enumerate(values, start=1)]
     if signs:
         pattern = " ".join("+" if v > 0 else ("-" if v < 0 else "0") for v in leading)
         click.echo(f"signs: {pattern}", err=True)
@@ -286,12 +291,14 @@ def _poly_record(family: str, order: int, p_text: str | None,
                  q_text: str | None) -> tuple[dict, list[str]]:
     if (p_text is None) != (q_text is None):
         raise click.UsageError("--p and --q must be given together")
-    build = coeffs.a_poly if family == "a" else coeffs.b_poly
+    from .coeffs import a_poly, b_poly, eval_bipoly
+    build = a_poly if family == "a" else b_poly
     polys = [build(j) for j in range(1, order + 1)]
     if p_text is None:
-        return {"family": family, "order": order, "values": polys}, [str(f) for f in polys]
+        lines = [str(f) for f in polys]
+        return {"family": family, "order": order, "values": lines}, lines
     p, q = _require_pq(p_text, q_text)
-    values = [coeffs.eval_bipoly(poly, p, q) for poly in polys]
+    values = [eval_bipoly(poly, p, q) for poly in polys]
     plain = [f"{j}, {fmt_complex(v)}" for j, v in enumerate(values, start=1)]
     return {"family": family, "order": order, "p": p, "q": q, "values": values}, plain
 
@@ -300,30 +307,31 @@ def _poly_record(family: str, order: int, p_text: str | None,
 # eval
 # ---------------------------------------------------------------------------
 
+# the ExpansionTag value of each expansion:<family>; w and r take --p and --q
 _EXPANSION_TAGS = {
-    "w": ExpansionTag.W_PQ,
-    "r": ExpansionTag.R_PQ,
-    "mu": ExpansionTag.WALLIS_MU,
-    "nu": ExpansionTag.WALLIS_NU_EXP,
-    "alphabeta": ExpansionTag.WALLIS_ALPHA_BETA,
-    "omega": ExpansionTag.WALLIS_OMEGA,
-    "elezovic": ExpansionTag.ELEZOVIC,
+    "w": "w_pq",
+    "r": "r_pq",
+    "mu": "wallis_mu",
+    "nu": "wallis_nu_exp",
+    "alphabeta": "wallis_alpha_beta",
+    "omega": "wallis_omega",
+    "elezovic": "elezovic",
 }
-
-_PQ_TARGETS = {
-    "wproduct": products.w_product,
-    "rproduct": products.r_product,
-    "wclosed": special.w_closed,
-    "rclosed": special.r_closed,
-}
+_PQ_EXPANSIONS = ("w", "r")
+_PRODUCTS = ("wproduct", "rproduct")
+_CLOSED_FORMS = ("wclosed", "rclosed")
 
 
 @main.command("eval")
 @click.option("--target", required=True,
               help="wproduct | rproduct | wallis | wclosed | rclosed | expansion:<family>")
-@click.option("--n", "n", required=True, type=int)
-@click.option("--p", "p_text", default=None, help="Complex literal.")
-@click.option("--q", "q_text", default=None, help="Complex literal.")
+@click.option("--n", "n", required=True, type=int,
+              help=f"At most {MAX_BRUTE_FORCE_N} for wallis, wproduct, rproduct and "
+                   "expansion:*, which multiply n factors one by one.")
+@click.option("--p", "p_text", default=None,
+              help="Complex literal (wproduct, rproduct, wclosed, rclosed, expansion:w|r).")
+@click.option("--q", "q_text", default=None,
+              help="Complex literal (wproduct, rproduct, wclosed, rclosed, expansion:w|r).")
 @click.option("--order", type=int, default=None,
               help=f"Truncation order for expansions (alphabeta: at most {MAX_ALPHABETA_ORDER}).")
 @_FORMAT
@@ -343,10 +351,7 @@ def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
     # a library warning (a zero factor of a closed form) becomes a note
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            record, plain = _eval_record(target, n, p_text, q_text, order)
-        except PoleError as exc:
-            _domain_error(str(exc))
+        record, plain = _eval_record(target, n, p_text, q_text, order)
     _emit(fmt, record, plain)
     notes = [str(w.message) for w in caught]
     if record.get("note"):
@@ -357,46 +362,68 @@ def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
 
 def _eval_record(target: str, n: int, p_text: str | None, q_text: str | None,
                  order: int | None) -> tuple[dict, list[str]]:
-    if target == "wallis":
-        value = complex(products.wallis_seq(n))
-        return {"target": target, "value": value}, [fmt_complex(value)]
-    if target in _PQ_TARGETS:
-        p, q = _require_pq(p_text, q_text)
-        try:
-            result = _PQ_TARGETS[target](n, p, q)
-        except ValueError as exc:  # the phase sum or p^2 - 4q leaves the double range
-            _domain_error(str(exc))
-        if not isinstance(result, products.ProductResult):
-            value = complex(result)
-            return {"target": target, "value": value}, [fmt_complex(value)]
-        return {"target": target, **asdict(result)}, [
-            f"value: {fmt_complex(result.value)}",
-            f"log_abs: {fmt_float(result.log_abs)}",
-            f"phase_or_sign: {fmt_float(result.phase_or_sign)}",
-            f"zero_factor_at: {result.zero_factor_at}",
-            f"near_zero_at: {result.near_zero_at}",
-            f"terms: {result.terms}",
-        ]
-    if not target.startswith("expansion:"):
+    key = target.split(":", 1)[1] if target.startswith("expansion:") else None
+    if key is None and target not in ("wallis", *_PRODUCTS, *_CLOSED_FORMS):
         raise click.UsageError(f"unknown target {target!r}")
-    key = target.split(":", 1)[1]
-    if key not in _EXPANSION_TAGS:
+    if key is not None and key not in _EXPANSION_TAGS:
         raise click.UsageError(
             f"unknown expansion family {key!r} (choose from {sorted(_EXPANSION_TAGS)})")
-    tag = _EXPANSION_TAGS[key]
+    if order is not None and key is None:
+        raise click.UsageError("--order applies to expansion targets only")
+    if n > MAX_BRUTE_FORCE_N and target not in _CLOSED_FORMS:
+        raise click.UsageError(f"--n must be <= {MAX_BRUTE_FORCE_N} for {target}, "
+                               "which multiplies n factors one by one")
+    if key is not None:
+        return _expansion_record(target, key, n, p_text, q_text, order)
+    if target == "wallis":
+        if p_text is not None or q_text is not None:
+            raise click.UsageError("--p and --q do not apply to --target wallis")
+        from .products import wallis_seq
+        value = complex(wallis_seq(n))
+        return {"target": target, "value": value}, [fmt_complex(value)]
+    p, q = _require_pq(p_text, q_text)
+    if target in _CLOSED_FORMS:
+        from .special import PoleError, r_closed, w_closed
+        try:
+            value = complex((w_closed if target == "wclosed" else r_closed)(n, p, q))
+        except (PoleError, ValueError) as exc:  # a gamma pole, or p^2 - 4q leaves the double range
+            _domain_error(str(exc))
+        return {"target": target, "value": value}, [fmt_complex(value)]
+    from .products import r_product, w_product
+    try:
+        result = (w_product if target == "wproduct" else r_product)(n, p, q)
+    except ValueError as exc:  # the phase sum leaves the double range
+        _domain_error(str(exc))
+    return {"target": target, **asdict(result)}, [
+        f"value: {fmt_complex(result.value)}",
+        f"log_abs: {fmt_float(result.log_abs)}",
+        f"phase_or_sign: {fmt_float(result.phase_or_sign)}",
+        f"zero_factor_at: {result.zero_factor_at}",
+        f"near_zero_at: {result.near_zero_at}",
+        f"terms: {result.terms}",
+    ]
+
+
+def _expansion_record(target: str, key: str, n: int, p_text: str | None, q_text: str | None,
+                      order: int | None) -> tuple[dict, list[str]]:
     if order is None:
         raise click.UsageError("--order is required for expansion targets")
     if key == "alphabeta":
         _check_alphabeta_order(order)
-    params = None
-    if expansions._FAMILIES[tag].needs_params:
-        params = _require_pq(p_text, q_text)
+    from .expansions import ExpansionFamily, ExpansionTag, family_report
+    from .special import PoleError
+    tag = ExpansionTag(_EXPANSION_TAGS[key])
+    params = _require_pq(p_text, q_text) if key in _PQ_EXPANSIONS else None
     try:
         family = ExpansionFamily(tag, order, params)
     except ValueError as exc:  # an order outside the family's range
         raise click.UsageError(str(exc)) from exc
+    if params is None and (p_text is not None or q_text is not None):
+        raise click.UsageError(f"--p and --q do not apply to --target {target}")
     try:
-        report = expansions.family_report(family, n)
+        report = family_report(family, n)
+    except PoleError as exc:
+        _domain_error(str(exc))
     except (OverflowError, ValueError) as exc:  # a sum or p^2 - 4q leaves the double range
         _domain_error(f"{target} at n = {n}, order {order}: {exc}")
     record = {"target": target, "family": tag.value, "order": order, **asdict(report)}
@@ -424,12 +451,17 @@ def _require_pq(p_text: str | None, q_text: str | None) -> tuple[complex, comple
 # verify
 # ---------------------------------------------------------------------------
 
+# verify.SUITE_NAMES, written out so that --help imports nothing
+_SUITE_NAMES = ("bernoulli", "coeffs", "closedforms", "limits", "bounds", "all")
+
+
 @main.command("verify")
-@click.option("--suite", required=True, type=click.Choice(list(verify.SUITE_NAMES)))
+@click.option("--suite", required=True, type=click.Choice(_SUITE_NAMES))
 @_FORMAT
 def cmd_verify(suite: str, fmt: str) -> None:
     """Run an identity suite; exit 0 iff every check passes."""
-    results = verify.run_suite(suite)
+    from .verify import run_suite
+    results = run_suite(suite)
     failed = sum(not r.passed for r in results)
     plain = [("PASS " if r.passed else "FAIL ") + r.name + (f"  ({r.detail})" if r.detail else "")
              for r in results]
@@ -448,6 +480,7 @@ def cmd_verify(suite: str, fmt: str) -> None:
 @_FORMAT
 def cmd_constants(fmt: str) -> None:
     """Print the classical constants (gamma to 40+ digits)."""
+    from . import special
     eg = special.EXP_EULER_GAMMA
     exact = {"euler_gamma": special.EULER_GAMMA_STR,
              "exp_euler_gamma": special.EXP_EULER_GAMMA_STR}

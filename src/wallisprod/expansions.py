@@ -42,6 +42,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .coeffs import (
+    MAX_ALPHA_BETA_ORDER,
     _alpha_beta_levels,
     a_poly,
     alpha_beta,
@@ -218,12 +219,10 @@ _FAMILIES: dict[ExpansionTag, _Spec] = {
     ExpansionTag.WALLIS_NU_EXP: _Spec(
         lambda k, _: _powers(wallis_nu(k).values, 0),
         exp_form=True, oracle=_wallis_oracle, est_shift=lambda k: 0.0),
-    # The alpha-beta rationals triple in bit length per level: with mu built, a
-    # cold build to level 12 takes about 0.2 s, and level 13 would add 1.3 s and
-    # level 14 about 13 s, nearly all of it the Fraction constructor's gcd.
     ExpansionTag.WALLIS_ALPHA_BETA: _Spec(
         lambda k, _: [(a, b, 2 * l - 1) for l, (a, b) in enumerate(alpha_beta(k).values, start=1)],
-        exp_form=False, oracle=_wallis_oracle, est_shift=_next_beta, max_order=12),
+        exp_form=False, oracle=_wallis_oracle, est_shift=_next_beta,
+        max_order=MAX_ALPHA_BETA_ORDER),
     ExpansionTag.WALLIS_OMEGA: _Spec(
         lambda k, _: [(c, _HALF, 2 * l - 1) for l, c in enumerate(omega(k).values, start=1)],
         exp_form=True, oracle=_wallis_oracle, est_shift=lambda k: 0.5),

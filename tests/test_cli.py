@@ -16,8 +16,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wallisprod
-from wallisprod import expansions, products, special
-from wallisprod.cli import MAX_ALPHABETA_ORDER, fmt_complex, main, parse_complex_literal
+from wallisprod import cli, coeffs, expansions, products, special, verify
+from wallisprod.cli import (
+    MAX_ALPHABETA_ORDER,
+    MAX_BRUTE_FORCE_N,
+    fmt_complex,
+    main,
+    parse_complex_literal,
+)
 from wallisprod.coeffs import (
     CoeffSeries,
     Family,
@@ -40,12 +46,20 @@ def invoke(runner, *args, env=None):
     return runner.invoke(main, list(args), env=env, catch_exceptions=False)
 
 
-def run_module(*args):
-    """``python -m wallisprod.cli`` in a child that imports the package under test."""
+def run_python(*args):
+    """A child interpreter that imports the package under test."""
     src = str(Path(wallisprod.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "wallisprod.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_module(*args):
+    """``python -m wallisprod.cli`` in a child that imports the package under test."""
+    return run_python("-m", "wallisprod.cli", *args)
+
+
+PQ = ("--p", "1", "--q", "0.5")
 
 
 def cx(z):
@@ -244,7 +258,8 @@ class TestEvalCommand:
     @pytest.mark.parametrize("p,q", [("1e200", "0"), ("0", "1.7e308+1.7e308i")])
     def test_overflowing_discriminant_exit_3(self, runner, target, p, q):
         # p^2 - 4q leaves the double range for finite p and q
-        result = runner.invoke(main, ["eval", "--target", target, "--n", "3", "--order", "2",
+        order = ["--order", "2"] if target.startswith("expansion:") else []
+        result = runner.invoke(main, ["eval", "--target", target, "--n", "3", *order,
                                       "--p", p, "--q", q])
         assert result.exit_code == 3
         assert "domain error" in result.output
@@ -284,6 +299,56 @@ class TestEvalCommand:
         assert "zero_factor_at: None\nnear_zero_at: 2\nterms: 5\n" in result.stdout
         result = invoke(runner, "eval", "--target", "wproduct", *PRODUCT_ARGS)
         assert "zero_factor_at: None\nnear_zero_at: None\nterms: 50\n" in result.stdout
+
+    @pytest.fixture()
+    def no_work(self, monkeypatch):
+        """Every library entry point ``eval`` calls fails the test if it runs."""
+        def fail(*args):
+            raise AssertionError("the refused command did library work")
+        for module, name in [(products, "wallis_seq"), (products, "w_product"),
+                             (products, "r_product"), (special, "w_closed"),
+                             (special, "r_closed"), (expansions, "family_report")]:
+            monkeypatch.setattr(module, name, fail)
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["--target", "wallis", "--n", "5", "--p", "1"],
+                     "--p and --q do not apply", id="wallis-p"),
+        pytest.param(["--target", "wallis", "--n", "5", "--q", "1"],
+                     "--p and --q do not apply", id="wallis-q"),
+        *(pytest.param(["--target", f"expansion:{k}", "--n", "50", "--order", "2", *PQ],
+                       "--p and --q do not apply", id=f"expansion:{k}-pq")
+          for k in ("mu", "nu", "alphabeta", "omega", "elezovic")),
+        pytest.param(["--target", "wallis", "--n", "5", "--order", "2"],
+                     "--order applies to expansion", id="wallis-order"),
+        *(pytest.param(["--target", t, "--n", "5", "--order", "2", *PQ],
+                       "--order applies to expansion", id=f"{t}-order")
+          for t in ("wproduct", "rproduct", "wclosed", "rclosed")),
+    ])
+    def test_ignored_option_exit_2(self, runner, no_work, argv, message):
+        result = runner.invoke(main, ["eval", *argv])
+        assert result.exit_code == 2
+        assert "Usage:" in result.output
+        assert message in result.output
+
+    @pytest.mark.parametrize("target,extra", [
+        ("wallis", []),
+        ("wproduct", PQ),
+        ("rproduct", PQ),
+        ("expansion:mu", ["--order", "2"]),
+        ("expansion:w", ["--order", "2", *PQ]),
+    ])
+    def test_brute_force_n_cap_exit_2(self, runner, no_work, target, extra):
+        result = runner.invoke(main, ["eval", "--target", target,
+                                      "--n", str(MAX_BRUTE_FORCE_N + 1), *extra])
+        assert result.exit_code == 2
+        assert f"--n must be <= {MAX_BRUTE_FORCE_N} for {target}" in result.output
+
+    def test_brute_force_n_cap_is_inclusive_and_spares_closed_forms(self, runner):
+        assert MAX_BRUTE_FORCE_N == 10**8
+        for n in (MAX_BRUTE_FORCE_N, 10**12):
+            result = invoke(runner, "eval", "--target", "wclosed", "--n", str(n), *PQ)
+            assert result.exit_code == 0
+        assert f"At most {MAX_BRUTE_FORCE_N}" in invoke(runner, "eval", "--help").output
 
 
 class TestVerifyCommand:
@@ -349,6 +414,60 @@ def test_console_entry_point_runs():
     proc = run_module("coeffs", "--family", "nu", "--order", "2")
     assert proc.returncode == 0
     assert proc.stdout == "1, -1/4\n2, 1/8\n"
+
+
+def test_version_from_a_source_checkout():
+    proc = run_module("--version")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.rstrip().endswith("version 0.1.0")
+
+
+def test_tables_written_out_for_import_match_the_library():
+    assert MAX_ALPHABETA_ORDER == coeffs.MAX_ALPHA_BETA_ORDER
+    assert cli._SUITE_NAMES == verify.SUITE_NAMES
+    assert sorted(cli._EXPANSION_TAGS.values()) == sorted(t.value for t in expansions.ExpansionTag)
+    assert {k for k, tag in cli._EXPANSION_TAGS.items()
+            if expansions._FAMILIES[expansions.ExpansionTag(tag)].needs_params} == set(cli._PQ_EXPANSIONS)
+
+
+class TestImportGraph:
+    """The ``wallisprod`` modules a fresh interpreter holds after each command."""
+
+    REPORT = ("\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('wallisprod'))),"
+              " file=sys.stderr)")
+    RUN_CLI = ("from wallisprod.cli import main\n"
+               "try:\n"
+               "    main(sys.argv[1:])\n"
+               "except SystemExit as exc:\n"
+               "    assert not exc.code, exc.code")
+
+    def loaded(self, code, *argv):
+        proc = run_python("-c", "import json, sys\n" + code + self.REPORT, *argv)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stderr.splitlines()[-1])
+
+    def test_package_import_loads_no_submodule(self):
+        assert self.loaded("import wallisprod") == ["wallisprod"]
+
+    def test_cli_import_loads_no_library_module(self):
+        assert self.loaded("import wallisprod.cli") == ["wallisprod", "wallisprod.cli"]
+
+    @pytest.mark.parametrize("argv,modules", [
+        (["--help"], []),
+        (["eval", "--help"], []),
+        (["coeffs", "--family", "nu", "--order", "3"], ["bernoulli", "coeffs"]),
+        (["coeffs", "--family", "a", "--order", "2", "--format", "json"],
+         ["bernoulli", "coeffs"]),
+        (["eval", "--target", "wallis", "--n", "5", "--format", "json"], ["products"]),
+        (["eval", "--target", "wproduct", "--n", "5", *PQ], ["products"]),
+        (["eval", "--target", "wclosed", "--n", "5", *PQ], ["bernoulli", "special"]),
+        (["constants", "--format", "json"], ["bernoulli", "special"]),
+        (["eval", "--target", "expansion:mu", "--n", "50", "--order", "2"],
+         ["bernoulli", "coeffs", "expansions", "products", "special"]),
+    ])
+    def test_subcommand_loads_what_it_uses(self, argv, modules):
+        expected = ["wallisprod", *(f"wallisprod.{m}" for m in ["cli", *modules])]
+        assert self.loaded(self.RUN_CLI, *argv) == sorted(expected)
 
 
 class TestCoeffSeriesOutput:
