@@ -65,11 +65,10 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "eval_wallis_mu",
         "eval_wallis_nu_exp",
         "eval_wallis_omega",
-        "family_oracle",
         "family_report",
         "wallis_error_exact",
     ),
-    "products": ("ProductResult", "r_product", "w_product", "wallis_seq", "wallis_seq_exact"),
+    "products": ("ProductResult", "r_product", "w_product", "wallis_seq"),
     "special": (
         "EULER_GAMMA",
         "EULER_GAMMA_STR",

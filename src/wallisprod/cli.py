@@ -40,6 +40,10 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 domain error
 not read (``--p``/``--q`` for ``wallis`` and the Wallis-sequence
 expansions, ``--order`` outside ``expansion:*``) and, for the targets that
 multiply ``n`` factors one by one, an ``--n`` above ``MAX_BRUTE_FORCE_N``.
+``coeffs`` refuses ``--p``/``--q`` for the series families (nu, mu, omega,
+alphabeta).  Both refuse an ``--order`` above the family's cap in
+``MAX_ORDER``, which ``expansion:w`` and ``expansion:r`` share with ``a``
+and ``b``.  Every refusal comes before any library work.
 Output goes to stdout, diagnostics (``note:``, ``domain error:``) to
 stderr.  Plain output prints floats with 17 significant digits;
 ``WALLISPROD_DIGITS`` overrides that and changes no JSON or CSV byte.
@@ -72,6 +76,10 @@ EXIT_DOMAIN = 3
 
 # coeffs.MAX_ALPHA_BETA_ORDER, written out so that the --help texts import nothing
 MAX_ALPHABETA_ORDER = 12
+# the largest --order of each coefficient family, for coeffs and for the expansion
+# targets that read it; a cold coeffs run up to the cap takes at most about 2 s
+MAX_ORDER = {"a": 120, "b": 120, "nu": 1800, "mu": 750, "omega": 400,
+             "alphabeta": MAX_ALPHABETA_ORDER}
 # wallis, wproduct, rproduct and expansion:* multiply n factors, 130-800 ns each
 MAX_BRUTE_FORCE_N = 10**8
 
@@ -238,7 +246,8 @@ def main() -> None:
               type=click.Choice(["a", "b", "nu", "mu", "omega", "alphabeta"]),
               help="Coefficient family.")
 @click.option("--order", required=True, type=int,
-              help=f"Number of coefficients (alphabeta: at most {MAX_ALPHABETA_ORDER}).")
+              help="Number of coefficients, at most "
+                   + ", ".join(f"{cap} ({family})" for family, cap in MAX_ORDER.items()) + ".")
 @click.option("--p", "p_text", default=None, help="Complex literal; evaluates a/b at (p, q).")
 @click.option("--q", "q_text", default=None, help="Complex literal; evaluates a/b at (p, q).")
 @_FORMAT
@@ -257,10 +266,11 @@ def cmd_coeffs(family: str, order: int, p_text: str | None, q_text: str | None,
     """
     if order < 1:
         raise click.UsageError("--order must be >= 1")
-    if family == "alphabeta":
-        _check_alphabeta_order(order)
+    _check_order(family, family, order)
     if signs and family in ("a", "b"):
         raise click.UsageError("--signs applies to the nu, mu, omega and alphabeta families only")
+    if family not in ("a", "b") and (p_text is not None or q_text is not None):
+        raise click.UsageError(f"--p and --q do not apply to --family {family}")
     if family in ("a", "b"):
         _emit(fmt, *_poly_record(family, order, p_text, q_text))
         return
@@ -281,10 +291,11 @@ def cmd_coeffs(family: str, order: int, p_text: str | None, q_text: str | None,
     _emit(fmt, {"family": series.family.value, "order": series.order, "values": values}, plain)
 
 
-def _check_alphabeta_order(order: int) -> None:
-    if order > MAX_ALPHABETA_ORDER:
-        raise click.UsageError(f"--order must be <= {MAX_ALPHABETA_ORDER} for alphabeta "
-                               "(its rationals triple in bit length per level)")
+def _check_order(name: str, family: str, order: int) -> None:
+    # refuse, before any work, an --order past the cap of the coefficient family
+    if order > MAX_ORDER[family]:
+        raise click.UsageError(f"--order must be <= {MAX_ORDER[family]} for {name} "
+                               "(the cold build grows steeply with the order)")
 
 
 def _poly_record(family: str, order: int, p_text: str | None,
@@ -318,6 +329,11 @@ _EXPANSION_TAGS = {
     "elezovic": "elezovic",
 }
 _PQ_EXPANSIONS = ("w", "r")
+# the coefficient family whose --order cap each expansion shares
+_EXPANSION_COEFFS = {"w": "a", "r": "b", "mu": "mu", "nu": "nu", "alphabeta": "alphabeta",
+                     "omega": "omega"}
+# len(expansions.ELEZOVIC_TERMS), the library's own cap on expansion:elezovic
+_ELEZOVIC_TERMS = 6
 _PRODUCTS = ("wproduct", "rproduct")
 _CLOSED_FORMS = ("wclosed", "rclosed")
 
@@ -333,7 +349,10 @@ _CLOSED_FORMS = ("wclosed", "rclosed")
 @click.option("--q", "q_text", default=None,
               help="Complex literal (wproduct, rproduct, wclosed, rclosed, expansion:w|r).")
 @click.option("--order", type=int, default=None,
-              help=f"Truncation order for expansions (alphabeta: at most {MAX_ALPHABETA_ORDER}).")
+              help="Truncation order for expansions, at most "
+                   + ", ".join(f"{MAX_ORDER[family]} ({key})"
+                               for key, family in _EXPANSION_COEFFS.items())
+                   + f", {_ELEZOVIC_TERMS} (elezovic).")
 @_FORMAT
 def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
              order: int | None, fmt: str) -> None:
@@ -408,8 +427,8 @@ def _expansion_record(target: str, key: str, n: int, p_text: str | None, q_text:
                       order: int | None) -> tuple[dict, list[str]]:
     if order is None:
         raise click.UsageError("--order is required for expansion targets")
-    if key == "alphabeta":
-        _check_alphabeta_order(order)
+    if key in _EXPANSION_COEFFS:
+        _check_order(key, _EXPANSION_COEFFS[key], order)
     from .expansions import ExpansionFamily, ExpansionTag, family_report
     from .special import PoleError
     tag = ExpansionTag(_EXPANSION_TAGS[key])

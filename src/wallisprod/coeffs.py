@@ -38,8 +38,7 @@ Two kinds of objects live here:
   :func:`cache_sizes` reports how far every coefficient cache has grown.
 
 All values are exact `Fraction`s.  Floating point enters only where a
-coefficient polynomial is evaluated at a complex point
-(:meth:`BiPoly.evaluate`, :func:`eval_bipoly`).
+coefficient polynomial is evaluated at a complex point (:func:`eval_bipoly`).
 """
 
 from __future__ import annotations
@@ -77,9 +76,10 @@ class BiPoly:
     """Sparse bivariate polynomial ``sum c_ij * p^i * q^j`` over Fractions.
 
     The term map never stores zero coefficients, so two polynomials are
-    equal iff their maps are equal.  The class holds, evaluates and prints
-    coefficients but does no polynomial arithmetic: each ``a_j``/``b_j`` is
-    written term by term in closed form.  Instances are shared by the
+    equal iff their maps are equal.  The class holds and prints coefficients
+    and evaluates them exactly at a rational point (:func:`eval_bipoly` gives
+    the float value), but does no polynomial arithmetic: each ``a_j``/``b_j``
+    is written term by term in closed form.  Instances are shared by the
     coefficient memo, so treat them as immutable.
     """
 
@@ -100,15 +100,6 @@ class BiPoly:
         return self.terms == other.terms
 
     __hash__ = None  # mutable dict inside; not hashable
-
-    def evaluate(self, p: complex, q: complex) -> complex:
-        """Double-precision complex value at ``(p, q)``."""
-        p = complex(p)
-        q = complex(q)
-        acc = 0j
-        for (i, j), c in self.terms.items():
-            acc += float(c) * p**i * q**j
-        return acc
 
     def evaluate_exact(self, p: Fraction | int, q: Fraction | int) -> Fraction:
         """Exact rational value at a rational point ``(p, q)``."""
@@ -202,7 +193,12 @@ def b_poly(j: int) -> BiPoly:
 
 def eval_bipoly(poly: BiPoly, p: complex, q: complex) -> complex:
     """Double-precision value of a coefficient polynomial at complex ``(p, q)``."""
-    return poly.evaluate(p, q)
+    p = complex(p)
+    q = complex(q)
+    acc = 0j
+    for (i, j), c in poly.terms.items():
+        acc += float(c) * p**i * q**j
+    return acc
 
 
 # ---------------------------------------------------------------------------

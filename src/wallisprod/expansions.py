@@ -60,7 +60,6 @@ __all__ = [
     "ExpansionFamily",
     "ErrorReport",
     "error_report",
-    "family_oracle",
     "family_report",
     "eval_w_expansion",
     "eval_r_expansion",
@@ -478,16 +477,11 @@ def eval_elezovic(n: int, terms: int) -> float:
     return _evaluate(ExpansionTag.ELEZOVIC, terms, n)
 
 
-def family_oracle(family: ExpansionFamily, n: int) -> complex:
-    """Brute-force reference value for the family at ``n``."""
-    return _FAMILIES[family.tag].oracle(n, family.params)
-
-
 def family_report(family: ExpansionFamily, n: int) -> ErrorReport:
     """ErrorReport of the truncated family against its brute-force oracle."""
     note = "asymptotic regime not reached (n < order)" if n < family.order else None
     approx = _evaluate(family.tag, family.order, n, family.params)
-    return error_report(n, approx, family_oracle(family, n), note)
+    return error_report(n, approx, _FAMILIES[family.tag].oracle(n, family.params), note)
 
 
 def wallis_error_exact(tag: ExpansionTag, order: int, n: int) -> Fraction:

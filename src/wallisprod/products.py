@@ -44,7 +44,6 @@ __all__ = [
     "w_product",
     "r_product",
     "wallis_seq",
-    "wallis_seq_exact",
 ]
 
 _ZERO_TOL = 1e-15
@@ -214,18 +213,3 @@ def wallis_seq(n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     return math.exp(math.fsum(math.log1p(1.0 / (4.0 * k * k - 1.0)) for k in range(1, n + 1)))
-
-
-def wallis_seq_exact(n: int) -> Fraction:
-    """The same partial product as an exact rational.
-
-    ``prod 4k^2/(4k^2-1) = 16^n / ((2n+1) C(2n, n)^2)`` after telescoping
-    the odd factors into factorials.  The factors of two of ``C(2n, n)`` are
-    cancelled against ``16^n`` first, so the fraction is built from a power
-    of two over an odd number and its reduction is cheap.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    c = math.comb(2 * n, n)
-    twos = (c & -c).bit_length() - 1
-    return Fraction(1 << (4 * n - 2 * twos), (2 * n + 1) * (c >> twos) ** 2)

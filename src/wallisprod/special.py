@@ -32,6 +32,13 @@ after shifting the argument to ``Re z >= 12`` with principal logs; this
 yields the principal branch everywhere off the cut (the identity
 ``lnGamma(z) = lnGamma(z+m) - sum log(z+k)`` holds exactly there) and
 keeps the relative error a couple of decades below the 1e-13 contract.
+Every gamma evaluation takes one shift and one sum: ``_shift_steps``
+counts the ``m`` steps to ``Re z >= 12``, and ``_fsum_complex`` sums the
+``m`` logs (``ln_gamma``) or reciprocals (``digamma``), each part exactly
+rounded by ``math.fsum``; the removable-pole branch of the rising
+factorial sums its ``n`` logs the same way.  Both Stirling tails are one
+Horner evaluation in ``1/w^2``.
+
 The closed forms are evaluated entirely in log space and exponentiated
 once.  Once ``z``, ``z+s`` and ``z+t`` all have real part at least 12,
 each ``lnGamma(z+r) - lnGamma(z)`` is written as
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 
 from .bernoulli import bernoulli_number
@@ -80,6 +88,8 @@ EXP_EULER_GAMMA = float(EXP_EULER_GAMMA_STR)
 _POLE_TOL = 1e-12
 _SHIFT_RE = 12.0
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+_REAL = operator.attrgetter("real")
+_IMAG = operator.attrgetter("imag")
 
 # psi(a) and 2 lnGamma(a) at the offsets of W (a = 1) and R (a = 1/2):
 # psi(1) = -gamma, lnGamma(1) = 0, psi(1/2) = psi(1) - 2 ln 2 (duplication
@@ -92,14 +102,12 @@ _TWO_LGAMMA_ONE = complex(-0.0, -0.0)
 _PSI_HALF = _PSI_ONE - 2 * math.log(2.0)
 _TWO_LGAMMA_HALF = complex(math.log(math.pi), -0.0)
 
-# Stirling tail coefficients B_{2n} / (2n (2n-1)) and B_{2n} / (2n),
-# derived once from the exact table.
-_LNGAMMA_COEFFS = [
-    float(bernoulli_number(2 * n) / (2 * n * (2 * n - 1))) for n in range(1, 17)
-]
-_DIGAMMA_COEFFS = [
-    float(bernoulli_number(2 * n) / (2 * n)) for n in range(1, 17)
-]
+# Stirling tail coefficients B_{2n} / (2n (2n-1)) and B_{2n} / (2n), n = 16 down
+# to 1 (Horner order), derived once from the exact table.
+_LNGAMMA_COEFFS = tuple(
+    float(bernoulli_number(2 * n) / (2 * n * (2 * n - 1))) for n in range(16, 0, -1)
+)
+_DIGAMMA_COEFFS = tuple(float(bernoulli_number(2 * n) / (2 * n)) for n in range(16, 0, -1))
 
 
 class PoleError(ArithmeticError):
@@ -108,7 +116,6 @@ class PoleError(ArithmeticError):
 
 def _nonpositive_int_near(z: complex) -> int | None:
     """The nonpositive integer within the pole tolerance of ``z``, if any."""
-    z = complex(z)
     if not cmath.isfinite(z):  # every gamma argument of the public functions passes here
         raise ValueError(f"gamma argument {z} must be finite")
     if abs(z.imag) > _POLE_TOL:
@@ -121,66 +128,69 @@ def _nonpositive_int_near(z: complex) -> int | None:
     return None
 
 
+def _gamma_arg(z: complex, name: str) -> complex:
+    # the argument of ln_gamma or digamma as a complex, checked finite and off the poles
+    z = complex(z)
+    if _nonpositive_int_near(z) is not None:
+        raise PoleError(f"{name} pole at z = {z}")
+    return z
+
+
+def _shift_steps(z: complex) -> int:
+    # the m >= 0 with Re(z + m) >= _SHIFT_RE, where the Stirling tails hold
+    return int(math.ceil(_SHIFT_RE - z.real)) if z.real < _SHIFT_RE else 0
+
+
+def _fsum_complex(terms: list[complex]) -> complex:
+    # each part rounded once, so the m logs or reciprocals of a shift lose nothing to order
+    return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
+
+
+def _horner(coeffs: tuple[float, ...], x: complex) -> complex:
+    # the polynomial in x whose coefficients are listed highest power first
+    total = 0j
+    for c in coeffs:
+        total = total * x + c
+    return total
+
+
 def ln_gamma(z: complex) -> complex:
     """Principal branch of ``ln Gamma(z)`` for complex ``z``.
 
     Raises :class:`PoleError` within 1e-12 of a nonpositive integer and
     ``ValueError`` for a NaN or infinite ``z``.
     """
-    z = complex(z)
-    if _nonpositive_int_near(z) is not None:
-        raise PoleError(f"ln_gamma pole at z = {z}")
-    shift = 0
-    if z.real < _SHIFT_RE:
-        shift = int(math.ceil(_SHIFT_RE - z.real))
-    log_re: list[float] = []
-    log_im: list[float] = []
-    for k in range(shift):
-        term = cmath.log(z + k)
-        log_re.append(term.real)
-        log_im.append(term.imag)
-    w = z + shift
+    z = _gamma_arg(z, "ln_gamma")
+    steps = _shift_steps(z)
+    w = z + steps
     value = (w - 0.5) * cmath.log(w) - w + _HALF_LN_2PI + _lngamma_tail(w)
-    return value - complex(math.fsum(log_re), math.fsum(log_im))
+    if steps:  # lnGamma(z) = lnGamma(z + m) - sum_k log(z + k)
+        value -= _fsum_complex([cmath.log(z + k) for k in range(steps)])
+    return value
 
 
 def _lngamma_tail(w: complex) -> complex:
     # sum_k B_2k / (2k (2k-1) w^(2k-1)), the Stirling tail of lnGamma(w) for Re(w) >= _SHIFT_RE
     inv = 1.0 / w
-    inv2 = inv * inv
-    tail = 0j
-    for c in reversed(_LNGAMMA_COEFFS):
-        tail = tail * inv2 + c
-    return tail * inv
+    return _horner(_LNGAMMA_COEFFS, inv * inv) * inv
 
 
 def digamma(z: complex) -> complex:
     """Digamma ``psi(z)`` for complex ``z`` (relative error well under 1e-12)."""
-    z = complex(z)
-    if _nonpositive_int_near(z) is not None:
-        raise PoleError(f"digamma pole at z = {z}")
-    shift = 0
-    if z.real < _SHIFT_RE:
-        shift = int(math.ceil(_SHIFT_RE - z.real))
-    rec_re: list[float] = []
-    rec_im: list[float] = []
-    for k in range(shift):
-        term = 1.0 / (z + k)
-        rec_re.append(term.real)
-        rec_im.append(term.imag)
-    w = z + shift
+    z = _gamma_arg(z, "digamma")
+    steps = _shift_steps(z)
+    w = z + steps
     value = cmath.log(w) + _digamma_minus_log(w)
-    return value - complex(math.fsum(rec_re), math.fsum(rec_im))
+    if steps:  # psi(z) = psi(z + m) - sum_k 1/(z + k)
+        value -= _fsum_complex([1.0 / (z + k) for k in range(steps)])
+    return value
 
 
 def _digamma_minus_log(w: complex) -> complex:
     # psi(w) - ln(w) for Re(w) >= _SHIFT_RE; free of the ln-scale rounding
     inv = 1.0 / w
     inv2 = inv * inv
-    tail = 0j
-    for c in reversed(_DIGAMMA_COEFFS):
-        tail = tail * inv2 + c
-    return -0.5 * inv - tail * inv2
+    return -0.5 * inv - _horner(_DIGAMMA_COEFFS, inv2) * inv2
 
 
 def delta(p: complex, q: complex) -> complex:
@@ -270,8 +280,7 @@ def _log_rising(a: complex, n: int) -> complex:
     ratio is a removable 0/0 and the logs are summed directly.
     """
     if _nonpositive_int_near(a) is not None:
-        logs = [cmath.log(a + j) for j in range(n)]
-        return complex(math.fsum(z.real for z in logs), math.fsum(z.imag for z in logs))
+        return _fsum_complex([cmath.log(a + j) for j in range(n)])
     return ln_gamma(a + n) - ln_gamma(a)
 
 

@@ -20,6 +20,7 @@ from wallisprod import cli, coeffs, expansions, products, special, verify
 from wallisprod.cli import (
     MAX_ALPHABETA_ORDER,
     MAX_BRUTE_FORCE_N,
+    MAX_ORDER,
     fmt_complex,
     main,
     parse_complex_literal,
@@ -164,6 +165,43 @@ class TestCoeffsCommand:
         assert result.exit_code == 2
         assert "Usage:" in result.output
         assert f"--order must be <= {MAX_ALPHABETA_ORDER} for alphabeta" in result.output
+        assert cache_sizes() == before  # refused before any coefficient work
+
+    # alphabeta's cap has its own test above
+    @pytest.mark.parametrize("argv,name", [
+        *((["coeffs", "--family", family], family) for family in ("a", "b", "nu", "mu", "omega")),
+        *((["eval", "--target", f"expansion:{key}", "--n", "100", *(PQ if key in "wr" else ())],
+           key) for key in ("w", "r", "nu", "mu", "omega")),
+    ])
+    def test_order_cap_exit_2(self, runner, argv, name):
+        family = name if argv[0] == "coeffs" else cli._EXPANSION_COEFFS[name]
+        before = cache_sizes()
+        result = runner.invoke(main, [*argv, "--order", str(MAX_ORDER[family] + 1)])
+        assert result.exit_code == 2
+        assert "Usage:" in result.output
+        assert f"--order must be <= {MAX_ORDER[family]} for {name} " in result.output
+        assert cache_sizes() == before  # refused before any coefficient work
+
+    def test_order_caps_cover_the_benchmark_and_show_in_help(self, runner):
+        # the benchmark's CLI mix asks for orders up to 13, alphabeta up to its 12
+        assert all(cap >= 13 for family, cap in MAX_ORDER.items() if family != "alphabeta")
+        coeffs_help = " ".join(invoke(runner, "coeffs", "--help").output.split())
+        eval_help = " ".join(invoke(runner, "eval", "--help").output.split())
+        for family, cap in MAX_ORDER.items():
+            assert f"{cap} ({family})" in coeffs_help
+        for key, family in cli._EXPANSION_COEFFS.items():
+            assert f"{MAX_ORDER[family]} ({key})" in eval_help
+        assert f"{len(expansions.ELEZOVIC_TERMS)} (elezovic)" in eval_help
+
+    @pytest.mark.parametrize("family", ["nu", "mu", "omega", "alphabeta"])
+    @pytest.mark.parametrize("pq", [PQ, PQ[:2], PQ[2:]], ids=["p-q", "p", "q"])
+    def test_pq_refused_for_series_families(self, runner, family, pq):
+        before = cache_sizes()
+        result = runner.invoke(main, ["coeffs", "--family", family, "--order", "2", *pq,
+                                      "--format", "json"])
+        assert result.exit_code == 2
+        assert "Usage:" in result.output
+        assert f"--p and --q do not apply to --family {family}" in result.output
         assert cache_sizes() == before  # refused before any coefficient work
 
     def test_signs_flag(self, runner):
@@ -423,7 +461,10 @@ def test_version_from_a_source_checkout():
 
 
 def test_tables_written_out_for_import_match_the_library():
-    assert MAX_ALPHABETA_ORDER == coeffs.MAX_ALPHA_BETA_ORDER
+    assert MAX_ALPHABETA_ORDER == MAX_ORDER["alphabeta"] == coeffs.MAX_ALPHA_BETA_ORDER
+    assert cli._ELEZOVIC_TERMS == len(expansions.ELEZOVIC_TERMS)
+    assert {*cli._EXPANSION_COEFFS, "elezovic"} == set(cli._EXPANSION_TAGS)
+    assert set(cli._EXPANSION_COEFFS.values()) == set(MAX_ORDER)
     assert cli._SUITE_NAMES == verify.SUITE_NAMES
     assert sorted(cli._EXPANSION_TAGS.values()) == sorted(t.value for t in expansions.ExpansionTag)
     assert {k for k, tag in cli._EXPANSION_TAGS.items()

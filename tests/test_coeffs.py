@@ -247,7 +247,7 @@ class TestPolynomialFamilies:
                     list(newton_pair(m, c).terms.items())
 
     def test_cold_builds_equal_newton_oracle_in_order_to_30(self, cold_poly_caches):
-        # the term order fixes the order of the float sum in BiPoly.evaluate
+        # the term order fixes the order of the float sum in eval_bipoly
         for j in range(1, 31):
             for build, c, lam_coeff in ((a_poly, F(1, 2), F(1)), (b_poly, F(1, 4), F(1, 2))):
                 assert list(build(j).terms.items()) == \

@@ -18,10 +18,22 @@ from wallisprod.products import (
     r_product,
     w_product,
     wallis_seq,
-    wallis_seq_exact,
 )
 from wallisprod.special import r_inf, w_closed, r_closed
 from wallisprod.expansions import eval_wallis_omega
+
+
+def wallis_seq_exact(n: int) -> Fraction:
+    """The Wallis partial product ``prod_{k<=n} 4k^2 / (4k^2 - 1)`` as an exact rational.
+
+    ``prod 4k^2/(4k^2-1) = 16^n / ((2n+1) C(2n, n)^2)`` after telescoping
+    the odd factors into factorials.  The factors of two of ``C(2n, n)`` are
+    cancelled against ``16^n`` first, so the fraction is built from a power
+    of two over an odd number and its reduction is cheap.
+    """
+    c = math.comb(2 * n, n)
+    twos = (c & -c).bit_length() - 1
+    return Fraction(1 << (4 * n - 2 * twos), (2 * n + 1) * (c >> twos) ** 2)
 
 
 class TestWProduct:

@@ -14,7 +14,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from wallisprod.products import r_product, w_product, wallis_seq_exact
+from test_products import wallis_seq_exact
+from wallisprod.products import r_product, w_product
 from wallisprod.special import (
     EULER_GAMMA,
     EULER_GAMMA_STR,
@@ -39,6 +40,12 @@ GRID = [
     for re in (-6.3, -3.5, -1.2, -0.4, 0.5, 1.5, 2.25, 3.0, 4.7, 8.2, 12.9, 100.0)
     for im in (0.0, 1e-3, 0.7, 4.0, -2.3, 25.0)
     if not (abs(im) < 1e-9 and re <= 0 and abs(re - round(re)) < 0.05)
+] + [
+    # both sides of the shift boundary Re z = 12: one step, then none
+    complex(re, im) for re in (12 - 1e-9, 12.0, 12 + 1e-9) for im in (0.0, 0.7, -25.0)
+] + [
+    # far left, where the shift sums up to a thousand logs or reciprocals
+    complex(re, im) for re in (-1000.0, -999.5, -250.3, -40.7) for im in (0.05, -0.05, 3.0, -40.0)
 ]
 
 
@@ -244,10 +251,13 @@ class TestClosedForms:
         assert [w.filename for w in r_record] == [__file__]
 
     def test_root_beyond_range_is_removable(self):
-        # mu = nu = -5: the vanishing factor sits at j = 5, beyond n = 3
-        got = w_closed(3, -10, 25)
-        ref = w_product(3, -10, 25).value
-        assert abs(got / ref - 1) <= 1e-11
+        # a double root at -5 for W (factor j + x) and at -9 for R (factor 2j - 1 + x):
+        # both vanishing factors sit at j = 5, beyond every n here
+        for closed, product, x in ((w_closed, w_product, -5), (r_closed, r_product, -9)):
+            for n in (1, 3, 4):
+                got = closed(n, 2 * x, x * x)
+                ref = product(n, 2 * x, x * x).value
+                assert abs(got / ref - 1) <= 1e-11, (closed.__name__, n)
 
     def test_mpmath_grid(self):
         # n log-uniform in 1..10^6 with complex p, q in the disk of radius 10; then the
