@@ -19,8 +19,9 @@ prints it as one JSON object with these keys:
                  ``family, order, p, q, values``
 * ``eval``       ``target, value`` (wallis, wclosed, rclosed); the products
                  add ``log_abs, phase_or_sign, zero_factor_at, terms,
-                 near_zero_at``; an expansion has ``target, family, order, n,
-                 approx, exact, abs_err, rel_err, note``
+                 near_zero_at``, with ``log_abs`` null for a zero product;
+                 an expansion has ``target, family, order, n, approx,
+                 exact, abs_err, rel_err, note``
 * ``verify``     ``suite, passed, failed, checks``, each check with
                  ``name, passed, detail``
 * ``constants``  one decimal string per constant
@@ -78,6 +79,7 @@ EXIT_DOMAIN = 3
 MAX_ALPHABETA_ORDER = 12
 # the largest --order of each coefficient family, for coeffs and for the expansion
 # targets that read it; a cold coeffs run up to the cap takes at most about 2 s
+# (mu), and about 0.6 s for a and 0.7 s for b since their terms are built in integers
 MAX_ORDER = {"a": 120, "b": 120, "nu": 1800, "mu": 750, "omega": 400,
              "alphabeta": MAX_ALPHABETA_ORDER}
 # wallis, wproduct, rproduct and expansion:* multiply n factors, 130-800 ns each
@@ -413,7 +415,9 @@ def _eval_record(target: str, n: int, p_text: str | None, q_text: str | None,
         result = (w_product if target == "wproduct" else r_product)(n, p, q)
     except ValueError as exc:  # the phase sum leaves the double range
         _domain_error(str(exc))
-    return {"target": target, **asdict(result)}, [
+    # a zero product has no log: strict JSON writes null, not -Infinity
+    log_abs = None if result.log_abs == -math.inf else result.log_abs
+    return {"target": target, **asdict(result), "log_abs": log_abs}, [
         f"value: {fmt_complex(result.value)}",
         f"log_abs: {fmt_float(result.log_abs)}",
         f"phase_or_sign: {fmt_float(result.phase_or_sign)}",

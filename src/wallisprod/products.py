@@ -62,7 +62,9 @@ class ProductResult:
     part is exactly zero (then ``value == 0`` and ``log_abs == -inf``).
     ``near_zero_at`` flags the first factor that came within 1e-15 of
     zero without being an exact rational root: the result is still
-    returned but its precision is reduced.
+    returned but its precision is reduced.  :meth:`to_json_dict` writes a
+    ``log_abs`` of ``-inf`` (a zero product) as ``None``, since strict JSON
+    has no ``-Infinity``.
     """
 
     value: complex
@@ -75,7 +77,7 @@ class ProductResult:
     def to_json_dict(self) -> dict:
         return {
             "value": {"re": self.value.real, "im": self.value.imag},
-            "log_abs": self.log_abs,
+            "log_abs": None if self.log_abs == -math.inf else self.log_abs,
             "phase_or_sign": self.phase_or_sign,
             "zero_factor_at": self.zero_factor_at,
             "terms": self.terms,

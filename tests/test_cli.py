@@ -258,6 +258,24 @@ class TestEvalCommand:
         assert data["value"]["re"] < 0
         assert data["zero_factor_at"] is None
 
+    @pytest.mark.parametrize("target,p,q,zero_at", [
+        ("wproduct", "-3", "2", "1"), ("rproduct", "-3", "0", "2"),
+        ("wproduct", "-1e-17", "-1", ""), ("rproduct", "-1e-17", "-1", "")])
+    def test_zero_product_strict_json(self, runner, target, p, q, zero_at):
+        # log_abs is -inf: JSON writes null, CSV an empty cell, plain output -inf
+        args = ["eval", "--target", target, "--n", "5", f"--p={p}", f"--q={q}"]
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        data = json.loads(invoke(runner, *args, "--format", "json").stdout,
+                          parse_constant=reject)
+        assert data["log_abs"] is None and data["value"] == {"re": 0.0, "im": 0.0}
+        assert data["zero_factor_at"] == (int(zero_at) if zero_at else None)
+        row = list(csv.DictReader(io.StringIO(invoke(runner, *args, "--format", "csv").stdout)))
+        assert (row[0]["log_abs"], row[0]["zero_factor_at"]) == ("", zero_at)
+        assert "log_abs: -inf\n" in invoke(runner, *args).stdout
+
     def test_exponent_literals(self, runner):
         small = invoke(runner, "eval", "--target", "wproduct", "--n", "10",
                        "--p", "1e-3", "--q", "-2.5E-4i", "--format", "json")

@@ -1,6 +1,7 @@
 """Coefficient engine: exact values, recurrences and symbolic consistency."""
 
 import functools
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from test_bernoulli import horner
 
 from wallisprod import coeffs
-from wallisprod.bernoulli import bernoulli_number, bernoulli_poly
+from wallisprod.bernoulli import bernoulli_number, bernoulli_poly, format_rational
 from wallisprod.coeffs import (
     BiPoly,
     CoeffSeries,
@@ -175,6 +176,76 @@ def newton_pair(m: int, c: Fraction) -> BiPoly:
     return BiPoly(combine(*((coef, sums[k], ONE) for k, coef in enumerate(coeffs))))
 
 
+def retired_pair_terms(m: int, c: Fraction, scale: Fraction) -> dict[tuple[int, int], Fraction]:
+    """The route the library's integer build replaced: ``_bernoulli_pair`` by
+    ``Fraction`` arithmetic over the coefficients of ``B_m(t)``, one scaled
+    ``Fraction`` per ``k`` and one more per term, in the same term order."""
+    terms: dict[tuple[int, int], Fraction] = {}
+    for k, coef in enumerate(bernoulli_poly(m).coeffs):
+        if coef:
+            coef *= (2 * c) ** k * scale
+            for i in range(k // 2 + 1):
+                weight = (-1) ** i * k * math.comb(k - i, i) // (k - i) if k else 2
+                terms[(k - 2 * i, i)] = Fraction(weight * coef.numerator, coef.denominator)
+    return terms
+
+
+def retired_coeff_items(j: int, c: Fraction) -> list[tuple[tuple[int, int], Fraction]]:
+    """``list(a_poly(j).terms.items())`` (``c = 1/2``), or ``b_poly``'s (``c = 1/4``),
+    by the retired route."""
+    scale = F(1, 2) if j == 1 else F((-1) ** (j + 1), j * (j + 1))
+    pair = retired_pair_terms(j + 1, c, scale)
+    return [(key, val) for key, val in pair.items() if key[0] + 2 * key[1] > 1]
+
+
+def retired_str(poly: BiPoly) -> str:
+    """The printer the library replaced: sign and magnitude by ``Fraction``
+    comparisons, the magnitude by ``format_rational``."""
+    if not poly.terms:
+        return "0"
+    pieces: list[str] = []
+    for (i, j), c in poly._sorted_terms():
+        mono = "*".join(filter(None, ["p" if i == 1 else (f"p^{i}" if i > 1 else ""),
+                                      "q" if j == 1 else (f"q^{j}" if j > 1 else "")]))
+        mag = abs(c)
+        if not mono:
+            body = format_rational(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{format_rational(mag)}*{mono}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+# SHA-256 of "\n".join(str(build(j)) for j in 1..120), the --order cap of a and b,
+# as the Fraction-arithmetic build printed them
+PRINTED_TO_CAP_SHA256 = {
+    "a": "97757399f79b1fb41d2dda178faf49ca94e64fc60627039e0498b0eebb7f52c6",
+    "b": "a0baf3597533377da6cf31d1dda5b2a56d358c334453e3a3fe00961c278d3331",
+}
+
+# (terms, printed): a negative leading term, unit coefficients, an integer
+# coefficient, a constant only, the zero polynomial, and values given as int,
+# float and str, which are converted exactly
+PRINTER_CASES = [
+    ({(2, 0): F(-1, 3), (0, 1): F(1, 2), (1, 0): F(5)}, "-1/3*p^2 + 1/2*q + 5*p"),
+    ({(2, 0): F(1), (0, 1): F(-1)}, "p^2 - q"),
+    ({(0, 1): F(-1), (0, 0): F(1)}, "-q + 1"),
+    ({(1, 0): F(2)}, "2*p"),
+    ({(0, 0): F(-3, 2)}, "-3/2"),
+    ({(0, 0): F(-1)}, "-1"),
+    ({}, "0"),
+    ({(1, 0): F(0)}, "0"),
+    ({(1, 1): 0.5, (0, 0): "-3/4", (3, 0): -2}, "-2*p^3 + 1/2*p*q - 3/4"),
+    ({(0, 2): 0.1, (4, 0): 1},
+     "p^4 + 3602879701896397/36028797018963968*q^2"),
+]
+
+
 @pytest.fixture()
 def cold_poly_caches():
     """Empty the a_j/b_j memos for one test; later calls rebuild what they ask for."""
@@ -188,6 +259,30 @@ class TestBiPoly:
         poly = BiPoly({(1, 0): F(0)})
         assert poly.terms == {}
         assert str(poly) == "0"
+
+    @pytest.mark.parametrize("key", [(1.5, 0), (-1, 0), (0, -2), (F(1, 2), 1), ("1", 0),
+                                     (None, 0), (math.inf, 0)])
+    def test_refuses_exponents_that_are_not_nonnegative_integers(self, key):
+        # (1.5, 0) was truncated to p, and (-1, 0) printed as a constant 3
+        # while evaluate_exact(2, 1) gave 3/2
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            BiPoly({key: 3})
+
+    def test_integral_exponents_of_other_types_are_converted(self):
+        poly = BiPoly({(2.0, F(1)): 1, (True, 0): 2})
+        assert list(poly.terms.items()) == [((2, 1), F(1)), ((1, 0), F(2))]
+        assert all(type(e) is int for key in poly.terms for e in key)
+
+    def test_fraction_values_kept_as_they_are(self):
+        value = F(-7, 3)
+        assert BiPoly({(1, 0): value}).terms[(1, 0)] is value
+
+    @pytest.mark.parametrize("terms,printed", PRINTER_CASES,
+                             ids=[printed for _, printed in PRINTER_CASES])
+    def test_printer_edge_cases_equal_retired_printer(self, terms, printed):
+        poly = BiPoly(terms)
+        assert all(type(v) is Fraction for v in poly.terms.values())
+        assert str(poly) == retired_str(poly) == printed
 
     def test_display_strings(self):
         assert str(a_poly(1)) == "1/2*p^2 - q"
@@ -252,6 +347,20 @@ class TestPolynomialFamilies:
             for build, c, lam_coeff in ((a_poly, F(1, 2), F(1)), (b_poly, F(1, 4), F(1, 2))):
                 assert list(build(j).terms.items()) == \
                     list(coeff_over_pair(newton_pair, j, c, lam_coeff).terms.items())
+
+    @pytest.mark.parametrize("build,c", [(a_poly, F(1, 2)), (b_poly, F(1, 4))], ids=["a", "b"])
+    def test_cold_builds_equal_retired_route_in_order(self, cold_poly_caches, build, c):
+        # values, value types and key order of the integer build against the
+        # Fraction arithmetic it replaced, up to the --order cap
+        for j in [*range(1, 41), 60, 90, 120]:
+            got = list(build(j).terms.items())
+            assert got == retired_coeff_items(j, c), j
+            assert all(type(v) is Fraction for _, v in got)
+
+    @pytest.mark.parametrize("family,build", [("a", a_poly), ("b", b_poly)], ids=["a", "b"])
+    def test_printed_to_the_cap_match_frozen_digest(self, family, build):
+        text = "\n".join(str(build(j)) for j in range(1, 121))
+        assert hashlib.sha256(text.encode()).hexdigest() == PRINTED_TO_CAP_SHA256[family]
 
     def test_equals_d_route_oracle_to_20(self):
         for j in range(1, 21):

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -194,6 +195,27 @@ def test_incremental_consistency(n, pr, pi_, qr, qi):
     if abs(stepped) < 1e-12:  # nearly vanishing trailing factor: no relative claim
         return
     assert abs(longer.value - stepped) <= 1e-13 * max(abs(longer.value), abs(stepped), 1e-3)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+# zero products: an exact zero factor (w at j = 1, r at j = 2), and a factor
+# that rounds to exactly 0.0 without being a root
+ZERO_PRODUCTS = [(w_product, 3, -2, 1), (w_product, 5, -3, 2), (r_product, 5, -3, 0),
+                 (w_product, 2, -1e-17, -1.0), (r_product, 2, -1e-17, -1.0)]
+
+
+@pytest.mark.parametrize("fn,n,p,q", ZERO_PRODUCTS)
+def test_zero_product_json_is_strict(fn, n, p, q):
+    # log_abs stays -inf on the result and is written as null
+    result = fn(n, p, q)
+    assert result.value == 0 and result.log_abs == -math.inf
+    data = result.to_json_dict()
+    assert data["log_abs"] is None
+    text = json.dumps(data, allow_nan=False)
+    assert json.loads(text, parse_constant=_reject_constant)["log_abs"] is None
 
 
 def test_product_result_shape():
