@@ -415,9 +415,11 @@ def _eval_record(target: str, n: int, p_text: str | None, q_text: str | None,
         result = (w_product if target == "wproduct" else r_product)(n, p, q)
     except ValueError as exc:  # the phase sum leaves the double range
         _domain_error(str(exc))
-    # a zero product has no log: strict JSON writes null, not -Infinity
-    log_abs = None if result.log_abs == -math.inf else result.log_abs
-    return {"target": target, **asdict(result), "log_abs": log_abs}, [
+    # a zero product has no log, and its phase sum may not be finite:
+    # strict JSON writes null, not -Infinity
+    data = result.to_json_dict()
+    return {"target": target, **asdict(result), "log_abs": data["log_abs"],
+            "phase_or_sign": data["phase_or_sign"]}, [
         f"value: {fmt_complex(result.value)}",
         f"log_abs: {fmt_float(result.log_abs)}",
         f"phase_or_sign: {fmt_float(result.phase_or_sign)}",

@@ -13,11 +13,12 @@ contribute ``-p/d`` terms and each polynomial factor contributes
   terms folded into one exactly rounded ``math.fsum`` every ``_CHUNK``
   entries;
 * the tail, ``d >= d0``, has ``|z_d| <= 1/2``, so no factor can vanish or
-  change sign.  It is summed in chunks of ``_CHUNK`` denominators:
-  ``log1p(z_d)`` of the small part itself, never of a rounded ``1 + z_d``,
+  change sign.  It is summed in chunks of ``_CHUNK`` denominators in real
+  float arithmetic on the reciprocals ``u = 1/d``: ``z_d = x + iy = (p + q u) u``,
+  ``log1p(x)`` of the small part itself, never of a rounded ``1 + z_d``,
   or for complex parameters ``log|1 + z| = log1p(x(2 + x) + y^2) / 2`` and
-  ``arg(1 + z) = atan2(y, 1 + x)``, with the damping terms in the same
-  exactly rounded ``math.fsum``.
+  ``arg(1 + z) = atan2(y, 1 + x)``, with the damping terms ``-p u`` in the
+  same exactly rounded ``math.fsum``.
 
 One more ``fsum`` joins the head and the chunk sums.  Memory stays bounded
 by the chunk size.  For ``|p|, |q| <= 2e-3``, where the head is at most the
@@ -37,7 +38,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from operator import mul
 
 __all__ = [
     "ProductResult",
@@ -63,8 +65,8 @@ class ProductResult:
     ``near_zero_at`` flags the first factor that came within 1e-15 of
     zero without being an exact rational root: the result is still
     returned but its precision is reduced.  :meth:`to_json_dict` writes a
-    ``log_abs`` of ``-inf`` (a zero product) as ``None``, since strict JSON
-    has no ``-Infinity``.
+    ``log_abs`` of ``-inf`` (a zero product) and a phase sum that is not
+    finite as ``None``, since strict JSON has no ``Infinity``.
     """
 
     value: complex
@@ -78,18 +80,20 @@ class ProductResult:
         return {
             "value": {"re": self.value.real, "im": self.value.imag},
             "log_abs": None if self.log_abs == -math.inf else self.log_abs,
-            "phase_or_sign": self.phase_or_sign,
+            "phase_or_sign": (self.phase_or_sign if math.isfinite(self.phase_or_sign)
+                              else None),
             "zero_factor_at": self.zero_factor_at,
             "terms": self.terms,
             "near_zero_at": self.near_zero_at,
         }
 
 
-def _exact_zero_real(den: int, p: float, q: float) -> bool:
-    # den^2 + p*den + q == 0 checked in exact rational arithmetic
-    # (floats convert to Fractions exactly)
+def _exact_zero(den: int, p: complex, q: complex) -> bool:
+    # den^2 + p*den + q == 0 checked in exact rational arithmetic, real and
+    # imaginary parts apart (floats convert to Fractions exactly)
     d = Fraction(den)
-    return d * d + Fraction(p) * d + Fraction(q) == 0
+    return (d * d + Fraction(p.real) * d + Fraction(q.real) == 0
+            and Fraction(p.imag) * d + Fraction(q.imag) == 0)
 
 
 def _tail_start(p: complex, q: complex) -> int | float:
@@ -113,24 +117,24 @@ def _fsum(terms: list[float]) -> float:
 
 
 def _tail_sums(dens: range, p: complex, q: complex, real_mode: bool) -> tuple[float, float]:
-    """``sum log(1 + z_d) - p/d`` over ``dens`` as (real, imaginary), ``z_d = p/d + q/d^2``.
+    """``sum log(1 + z_d) - p u`` over ``dens`` as (real, imaginary), ``z_d = (p + q u) u``.
 
-    Needs ``|z_d| <= 1/2``.  ``log1p`` of ``z_d`` itself, never of a rounded
-    ``1 + z_d``, with the damping terms inside the same exactly rounded ``fsum``.
+    Needs ``|z_d| <= 1/2``.  Every list is built in real floats from one list of
+    reciprocals ``u = 1/d``; the damping terms stay inside the exactly rounded ``fsum``.
     """
+    inv = [1.0 / d for d in dens]
     if real_mode:
         p, q = p.real, q.real
-        xs = [p / d + q / (d * d) for d in dens]
-        return math.fsum(chain(map(math.log1p, xs), [-p / d for d in dens])), 0.0
-    zs = [p / d + q / (d * d) for d in dens]
-    xs = [z.real for z in zs]
-    ys = [z.imag for z in zs]
+        return math.fsum(chain(map(math.log1p, [(p + q * u) * u for u in inv]),
+                               map(mul, repeat(-p), inv))), 0.0
+    pr, pi, qr, qi = p.real, p.imag, q.real, q.imag
+    xs = [(pr + qr * u) * u for u in inv]
+    ys = [(pi + qi * u) * u for u in inv]
     # log|1+z| = log1p(x(2+x) + y^2) / 2; the damping enters doubled, which is exact
-    minus_2p = -2 * p.real
     log_abs = math.fsum(chain(map(math.log1p, [x * (2.0 + x) + y * y for x, y in zip(xs, ys)]),
-                              [minus_2p / d for d in dens])) / 2
+                              map(mul, repeat(-2 * pr), inv))) / 2
     phase = math.fsum(chain(map(math.atan2, ys, [1.0 + x for x in xs]),
-                            [-p.imag / d for d in dens]))
+                            map(mul, repeat(-pi), inv)))
     return log_abs, phase
 
 
@@ -151,7 +155,7 @@ def _product(dens: range, p: complex, q: complex) -> ProductResult:
     for j, den in enumerate(dens[:split], start=1):
         factor = 1 + p / den + q / (den * den)
         if math.hypot(factor.real, factor.imag) < _ZERO_TOL:
-            if real_mode and _exact_zero_real(den, p.real, q.real):
+            if _exact_zero(den, p, q):
                 return ProductResult(0j, -math.inf, 0.0, j, n, near_at)
             if near_at is None:
                 near_at = j

@@ -276,6 +276,19 @@ class TestEvalCommand:
         assert (row[0]["log_abs"], row[0]["zero_factor_at"]) == ("", zero_at)
         assert "log_abs: -inf\n" in invoke(runner, *args).stdout
 
+    def test_infinite_phase_strict_json(self, runner):
+        # the damping phases overflow, so the phase sum is -inf: JSON writes null
+        args = ["eval", "--target", "wproduct", "--n", "3", "--p", "1.7e308+1.7e308i",
+                "--q", "0"]
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        data = json.loads(invoke(runner, *args, "--format", "json").stdout,
+                          parse_constant=reject)
+        assert (data["log_abs"], data["phase_or_sign"]) == (None, None)
+        assert "phase_or_sign: -inf\n" in invoke(runner, *args).stdout
+
     def test_exponent_literals(self, runner):
         small = invoke(runner, "eval", "--target", "wproduct", "--n", "10",
                        "--p", "1e-3", "--q", "-2.5E-4i", "--format", "json")

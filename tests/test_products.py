@@ -4,6 +4,7 @@ import cmath
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -16,6 +17,7 @@ from wallisprod.products import (
     _CHUNK,
     ProductResult,
     _tail_start,
+    _tail_sums,
     r_product,
     w_product,
     wallis_seq,
@@ -111,6 +113,14 @@ class TestRProduct:
         result = r_product(5, -3, 0)
         assert result.zero_factor_at == 2
         assert result.value == 0
+
+
+@pytest.mark.parametrize("fn,p,q", [(w_product, -2 - 1j, 2j), (r_product, -3 - 1j, 3j)])
+def test_complex_exact_zero_factor(fn, p, q):
+    # d = 2 (w) and d = 3 (r) are exact roots of d^2 + p d + q: 4 + (-2-i) 2 + 2i = 0
+    result = fn(5, p, q)
+    assert (result.zero_factor_at, result.near_zero_at) == (2, None)
+    assert (result.value, result.log_abs) == (0j, -math.inf)
 
 
 class TestWallisSeq:
@@ -248,7 +258,8 @@ def _loop_oracle(n, p, q, denominator):
         factor = 1 + p / den + q / (den * den)
         if abs(factor) < 1e-15:
             d = Fraction(den)
-            if real_mode and d * d + Fraction(p.real) * d + Fraction(q.real) == 0:
+            if (d * d + Fraction(p.real) * d + Fraction(q.real) == 0
+                    and Fraction(p.imag) * d + Fraction(q.imag) == 0):
                 return -math.inf, 0.0, j, near_at, n
             if near_at is None:
                 near_at = j
@@ -267,6 +278,63 @@ def _loop_oracle(n, p, q, denominator):
 
 
 _PRODUCTS = {"w": (w_product, lambda j: j), "r": (r_product, lambda j: 2 * j - 1)}
+
+
+def _tail_oracle(dens, p, q, real_mode):
+    """``sum log(1 + z_d) - p/d`` over ``dens`` as (real, imaginary) with
+    ``z_d = p/d + q/d^2`` formed per denominator in complex arithmetic and the
+    damping terms as quotients ``-p/d``, in one exactly rounded ``math.fsum``
+    per part.  Needs ``|z_d| <= 1/2``.
+    """
+    if real_mode:
+        p, q = p.real, q.real
+        xs = [p / d + q / (d * d) for d in dens]
+        return math.fsum(itertools.chain(map(math.log1p, xs), [-p / d for d in dens])), 0.0
+    zs = [p / d + q / (d * d) for d in dens]
+    xs = [z.real for z in zs]
+    ys = [z.imag for z in zs]
+    # log|1+z| = log1p(x(2+x) + y^2) / 2; the damping enters doubled, which is exact
+    minus_2p = -2 * p.real
+    log_abs = math.fsum(itertools.chain(
+        map(math.log1p, [x * (2.0 + x) + y * y for x, y in zip(xs, ys)]),
+        [minus_2p / d for d in dens])) / 2
+    phase = math.fsum(itertools.chain(map(math.atan2, ys, [1.0 + x for x in xs]),
+                                      [-p.imag / d for d in dens]))
+    return log_abs, phase
+
+
+@st.composite
+def _tail_cases(draw):
+    part = draw(st.sampled_from([st.floats(-2e-3, 2e-3), st.floats(-1e3, 1e3)]))
+    p, q = complex(draw(part)), complex(draw(part))
+    if draw(st.booleans()):
+        p, q = complex(p.real, draw(part)), complex(q.real, draw(part))
+    step = draw(st.sampled_from([1, 2]))  # the denominators of w and of r
+    # whole chunks from the first denominator at or past d0, then a partial one
+    tail = draw(st.one_of(st.sampled_from([1, _CHUNK, _CHUNK + 1]),
+                          st.integers(2, 2 * _CHUNK + 1)))
+    return p, q, step, tail
+
+
+@given(_tail_cases())
+@settings(max_examples=40, deadline=None)
+def test_tail_kernel_matches_tail_oracle(case):
+    # the tail chunk by chunk as _product cuts it; the tolerance is a few ulps of
+    # sum(|p|/d + |q|/d^2), which bounds every term of both parts, plus a few
+    # subnormal spacings per term for parameters near the bottom of the range
+    p, q, step, tail = case
+    real_mode = p.imag == 0.0 and q.imag == 0.0
+    d0 = _tail_start(p, q)
+    first = d0 if step == 1 else d0 | 1  # r: the first odd denominator from d0 on
+    dens = range(first, first + tail * step, step)
+    for start in range(0, tail, _CHUNK):
+        chunk = dens[start:start + _CHUNK]
+        scale = math.fsum(abs(p) / d + abs(q) / (d * d) for d in chunk)
+        tol = 4 * math.ulp(1.0) * scale + 8 * len(chunk) * math.ulp(0.0)
+        got = _tail_sums(chunk, p, q, real_mode)
+        want = _tail_oracle(chunk, p, q, real_mode)
+        assert abs(got[0] - want[0]) <= tol, (p, q, chunk)
+        assert abs(got[1] - want[1]) <= tol, (p, q, chunk)
 
 # Zero or at least 1e-2 in size: with tiny nonzero parameters consecutive
 # factors round the same way in the loop oracle, whose error then grows
@@ -374,6 +442,8 @@ def test_huge_complex_parameter_values():
     # the damping terms send the log to -inf: the value is 0 whatever the phase
     result = w_product(3, q, 0)
     assert (result.value, result.log_abs, result.phase_or_sign) == (0j, -math.inf, -math.inf)
+    data = json.loads(json.dumps(result.to_json_dict(), allow_nan=False))
+    assert (data["log_abs"], data["phase_or_sign"]) == (None, None)
     with pytest.raises(ValueError, match="phase"):
         r_product(3, complex(1e300, 1.7e308), 0)
 
@@ -443,3 +513,33 @@ def test_small_parameters_match_mpmath(p, q, real):
                 diff = got.phase_or_sign - ref.imag
                 wrapped = float(diff - 2 * mp.pi * mp.nint(diff / (2 * mp.pi)))
             assert abs(wrapped) <= tol, (product.__name__, p, q)
+
+
+def _moderate_parameters():
+    """Eight seeded real and eight complex ``(p, q)`` with ``|p|, |q| <= 3``."""
+    rng = random.Random(17)
+    real = [(complex(rng.uniform(-3, 3)), complex(rng.uniform(-3, 3))) for _ in range(8)]
+    r = 3 / math.sqrt(2)  # both parts within r: the modulus within 3
+    return real + [(complex(rng.uniform(-r, r), rng.uniform(-r, r)),
+                    complex(rng.uniform(-r, r), rng.uniform(-r, r))) for _ in range(8)]
+
+
+@pytest.mark.parametrize("p,q", _moderate_parameters())
+def test_moderate_parameters_match_mpmath(p, q):
+    # n is several chunks past d0 <= 13; the phase is taken mod 2 pi
+    real = p.imag == 0.0 and q.imag == 0.0
+    for n in (5000, 20000, 10**5):
+        for product, odd in ((w_product, False), (r_product, True)):
+            got = product(n, p, q)
+            ref = _mp_log_product(n, p, q, odd)
+            tol = 2e-15 * max(1.0, float(abs(ref)))
+            assert abs(got.log_abs - float(ref.real)) <= tol, (product.__name__, n, p, q)
+            with mp.workdps(50):
+                if real:  # the imaginary part is k pi, k odd for a negative product
+                    sign = (-1.0) ** int(mp.nint(ref.imag / mp.pi))
+                    assert got.phase_or_sign == sign, (product.__name__, n, p, q)
+                    continue
+                diff = got.phase_or_sign - ref.imag
+                wrapped = float(diff - 2 * mp.pi * mp.nint(diff / (2 * mp.pi)))
+            assert abs(wrapped) <= tol, (product.__name__, n, p, q)
+
