@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -39,8 +39,7 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class UniPoly:
+class UniPoly(namedtuple("UniPoly", "coeffs")):
     """Dense univariate polynomial with exact rational coefficients.
 
     ``coeffs[k]`` is the coefficient of ``t**k``.  Trailing zero
@@ -49,13 +48,13 @@ class UniPoly:
     is the empty tuple.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        cs = [Fraction(c) for c in self.coeffs]
+    def __new__(cls, coeffs: tuple) -> UniPoly:
+        cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        return super().__new__(cls, tuple(cs))
 
     def evaluate(self, x: Fraction | int) -> Fraction:
         """Exact Horner evaluation at a rational point."""

@@ -37,9 +37,10 @@ an empty cell and booleans as ``true``/``false``.  ``--format plain``, the
 default, prints each command's own lines.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 domain error
-(a gamma pole).  ``eval`` refuses, with exit 2, an option its target does
-not read (``--p``/``--q`` for ``wallis`` and the Wallis-sequence
-expansions, ``--order`` outside ``expansion:*``) and, for the targets that
+(a gamma pole, or a value past the double range).  ``eval`` refuses, with
+exit 2, an option its target does not read (``--p``/``--q`` for
+``wallis`` and the Wallis-sequence expansions, ``--order`` outside
+``expansion:*``) and, for the targets that
 multiply ``n`` factors one by one, an ``--n`` above ``MAX_BRUTE_FORCE_N``.
 ``coeffs`` refuses ``--p``/``--q`` for the series families (nu, mu, omega,
 alphabeta).  Both refuse an ``--order`` above the family's cap in
@@ -49,13 +50,19 @@ Output goes to stdout, diagnostics (``note:``, ``domain error:``) to
 stderr.  Plain output prints floats with 17 significant digits;
 ``WALLISPROD_DIGITS`` overrides that and changes no JSON or CSV byte.
 
-The module imports no library module at its top: each subcommand imports
-what it uses, so ``wallisprod --help`` loads only ``click``, and ``eval
---target wallis`` only ``products``.
+The module needs only the standard library: the parser is ``argparse``.  It
+imports no library module at its top: each subcommand imports what it
+uses, so ``wallisprod --help`` loads no library module, and ``eval
+--target wallis`` only ``products``.  A usage error prints the usage, a
+``--help`` hint and ``Error: <message>`` to stderr and exits 2.  Options
+cannot be abbreviated, and an option value may begin with ``-`` (``--p
+-1e-3``, ``--q -i``).  An uncaught exception still prints its traceback
+and exits 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -64,11 +71,9 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import asdict
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, NoReturn
-
-import click
+from typing import NoReturn
 
 from . import __version__
 
@@ -155,11 +160,10 @@ def fmt_complex(z: complex) -> str:
 # output: one record per command, rendered by _emit
 # ---------------------------------------------------------------------------
 
-class _AlphaBeta(NamedTuple):
+class _AlphaBeta(namedtuple("_AlphaBeta", "alpha beta")):
     """One ``(alpha_l, beta_l)`` level; JSON writes it as a 2-element array."""
 
-    alpha: Fraction
-    beta: Fraction
+    __slots__ = ()
 
 
 def _rational(x: Fraction) -> str:
@@ -214,52 +218,29 @@ def _csv_table(record: dict) -> list[list[str]]:
 def _emit(fmt: str, record: dict, plain: list[str]) -> None:
     """Print ``record`` as JSON or CSV, or the command's own ``plain`` lines."""
     if fmt == "json":
-        click.echo(json.dumps(record, default=_json_value))
+        print(json.dumps(record, default=_json_value))
     elif fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(_csv_table(record))
-        click.echo(buf.getvalue(), nl=False)
+        sys.stdout.write(buf.getvalue())
     else:
         for line in plain:
-            click.echo(line)
+            print(line)
 
 
 def _domain_error(message: str) -> NoReturn:
-    click.echo(f"domain error: {message}", err=True)
+    print(f"domain error: {message}", file=sys.stderr)
     sys.exit(EXIT_DOMAIN)
-
-
-_FORMAT = click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]),
-                       default="plain")
-
-
-@click.group()
-@click.version_option(version=__version__)
-def main() -> None:
-    """Exact expansion coefficients and numeric checks for Wallis-type products."""
 
 
 # ---------------------------------------------------------------------------
 # coeffs
 # ---------------------------------------------------------------------------
 
-@main.command("coeffs")
-@click.option("--family", required=True,
-              type=click.Choice(["a", "b", "nu", "mu", "omega", "alphabeta"]),
-              help="Coefficient family.")
-@click.option("--order", required=True, type=int,
-              help="Number of coefficients, at most "
-                   + ", ".join(f"{cap} ({family})" for family, cap in MAX_ORDER.items()) + ".")
-@click.option("--p", "p_text", default=None, help="Complex literal; evaluates a/b at (p, q).")
-@click.option("--q", "q_text", default=None, help="Complex literal; evaluates a/b at (p, q).")
-@_FORMAT
-@click.option("--signs", is_flag=True,
-              help="Also print the sign pattern to stderr (nu, mu, omega, alphabeta).")
 def cmd_coeffs(family: str, order: int, p_text: str | None, q_text: str | None,
                fmt: str, signs: bool) -> None:
     """Print exact expansion coefficients.
 
-    \b
     Examples:
       wallisprod coeffs --family nu --order 3
       wallisprod coeffs --family alphabeta --order 2
@@ -267,12 +248,12 @@ def cmd_coeffs(family: str, order: int, p_text: str | None, q_text: str | None,
       wallisprod coeffs --family a --order 3 --p 1 --q 1/2
     """
     if order < 1:
-        raise click.UsageError("--order must be >= 1")
+        raise UsageError("--order must be >= 1")
     _check_order(family, family, order)
     if signs and family in ("a", "b"):
-        raise click.UsageError("--signs applies to the nu, mu, omega and alphabeta families only")
+        raise UsageError("--signs applies to the nu, mu, omega and alphabeta families only")
     if family not in ("a", "b") and (p_text is not None or q_text is not None):
-        raise click.UsageError(f"--p and --q do not apply to --family {family}")
+        raise UsageError(f"--p and --q do not apply to --family {family}")
     if family in ("a", "b"):
         _emit(fmt, *_poly_record(family, order, p_text, q_text))
         return
@@ -289,21 +270,21 @@ def cmd_coeffs(family: str, order: int, p_text: str | None, q_text: str | None,
         plain = [f"{k}, {_rational(v)}" for k, v in enumerate(values, start=1)]
     if signs:
         pattern = " ".join("+" if v > 0 else ("-" if v < 0 else "0") for v in leading)
-        click.echo(f"signs: {pattern}", err=True)
+        print(f"signs: {pattern}", file=sys.stderr)
     _emit(fmt, {"family": series.family.value, "order": series.order, "values": values}, plain)
 
 
 def _check_order(name: str, family: str, order: int) -> None:
     # refuse, before any work, an --order past the cap of the coefficient family
     if order > MAX_ORDER[family]:
-        raise click.UsageError(f"--order must be <= {MAX_ORDER[family]} for {name} "
+        raise UsageError(f"--order must be <= {MAX_ORDER[family]} for {name} "
                                "(the cold build grows steeply with the order)")
 
 
 def _poly_record(family: str, order: int, p_text: str | None,
                  q_text: str | None) -> tuple[dict, list[str]]:
     if (p_text is None) != (q_text is None):
-        raise click.UsageError("--p and --q must be given together")
+        raise UsageError("--p and --q must be given together")
     from .coeffs import a_poly, b_poly, eval_bipoly
     build = a_poly if family == "a" else b_poly
     polys = [build(j) for j in range(1, order + 1)]
@@ -311,7 +292,10 @@ def _poly_record(family: str, order: int, p_text: str | None,
         lines = [str(f) for f in polys]
         return {"family": family, "order": order, "values": lines}, lines
     p, q = _require_pq(p_text, q_text)
-    values = [eval_bipoly(poly, p, q) for poly in polys]
+    try:
+        values = [eval_bipoly(poly, p, q) for poly in polys]
+    except OverflowError as exc:  # a power of p or q leaves the double range
+        _domain_error(f"{family}_1..{family}_{order} at p = {p_text}, q = {q_text}: {exc}")
     plain = [f"{j}, {fmt_complex(v)}" for j, v in enumerate(values, start=1)]
     return {"family": family, "order": order, "p": p, "q": q, "values": values}, plain
 
@@ -340,27 +324,10 @@ _PRODUCTS = ("wproduct", "rproduct")
 _CLOSED_FORMS = ("wclosed", "rclosed")
 
 
-@main.command("eval")
-@click.option("--target", required=True,
-              help="wproduct | rproduct | wallis | wclosed | rclosed | expansion:<family>")
-@click.option("--n", "n", required=True, type=int,
-              help=f"At most {MAX_BRUTE_FORCE_N} for wallis, wproduct, rproduct and "
-                   "expansion:*, which multiply n factors one by one.")
-@click.option("--p", "p_text", default=None,
-              help="Complex literal (wproduct, rproduct, wclosed, rclosed, expansion:w|r).")
-@click.option("--q", "q_text", default=None,
-              help="Complex literal (wproduct, rproduct, wclosed, rclosed, expansion:w|r).")
-@click.option("--order", type=int, default=None,
-              help="Truncation order for expansions, at most "
-                   + ", ".join(f"{MAX_ORDER[family]} ({key})"
-                               for key, family in _EXPANSION_COEFFS.items())
-                   + f", {_ELEZOVIC_TERMS} (elezovic).")
-@_FORMAT
 def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
              order: int | None, fmt: str) -> None:
     """Evaluate a product, a closed form, or a truncated expansion.
 
-    \b
     Examples:
       wallisprod eval --target wallis --n 5
       wallisprod eval --target wproduct --n 100 --p 1 --q 0.5
@@ -368,7 +335,7 @@ def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
       wallisprod eval --target expansion:omega --n 100 --order 5
     """
     if n < 1:
-        raise click.UsageError("--n must be >= 1")
+        raise UsageError("--n must be >= 1")
     # a library warning (a zero factor of a closed form) becomes a note
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -378,27 +345,27 @@ def cmd_eval(target: str, n: int, p_text: str | None, q_text: str | None,
     if record.get("note"):
         notes.append(record["note"])
     for note in notes:
-        click.echo(f"note: {note}", err=True)
+        print(f"note: {note}", file=sys.stderr)
 
 
 def _eval_record(target: str, n: int, p_text: str | None, q_text: str | None,
                  order: int | None) -> tuple[dict, list[str]]:
     key = target.split(":", 1)[1] if target.startswith("expansion:") else None
     if key is None and target not in ("wallis", *_PRODUCTS, *_CLOSED_FORMS):
-        raise click.UsageError(f"unknown target {target!r}")
+        raise UsageError(f"unknown target {target!r}")
     if key is not None and key not in _EXPANSION_TAGS:
-        raise click.UsageError(
+        raise UsageError(
             f"unknown expansion family {key!r} (choose from {sorted(_EXPANSION_TAGS)})")
     if order is not None and key is None:
-        raise click.UsageError("--order applies to expansion targets only")
+        raise UsageError("--order applies to expansion targets only")
     if n > MAX_BRUTE_FORCE_N and target not in _CLOSED_FORMS:
-        raise click.UsageError(f"--n must be <= {MAX_BRUTE_FORCE_N} for {target}, "
+        raise UsageError(f"--n must be <= {MAX_BRUTE_FORCE_N} for {target}, "
                                "which multiplies n factors one by one")
     if key is not None:
         return _expansion_record(target, key, n, p_text, q_text, order)
     if target == "wallis":
         if p_text is not None or q_text is not None:
-            raise click.UsageError("--p and --q do not apply to --target wallis")
+            raise UsageError("--p and --q do not apply to --target wallis")
         from .products import wallis_seq
         value = complex(wallis_seq(n))
         return {"target": target, "value": value}, [fmt_complex(value)]
@@ -418,7 +385,7 @@ def _eval_record(target: str, n: int, p_text: str | None, q_text: str | None,
     # a zero product has no log, and its phase sum may not be finite:
     # strict JSON writes null, not -Infinity
     data = result.to_json_dict()
-    return {"target": target, **asdict(result), "log_abs": data["log_abs"],
+    return {"target": target, **result._asdict(), "log_abs": data["log_abs"],
             "phase_or_sign": data["phase_or_sign"]}, [
         f"value: {fmt_complex(result.value)}",
         f"log_abs: {fmt_float(result.log_abs)}",
@@ -432,7 +399,7 @@ def _eval_record(target: str, n: int, p_text: str | None, q_text: str | None,
 def _expansion_record(target: str, key: str, n: int, p_text: str | None, q_text: str | None,
                       order: int | None) -> tuple[dict, list[str]]:
     if order is None:
-        raise click.UsageError("--order is required for expansion targets")
+        raise UsageError("--order is required for expansion targets")
     if key in _EXPANSION_COEFFS:
         _check_order(key, _EXPANSION_COEFFS[key], order)
     from .expansions import ExpansionFamily, ExpansionTag, family_report
@@ -442,16 +409,16 @@ def _expansion_record(target: str, key: str, n: int, p_text: str | None, q_text:
     try:
         family = ExpansionFamily(tag, order, params)
     except ValueError as exc:  # an order outside the family's range
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     if params is None and (p_text is not None or q_text is not None):
-        raise click.UsageError(f"--p and --q do not apply to --target {target}")
+        raise UsageError(f"--p and --q do not apply to --target {target}")
     try:
         report = family_report(family, n)
     except PoleError as exc:
         _domain_error(str(exc))
     except (OverflowError, ValueError) as exc:  # a sum or p^2 - 4q leaves the double range
         _domain_error(f"{target} at n = {n}, order {order}: {exc}")
-    record = {"target": target, "family": tag.value, "order": order, **asdict(report)}
+    record = {"target": target, "family": tag.value, "order": order, **report._asdict()}
     return record, [
         f"family: {tag.value}",
         f"order: {order}",
@@ -465,11 +432,11 @@ def _expansion_record(target: str, key: str, n: int, p_text: str | None, q_text:
 
 def _require_pq(p_text: str | None, q_text: str | None) -> tuple[complex, complex]:
     if p_text is None or q_text is None:
-        raise click.UsageError("--p and --q are required for this target")
+        raise UsageError("--p and --q are required for this target")
     try:
         return parse_complex_literal(p_text), parse_complex_literal(q_text)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +447,6 @@ def _require_pq(p_text: str | None, q_text: str | None) -> tuple[complex, comple
 _SUITE_NAMES = ("bernoulli", "coeffs", "closedforms", "limits", "bounds", "all")
 
 
-@main.command("verify")
-@click.option("--suite", required=True, type=click.Choice(_SUITE_NAMES))
-@_FORMAT
 def cmd_verify(suite: str, fmt: str) -> None:
     """Run an identity suite; exit 0 iff every check passes."""
     from .verify import run_suite
@@ -492,7 +456,7 @@ def cmd_verify(suite: str, fmt: str) -> None:
              for r in results]
     plain.append(f"{len(results) - failed}/{len(results)} checks passed")
     _emit(fmt, {"suite": suite, "passed": len(results) - failed, "failed": failed,
-                "checks": [asdict(r) for r in results]}, plain)
+                "checks": [r._asdict() for r in results]}, plain)
     if failed:
         sys.exit(EXIT_VERIFY_FAILED)
 
@@ -501,8 +465,6 @@ def cmd_verify(suite: str, fmt: str) -> None:
 # constants
 # ---------------------------------------------------------------------------
 
-@main.command("constants")
-@_FORMAT
 def cmd_constants(fmt: str) -> None:
     """Print the classical constants (gamma to 40+ digits)."""
     from . import special
@@ -519,6 +481,90 @@ def cmd_constants(fmt: str) -> None:
     record = {**exact, **{k: f"{x:.17g}" for k, x in floats.items()}}
     shown = {**exact, **{k: fmt_float(x) for k, x in floats.items()}}
     _emit(fmt, record, [f"{k} = {v}" for k, v in shown.items()])
+
+
+# ---------------------------------------------------------------------------
+# the command line
+# ---------------------------------------------------------------------------
+
+class UsageError(Exception):
+    """A command line that parsed but that its command refuses; exits 2 with the usage."""
+
+
+# Stock argparse takes a token that begins with "-" for an option unless it reads
+# as -3 or -0.5, so "--p -1e-3", "--p -3000.0+0.5i" and "--q -i" would fail with
+# "expected one argument".  Every complex literal is a value.
+_NEGATIVE_LITERAL = re.compile("(?=-)" + _COMPLEX_RE.pattern)
+
+
+class _Formatter(argparse.RawDescriptionHelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, formatter_class=_Formatter, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_LITERAL
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(2, f"Try '{self.prog} --help' for help.\n\nError: {message}\n")
+
+
+def _command(commands, name: str, run, **options) -> None:
+    """Add subcommand ``name``; ``run`` takes each option's ``dest`` as a keyword."""
+    parser = commands.add_parser(name, help=run.__doc__.partition("\n")[0],
+                                 description=run.__doc__.replace("\n    ", "\n").rstrip())
+    for flag, spec in options.items():
+        parser.add_argument(f"--{flag}", **spec)
+    parser.add_argument("--format", dest="fmt", choices=["plain", "json", "csv"],
+                        default="plain")
+    parser.set_defaults(run=run, parser=parser)
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="wallisprod", description=main.__doc__)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    pq_help = "Complex literal (wproduct, rproduct, wclosed, rclosed, expansion:w|r)."
+    _command(commands, "coeffs", cmd_coeffs,
+             family=dict(required=True, choices=["a", "b", "nu", "mu", "omega", "alphabeta"],
+                         help="Coefficient family."),
+             order=dict(required=True, type=int, help="Number of coefficients, at most "
+                        + ", ".join(f"{cap} ({family})" for family, cap in MAX_ORDER.items())
+                        + "."),
+             p=dict(dest="p_text", metavar="P", help="Complex literal; evaluates a/b at (p, q)."),
+             q=dict(dest="q_text", metavar="Q", help="Complex literal; evaluates a/b at (p, q)."),
+             signs=dict(action="store_true",
+                        help="Also print the sign pattern to stderr (nu, mu, omega, alphabeta)."))
+    _command(commands, "eval", cmd_eval,
+             target=dict(required=True, help="wproduct | rproduct | wallis | wclosed | rclosed"
+                         " | expansion:<family>"),
+             n=dict(required=True, type=int, help=f"At most {MAX_BRUTE_FORCE_N} for wallis, "
+                    "wproduct, rproduct and expansion:*, which multiply n factors one by one."),
+             p=dict(dest="p_text", metavar="P", help=pq_help),
+             q=dict(dest="q_text", metavar="Q", help=pq_help),
+             order=dict(type=int, help="Truncation order for expansions, at most "
+                        + ", ".join(f"{MAX_ORDER[family]} ({key})"
+                                    for key, family in _EXPANSION_COEFFS.items())
+                        + f", {_ELEZOVIC_TERMS} (elezovic)."))
+    _command(commands, "verify", cmd_verify, suite=dict(required=True, choices=_SUITE_NAMES))
+    _command(commands, "constants", cmd_constants)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Exact expansion coefficients and numeric checks for Wallis-type products."""
+    namespace, unknown = _parser().parse_known_args(argv)
+    options = vars(namespace)
+    parser = options.pop("parser")
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    try:
+        options.pop("run")(**options)
+    except UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

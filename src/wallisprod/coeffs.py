@@ -47,7 +47,7 @@ import functools
 import math
 import operator
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -248,19 +248,17 @@ class Family(str, Enum):
     ALPHA_BETA = "alpha_beta"
 
 
-@dataclass(frozen=True)
-class CoeffSeries:
+class CoeffSeries(namedtuple("CoeffSeries", "family order values")):
     """Ordered exact coefficient list; ``values[k]`` is the index ``k+1`` entry."""
 
-    family: Family
-    order: int
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    def __new__(cls, family: Family, order: int, values: tuple) -> CoeffSeries:
+        if order < 1:
             raise ValueError("series order must be >= 1")
-        if len(self.values) != self.order:
+        if len(values) != order:
             raise ValueError("value count must equal the order")
+        return super().__new__(cls, family, order, values)
 
 
 def _nu_closed(j: int) -> Fraction:

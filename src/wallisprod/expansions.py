@@ -36,10 +36,10 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .coeffs import (
     MAX_ALPHA_BETA_ORDER,
@@ -91,31 +91,25 @@ class ExpansionTag(str, Enum):
     ELEZOVIC = "elezovic"
 
 
-@dataclass(frozen=True)
-class ExpansionFamily:
-    """A truncated expansion: which family, how many terms, which (p, q)."""
+class ExpansionFamily(namedtuple("ExpansionFamily", "tag order params")):
+    """A truncated expansion: which family, how many terms, which (p, q) or ``None``."""
 
-    tag: ExpansionTag
-    order: int
-    params: tuple[complex, complex] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        spec = _FAMILIES[self.tag]
-        spec.check_order(self.order)
-        if spec.needs_params != (self.params is not None):
+    def __new__(cls, tag: ExpansionTag, order: int,
+                params: tuple[complex, complex] | None = None) -> ExpansionFamily:
+        spec = _FAMILIES[tag]
+        spec.check_order(order)
+        if spec.needs_params != (params is not None):
             raise ValueError("params are required exactly for the (p, q) families")
+        return super().__new__(cls, tag, order, params)
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Approximation vs oracle at a single ``n``."""
+class ErrorReport(namedtuple("ErrorReport", "n approx exact abs_err rel_err note",
+                             defaults=(None,))):
+    """Approximation vs oracle at a single ``n``; ``rel_err`` is ``None`` when the oracle is 0."""
 
-    n: int
-    approx: complex
-    exact: complex
-    abs_err: float
-    rel_err: float | None
-    note: str | None = None
+    __slots__ = ()
 
 
 def error_report(n: int, approx: complex, exact: complex, note: str | None = None) -> ErrorReport:
@@ -130,16 +124,17 @@ def error_report(n: int, approx: complex, exact: complex, note: str | None = Non
 # The family table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Spec:
-    """``prefactor * F(sum_k c_k / (n + s_k)^e_k)`` with ``F(s)`` = ``1 + s`` or ``exp(s)``."""
+class _Spec(namedtuple("_Spec", "terms exp_form oracle est_shift limit max_order",
+                       defaults=(None, None))):
+    """``prefactor * F(sum_k c_k / (n + s_k)^e_k)`` with ``F(s)`` = ``1 + s`` or ``exp(s)``.
 
-    terms: Callable[[int, tuple | None], list[tuple]]  # (order, params) -> [(c_k, s_k, e_k)]
-    exp_form: bool
-    oracle: Callable[[int, tuple | None], complex]
-    est_shift: Callable[[int], float]  # x = n + shift in convergence_order
-    limit: Callable[[complex, complex], complex] | None = None  # prefactor; pi/2 if None
-    max_order: int | None = None
+    ``terms(order, params)`` gives the ``(c_k, s_k, e_k)``; ``oracle(n, params)``
+    the brute-force value; ``est_shift(order)`` the ``x = n + shift`` used by
+    ``convergence_order``; ``limit(p, q)`` the prefactor, ``pi/2`` when it is
+    ``None``; ``max_order`` caps the order when the family has one.
+    """
+
+    __slots__ = ()
 
     @property
     def needs_params(self) -> bool:
@@ -550,17 +545,14 @@ def deng_beta() -> float:
     return (32 - 9 * math.pi) / (3 * math.pi - 8)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """Outcome of checking ``(pi/2)(1 - 1/(4n+alpha)) < W_n <= (pi/2)(1 - 1/(4n+beta))``."""
+class BoundsReport(namedtuple("BoundsReport", "n_max violations first_violation tight_upper_n "
+                                             "tight_upper_gap alpha beta")):
+    """Outcome of checking ``(pi/2)(1 - 1/(4n+alpha)) < W_n <= (pi/2)(1 - 1/(4n+beta))``.
 
-    n_max: int
-    violations: int
-    first_violation: int | None
-    tight_upper_n: int | None
-    tight_upper_gap: float  # a bound on |W_n - upper| at tight_upper_n
-    alpha: float
-    beta: float
+    ``tight_upper_gap`` bounds ``|W_n - upper|`` at ``tight_upper_n``.
+    """
+
+    __slots__ = ()
 
 
 def check_bounds(n_max: int) -> BoundsReport:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import mul
@@ -53,8 +53,8 @@ _EXP_OVERFLOW = 709.0  # log of the largest finite double, minus slack
 _CHUNK = 4096  # head terms or tail denominators per fsum: C-level loops, bounded memory
 
 
-@dataclass(frozen=True)
-class ProductResult:
+class ProductResult(namedtuple("ProductResult", "value log_abs phase_or_sign zero_factor_at "
+                                               "terms near_zero_at", defaults=(None,))):
     """Value of a finite product with log-space and zero diagnostics.
 
     ``value = exp(log_abs) * phase`` when no factor vanished.  For real
@@ -69,12 +69,7 @@ class ProductResult:
     finite as ``None``, since strict JSON has no ``Infinity``.
     """
 
-    value: complex
-    log_abs: float
-    phase_or_sign: float
-    zero_factor_at: int | None
-    terms: int
-    near_zero_at: int | None = None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import coeffs, expansions, products, special
@@ -19,11 +19,8 @@ from .bernoulli import bernoulli_number, bernoulli_poly
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
+    __slots__ = ()
 
 
 def _check(name: str, condition: bool, detail: str = "") -> CheckResult:

@@ -7,11 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import traceback
+from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -38,9 +41,49 @@ from wallisprod.coeffs import (
 )
 
 
+class _Stream(io.StringIO):
+    """One output stream that also writes into the interleaved ``output``."""
+
+    def __init__(self, output):
+        super().__init__()
+        self.output = output
+
+    def write(self, text):
+        self.output.write(text)
+        return super().write(text)
+
+
+Result = namedtuple("Result", "exit_code output stdout stderr")
+
+
+class Runner:
+    """Runs ``main(args)`` in-process with stdout and stderr captured.
+
+    ``output`` is both streams in the order they were written.  A library
+    exception becomes exit code 1, as an uncaught one does in a real run,
+    unless ``catch_exceptions`` is false.
+    """
+
+    def invoke(self, cli, args, env=None, catch_exceptions=True):
+        output = io.StringIO()
+        out, err = _Stream(output), _Stream(output)
+        with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
+            try:
+                cli(args)
+                code = 0
+            except SystemExit as exc:
+                code = exc.code or 0
+            except Exception:
+                if not catch_exceptions:
+                    raise
+                traceback.print_exc()
+                code = 1
+        return Result(code, output.getvalue(), out.getvalue(), err.getvalue())
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def invoke(runner, *args, env=None):
@@ -203,6 +246,18 @@ class TestCoeffsCommand:
         assert "Usage:" in result.output
         assert f"--p and --q do not apply to --family {family}" in result.output
         assert cache_sizes() == before  # refused before any coefficient work
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "a", "--order", "3", "--p", "1e308", "--q", "1e308"],
+        ["--family", "b", "--order", "5", "--p", "1e200", "--q", "1"],
+    ])
+    def test_overflowing_point_exit_3(self, runner, argv):
+        # a power of p or q passes the double range inside eval_bipoly
+        result = runner.invoke(main, ["coeffs", *argv])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("domain error: ")
+        assert "complex exponentiation" in result.stderr
 
     def test_signs_flag(self, runner):
         result = runner.invoke(main, ["coeffs", "--family", "omega", "--order", "5",
@@ -452,6 +507,58 @@ class TestVerifyCommand:
         assert result.exit_code == 2
 
 
+class TestUsageContract:
+    """Exit 2, ``Usage:`` on stderr and nothing on stdout for every malformed command line."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param([], id="missing-subcommand"),
+        pytest.param(["nonsense"], id="unknown-subcommand"),
+        pytest.param(["coeffs", "--family", "nu", "--order", "2", "--bogus"],
+                     id="unknown-option"),
+        pytest.param(["coeffs", "--fam", "nu", "--order", "2"], id="abbreviated-option"),
+        pytest.param(["coeffs", "--family", "nu"], id="missing-order"),
+        pytest.param(["eval", "--n", "5"], id="missing-target"),
+        pytest.param(["verify"], id="missing-suite"),
+        pytest.param(["coeffs", "--family", "zeta", "--order", "2"], id="bad-family"),
+        pytest.param(["coeffs", "--family", "nu", "--order", "2", "--format", "xml"],
+                     id="bad-format"),
+        pytest.param(["verify", "--suite", "nonsense"], id="bad-suite"),
+        pytest.param(["coeffs", "--family", "nu", "--order", "2.5"], id="float-order"),
+        pytest.param(["eval", "--target", "wallis", "--n", "x"], id="word-n"),
+        pytest.param(["eval", "--target", "expansion:mu", "--n", "50", "--order", "1e2"],
+                     id="exponent-order"),
+    ])
+    def test_usage_error_exit_2(self, runner, argv):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Usage:" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("pq", [
+        ("--p", "-3000.0+0.5i", "--q", "2"),
+        ("--p", "-1e-3", "--q", "1"),
+        ("--p", "1", "--q", "-i"),
+        ("--p=-1", "--q", "1"),
+        ("--p", "-.5", "--q", "-2.5E+4i"),
+    ])
+    def test_values_that_begin_with_a_minus_sign(self, runner, pq):
+        result = invoke(runner, "eval", "--target", "wproduct", "--n", "3", *pq,
+                        "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["terms"] == 3
+
+    def test_subcommand_help_and_version(self, runner):
+        for argv in (["--help"], ["coeffs", "--help"], ["eval", "--help"],
+                     ["verify", "--help"], ["constants", "--help"]):
+            result = invoke(runner, *argv)
+            assert result.exit_code == 0 and result.stderr == ""
+            assert result.stdout.startswith("Usage:")
+        result = invoke(runner, "--version")
+        assert result.exit_code == 0
+        assert result.stdout.endswith(", version 0.1.0\n")
+
+
 class TestConstantsCommand:
     def test_plain_output(self, runner):
         result = invoke(runner, "constants")
@@ -540,6 +647,31 @@ class TestImportGraph:
     def test_subcommand_loads_what_it_uses(self, argv, modules):
         expected = ["wallisprod", *(f"wallisprod.{m}" for m in ["cli", *modules])]
         assert self.loaded(self.RUN_CLI, *argv) == sorted(expected)
+
+
+    STDLIB_ONLY = ("import json, runpy, sys\n"
+                   "try:\n"
+                   "    runpy.run_module('wallisprod.cli', run_name='__main__')\n"
+                   "finally:\n"
+                   "    print(json.dumps(sorted({'click', 'dataclasses', 'inspect'}"
+                   " & set(sys.modules))), file=sys.stderr)")
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["--version"],
+        ["coeffs", "--family", "a", "--order", "3", "--format", "json"],
+        ["eval", "--target", "wproduct", "--n", "20", "--p", "-1e-3", "--q", "-i"],
+        ["eval", "--target", "expansion:mu", "--n", "50", "--order", "2", "--format", "csv"],
+        ["verify", "--suite", "limits", "--format", "json"],
+        ["constants"],
+    ])
+    def test_cli_runs_on_the_standard_library_alone(self, argv):
+        # -S: no site-packages, so no third-party module can be imported
+        bare = run_python("-S", "-c", self.STDLIB_ONLY, *argv)
+        normal = run_module(*argv)
+        assert normal.returncode == 0
+        assert (bare.returncode, bare.stdout) == (normal.returncode, normal.stdout)
+        assert json.loads(bare.stderr.splitlines()[-1]) == []
 
 
 class TestCoeffSeriesOutput:
@@ -657,6 +789,13 @@ class TestJsonRecords:
         fields = ", ".join(f'"{k}": "{v}"' for k, v in _constants().items())
         assert self.stdout(runner, "constants") == f"{{{fields}}}\n"
 
+    def test_verify(self, runner):
+        checks = ", ".join(
+            f'{{"name": {json.dumps(r.name)}, "passed": {json.dumps(r.passed)}, '
+            f'"detail": {json.dumps(r.detail)}}}' for r in verify.run_suite("limits"))
+        assert self.stdout(runner, "verify", "--suite", "limits") == (
+            f'{{"suite": "limits", "passed": 9, "failed": 0, "checks": [{checks}]}}\n')
+
     def test_verify_keys_and_rows(self, runner):
         data = json.loads(self.stdout(runner, "verify", "--suite", "limits"))
         assert list(data) == ["suite", "passed", "failed", "checks"]
@@ -720,6 +859,14 @@ class TestCsvShapes:
         assert rows[0] == ["index", "name", "passed", "detail"]
         assert [row[0] for row in rows[1:]] == [str(k) for k in range(1, 10)]
         assert all(row[1].startswith("limits.") and row[2] == "true" for row in rows[1:])
+
+    def test_verify_bytes(self, runner):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [["index", "name", "passed", "detail"],
+             *([str(k), r.name, "true" if r.passed else "false", r.detail]
+               for k, r in enumerate(verify.run_suite("limits"), start=1))])
+        assert self.stdout(runner, "verify", "--suite", "limits") == buf.getvalue()
 
     def test_constants_one_wide_row(self, runner):
         fields = _constants()

@@ -57,3 +57,66 @@ def test_version_matches_pyproject():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     project = text.split("[project]", 1)[1]
     assert wallisprod.__version__ == re.search(r'^version = "([^"]+)"', project, re.M).group(1)
+
+
+class TestRecordTypes:
+    """The frozen record types: positional construction, validation, immutability."""
+
+    @staticmethod
+    def records():
+        from wallisprod import bernoulli, coeffs, expansions, products, verify
+        tag = expansions.ExpansionTag.WALLIS_MU
+        return [
+            (bernoulli.UniPoly((1, 2)), "coeffs"),
+            (coeffs.CoeffSeries(coeffs.Family.NU, 1, (1,)), "values"),
+            (products.ProductResult(1 + 0j, 0.0, 1.0, None, 3), "near_zero_at"),
+            (expansions.ExpansionFamily(tag, 2), "order"),
+            (expansions.ErrorReport(5, 1j, 1j, 0.0, 0.0), "note"),
+            (expansions._FAMILIES[tag], "exp_form"),
+            (expansions.BoundsReport(1, 0, None, 1, 0.0, 2.5, 1.2), "violations"),
+            (verify.CheckResult("name", True), "passed"),
+        ]
+
+    def test_positional_construction_with_defaults(self):
+        from wallisprod import expansions, products, verify
+        result = products.ProductResult(2j, 0.5, 1.25, None, 7)
+        assert (result.value, result.log_abs, result.phase_or_sign) == (2j, 0.5, 1.25)
+        assert (result.zero_factor_at, result.terms, result.near_zero_at) == (None, 7, None)
+        family = expansions.ExpansionFamily(expansions.ExpansionTag.WALLIS_OMEGA, 3)
+        assert (family.order, family.params) == (3, None)
+        assert expansions.ErrorReport(1, 1j, 1j, 0.0, None).note is None
+        assert verify.CheckResult("x", False).detail == ""
+        spec = expansions._Spec(None, True, None, None)
+        assert (spec.limit, spec.max_order, spec.needs_params) == (None, None, False)
+
+    def test_validation_errors(self):
+        from fractions import Fraction
+
+        from wallisprod import bernoulli, coeffs, expansions
+        with pytest.raises(ValueError, match="value count must equal the order"):
+            coeffs.CoeffSeries(coeffs.Family.MU, 2, (Fraction(1),))
+        with pytest.raises(ValueError, match="series order must be >= 1"):
+            coeffs.CoeffSeries(coeffs.Family.MU, 0, ())
+        tag = expansions.ExpansionTag
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            expansions.ExpansionFamily(tag.WALLIS_MU, 0)
+        with pytest.raises(ValueError, match=r"order must be in 1\.\.12"):
+            expansions.ExpansionFamily(tag.WALLIS_ALPHA_BETA, 13)
+        with pytest.raises(ValueError, match="params are required exactly"):
+            expansions.ExpansionFamily(tag.W_PQ, 2)
+        with pytest.raises(ValueError, match="params are required exactly"):
+            expansions.ExpansionFamily(tag.WALLIS_MU, 2, (1, 0.5))
+        poly = bernoulli.UniPoly((1, Fraction(1, 2), 0, 0))
+        assert poly.coeffs == (Fraction(1), Fraction(1, 2))
+        assert all(type(c) is Fraction for c in poly.coeffs)
+        assert bernoulli.UniPoly((0, 0)).coeffs == ()
+
+    def test_fields_cannot_be_assigned(self):
+        for record, field in self.records():
+            before = getattr(record, field)
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                record.no_such_field = None
+            assert getattr(record, field) == before
+            assert not hasattr(record, "no_such_field")
