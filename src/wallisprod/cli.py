@@ -278,7 +278,7 @@ def _check_order(name: str, family: str, order: int) -> None:
     # refuse, before any work, an --order past the cap of the coefficient family
     if order > MAX_ORDER[family]:
         raise UsageError(f"--order must be <= {MAX_ORDER[family]} for {name} "
-                               "(the cold build grows steeply with the order)")
+                         "(the cold build grows steeply with the order)")
 
 
 def _poly_record(family: str, order: int, p_text: str | None,
@@ -360,7 +360,7 @@ def _eval_record(target: str, n: int, p_text: str | None, q_text: str | None,
         raise UsageError("--order applies to expansion targets only")
     if n > MAX_BRUTE_FORCE_N and target not in _CLOSED_FORMS:
         raise UsageError(f"--n must be <= {MAX_BRUTE_FORCE_N} for {target}, "
-                               "which multiplies n factors one by one")
+                         "which multiplies n factors one by one")
     if key is not None:
         return _expansion_record(target, key, n, p_text, q_text, order)
     if target == "wallis":
@@ -498,6 +498,8 @@ _NEGATIVE_LITERAL = re.compile("(?=-)" + _COMPLEX_RE.pattern)
 
 
 class _Formatter(argparse.RawDescriptionHelpFormatter):
+    """Help and usage errors begin with ``Usage:``; the subcommand prog's empty prefix stays."""
+
     def add_usage(self, usage, actions, groups, prefix=None):
         super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
 
