@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "bernoulli": (
-        "BernoulliTable",
         "UniPoly",
         "bernoulli_number",
         "bernoulli_poly",

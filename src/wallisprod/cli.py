@@ -37,7 +37,8 @@ an empty cell and booleans as ``true``/``false``.  ``--format plain``, the
 default, prints each command's own lines.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 domain error
-(a gamma pole, or a value past the double range).  ``eval`` refuses, with
+(a gamma pole, a value past the double range, or a gamma argument left of
+``Re = -10^6``).  ``eval`` refuses, with
 exit 2, an option its target does not read (``--p``/``--q`` for
 ``wallis`` and the Wallis-sequence expansions, ``--order`` outside
 ``expansion:*``) and, for the targets that
@@ -374,7 +375,8 @@ def _eval_record(target: str, n: int, p_text: str | None, q_text: str | None,
         from .special import PoleError, r_closed, w_closed
         try:
             value = complex((w_closed if target == "wclosed" else r_closed)(n, p, q))
-        except (PoleError, ValueError) as exc:  # a gamma pole, or p^2 - 4q leaves the double range
+        except (PoleError, ValueError) as exc:  # a gamma pole, p^2 - 4q past the double range,
+            # or a gamma argument left of the domain
             _domain_error(str(exc))
         return {"target": target, "value": value}, [fmt_complex(value)]
     from .products import r_product, w_product
@@ -416,7 +418,8 @@ def _expansion_record(target: str, key: str, n: int, p_text: str | None, q_text:
         report = family_report(family, n)
     except PoleError as exc:
         _domain_error(str(exc))
-    except (OverflowError, ValueError) as exc:  # a sum or p^2 - 4q leaves the double range
+    except (OverflowError, ValueError) as exc:  # a sum or p^2 - 4q past the double range,
+        # or a gamma argument left of the domain
         _domain_error(f"{target} at n = {n}, order {order}: {exc}")
     record = {"target": target, "family": tag.value, "order": order, **report._asdict()}
     return record, [

@@ -28,7 +28,8 @@ Two kinds of objects live here:
   ``omega`` and its second route ``omega_alt``) depends only on earlier
   entries and on a prefix of another series, so each is computed once per
   process: a call extends the family's list by prefix as far as it asks,
-  and later calls read it.  The ``mu`` and ``omega`` builds run over
+  and later calls read it.  These lists and the Bernoulli numbers grow
+  under one re-entrant lock (``bernoulli._grow``).  The ``mu`` and ``omega`` builds run over
   integer numerators on a common denominator and reduce each new entry
   once.  The ``alpha_beta`` build runs in integers over a factor base
   (:class:`_FactorBase`): the primes up to ``2l - 1`` and the numerators
@@ -46,13 +47,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import threading
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
-from .bernoulli import _TABLE as _BERNOULLI_TABLE
-from .bernoulli import bernoulli_number, bernoulli_poly
+from .bernoulli import _NUMBERS, _grow, bernoulli_number, bernoulli_poly
 
 __all__ = [
     "BiPoly",
@@ -268,30 +267,12 @@ def _nu_closed(j: int) -> Fraction:
     return Fraction((-1) ** (j + 1)) * (scale * bernoulli_number(j + 1) - corr) / (j * (j + 1))
 
 
-# Series caches: list index ``k - 1`` holds entry ``k``.  The lock is
-# re-entrant because a build grows the series it depends on (mu reads nu,
-# alpha_beta reads mu) while the lock is held.
-_SERIES_LOCK = threading.RLock()
+# Series caches, grown by ``_grow``: list index ``k - 1`` holds entry ``k``.
 _NU: list[Fraction] = []
 _MU: list[Fraction] = []
 _ALPHA_BETA: list[tuple[Fraction, Fraction]] = []
 _OMEGA: list[Fraction] = []
 _OMEGA_ALT: list[Fraction] = []
-
-
-def _grow(values: list, entries, count: int, *args) -> list:
-    """Extend ``values`` to ``count`` entries; return its first ``count``.
-
-    ``entries(values, count, *args)`` yields the missing entries in order, each
-    appended before the next is asked for; integer state it keeps is derived
-    from ``values`` when it starts, so the list stays the only cache.  An entry
-    that raises appends nothing, and the next call computes it again.
-    """
-    with _SERIES_LOCK:
-        if len(values) < count:
-            for value in entries(values, count, *args):
-                values.append(value)
-        return values[:count]
 
 
 class _Common:
@@ -316,15 +297,16 @@ def _nu_entries(nu: list[Fraction], count: int):
     return map(_nu_closed, range(len(nu) + 1, count + 1))
 
 
-def _nu_values(order: int) -> list[Fraction]:
-    return _grow(_NU, _nu_entries, order)
+def _series(family: Family, values: list, entries, order: int, *args) -> CoeffSeries:
+    # the first ``order`` entries of a cached series, refused before any work below order 1
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return CoeffSeries(family, order, tuple(_grow(values, entries, order, *args)))
 
 
 def wallis_nu(order: int) -> CoeffSeries:
     """Exact ``nu_1 .. nu_order`` of ``ln(2 W_n / pi) ~ sum nu_j / n^j``."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return CoeffSeries(Family.NU, order, tuple(_nu_values(order)))
+    return _series(Family.NU, _NU, _nu_entries, order)
 
 
 def wallis_nu_raw(order: int) -> CoeffSeries:
@@ -348,7 +330,7 @@ def wallis_nu_raw(order: int) -> CoeffSeries:
 def _mu_entries(mu: list[Fraction], count: int):
     # mu_n = (1/n) sum_{k=1}^{n} k nu_k mu_{n-k} with mu_0 = 1: one integer dot
     # product over the common denominators of the k nu_k and of mu_0 .. mu_(n-1)
-    weights = _Common([k * v for k, v in enumerate(_nu_values(count), 1)])
+    weights = _Common([k * v for k, v in enumerate(_grow(_NU, _nu_entries, count), 1)])
     prefix = _Common([Fraction(1), *mu])
     for n in range(len(mu) + 1, count + 1):
         value = Fraction(sum(map(operator.mul, weights.nums, reversed(prefix.nums))),
@@ -359,9 +341,7 @@ def _mu_entries(mu: list[Fraction], count: int):
 
 def wallis_mu(order: int) -> CoeffSeries:
     """Exact ``mu_1 .. mu_order`` of ``2 W_n / pi ~ 1 + sum mu_j / n^j``."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return CoeffSeries(Family.MU, order, tuple(_grow(_MU, _mu_entries, order)))
+    return _series(Family.MU, _MU, _mu_entries, order)
 
 
 class _FactorBase:
@@ -515,10 +495,7 @@ MAX_ALPHA_BETA_ORDER = 12
 
 def alpha_beta(levels: int) -> CoeffSeries:
     """Exact ``(alpha_l, beta_l)`` pairs of the shifted odd-power series."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    pairs = _grow(_ALPHA_BETA, _alpha_beta_entries, levels)
-    return CoeffSeries(Family.ALPHA_BETA, levels, tuple(pairs))
+    return _series(Family.ALPHA_BETA, _ALPHA_BETA, _alpha_beta_entries, levels)
 
 
 def _omega_entries(out: list[Fraction], count: int, parity: int):
@@ -526,7 +503,7 @@ def _omega_entries(out: list[Fraction], count: int, parity: int):
     # 2^(r-2k+2) = (-1)^parity nu_(r+1): parity 0 is the odd-index route, 1 the even-index
     # one, and neither reads the other's list.  With omega_k = w_k / e for k < l, the
     # known part is sum_k w_k C(r, 2k-2) 2^(2k-2) / (e 2^r).
-    nu = _nu_values(2 * count - 1 + parity)
+    nu = _grow(_NU, _nu_entries, 2 * count - 1 + parity)
     prefix = _Common(out)
     for level in range(len(out) + 1, count + 1):
         r = 2 * level - 2 + parity
@@ -541,22 +518,18 @@ def _omega_entries(out: list[Fraction], count: int, parity: int):
 
 def omega(levels: int) -> CoeffSeries:
     """Exact ``omega_l`` via matching of the odd-index nu coefficients."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    return CoeffSeries(Family.OMEGA, levels, tuple(_grow(_OMEGA, _omega_entries, levels, 0)))
+    return _series(Family.OMEGA, _OMEGA, _omega_entries, levels, 0)
 
 
 def omega_alt(levels: int) -> CoeffSeries:
     """Same ``omega_l`` via the even-index nu matching; must agree with :func:`omega`."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    return CoeffSeries(Family.OMEGA, levels, tuple(_grow(_OMEGA_ALT, _omega_entries, levels, 1)))
+    return _series(Family.OMEGA, _OMEGA_ALT, _omega_entries, levels, 1)
 
 
 def cache_sizes() -> dict[str, int]:
     """Entry count of every coefficient cache and of the Bernoulli number table."""
     return {
-        "bernoulli": len(_BERNOULLI_TABLE),
+        "bernoulli": len(_NUMBERS),
         "a_poly": a_poly.cache_info().currsize,
         "b_poly": b_poly.cache_info().currsize,
         "nu": len(_NU),

@@ -39,6 +39,12 @@ rounded by ``math.fsum``; the removable-pole branch of the rising
 factorial sums its ``n`` logs the same way.  Both Stirling tails are one
 Horner evaluation in ``1/w^2``.
 
+Domain: every gamma argument, and the start of every rising product, has
+``Re >= -10^6``.  A shift or a removable-pole sum takes about ``|Re|``
+steps, so the edge bounds it at about a million (0.3 s); further left
+``ValueError`` names the argument.  A limit whose gamma argument sits on a
+pole is still the flagged ``0j`` however far left.
+
 The closed forms are evaluated entirely in log space and exponentiated
 once.  Once ``z``, ``z+s`` and ``z+t`` all have real part at least 12,
 each ``lnGamma(z+r) - lnGamma(z)`` is written as
@@ -87,6 +93,9 @@ EXP_EULER_GAMMA = float(EXP_EULER_GAMMA_STR)
 
 _POLE_TOL = 1e-12
 _SHIFT_RE = 12.0
+# the domain's left edge (see the module docstring); each of the about |Re| steps of
+# a shift or a removable-pole sum holds one log or reciprocal in a list
+_MIN_RE = -1e6
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _REAL = operator.attrgetter("real")
 _IMAG = operator.attrgetter("imag")
@@ -138,6 +147,8 @@ def _gamma_arg(z: complex, name: str) -> complex:
 
 def _shift_steps(z: complex) -> int:
     # the m >= 0 with Re(z + m) >= _SHIFT_RE, where the Stirling tails hold
+    if z.real < _MIN_RE:
+        raise ValueError(f"gamma argument {z} is outside the domain Re >= -1e6")
     return int(math.ceil(_SHIFT_RE - z.real)) if z.real < _SHIFT_RE else 0
 
 
@@ -158,7 +169,7 @@ def ln_gamma(z: complex) -> complex:
     """Principal branch of ``ln Gamma(z)`` for complex ``z``.
 
     Raises :class:`PoleError` within 1e-12 of a nonpositive integer and
-    ``ValueError`` for a NaN or infinite ``z``.
+    ``ValueError`` for a NaN or infinite ``z`` or for ``Re z < -10^6``.
     """
     z = _gamma_arg(z, "ln_gamma")
     steps = _shift_steps(z)
@@ -176,7 +187,10 @@ def _lngamma_tail(w: complex) -> complex:
 
 
 def digamma(z: complex) -> complex:
-    """Digamma ``psi(z)`` for complex ``z`` (relative error well under 1e-12)."""
+    """Digamma ``psi(z)`` for complex ``z`` (relative error well under 1e-12).
+
+    Raises as :func:`ln_gamma` does, on the same domain.
+    """
     z = _gamma_arg(z, "digamma")
     steps = _shift_steps(z)
     w = z + steps
@@ -280,6 +294,8 @@ def _log_rising(a: complex, n: int) -> complex:
     ratio is a removable 0/0 and the logs are summed directly.
     """
     if _nonpositive_int_near(a) is not None:
+        if a.real < _MIN_RE:
+            raise ValueError(f"rising product start {a} is outside the domain Re >= -1e6")
         return _fsum_complex([cmath.log(a + j) for j in range(n)])
     return ln_gamma(a + n) - ln_gamma(a)
 

@@ -8,14 +8,15 @@ with the implementation.
 
 import functools
 import math
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallisprod import bernoulli
 from wallisprod.bernoulli import (
-    BernoulliTable,
     UniPoly,
     bernoulli_number,
     bernoulli_poly,
@@ -98,20 +99,45 @@ class TestBernoulliNumbers:
         ref = bernoulli_by_akiyama_tanigawa(300)
         assert [bernoulli_number(n) for n in range(257)] == list(ref[:257])
 
-    def test_fresh_table_one_index_at_a_time_to_300(self):
+    def test_fresh_table_one_index_at_a_time_to_300(self, cold_bernoulli):
         # callers ask for n = 1, 2, 3, ... in turn; each answer must be
         # exact whatever the table's size at the time of the request
         ref = bernoulli_by_akiyama_tanigawa(300)
-        table = BernoulliTable()
         for n in range(1, 301):
-            assert table.number(n) == ref[n]
-            assert table.polynomial(n) == poly_from_numbers(n, ref)
+            assert bernoulli_number(n) == ref[n]
+            assert bernoulli_poly(n) == poly_from_numbers(n, ref)
 
-    def test_fresh_table_grows_monotonically(self):
-        table = BernoulliTable()
-        assert table.number(12) == Fraction(-691, 2730)
-        assert table.number(2) == Fraction(1, 6)
-        assert table.polynomial(4).evaluate(0) == table.number(4)
+    def test_fresh_table_grows_monotonically(self, cold_bernoulli):
+        assert bernoulli_number(12) == Fraction(-691, 2730)
+        assert bernoulli_number(2) == Fraction(1, 6)
+        assert bernoulli_poly(4).evaluate(0) == bernoulli_number(4)
+
+    def test_cached_read_does_not_wait_for_the_lock(self):
+        # entries are only appended, so a cached one is read while a build holds the lock
+        expected = bernoulli_by_akiyama_tanigawa(300)[40]
+        assert bernoulli_number(40) == expected
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with bernoulli._LOCK:
+                held.set()
+                release.wait(timeout=60)
+
+        got = []
+        holder = threading.Thread(target=hold)
+        reader = threading.Thread(target=lambda: got.append(bernoulli_number(40)))
+        holder.start()
+        try:
+            assert held.wait(timeout=60)
+            reader.start()
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+        finally:
+            release.set()
+            holder.join(timeout=60)
+            reader.join(timeout=60)
+        assert not holder.is_alive()
+        assert got == [expected]
 
 
 class TestBernoulliPolynomials:

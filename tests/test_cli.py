@@ -378,6 +378,31 @@ class TestEvalCommand:
             assert "domain error" in result.output
             assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("argv", [
+        ["--target", "wclosed", "--n", "10", "--p=-1000000000.5", "--q", "0"],
+        ["--target", "expansion:w", "--n", "10", "--order", "2", "--p=-1000000000.5",
+         "--q", "0"],
+        # a root at an integer beyond n: the rising product's removable-pole branch
+        ["--target", "wclosed", "--n", "1000000000000", "--p=-2000000000000", "--q", "0"],
+    ])
+    def test_far_left_gamma_argument_exit_3(self, runner, argv):
+        # refused at Re < -10^6 before a shift of about 10^9 or 10^12 steps
+        result = runner.invoke(main, ["eval", *argv])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("domain error: ")
+        assert "outside the domain Re >= -1e6" in result.stderr
+        assert "Traceback" not in result.output
+
+    def test_underflowing_limit_is_not_called_a_pole(self, runner):
+        # R_inf(1e100, 0) is below the double range; no gamma argument is near a pole
+        result = runner.invoke(main, ["eval", "--target", "expansion:r", "--n", "50",
+                                      "--order", "2", "--p", "1e100", "--q", "0"])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("domain error: r_inf(p, q) is 0 in double precision")
+        assert "vanishes through a gamma pole" not in result.stderr
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("target", ["wclosed", "rclosed", "expansion:w"])
     @pytest.mark.parametrize("p,q", [("1e200", "0"), ("0", "1.7e308+1.7e308i")])
     def test_overflowing_discriminant_exit_3(self, runner, target, p, q):

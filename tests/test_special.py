@@ -8,6 +8,7 @@ harmonic sums) are independent of any implementation.
 import cmath
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -320,6 +321,35 @@ class TestClosedForms:
 def test_non_finite_arguments_rejected(call, x):
     with pytest.raises(ValueError, match="must be finite"):
         call(x)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: ln_gamma(complex(x, 0.5)),
+    lambda x: digamma(complex(x, 0.5)),
+    lambda x: w_inf(complex(x, 0.5), 0),
+    lambda x: r_inf(complex(x, 0.5), 0),
+    lambda x: w_closed(10, complex(x, 0.5), 0),
+    lambda x: r_closed(10, complex(x, 0.5), 0),
+    # a root at an integer beyond n: the rising product's removable-pole branch
+    lambda x: w_closed(10**12, 2 * x, 0),
+], ids=["ln_gamma", "digamma", "w_inf", "r_inf", "w_closed", "r_closed", "w_closed_pole"])
+def test_far_left_arguments_rejected(call):
+    # a gamma argument or rising-product start left of Re = -10^6 would take about
+    # |Re| steps and as many list entries; it is refused before any of them
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"outside the domain Re >= -1e6"):
+        call(-1e12)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_domain_edge_matches_mpmath():
+    # Re z = -10^6 is inside the domain: about 10^6 shift steps, summed exactly
+    z = complex(-1e6, 0.5)
+    for mine, ref in ((ln_gamma, mp.loggamma), (digamma, mp.digamma)):
+        want = complex(ref(mp.mpc(z.real, z.imag)))
+        assert abs(mine(z) - want) <= 1e-12 * max(1.0, abs(want)), mine.__name__
+    # a far-left pole of the limit is still the flagged zero, at no cost
+    assert w_inf(-2e12, 1e24) == 0j
 
 
 def _mp_closed(n, p, q, a, c):
