@@ -517,10 +517,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"Try '{self.prog} --help' for help.\n\nError: {message}\n")
 
 
-def _command(commands, name: str, run, **options) -> None:
-    """Add subcommand ``name``; ``run`` takes each option's ``dest`` as a keyword."""
+def _command(commands, chosen: str | None, name: str, run, **options) -> None:
+    """Add subcommand ``name``; ``run`` takes each option's ``dest`` as a keyword.
+
+    The options are added only when ``name`` is the ``chosen`` command, or when
+    no command is chosen: a run parses one command's options, and building the
+    others would only add start-up time.
+    """
     parser = commands.add_parser(name, help=run.__doc__.partition("\n")[0],
                                  description=run.__doc__.replace("\n    ", "\n").rstrip())
+    if chosen not in (None, name):
+        return
     for flag, spec in options.items():
         parser.add_argument(f"--{flag}", **spec)
     parser.add_argument("--format", dest="fmt", choices=["plain", "json", "csv"],
@@ -528,12 +535,14 @@ def _command(commands, name: str, run, **options) -> None:
     parser.set_defaults(run=run, parser=parser)
 
 
-def _parser() -> _Parser:
+def _parser(argv: list[str]) -> _Parser:
+    """The parser for ``argv``, with options only for the command its first non-option names."""
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = _Parser(prog="wallisprod", description=main.__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
     pq_help = "Complex literal (wproduct, rproduct, wclosed, rclosed, expansion:w|r)."
-    _command(commands, "coeffs", cmd_coeffs,
+    _command(commands, chosen, "coeffs", cmd_coeffs,
              family=dict(required=True, choices=["a", "b", "nu", "mu", "omega", "alphabeta"],
                          help="Coefficient family."),
              order=dict(required=True, type=int, help="Number of coefficients, at most "
@@ -543,7 +552,7 @@ def _parser() -> _Parser:
              q=dict(dest="q_text", metavar="Q", help="Complex literal; evaluates a/b at (p, q)."),
              signs=dict(action="store_true",
                         help="Also print the sign pattern to stderr (nu, mu, omega, alphabeta)."))
-    _command(commands, "eval", cmd_eval,
+    _command(commands, chosen, "eval", cmd_eval,
              target=dict(required=True, help="wproduct | rproduct | wallis | wclosed | rclosed"
                          " | expansion:<family>"),
              n=dict(required=True, type=int, help=f"At most {MAX_BRUTE_FORCE_N} for wallis, "
@@ -554,14 +563,15 @@ def _parser() -> _Parser:
                         + ", ".join(f"{MAX_ORDER[family]} ({key})"
                                     for key, family in _EXPANSION_COEFFS.items())
                         + f", {_ELEZOVIC_TERMS} (elezovic)."))
-    _command(commands, "verify", cmd_verify, suite=dict(required=True, choices=_SUITE_NAMES))
-    _command(commands, "constants", cmd_constants)
+    _command(commands, chosen, "verify", cmd_verify, suite=dict(required=True, choices=_SUITE_NAMES))
+    _command(commands, chosen, "constants", cmd_constants)
     return parser
 
 
 def main(argv: list[str] | None = None) -> None:
     """Exact expansion coefficients and numeric checks for Wallis-type products."""
-    namespace, unknown = _parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    namespace, unknown = _parser(argv).parse_known_args(argv)
     options = vars(namespace)
     parser = options.pop("parser")
     if unknown:

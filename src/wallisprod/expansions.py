@@ -303,24 +303,39 @@ def _atanh_scaled(t: int, bits: int) -> int:
 
 
 def _log_ratio(a: Fraction, b: Fraction) -> float:
-    """``ln(a / b)`` for ``a, b > 0``, rounded once to a double.
+    """``ln(a / b)`` for ``a, b > 0``, correctly rounded to a double.
 
-    With ``a / b = 2^k m``, ``1/2 < m < 2``, the log is
-    ``k ln 2 + 2 atanh((m - 1) / (m + 1))``, the atanh argument within
-    1/3; both series are summed at ``_LOG_BITS`` bits, so the result is the
-    correctly rounded log bar ties within ``2^-140`` of a rounding boundary.
-    A double ratio would cost up to an ulp of the log.
+    With ``a / b = 2^k m``, ``1/2 <= m <= 2`` and ``k = 0`` whenever
+    ``a / b`` itself lies there, the log is ``k ln 2 + 2 atanh(t)`` with
+    ``t = (m - 1) / (m + 1)`` within 1/3.  Both series are summed at
+    ``_LOG_BITS`` bits plus the leading zero bits of ``t``, so a log near 0
+    keeps as many significant bits, and the sum carries an error bound; the
+    bits double until both ends of the bound round to the same double
+    (Ziv's strategy), which only a log within about ``2^-150`` of a
+    rounding boundary needs.  A double ratio would cost up to an ulp of the log.
     """
     r = a / b
     num, den = r.numerator, r.denominator
-    k = num.bit_length() - den.bit_length()
+    if num == den:
+        return 0.0
+    k = 0 if den <= 2 * num <= 4 * den else num.bit_length() - den.bit_length()
     if k >= 0:
         den <<= k
     else:
         num <<= -k
-    ln_m = 2 * _atanh_scaled(_div_round((num - den) << _LOG_BITS, num + den), _LOG_BITS)
-    ln_2 = 2 * _atanh_scaled(_div_round(1 << _LOG_BITS, 3), _LOG_BITS)
-    return float(Fraction(k * ln_2 + ln_m, 1 << _LOG_BITS))
+    bits = _LOG_BITS + (num + den).bit_length() - abs(num - den).bit_length()
+    while True:
+        value = 2 * _atanh_scaled(_div_round((num - den) << bits, num + den), bits)
+        if k:
+            value += 2 * k * _atanh_scaled(_div_round(1 << bits, 3), bits)
+        # each atanh is within 2 terms + 1 units, with at most bits / 3 + 1 terms,
+        # plus under a unit from rounding its argument; doubled for the log
+        err = (abs(k) + 1) * (2 * bits + 8)
+        # int / int rounds correctly, as float(Fraction) does
+        low, high = (value - err) / (1 << bits), (value + err) / (1 << bits)
+        if low == high:
+            return low
+        bits *= 2
 
 
 def _exp_scaled(s: int, bits: int) -> tuple[int, int]:

@@ -18,7 +18,24 @@ contribute ``-p/d`` terms and each polynomial factor contributes
   ``log1p(x)`` of the small part itself, never of a rounded ``1 + z_d``,
   or for complex parameters ``log|1 + z| = log1p(x(2 + x) + y^2) / 2`` and
   ``arg(1 + z) = atan2(y, 1 + x)``, with the damping terms ``-p u`` in the
-  same exactly rounded ``math.fsum``.
+  same exactly rounded ``math.fsum``;
+* far out, a complex chunk takes the log series instead.  With
+  ``1 + p u + q u^2 = (1 + x1 u)(1 + x2 u)`` and the root power sums
+  ``s_k = x1^k + x2^k`` (Newton: ``s_k = p s_(k-1) - q s_(k-2)``),
+  ``sum_d log(1 + z_d) - p u = sum_(k>=2) (-1)^(k+1) (s_k / k) P_k`` with the
+  real power sums ``P_k = fsum(u^k)``: the damping cancels the ``k = 1`` term
+  exactly, and one set of ``P_k`` serves the modulus (``Re``) and the phase
+  (``Im``).  ``r = |p| + sqrt|q|`` bounds both roots; at ``rho = r / d`` for
+  the chunk's first ``d``, the series stops at the fewest terms ``K`` with
+  ``2 rho^(K+1) / ((K+1)(1 - rho)) <= 2^-54 rho^2 / 4``.  Every factor's
+  scale ``|p| u + |q| u^2`` is at least ``(r u)^2 / 4``, so the dropped terms
+  stay below 2^-54 of it.  A chunk that would need more than ``_SERIES_CAP``
+  terms (``rho`` about 2^-9 or more) keeps the per-factor kernel, which then
+  costs no more; under the cap each ``log(1 + x_i u)`` is principal, so the
+  phase is the ``atan2`` sum.  Real parameters keep ``log1p`` at every
+  chunk, since one ``log1p`` a factor costs about what the four or five power
+  sums do; :func:`wallis_seq` keeps its ``log1p`` generator for the same
+  reason, against two or three power sums.
 
 One more ``fsum`` joins the head and the chunk sums.  Memory stays bounded
 by the chunk size.  For ``|p|, |q| <= 2e-3``, where the head is at most the
@@ -51,6 +68,9 @@ __all__ = [
 _ZERO_TOL = 1e-15
 _EXP_OVERFLOW = 709.0  # log of the largest finite double, minus slack
 _CHUNK = 4096  # head terms or tail denominators per fsum: C-level loops, bounded memory
+# most log-series terms in a complex tail chunk: the series costs about 50 ns a
+# factor per term, so at 7 terms it costs what _tail_sums does (about 420 ns)
+_SERIES_CAP = 7
 
 
 class ProductResult(namedtuple("ProductResult", "value log_abs phase_or_sign zero_factor_at "
@@ -133,6 +153,49 @@ def _tail_sums(dens: range, p: complex, q: complex, real_mode: bool) -> tuple[fl
     return log_abs, phase
 
 
+def _series_terms(rho: float) -> int | None:
+    """Fewest log-series terms ``K`` for a complex tail chunk, or None past ``_SERIES_CAP``.
+
+    ``rho = r / d`` at the chunk's first denominator ``d``, where ``r = |p| + sqrt|q|``
+    bounds the moduli of both roots.  ``K`` is the smallest with
+    ``2 rho^(K+1) / ((K+1)(1 - rho)) <= 2^-54 rho^2 / 4``, here divided by ``2 rho^2``.
+    """
+    for k in range(2, _SERIES_CAP + 1):
+        if rho ** (k - 1) <= 2.0**-57 * (k + 1) * (1.0 - rho):
+            return k
+    return None
+
+
+def _series_coeffs(p: complex, q: complex) -> list[complex]:
+    """``c_k = (-1)^(k+1) s_k / k`` for ``k = 2.._SERIES_CAP``.
+
+    ``s_k = x1^k + x2^k`` over the roots of ``1 + p u + q u^2 = (1 + x1 u)(1 + x2 u)``,
+    by Newton's recurrence ``s_k = p s_(k-1) - q s_(k-2)`` from ``s_0 = 2``, ``s_1 = p``.
+    """
+    s = [2.0, p]
+    for _ in range(2, _SERIES_CAP + 1):
+        s.append(p * s[-1] - q * s[-2])
+    return [(-1) ** (k + 1) * s[k] / k for k in range(2, _SERIES_CAP + 1)]
+
+
+def _series_sums(dens: range, coeffs: list[complex]) -> tuple[float, float]:
+    """``sum log(1 + z_d) - p u`` over ``dens`` as ``sum_k c_k P_k``, ``P_k = sum u^k``.
+
+    ``coeffs`` holds ``c_2..c_K``; the damping cancels the ``k = 1`` term exactly.
+    One set of real power sums serves both parts, each in an exactly rounded ``fsum``;
+    ``u^K`` is summed as it is formed, without a list.
+    """
+    inv = [1.0 / d for d in dens]
+    power = inv
+    sums = []
+    for _ in coeffs[1:]:
+        power = list(map(mul, power, inv))
+        sums.append(math.fsum(power))
+    sums.append(math.fsum(map(mul, power, inv)))
+    return (math.fsum([c.real * total for c, total in zip(coeffs, sums)]),
+            math.fsum([c.imag * total for c, total in zip(coeffs, sums)]))
+
+
 def _product(dens: range, p: complex, q: complex) -> ProductResult:
     p = complex(p)
     q = complex(q)
@@ -171,9 +234,18 @@ def _product(dens: range, p: complex, q: complex) -> ProductResult:
             re_terms = [_fsum(re_terms)]
             im_terms = [_fsum(im_terms)]
 
-    # tail: every factor within 1/2 of 1, summed a bounded chunk at a time
+    # tail: every factor within 1/2 of 1, summed a bounded chunk at a time; far
+    # enough out, a complex chunk takes the log series in the root power sums
+    if not real_mode and split < n:
+        root_bound = math.hypot(p.real, p.imag) + math.sqrt(math.hypot(q.real, q.imag))
+        coeffs = _series_coeffs(p, q)
     for start in range(split, n, _CHUNK):
-        re_part, im_part = _tail_sums(dens[start:start + _CHUNK], p, q, real_mode)
+        chunk = dens[start:start + _CHUNK]
+        terms = None if real_mode else _series_terms(root_bound / chunk[0])
+        if terms is None:
+            re_part, im_part = _tail_sums(chunk, p, q, real_mode)
+        else:
+            re_part, im_part = _series_sums(chunk, coeffs[:terms - 1])
         re_terms.append(re_part)
         im_terms.append(im_part)
 

@@ -583,6 +583,20 @@ class TestUsageContract:
         assert result.exit_code == 0
         assert result.stdout.endswith(", version 0.1.0\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--family", "nu", "--order", "2"],
+        ["eval", "--target", "wallis", "--n", "3"],
+        ["verify", "--suite", "limits"],
+        ["constants"],
+    ])
+    def test_parser_built_for_one_command_prints_the_same_help(self, argv):
+        # only the named command gets its options; the top-level help and that
+        # command's help read as from the parser with every option
+        full, lazy = cli._parser([]), cli._parser(argv)
+        assert lazy.format_help() == full.format_help()
+        sub_full, sub_lazy = (vars(p.parse_known_args(argv)[0])["parser"] for p in (full, lazy))
+        assert sub_lazy.format_help() == sub_full.format_help()
+
 
 class TestConstantsCommand:
     def test_plain_output(self, runner):

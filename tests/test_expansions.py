@@ -445,9 +445,14 @@ class TestExactKernel:
         assert _log_ratio(F(p, q), F(r, s)) == want
 
     def test_log_ratio_near_one_and_far_apart(self):
+        # the last ratio's log, about 6.8e-48, lies 2^-160 (relative) below a rounding boundary
+        tie = F(int("25822498780869085896559191720030118743297057928106716186504863225708"
+                    "34659682626475679851107236637934297697044092873682577"),
+                int("25822498780869085896559191720030118743297057928283400892982701642973"
+                    "92200843385469879178590403401395305620386330421309068"))
         with mp.workdps(200):
             for a, b in [(F(1), F(1)), (F(10**30 + 1, 10**30), F(1)), (F(1, 3), F(2**-600)),
-                         (F(2**-700), F(7, 5)), (F(3, 2), F(3, 4))]:
+                         (F(2**-700), F(7, 5)), (F(3, 2), F(3, 4)), (F(1), tie)]:
                 want = float(mp.log(mp.mpf(a.numerator) * b.denominator
                                     / (mp.mpf(a.denominator) * b.numerator)))
                 assert _log_ratio(a, b) == want, (a, b)

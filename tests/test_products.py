@@ -15,7 +15,11 @@ from hypothesis import strategies as st
 from wallisprod.coeffs import b_poly
 from wallisprod.products import (
     _CHUNK,
+    _SERIES_CAP,
     ProductResult,
+    _series_coeffs,
+    _series_sums,
+    _series_terms,
     _tail_start,
     _tail_sums,
     r_product,
@@ -336,6 +340,81 @@ def test_tail_kernel_matches_tail_oracle(case):
         assert abs(got[0] - want[0]) <= tol, (p, q, chunk)
         assert abs(got[1] - want[1]) <= tol, (p, q, chunk)
 
+
+def _root_bound(p, q):
+    """``|p| + sqrt|q|``, which bounds the moduli of both roots of ``x^2 - p x + q``."""
+    return abs(p) + math.sqrt(abs(q))
+
+
+_subnormal = st.integers(-2**20, 2**20).map(lambda k: k * math.ulp(0.0))
+
+
+@st.composite
+def _series_cases(draw):
+    kind = draw(st.sampled_from(["p=0", "q=0", "double_root", "imaginary_roots", "tiny",
+                                 "moderate", "subnormal"]))
+    part = {"tiny": st.floats(-2e-3, 2e-3), "subnormal": _subnormal}.get(kind, st.floats(-1e3, 1e3))
+    p, q = complex(draw(part), draw(part)), complex(draw(part), draw(part))
+    if kind == "p=0":
+        p = 0j
+    elif kind == "q=0":
+        q = 0j
+    elif kind == "double_root":  # x1 = x2 = p/2
+        q = p * p / 4
+    elif kind == "imaginary_roots":  # x = +-i sqrt(q)
+        p, q = 0j, complex(abs(q.real))
+    step = draw(st.sampled_from([1, 2]))  # the denominators of w and of r
+    # rho = r / first <= 2^-10, under the cap; the first denominator is odd for r
+    first = max(_tail_start(p, q), math.ceil(_root_bound(p, q) * 2.0 ** draw(st.integers(10, 40))))
+    first |= step - 1
+    tail = draw(st.one_of(st.sampled_from([1, _CHUNK, _CHUNK + 1]),
+                          st.integers(2, 2 * _CHUNK + 1)))
+    return p, q, range(first, first + tail * step, step)
+
+
+@given(_series_cases())
+@settings(max_examples=60, deadline=None)
+def test_series_kernel_matches_tail_oracle(case):
+    # the complex tail's log series, chunk by chunk with the rule's term count,
+    # against the per-factor logs within test_tail_kernel_matches_tail_oracle's tolerance
+    p, q, dens = case
+    coeffs = _series_coeffs(p, q)
+    for start in range(0, len(dens), _CHUNK):
+        chunk = dens[start:start + _CHUNK]
+        terms = _series_terms(_root_bound(p, q) / chunk[0])
+        assert terms is not None, (p, q, chunk)
+        scale = math.fsum(abs(p) / d + abs(q) / (d * d) for d in chunk)
+        tol = 4 * math.ulp(1.0) * scale + 8 * len(chunk) * math.ulp(0.0)
+        got = _series_sums(chunk, coeffs[:terms - 1])
+        want = _tail_oracle(chunk, p, q, False)
+        assert abs(got[0] - want[0]) <= tol, (p, q, chunk, terms)
+        assert abs(got[1] - want[1]) <= tol, (p, q, chunk, terms)
+
+
+def _meets_series_bound(k, rho):
+    """``2 rho^(k+1) / ((k+1)(1 - rho)) <= 2^-54 rho^2 / 4`` in exact rationals."""
+    rho = Fraction(rho)
+    return 2 * rho ** (k + 1) / ((k + 1) * (1 - rho)) <= Fraction(1, 2**54) * rho**2 / 4
+
+
+def test_series_term_rule_in_exact_arithmetic():
+    # rho = 2^(-i/16) from 2^-60 to 2^-6: the fewest terms whose dropped rest is
+    # within 2^-54 of every factor's scale, or None once even the cap falls short
+    picked = set()
+    for i in range(16 * 6, 16 * 60 + 1):
+        rho = 2.0 ** (-i / 16)
+        terms = _series_terms(rho)
+        picked.add(terms)
+        if terms is None:
+            assert not _meets_series_bound(_SERIES_CAP, rho), rho
+            continue
+        # under the cap rho < 2^-9, so every log(1 + x_i u) is principal
+        assert rho < 2.0**-9 and 2 <= terms <= _SERIES_CAP, (rho, terms)
+        assert _meets_series_bound(terms, rho), (rho, terms)
+        assert not _meets_series_bound(terms - 1, rho), (rho, terms)
+    assert picked == {None, *range(2, _SERIES_CAP + 1)}
+
+
 # Zero or at least 1e-2 in size: with tiny nonzero parameters consecutive
 # factors round the same way in the loop oracle, whose error then grows
 # linearly instead of like a random walk; those are left to the mpmath test.
@@ -543,3 +622,25 @@ def test_moderate_parameters_match_mpmath(p, q):
                 wrapped = float(diff - 2 * mp.pi * mp.nint(diff / (2 * mp.pi)))
             assert abs(wrapped) <= tol, (product.__name__, n, p, q)
 
+
+def _dominant_parameters():
+    """Three seeded complex ``(p, q)`` with ``|p|, |q| <= 2e-3``, as in the benchmark's products."""
+    rng = random.Random(20)
+    r = 2e-3 / math.sqrt(2)
+    return [(complex(rng.uniform(-r, r), rng.uniform(-r, r)),
+             complex(rng.uniform(-r, r), rng.uniform(-r, r))) for _ in range(3)]
+
+
+@pytest.mark.parametrize("p,q", _dominant_parameters())
+def test_million_factor_complex_products_match_mpmath(p, q):
+    # n = 10^6: all but the first tail chunk take the log series; the phase is taken mod 2 pi
+    n = 10**6
+    for product, odd in ((w_product, False), (r_product, True)):
+        got = product(n, p, q)
+        ref = _mp_log_product(n, p, q, odd)
+        tol = 2e-15 * max(1.0, float(abs(ref)))
+        assert abs(got.log_abs - float(ref.real)) <= tol, (product.__name__, p, q)
+        with mp.workdps(50):
+            diff = got.phase_or_sign - ref.imag
+            wrapped = float(diff - 2 * mp.pi * mp.nint(diff / (2 * mp.pi)))
+        assert abs(wrapped) <= tol, (product.__name__, p, q)
