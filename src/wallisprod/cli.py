@@ -41,8 +41,10 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 domain error
 ``Re = -10^6``).  ``eval`` refuses, with
 exit 2, an option its target does not read (``--p``/``--q`` for
 ``wallis`` and the Wallis-sequence expansions, ``--order`` outside
-``expansion:*``) and, for the targets that
-multiply ``n`` factors one by one, an ``--n`` above ``MAX_BRUTE_FORCE_N``.
+``expansion:*``) and, for the product targets and the expansions checked
+against them, an ``--n`` above ``MAX_BRUTE_FORCE_N``: a product takes its
+first ``min(n, D)`` factors one by one, and ``D`` grows with ``|p|`` and
+``sqrt|q|``.
 ``coeffs`` refuses ``--p``/``--q`` for the series families (nu, mu, omega,
 alphabeta).  Both refuse an ``--order`` above the family's cap in
 ``MAX_ORDER``, which ``expansion:w`` and ``expansion:r`` share with ``a``
@@ -54,11 +56,11 @@ stderr.  Plain output prints floats with 17 significant digits;
 The module needs only the standard library: the parser is ``argparse``.  It
 imports no library module at its top: each subcommand imports what it
 uses, so ``wallisprod --help`` loads no library module, and ``eval
---target wallis`` only ``products``.  A usage error prints the usage, a
-``--help`` hint and ``Error: <message>`` to stderr and exits 2.  Options
-cannot be abbreviated, and an option value may begin with ``-`` (``--p
--1e-3``, ``--q -i``).  An uncaught exception still prints its traceback
-and exits 1.
+--target wallis`` only ``products`` and the ``bernoulli`` table it reads.
+A usage error prints the usage, a ``--help`` hint and ``Error: <message>``
+to stderr and exits 2.  Options cannot be abbreviated, and an option value
+may begin with ``-`` (``--p -1e-3``, ``--q -i``).  An uncaught exception
+still prints its traceback and exits 1.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ MAX_ALPHABETA_ORDER = 12
 # (mu), and about 0.6 s for a and 0.7 s for b since their terms are built in integers
 MAX_ORDER = {"a": 120, "b": 120, "nu": 1800, "mu": 750, "omega": 400,
              "alphabeta": MAX_ALPHABETA_ORDER}
-# wallis, wproduct, rproduct and expansion:* multiply n factors, 130-800 ns each
+# wallis, wproduct, rproduct and expansion:* take the first min(n, D) factors one by
+# one, about 600 ns each, with D = max(ceil(4 (|p| + sqrt|q|)) + 1, 64)
 MAX_BRUTE_FORCE_N = 10**8
 
 _ATOM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+|/\d+)?"
@@ -360,8 +363,8 @@ def _eval_record(target: str, n: int, p_text: str | None, q_text: str | None,
     if order is not None and key is None:
         raise UsageError("--order applies to expansion targets only")
     if n > MAX_BRUTE_FORCE_N and target not in _CLOSED_FORMS:
-        raise UsageError(f"--n must be <= {MAX_BRUTE_FORCE_N} for {target}, "
-                         "which multiplies n factors one by one")
+        raise UsageError(f"--n must be <= {MAX_BRUTE_FORCE_N} for {target}, whose product "
+                         "takes up to n factors one by one")
     if key is not None:
         return _expansion_record(target, key, n, p_text, q_text, order)
     if target == "wallis":
@@ -556,7 +559,8 @@ def _parser(argv: list[str]) -> _Parser:
              target=dict(required=True, help="wproduct | rproduct | wallis | wclosed | rclosed"
                          " | expansion:<family>"),
              n=dict(required=True, type=int, help=f"At most {MAX_BRUTE_FORCE_N} for wallis, "
-                    "wproduct, rproduct and expansion:*, which multiply n factors one by one."),
+                    "wproduct, rproduct and expansion:*, whose products take min(n, D) "
+                    "factors one by one; D grows with |p| and sqrt|q|."),
              p=dict(dest="p_text", metavar="P", help=pq_help),
              q=dict(dest="q_text", metavar="Q", help=pq_help),
              order=dict(type=int, help="Truncation order for expansions, at most "

@@ -3,60 +3,47 @@
 Everything is accumulated in log space: the exponential damping factors
 contribute ``-p/d`` terms and each polynomial factor contributes
 ``log(1 + z_d)`` with ``z_d = p/d + q/d^2``, for the denominators ``d = j``
-(``W_n``) or ``d = 2j - 1`` (``R_n``).  The denominators split at
-``d0 = ceil(max(4|p|, 2 sqrt|q|)) + 1``:
+(``W_n``) or ``d = 2j - 1`` (``R_n``).  ``r = |p| + sqrt|q|`` bounds both
+roots of ``1 + p u + q u^2 = (1 + x1 u)(1 + x2 u)``, and the denominators
+split at ``D = max(ceil(4 r) + 1, 64)``:
 
-* the head, ``d < d0``, where a factor may be negative, near zero or zero,
+* the head, ``d < D``, where a factor may be negative, near zero or zero,
   goes through a per-factor loop: exact-rational zero test, near-zero flag,
   float-underflow exit, explicit sign tracking when the parameters are real
-  (instead of complex logs), with the logs of the factors and the damping
-  terms folded into one exactly rounded ``math.fsum`` every ``_CHUNK``
+  (instead of complex logs).  A factor within 1/2 of 1 takes its log from
+  ``z_d`` (``log1p``), not from the rounded ``1 + z_d``.  The logs and the
+  damping terms go into one exactly rounded ``math.fsum`` every ``_CHUNK``
   entries;
-* the tail, ``d >= d0``, has ``|z_d| <= 1/2``, so no factor can vanish or
-  change sign.  It is summed in chunks of ``_CHUNK`` denominators in real
-  float arithmetic on the reciprocals ``u = 1/d``: ``z_d = x + iy = (p + q u) u``,
-  ``log1p(x)`` of the small part itself, never of a rounded ``1 + z_d``,
-  or for complex parameters ``log|1 + z| = log1p(x(2 + x) + y^2) / 2`` and
-  ``arg(1 + z) = atan2(y, 1 + x)``, with the damping terms ``-p u`` in the
-  same exactly rounded ``math.fsum``;
-* far out, a complex chunk takes the log series instead.  With
-  ``1 + p u + q u^2 = (1 + x1 u)(1 + x2 u)`` and the root power sums
-  ``s_k = x1^k + x2^k`` (Newton: ``s_k = p s_(k-1) - q s_(k-2)``),
-  ``sum_d log(1 + z_d) - p u = sum_(k>=2) (-1)^(k+1) (s_k / k) P_k`` with the
-  real power sums ``P_k = fsum(u^k)``: the damping cancels the ``k = 1`` term
-  exactly, and one set of ``P_k`` serves the modulus (``Re``) and the phase
-  (``Im``).  ``r = |p| + sqrt|q|`` bounds both roots; at ``rho = r / d`` for
-  the chunk's first ``d``, the series stops at the fewest terms ``K`` with
-  ``2 rho^(K+1) / ((K+1)(1 - rho)) <= 2^-54 rho^2 / 4``.  Every factor's
-  scale ``|p| u + |q| u^2`` is at least ``(r u)^2 / 4``, so the dropped terms
-  stay below 2^-54 of it.  A chunk that would need more than ``_SERIES_CAP``
-  terms (``rho`` about 2^-9 or more) keeps the per-factor kernel, which then
-  costs no more; under the cap each ``log(1 + x_i u)`` is principal, so the
-  phase is the ``atan2`` sum.  Real parameters keep ``log1p`` at every
-  chunk, since one ``log1p`` a factor costs about what the four or five power
-  sums do; :func:`wallis_seq` keeps its ``log1p`` generator for the same
-  reason, against two or three power sums.
+* the tail, ``d >= D``, has ``|x_i| / d < 1/4``, so no factor can vanish or
+  change sign, and ``sum_d log(1 + z_d) - p/d`` is the log series
+  ``sum_(k=2..K) (-1)^(k+1) (s_k / k) P_k`` in the root power sums
+  ``s_k = x1^k + x2^k`` (Newton: ``s_k = p s_(k-1) - q s_(k-2)``); the damping
+  cancels ``k = 1``.  The real ``P_k = sum_d d^-k`` serve the modulus and the
+  phase; over the whole tail they are differences of Hurwitz zeta values,
+  ``zeta(k, D) - zeta(k, n + 1)`` for ``W_n`` and ``2^-k (zeta(k, D/2) -
+  zeta(k, n + 1/2))`` for ``R_n``, each from Euler–Maclaurin in about ten
+  terms.  At ``rho = r / D`` the series takes the fewest terms ``K <= 28``
+  with ``2 rho^(K+1) / ((K+1)(1 - rho)) <= 2^-54 rho^2 / 4``, below 2^-54 of
+  every factor's scale ``|p|/d + |q|/d^2 >= (r/d)^2 / 4``.
 
-One more ``fsum`` joins the head and the chunk sums.  Memory stays bounded
-by the chunk size.  For ``|p|, |q| <= 2e-3``, where the head is at most the
-factor ``d = 1``, the log of a million-factor product measured within
-2e-16 of an ``mpmath`` reference, against up to 1e-11 when every factor's
-rounded value goes through ``log``.
-
-Moduli are taken with ``math.hypot``, which returns ``inf`` where ``abs`` of
-a complex raises ``OverflowError``.  A complex product whose phase sum is
-not finite raises ``ValueError`` when ``log_abs`` lies in the range of ``exp``.
+So a product costs at most ``D - 1`` factors plus ``O(K)``, whatever ``n``
+is.  For ``|p|, |q| <= 3`` and for ``|p|, |q| <= 2e-3``, up to ``n = 10^15``,
+the tests hold the log to 2e-15 of an ``mpmath`` reference.  Moduli are
+taken with ``math.hypot``, which returns ``inf`` where ``abs`` of a complex
+raises ``OverflowError``; ``D`` is then infinite and every factor takes the
+head.  A complex product whose phase sum is not finite raises ``ValueError``
+when ``log_abs`` lies in the range of ``exp``.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import mul
+
+from .bernoulli import bernoulli_number
 
 __all__ = [
     "ProductResult",
@@ -67,10 +54,15 @@ __all__ = [
 
 _ZERO_TOL = 1e-15
 _EXP_OVERFLOW = 709.0  # log of the largest finite double, minus slack
-_CHUNK = 4096  # head terms or tail denominators per fsum: C-level loops, bounded memory
-# most log-series terms in a complex tail chunk: the series costs about 50 ns a
-# factor per term, so at 7 terms it costs what _tail_sums does (about 420 ns)
-_SERIES_CAP = 7
+_CHUNK = 4096  # head terms per fsum: bounded memory
+_MIN_TAIL_START = 64  # the zeta arguments stay at 32 or more, where Euler–Maclaurin is short
+_MAX_TERMS = 28  # log-series terms at rho = 1/4, the largest ratio the tail sees
+# Euler–Maclaurin weights B_2m / (2m)! (k)_(2m-1) of zeta(k, a), with the rising factorial
+# (k)_(2m-1) = k (k+1) ... (k+2m-2), for k = 2.._MAX_TERMS and m = 1..14; at an argument
+# of 32 or more the terms fall below 2^-60 before the last weight is reached
+_EM_WEIGHTS = [float(bernoulli_number(2 * m) / math.factorial(2 * m)) for m in range(1, 15)]
+_EM_TABLE = {k: [w * math.prod(range(k, k + 2 * m - 1)) for m, w in enumerate(_EM_WEIGHTS, 1)]
+             for k in range(2, _MAX_TERMS + 1)}
 
 
 class ProductResult(namedtuple("ProductResult", "value log_abs phase_or_sign zero_factor_at "
@@ -111,16 +103,20 @@ def _exact_zero(den: int, p: complex, q: complex) -> bool:
             and Fraction(p.imag) * d + Fraction(q.imag) == 0)
 
 
-def _tail_start(p: complex, q: complex) -> int | float:
-    """First denominator ``d0`` from which no factor can vanish or change sign.
+def _root_bound(p: complex, q: complex) -> float:
+    """``r = |p| + sqrt|q|``, which bounds the moduli of both roots ``x1``, ``x2``."""
+    return math.hypot(p.real, p.imag) + math.sqrt(math.hypot(q.real, q.imag))
 
-    ``d0 > 4|p|`` and ``d0 > 2 sqrt|q|`` bound ``|p|/d`` and ``|q|/d^2`` by 1/4
-    each for every ``d >= d0``, so ``1 + p/d + q/d^2`` stays within 1/2 of 1.
-    Infinite when that bound overflows a double: every factor then takes the
-    per-factor loop.
+
+def _tail_start(p: complex, q: complex) -> int | float:
+    """First denominator ``D = max(ceil(4 r) + 1, 64)`` of the tail.
+
+    ``D > 4 r`` bounds ``|x_i| / d`` by 1/4 for every ``d >= D``, so
+    ``1 + p/d + q/d^2`` stays within 1/2 of 1.  Infinite when ``4 r``
+    overflows a double: every factor then takes the per-factor loop.
     """
-    bound = max(4 * math.hypot(p.real, p.imag), 2 * math.sqrt(math.hypot(q.real, q.imag)))
-    return math.ceil(bound) + 1 if math.isfinite(bound) else math.inf
+    bound = 4 * _root_bound(p, q)
+    return max(math.ceil(bound) + 1, _MIN_TAIL_START) if math.isfinite(bound) else math.inf
 
 
 def _fsum(terms: list[float]) -> float:
@@ -131,87 +127,86 @@ def _fsum(terms: list[float]) -> float:
         return sum(terms)
 
 
-def _tail_sums(dens: range, p: complex, q: complex, real_mode: bool) -> tuple[float, float]:
-    """``sum log(1 + z_d) - p u`` over ``dens`` as (real, imaginary), ``z_d = (p + q u) u``.
+def _series_terms(rho: float) -> int:
+    """Fewest log-series terms ``K`` for a tail whose first denominator is ``r / rho``.
 
-    Needs ``|z_d| <= 1/2``.  Every list is built in real floats from one list of
-    reciprocals ``u = 1/d``; the damping terms stay inside the exactly rounded ``fsum``.
+    ``K`` is the smallest with ``2 rho^(K+1) / ((K+1)(1 - rho)) <= 2^-54 rho^2 / 4``,
+    here divided by ``2 rho^2``; ``_MAX_TERMS`` meets it for every ``rho <= 1/4``.
     """
-    inv = [1.0 / d for d in dens]
-    if real_mode:
-        p, q = p.real, q.real
-        return math.fsum(chain(map(math.log1p, [(p + q * u) * u for u in inv]),
-                               map(mul, repeat(-p), inv))), 0.0
-    pr, pi, qr, qi = p.real, p.imag, q.real, q.imag
-    xs = [(pr + qr * u) * u for u in inv]
-    ys = [(pi + qi * u) * u for u in inv]
-    # log|1+z| = log1p(x(2+x) + y^2) / 2; the damping enters doubled, which is exact
-    log_abs = math.fsum(chain(map(math.log1p, [x * (2.0 + x) + y * y for x, y in zip(xs, ys)]),
-                              map(mul, repeat(-2 * pr), inv))) / 2
-    phase = math.fsum(chain(map(math.atan2, ys, [1.0 + x for x in xs]),
-                            map(mul, repeat(-pi), inv)))
-    return log_abs, phase
-
-
-def _series_terms(rho: float) -> int | None:
-    """Fewest log-series terms ``K`` for a complex tail chunk, or None past ``_SERIES_CAP``.
-
-    ``rho = r / d`` at the chunk's first denominator ``d``, where ``r = |p| + sqrt|q|``
-    bounds the moduli of both roots.  ``K`` is the smallest with
-    ``2 rho^(K+1) / ((K+1)(1 - rho)) <= 2^-54 rho^2 / 4``, here divided by ``2 rho^2``.
-    """
-    for k in range(2, _SERIES_CAP + 1):
+    for k in range(2, _MAX_TERMS):
         if rho ** (k - 1) <= 2.0**-57 * (k + 1) * (1.0 - rho):
             return k
-    return None
+    return _MAX_TERMS
 
 
-def _series_coeffs(p: complex, q: complex) -> list[complex]:
-    """``c_k = (-1)^(k+1) s_k / k`` for ``k = 2.._SERIES_CAP``.
+def _series_coeffs(p: complex, q: complex, terms: int) -> list[complex]:
+    """``c_k = (-1)^(k+1) s_k / k`` for ``k = 2..terms``.
 
     ``s_k = x1^k + x2^k`` over the roots of ``1 + p u + q u^2 = (1 + x1 u)(1 + x2 u)``,
     by Newton's recurrence ``s_k = p s_(k-1) - q s_(k-2)`` from ``s_0 = 2``, ``s_1 = p``.
     """
     s = [2.0, p]
-    for _ in range(2, _SERIES_CAP + 1):
+    for _ in range(2, terms + 1):
         s.append(p * s[-1] - q * s[-2])
-    return [(-1) ** (k + 1) * s[k] / k for k in range(2, _SERIES_CAP + 1)]
+    return [(-1) ** (k + 1) * s[k] / k for k in range(2, terms + 1)]
 
 
-def _series_sums(dens: range, coeffs: list[complex]) -> tuple[float, float]:
-    """``sum log(1 + z_d) - p u`` over ``dens`` as ``sum_k c_k P_k``, ``P_k = sum u^k``.
+def _hurwitz_zetas(a: float, terms: int) -> list[float]:
+    """``zeta(k, a) = sum_(j>=0) (a + j)^-k`` for ``k = 2..terms <= 28`` and ``a >= 32``.
 
-    ``coeffs`` holds ``c_2..c_K``; the damping cancels the ``k = 1`` term exactly.
-    One set of real power sums serves both parts, each in an exactly rounded ``fsum``;
-    ``u^K`` is summed as it is formed, without a list.
+    Euler–Maclaurin at ``a`` itself:
+    ``zeta(k, a) = a^(1-k) (1/(k-1) + 1/(2a) + sum_m B_2m/(2m)! (k)_(2m-1) a^-2m)``.
+    The terms alternate and fall, slowest for the largest ``k``, so every sum stops
+    where that order's first term below 2^-60 stands.  ``a = inf`` gives zeros.
     """
-    inv = [1.0 / d for d in dens]
-    power = inv
-    sums = []
-    for _ in coeffs[1:]:
-        power = list(map(mul, power, inv))
-        sums.append(math.fsum(power))
-    sums.append(math.fsum(map(mul, power, inv)))
-    return (math.fsum([c.real * total for c, total in zip(coeffs, sums)]),
-            math.fsum([c.imag * total for c, total in zip(coeffs, sums)]))
+    inv_sq = a**-2
+    power, powers = 1.0, []
+    for weight in _EM_TABLE[terms]:
+        power *= inv_sq
+        powers.append(power)
+        if abs(weight) * power < 2.0**-60:
+            break
+    return [a ** (1 - k) * math.fsum([1 / (k - 1), 0.5 / a,
+                                      *map(operator.mul, _EM_TABLE[k], powers)])
+            for k in range(2, terms + 1)]
 
 
-def _product(dens: range, p: complex, q: complex) -> ProductResult:
+def _log_tail(first: float, end: float, step: int, p: complex, q: complex) -> complex:
+    """``sum log(1 + z_d) - p/d`` over ``d = first, first + step, ...`` below ``end``.
+
+    ``first >= D`` from :func:`_tail_start`, and ``end`` may be infinite.
+    The real part is the log of the modulus and the imaginary part the phase.
+    """
+    terms = _series_terms(_root_bound(p, q) / first)
+    near, far = _hurwitz_zetas(first / step, terms), _hurwitz_zetas(end / step, terms)
+    sums = [(za - zb) / step**k for k, za, zb in zip(range(2, terms + 1), near, far)]
+    coeffs = _series_coeffs(p, q, terms)
+    return complex(math.fsum([c.real * total for c, total in zip(coeffs, sums)]),
+                   math.fsum([c.imag * total for c, total in zip(coeffs, sums)]))
+
+
+def _product(n: int, step: int, p: complex, q: complex) -> ProductResult:
+    # factor j has the denominator step (j - 1) + 1: j for W_n, 2j - 1 for R_n
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    n = operator.index(n)  # a float n is refused, as range() refused it
     p = complex(p)
     q = complex(q)
     if not (cmath.isfinite(p) and cmath.isfinite(q)):
         raise ValueError("p and q must be finite")
     real_mode = p.imag == 0.0 and q.imag == 0.0
-    split = bisect.bisect_left(dens, _tail_start(p, q))
-    n = len(dens)
+    start = _tail_start(p, q)
+    # the factors whose denominators lie below start
+    split = n if start == math.inf else min(n, (start + step - 2) // step)
     re_terms: list[float] = []
     im_terms: list[float] = []
     sign = 1.0
     near_at: int | None = None
 
     # head: factors that may be negative, near zero or zero, one at a time
-    for j, den in enumerate(dens[:split], start=1):
-        factor = 1 + p / den + q / (den * den)
+    for j, den in enumerate(range(1, step * split + 1, step), start=1):
+        u, v = p / den, q / (den * den)
+        factor = 1 + u + v
         if math.hypot(factor.real, factor.imag) < _ZERO_TOL:
             if _exact_zero(den, p, q):
                 return ProductResult(0j, -math.inf, 0.0, j, n, near_at)
@@ -221,11 +216,17 @@ def _product(dens: range, p: complex, q: complex) -> ProductResult:
                 # rounded to zero in double without being an exact root:
                 # the product is unrepresentably small, not exactly zero
                 return ProductResult(0j, -math.inf, 0.0, None, n, near_at)
+        # a factor within 1/2 of 1 takes its log from z = u + v, not from the rounded 1 + z
+        z = u + v
+        x, y = z.real, z.imag
         if real_mode:
-            x = factor.real
-            if x < 0.0:
+            if factor.real < 0.0:
                 sign = -sign
-            re_terms += (math.log(abs(x)), -p.real / den)
+            re_terms += (math.log1p(x) if x > -0.5 else math.log(abs(factor.real)), -p.real / den)
+        elif x * x + y * y <= 0.25:
+            # log|1 + z| = log1p(x(2 + x) + y^2) / 2
+            re_terms += (math.log1p(x * (2.0 + x) + y * y) / 2, -p.real / den)
+            im_terms += (math.atan2(y, 1.0 + x), -p.imag / den)
         else:
             term = cmath.log(factor)
             re_terms += (term.real, -p.real / den)
@@ -234,20 +235,15 @@ def _product(dens: range, p: complex, q: complex) -> ProductResult:
             re_terms = [_fsum(re_terms)]
             im_terms = [_fsum(im_terms)]
 
-    # tail: every factor within 1/2 of 1, summed a bounded chunk at a time; far
-    # enough out, a complex chunk takes the log series in the root power sums
-    if not real_mode and split < n:
-        root_bound = math.hypot(p.real, p.imag) + math.sqrt(math.hypot(q.real, q.imag))
-        coeffs = _series_coeffs(p, q)
-    for start in range(split, n, _CHUNK):
-        chunk = dens[start:start + _CHUNK]
-        terms = None if real_mode else _series_terms(root_bound / chunk[0])
-        if terms is None:
-            re_part, im_part = _tail_sums(chunk, p, q, real_mode)
-        else:
-            re_part, im_part = _series_sums(chunk, coeffs[:terms - 1])
-        re_terms.append(re_part)
-        im_terms.append(im_part)
+    # tail: every factor within 1/2 of 1, in O(K) from the Hurwitz zeta function
+    if split < n:
+        try:
+            end = step * n + 1.0
+        except OverflowError:  # n past the double range: zeta(k, n) is below 2^-1000
+            end = math.inf
+        tail = _log_tail(step * split + 1.0, end, step, p, q)
+        re_terms.append(tail.real)
+        im_terms.append(tail.imag)
 
     log_abs = _fsum(re_terms)
     if real_mode:
@@ -264,25 +260,19 @@ def _product(dens: range, p: complex, q: complex) -> ProductResult:
 
 
 def w_product(n: int, p: complex, q: complex) -> ProductResult:
-    """``prod_{j=1..n} exp(-p/j) (1 + p/j + q/j^2)`` by direct accumulation."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _product(range(1, n + 1), p, q)
+    """``prod_{j=1..n} exp(-p/j) (1 + p/j + q/j^2)`` in log space."""
+    return _product(n, 1, p, q)
 
 
 def r_product(n: int, p: complex, q: complex) -> ProductResult:
-    """Odd-denominator analogue over ``2j - 1`` by direct accumulation."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _product(range(1, 2 * n, 2), p, q)
+    """Odd-denominator analogue over ``2j - 1`` in log space."""
+    return _product(n, 2, p, q)
 
 
 def wallis_seq(n: int) -> float:
     """Classical Wallis partial product ``prod_{k=1..n} 4k^2 / (4k^2 - 1)``.
 
-    Evaluated as ``exp(sum log1p(1/(4k^2-1)))`` with exact summation, so
-    the relative error stays at the few-ulp level even for ``n = 10^6``.
+    The reciprocal of ``W_n(0, -1/4)``, read from its log, so the relative
+    error stays at the few-ulp level for any ``n``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return math.exp(math.fsum(math.log1p(1.0 / (4.0 * k * k - 1.0)) for k in range(1, n + 1)))
+    return math.exp(-w_product(n, 0, -0.25).log_abs)

@@ -143,7 +143,9 @@ def suite_closedforms() -> list[CheckResult]:
     out.append(_check("closedforms.r_product_vs_r_closed", worst_r <= 1e-10,
                       f"worst {worst_r:.3e}"))
     worst_step = 0.0
-    for n, p, q in [(5, 1.0, 0.5), (20, complex(1, 1), complex(0.5, -1)), (50, -0.5, 0.125)]:
+    # n = 63 steps across the products' head/tail seam at D = 64
+    for n, p, q in [(5, 1.0, 0.5), (20, complex(1, 1), complex(0.5, -1)), (50, -0.5, 0.125),
+                    (63, complex(1, 1), complex(0.5, -1))]:
         full = products.w_product(n + 1, p, q).value
         step = products.w_product(n, p, q).value
         d = n + 1.0
@@ -151,12 +153,14 @@ def suite_closedforms() -> list[CheckResult]:
         worst_step = max(worst_step, _rel(full, step))
     out.append(_check("closedforms.incremental_consistency", worst_step <= 1e-13,
                       f"worst rel {worst_step:.3e}"))
-    worst_recip = max(
-        abs(products.wallis_seq(n) * products.w_product(n, 0, -0.25).value.real - 1)
+    # prod 4k^2 / (4k^2 - 1) = 16^n / ((2n + 1) C(2n, n)^2), exactly
+    worst_wallis = max(
+        float(abs(Fraction(products.wallis_seq(n)) * (2 * n + 1) * math.comb(2 * n, n) ** 2
+                  / 16**n - 1))
         for n in (1, 2, 10, 100, 1000, 10**4)
     )
-    out.append(_check("closedforms.reciprocal_identity_n<=1e4", worst_recip <= 1e-12,
-                      f"worst {worst_recip:.3e}"))
+    out.append(_check("closedforms.wallis_seq_vs_exact_n<=1e4", worst_wallis <= 5e-15,
+                      f"worst rel {worst_wallis:.3e}"))
     return out
 
 

@@ -637,6 +637,16 @@ def test_version_from_a_source_checkout():
     assert proc.stdout.rstrip().endswith("version 0.1.0")
 
 
+def test_package_runs_as_a_module():
+    # python -m wallisprod is the same command line as python -m wallisprod.cli
+    proc = run_python("-m", "wallisprod", "--version")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_module("--version").stdout
+    proc = run_python("-m", "wallisprod", "eval", "--target", "wallis", "--n", "3")
+    assert (proc.returncode, proc.stdout) == (0, run_module("eval", "--target", "wallis",
+                                                            "--n", "3").stdout)
+
+
 def test_tables_written_out_for_import_match_the_library():
     assert MAX_ALPHABETA_ORDER == MAX_ORDER["alphabeta"] == coeffs.MAX_ALPHA_BETA_ORDER
     assert cli._ELEZOVIC_TERMS == len(expansions.ELEZOVIC_TERMS)
@@ -676,8 +686,9 @@ class TestImportGraph:
         (["coeffs", "--family", "nu", "--order", "3"], ["bernoulli", "coeffs"]),
         (["coeffs", "--family", "a", "--order", "2", "--format", "json"],
          ["bernoulli", "coeffs"]),
-        (["eval", "--target", "wallis", "--n", "5", "--format", "json"], ["products"]),
-        (["eval", "--target", "wproduct", "--n", "5", *PQ], ["products"]),
+        (["eval", "--target", "wallis", "--n", "5", "--format", "json"],
+         ["bernoulli", "products"]),
+        (["eval", "--target", "wproduct", "--n", "5", *PQ], ["bernoulli", "products"]),
         (["eval", "--target", "wclosed", "--n", "5", *PQ], ["bernoulli", "special"]),
         (["constants", "--format", "json"], ["bernoulli", "special"]),
         (["eval", "--target", "expansion:mu", "--n", "50", "--order", "2"],

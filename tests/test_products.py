@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 from wallisprod.coeffs import b_poly
 from wallisprod.products import (
     _CHUNK,
-    _SERIES_CAP,
+    _MAX_TERMS,
     ProductResult,
-    _series_coeffs,
-    _series_sums,
+    _hurwitz_zetas,
+    _log_tail,
     _series_terms,
     _tail_start,
-    _tail_sums,
     r_product,
     w_product,
     wallis_seq,
@@ -189,7 +188,7 @@ class TestCrossConsistency:
 
 
 @given(
-    n=st.integers(min_value=1, max_value=60),
+    n=st.integers(min_value=1, max_value=300),
     pr=st.floats(min_value=-2, max_value=2, allow_nan=False),
     pi_=st.floats(min_value=-2, max_value=2, allow_nan=False),
     qr=st.floats(min_value=-2, max_value=2, allow_nan=False),
@@ -197,6 +196,7 @@ class TestCrossConsistency:
 )
 @settings(max_examples=40, deadline=None)
 def test_incremental_consistency(n, pr, pi_, qr, qi):
+    # n + 1 crosses the head/tail seam: D = 64 for w, 32 odd denominators for r
     p = complex(pr, pi_)
     q = complex(qr, qi)
     longer = w_product(n + 1, p, q)
@@ -307,54 +307,17 @@ def _tail_oracle(dens, p, q, real_mode):
     return log_abs, phase
 
 
-@st.composite
-def _tail_cases(draw):
-    part = draw(st.sampled_from([st.floats(-2e-3, 2e-3), st.floats(-1e3, 1e3)]))
-    p, q = complex(draw(part)), complex(draw(part))
-    if draw(st.booleans()):
-        p, q = complex(p.real, draw(part)), complex(q.real, draw(part))
-    step = draw(st.sampled_from([1, 2]))  # the denominators of w and of r
-    # whole chunks from the first denominator at or past d0, then a partial one
-    tail = draw(st.one_of(st.sampled_from([1, _CHUNK, _CHUNK + 1]),
-                          st.integers(2, 2 * _CHUNK + 1)))
-    return p, q, step, tail
-
-
-@given(_tail_cases())
-@settings(max_examples=40, deadline=None)
-def test_tail_kernel_matches_tail_oracle(case):
-    # the tail chunk by chunk as _product cuts it; the tolerance is a few ulps of
-    # sum(|p|/d + |q|/d^2), which bounds every term of both parts, plus a few
-    # subnormal spacings per term for parameters near the bottom of the range
-    p, q, step, tail = case
-    real_mode = p.imag == 0.0 and q.imag == 0.0
-    d0 = _tail_start(p, q)
-    first = d0 if step == 1 else d0 | 1  # r: the first odd denominator from d0 on
-    dens = range(first, first + tail * step, step)
-    for start in range(0, tail, _CHUNK):
-        chunk = dens[start:start + _CHUNK]
-        scale = math.fsum(abs(p) / d + abs(q) / (d * d) for d in chunk)
-        tol = 4 * math.ulp(1.0) * scale + 8 * len(chunk) * math.ulp(0.0)
-        got = _tail_sums(chunk, p, q, real_mode)
-        want = _tail_oracle(chunk, p, q, real_mode)
-        assert abs(got[0] - want[0]) <= tol, (p, q, chunk)
-        assert abs(got[1] - want[1]) <= tol, (p, q, chunk)
-
-
-def _root_bound(p, q):
-    """``|p| + sqrt|q|``, which bounds the moduli of both roots of ``x^2 - p x + q``."""
-    return abs(p) + math.sqrt(abs(q))
-
-
 _subnormal = st.integers(-2**20, 2**20).map(lambda k: k * math.ulp(0.0))
 
 
 @st.composite
-def _series_cases(draw):
-    kind = draw(st.sampled_from(["p=0", "q=0", "double_root", "imaginary_roots", "tiny",
-                                 "moderate", "subnormal"]))
-    part = {"tiny": st.floats(-2e-3, 2e-3), "subnormal": _subnormal}.get(kind, st.floats(-1e3, 1e3))
-    p, q = complex(draw(part), draw(part)), complex(draw(part), draw(part))
+def _tail_cases(draw):
+    kind = draw(st.sampled_from(["real", "complex", "p=0", "q=0", "double_root",
+                                 "imaginary_roots"]))
+    part = draw(st.sampled_from([st.floats(-2e-3, 2e-3), st.floats(-1e3, 1e3), _subnormal]))
+    p, q = complex(draw(part)), complex(draw(part))
+    if kind != "real":
+        p, q = complex(p.real, draw(part)), complex(q.real, draw(part))
     if kind == "p=0":
         p = 0j
     elif kind == "q=0":
@@ -364,31 +327,47 @@ def _series_cases(draw):
     elif kind == "imaginary_roots":  # x = +-i sqrt(q)
         p, q = 0j, complex(abs(q.real))
     step = draw(st.sampled_from([1, 2]))  # the denominators of w and of r
-    # rho = r / first <= 2^-10, under the cap; the first denominator is odd for r
-    first = max(_tail_start(p, q), math.ceil(_root_bound(p, q) * 2.0 ** draw(st.integers(10, 40))))
-    first |= step - 1
-    tail = draw(st.one_of(st.sampled_from([1, _CHUNK, _CHUNK + 1]),
-                          st.integers(2, 2 * _CHUNK + 1)))
-    return p, q, range(first, first + tail * step, step)
+    tail = draw(st.one_of(st.sampled_from([1, 2, _CHUNK + 1]), st.integers(3, 2 * _CHUNK + 1)))
+    return p, q, step, tail
 
 
-@given(_series_cases())
-@settings(max_examples=60, deadline=None)
-def test_series_kernel_matches_tail_oracle(case):
-    # the complex tail's log series, chunk by chunk with the rule's term count,
-    # against the per-factor logs within test_tail_kernel_matches_tail_oracle's tolerance
-    p, q, dens = case
-    coeffs = _series_coeffs(p, q)
-    for start in range(0, len(dens), _CHUNK):
-        chunk = dens[start:start + _CHUNK]
-        terms = _series_terms(_root_bound(p, q) / chunk[0])
-        assert terms is not None, (p, q, chunk)
-        scale = math.fsum(abs(p) / d + abs(q) / (d * d) for d in chunk)
-        tol = 4 * math.ulp(1.0) * scale + 8 * len(chunk) * math.ulp(0.0)
-        got = _series_sums(chunk, coeffs[:terms - 1])
-        want = _tail_oracle(chunk, p, q, False)
-        assert abs(got[0] - want[0]) <= tol, (p, q, chunk, terms)
-        assert abs(got[1] - want[1]) <= tol, (p, q, chunk, terms)
+@given(_tail_cases())
+@settings(max_examples=80, deadline=None)
+def test_tail_sum_matches_tail_oracle(case):
+    # the zeta-difference tail from the first denominator at or past D against the
+    # per-factor logs; the tolerance is a few ulps of sum(|p|/d + |q|/d^2) over the
+    # head and the tail, since the tail's zeta values carry the size of the whole
+    # sum from D on and the tail never runs without the head, plus a few subnormal
+    # spacings per term for parameters near the bottom of the range
+    p, q, step, tail = case
+    real_mode = p.imag == 0.0 and q.imag == 0.0
+    start = _tail_start(p, q)
+    first = start if step == 1 else start | 1  # r: the first odd denominator from D on
+    dens = range(first, first + tail * step, step)
+    scale = math.fsum(abs(p) / d + abs(q) / (d * d) for d in range(1, dens.stop, step))
+    tol = 4 * math.ulp(1.0) * scale + 8 * len(dens) * math.ulp(0.0)
+    got = _log_tail(float(first), float(dens.stop), step, p, q)
+    want = _tail_oracle(dens, p, q, real_mode)
+    assert abs(got.real - want[0]) <= tol, (p, q, dens)
+    assert abs(got.imag - want[1]) <= tol, (p, q, dens)
+
+
+def _mp_hurwitz_zeta(k, a):
+    """``zeta(k, a)`` from ``mpmath`` at 120 digits: at 40 to 80 digits ``mp.zeta``
+    loses up to 1e-10 relative for ``k`` near 20 and ``a`` of 64 or more."""
+    with mp.workdps(120):
+        return mp.zeta(k, a)
+
+
+@pytest.mark.parametrize("a", [32.5, 64.0, 64.5, 1e3, 1e6 + 0.5, 1e15])
+def test_hurwitz_zeta_matches_mpmath(a):
+    # every order the tail uses, at the smallest arguments of r (32.5) and w (64) and far
+    # out; fewer orders stop the sums sooner
+    for terms in (2, 7, _MAX_TERMS):
+        for k, got in enumerate(_hurwitz_zetas(a, terms), start=2):
+            want = _mp_hurwitz_zeta(k, a)
+            assert abs(got - want) <= 2 * math.ulp(float(want)), (k, a, terms)
+    assert _hurwitz_zetas(math.inf, 3) == [0.0, 0.0]
 
 
 def _meets_series_bound(k, rho):
@@ -398,21 +377,17 @@ def _meets_series_bound(k, rho):
 
 
 def test_series_term_rule_in_exact_arithmetic():
-    # rho = 2^(-i/16) from 2^-60 to 2^-6: the fewest terms whose dropped rest is
-    # within 2^-54 of every factor's scale, or None once even the cap falls short
+    # rho = 2^(-i/16) from 2^-60 to 1/4, the largest ratio r / D: the fewest
+    # terms whose dropped rest is within 2^-54 of every factor's scale
     picked = set()
-    for i in range(16 * 6, 16 * 60 + 1):
+    for i in range(16 * 2, 16 * 60 + 1):
         rho = 2.0 ** (-i / 16)
         terms = _series_terms(rho)
         picked.add(terms)
-        if terms is None:
-            assert not _meets_series_bound(_SERIES_CAP, rho), rho
-            continue
-        # under the cap rho < 2^-9, so every log(1 + x_i u) is principal
-        assert rho < 2.0**-9 and 2 <= terms <= _SERIES_CAP, (rho, terms)
+        assert 2 <= terms <= _MAX_TERMS, (rho, terms)
         assert _meets_series_bound(terms, rho), (rho, terms)
         assert not _meets_series_bound(terms - 1, rho), (rho, terms)
-    assert picked == {None, *range(2, _SERIES_CAP + 1)}
+    assert picked == set(range(2, _MAX_TERMS + 1))
 
 
 # Zero or at least 1e-2 in size: with tiny nonzero parameters consecutive
@@ -439,9 +414,9 @@ def _head_tail_cases(draw):
     else:
         p, q = complex(draw(_part), draw(_part)), complex(draw(_part), draw(_part))
     which = draw(st.sampled_from(sorted(_PRODUCTS)))
-    # denominators below the tail start: d0 - 1 of 1, 2, 3, ... and d0 // 2 of 1, 3, 5, ...
-    d0 = _tail_start(p, q)
-    head = d0 - 1 if which == "w" else d0 // 2
+    # denominators below the tail start D: D - 1 of 1, 2, 3, ... and D // 2 of 1, 3, 5, ...
+    start = _tail_start(p, q)
+    head = start - 1 if which == "w" else start // 2
     offset = draw(st.one_of(st.sampled_from([-1, 0, 1, _CHUNK, _CHUNK + 1]),
                             st.integers(2, 2 * _CHUNK + 2)))
     return which, max(1, head + offset), p, q
@@ -534,14 +509,14 @@ _bound_part = st.floats(-1e12, 1e12, allow_nan=False)
        q=st.one_of(_bound_part.map(complex), st.builds(complex, _bound_part, _bound_part)))
 @settings(max_examples=300, deadline=None)
 def test_tail_start_bounds_every_tail_factor(p, q):
-    # |p|/d0 <= 1/4 and |q|/d0^2 <= 1/4, squared so that complex moduli stay
-    # rational; both terms fall as d grows, so |p/d + q/d^2| <= 1/2 for d >= d0
-    d0 = _tail_start(p, q)
-    assert isinstance(d0, int) and d0 >= 1
+    # |p|/D <= 1/4 and |q|/D^2 <= 1/4, squared so that complex moduli stay
+    # rational; both terms fall as d grows, so |p/d + q/d^2| <= 1/2 for d >= D
+    start = _tail_start(p, q)
+    assert isinstance(start, int) and start >= 64
     p_sq = Fraction(p.real) ** 2 + Fraction(p.imag) ** 2
     q_sq = Fraction(q.real) ** 2 + Fraction(q.imag) ** 2
-    assert 16 * p_sq <= d0**2
-    assert 16 * q_sq <= d0**4
+    assert 16 * p_sq <= start**2
+    assert 16 * q_sq <= start**4
 
 
 def _mp_log_product(n, p, q, odd):
@@ -605,9 +580,9 @@ def _moderate_parameters():
 
 @pytest.mark.parametrize("p,q", _moderate_parameters())
 def test_moderate_parameters_match_mpmath(p, q):
-    # n is several chunks past d0 <= 13; the phase is taken mod 2 pi
+    # n is far past D = 64, up to 10^15; the phase is taken mod 2 pi
     real = p.imag == 0.0 and q.imag == 0.0
-    for n in (5000, 20000, 10**5):
+    for n in (5000, 20000, 10**5, 10**9, 10**15):
         for product, odd in ((w_product, False), (r_product, True)):
             got = product(n, p, q)
             ref = _mp_log_product(n, p, q, odd)
@@ -631,9 +606,26 @@ def _dominant_parameters():
              complex(rng.uniform(-r, r), rng.uniform(-r, r))) for _ in range(3)]
 
 
+def test_head_logs_come_from_the_small_part():
+    # n <= 200 with |p|, |q| <= 2e-3: the head spans d < 64, where log(1 + z_d) of the
+    # rounded 1 + z_d would lose up to 2^-53 a factor; from z_d itself the error stays
+    # a few ulps of sum(|p|/d + |q|/d^2), as in the tail
+    rng = random.Random(21)
+    for _ in range(8):
+        p, q = (complex(rng.uniform(-2e-3, 2e-3), rng.choice((0.0, rng.uniform(-2e-3, 2e-3))))
+                for _ in range(2))
+        for n in (63, 200):
+            for product, odd in ((w_product, False), (r_product, True)):
+                ref = _mp_log_product(n, p, q, odd)
+                dens = range(1, (1 + odd) * n + 1, 1 + odd)
+                scale = math.fsum(abs(p) / d + abs(q) / (d * d) for d in dens)
+                got = product(n, p, q)
+                assert abs(got.log_abs - float(ref.real)) <= 4 * math.ulp(1.0) * scale, (n, p, q)
+
+
 @pytest.mark.parametrize("p,q", _dominant_parameters())
 def test_million_factor_complex_products_match_mpmath(p, q):
-    # n = 10^6: all but the first tail chunk take the log series; the phase is taken mod 2 pi
+    # n = 10^6, nearly all of it in the zeta-difference tail; the phase is taken mod 2 pi
     n = 10**6
     for product, odd in ((w_product, False), (r_product, True)):
         got = product(n, p, q)
@@ -644,3 +636,19 @@ def test_million_factor_complex_products_match_mpmath(p, q):
             diff = got.phase_or_sign - ref.imag
             wrapped = float(diff - 2 * mp.pi * mp.nint(diff / (2 * mp.pi)))
         assert abs(wrapped) <= tol, (product.__name__, p, q)
+
+
+@pytest.mark.parametrize("fn,odd", [(w_product, False), (r_product, True)])
+@pytest.mark.parametrize("p,q", [(1, 0), (1 + 1j, 0.5), _dominant_parameters()[0]])
+def test_n_past_the_index_range(fn, odd, p, q):
+    # len() of a range of 2^63 entries raises OverflowError, and 10^400 passes the
+    # double range; past n = 2^63 the tail adds under 2^-60 to the log
+    near = fn(2**63, p, q)
+    ref = _mp_log_product(2**63, p, q, odd)
+    assert near.terms == 2**63
+    assert abs(near.log_abs - float(ref.real)) <= 2e-15, (fn.__name__, p, q)
+    far = fn(10**400, p, q)
+    assert far.terms == 10**400
+    assert abs(far.log_abs - near.log_abs) <= 2 * math.ulp(near.log_abs)
+    assert abs(far.phase_or_sign - near.phase_or_sign) <= 2 * math.ulp(near.phase_or_sign)
+    assert abs(wallis_seq(10**400) - math.pi / 2) <= 2 * math.ulp(math.pi / 2)
