@@ -26,7 +26,9 @@ Computer Arithmetic*, ch. 3-4), so a measured error costs ``O(n)``
 operations on ``G``-bit integers.  The two (p, q) families are measured in
 double precision, where their errors sit far above the float noise for the
 orders of interest; estimates that would be dominated by noise are flagged
-as NaN.
+as NaN.  The sharp two-sided Wallis bounds are proved for every ``n``
+from 2 on by one polynomial certificate in ``Fraction``, and tested on the
+same integer layer below it (:func:`check_bounds`).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
+from .bernoulli import bernoulli_number
 from .coeffs import (
     MAX_ALPHA_BETA_ORDER,
     _alpha_beta_levels,
@@ -553,6 +556,11 @@ def convergence_order(family: ExpansionFamily, n_values: list[int]) -> list[floa
 # ---------------------------------------------------------------------------
 
 DENG_ALPHA = 2.5
+# beta at pi = 355/113: beta falls as pi rises and 355/113 > pi, so this lies below beta
+_BETA_BELOW = Fraction(421, 161)
+_CERT_ZETAS = 2  # K: zeta(2k, n + 1) for k <= K from Euler–Maclaurin, the rest bounded
+_CERT_EM = 1  # J: each zeta lies between its partial sums with J and J + 1 Bernoulli terms
+_TAIL_FROM = 2  # N: the certificate proves both bounds for every n >= N
 
 
 def deng_beta() -> float:
@@ -561,38 +569,130 @@ def deng_beta() -> float:
 
 
 class BoundsReport(namedtuple("BoundsReport", "n_max violations first_violation tight_upper_n "
-                                             "tight_upper_gap alpha beta")):
+                                             "tight_upper_gap alpha beta tail_from",
+                              defaults=(None,))):
     """Outcome of checking ``(pi/2)(1 - 1/(4n+alpha)) < W_n <= (pi/2)(1 - 1/(4n+beta))``.
 
     ``tight_upper_gap`` bounds ``|W_n - upper|`` at ``tight_upper_n``.
+    ``tail_from`` is the ``N`` from which the polynomial certificate proves
+    both bounds for every ``n``.
     """
 
     __slots__ = ()
 
 
-def check_bounds(n_max: int) -> BoundsReport:
-    """Verify the two-sided bound for every ``1 <= n <= n_max``, certified.
+def _poly_mul(a: list, b: list) -> list:
+    """The product of two polynomials as coefficient lists, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
-    With ``beta = (32 - 9 pi) / (3 pi - 8)`` the bounds read
-    ``pi (8n + 3) < W_n (16n + 10)`` and ``2 W_n B_n <= pi A_n``, where
-    ``A_n = 12 (n - 1) pi - 8 (4n - 5)`` and ``B_n = (12n - 9) pi - 32 (n - 1) > 0``.
-    They are compared in integers scaled by ``2^P``, ``P = 4 log2(n_max) + 64``,
-    with ``W_n`` from the kernel's running product and ``pi`` from Machin's
-    formula, each side enclosed by its rounding bound: no float slack.  The
-    lower margin, about ``0.018 / n^3``, stays far above that rounding.  The
-    upper bound at n = 1, an equality by design of beta, stays unresolved and
-    is reported as ``tight_upper_n``; any other unresolved comparison raises
-    ``ArithmeticError``.
+
+def _zeta_bracket(s: int, upper: bool) -> dict[int, Fraction]:
+    """A bound on ``zeta(s, a)`` for every ``a > 0``, as ``{e: c}`` for ``sum c a^-e``.
+
+    Euler–Maclaurin gives ``zeta(s, a) = a^(1-s)/(s-1) + a^-s/2 + sum_(m<=M)
+    B_2m/(2m)! (s)_(2m-1) a^(1-s-2m) + R_M``.  ``x^-s`` is completely
+    monotone, so ``R_M`` has the sign of the first omitted term and is
+    smaller: the partial sums with ``J`` and ``J + 1`` Bernoulli terms enclose
+    the value, and the upper one ends on a positive ``B_2m``, an odd ``m``.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    bits = 4 * n_max.bit_length() + 64
+    top = _CERT_EM if (_CERT_EM % 2 == 1) == upper else _CERT_EM + 1
+    terms = {s - 1: Fraction(1, s - 1), s: _HALF}
+    for m in range(1, top + 1):
+        terms[s + 2 * m - 1] = (bernoulli_number(2 * m) / math.factorial(2 * m)
+                                * math.prod(range(s, s + 2 * m - 1)))
+    return terms
+
+
+# A term (c, (e1, e2, e3, e4)) of a certificate side is c a^e1 g^e2 (g - 1)^e3 (4a^2 - 1)^e4
+# with a = n + 1 and g = 4n + alpha or 4n + beta.
+
+def _wallis_log_terms(upper: bool) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """A bound on ``L_n = -ln(W_n / (pi/2)) = sum_(k>=1) 4^-k zeta(2k, a) / k``.
+
+    Every term is positive, so the lower bound drops ``k > K``.  The upper
+    one bounds it by ``zeta(2k, a) <= a^-2k (1 + a/(2k - 1)) <= 2a a^-2k``,
+    a geometric series: ``2a / ((K + 1)(4a^2)^K (4a^2 - 1))``.
+    """
+    terms = [(c / (k * 4**k), (-e, 0, 0, 0))
+             for k in range(1, _CERT_ZETAS + 1) for e, c in _zeta_bracket(2 * k, upper).items()]
+    if upper:
+        terms.append((Fraction(2, (_CERT_ZETAS + 1) * 4**_CERT_ZETAS),
+                      (1 - 2 * _CERT_ZETAS, 0, 0, -1)))
+    return terms
+
+
+def _log_terms(upper: bool) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """A bound on ``-ln(1 - 1/g) = sum_(m>=1) g^-m / m``: its first two terms,
+    plus ``1 / (3 g^2 (g - 1))``, a geometric bound on the rest, above."""
+    terms = [(Fraction(1), (0, -1, 0, 0)), (_HALF, (0, -2, 0, 0))]
+    if upper:
+        terms.append((Fraction(1, 3), (0, -2, -1, 0)))
+    return terms
+
+
+def _positive_from(n0: int, c: Fraction, plus: list, minus: list) -> bool:
+    """Whether ``sum(plus) - sum(minus) > 0`` for every real ``n >= n0``, with ``g = 4n + c``.
+
+    Over the common denominator every term is a polynomial in ``t = n - n0``;
+    each factor has positive coefficients in ``t``, and so has the
+    denominator.  A numerator with a positive constant term and no negative
+    coefficient proves the claim (the leading ones cancel to zero).  The
+    work is in integers: ``g`` and ``g - 1`` are taken times the denominator
+    of ``c``, and the numerator times a positive integer.
+    """
+    num, den = c.numerator, c.denominator
+    factors = ([n0 + 1, 1], [4 * n0 * den + num, 4 * den], [(4 * n0 - 1) * den + num, 4 * den],
+               [4 * (n0 + 1) ** 2 - 1, 8 * (n0 + 1), 4])
+    terms = [(sign * coef * Fraction(den) ** -(exps[1] + exps[2]), exps)
+             for sign, side in ((1, plus), (-1, minus)) for coef, exps in side]
+    scale = math.lcm(*(coef.denominator for coef, _ in terms))
+    low = [min(0, *column) for column in zip(*(exps for _, exps in terms))]
+    numerator: list[int] = []
+    for coef, exps in terms:
+        poly = [coef.numerator * (scale // coef.denominator)]
+        for factor, e, e_min in zip(factors, exps, low):
+            for _ in range(e - e_min):
+                poly = _poly_mul(poly, factor)
+        numerator = [x + y for x, y in itertools.zip_longest(numerator, poly, fillvalue=0)]
+    return numerator[0] > 0 and min(numerator) >= 0
+
+
+def _tail_holds(n0: int, alpha: Fraction, beta: Fraction) -> tuple[bool, bool]:
+    """Whether the certificate proves the lower and the upper bound for every ``n >= n0``.
+
+    ``W_n > (pi/2)(1 - 1/(4n + alpha))`` is ``L_n < -ln(1 - 1/(4n + alpha))``,
+    and ``W_n < (pi/2)(1 - 1/(4n + beta))`` is ``L_n > -ln(1 - 1/(4n + beta))``;
+    each side is shown with ``L_n`` and the log replaced by the bounds above.
+    A ``beta`` below the true one proves the upper bound at the true one,
+    whose log is smaller.
+    """
+    return (_positive_from(n0, alpha, _log_terms(False), _wallis_log_terms(True)),
+            _positive_from(n0, beta, _wallis_log_terms(False), _log_terms(True)))
+
+
+@functools.cache
+def _tail_certificate() -> int:
+    """``N``, once the certificate at ``alpha = 5/2`` and ``beta`` (below by 421/161) holds."""
+    if _tail_holds(_TAIL_FROM, Fraction(DENG_ALPHA), _BETA_BELOW) != (True, True):
+        raise ArithmeticError(f"the Wallis bounds certificate fails at N = {_TAIL_FROM}")
+    return _TAIL_FROM
+
+
+def _scan_bounds(n_max: int, bits: int) -> tuple[int, int | None, int | None, float]:
+    """Test both bounds at every ``1 <= n <= n_max`` with ``bits >= 4 log2(n_max) + 64``.
+
+    Returns ``(violations, first_violation, tight_upper_n, tight_upper_gap)``.
+    """
     pi, one = _pi_scaled(bits), 1 << bits
     # Every form is linear in n and starts at n = 1: m = 16n + 10,
     # low = (pi + 1)(8n + 3) >= pi (8n + 3), b2 = 2 B_n and up = pi A_n - E_n.
     # E_n = n 2^shift >= 512 n^2 2^bits bounds how far pi A - 2 W B moves
-    # when pi moves by one unit and W by 2n.
-    shift = bits + 9 + n_max.bit_length()
+    # when pi moves by one unit and W by 2n; n < 2^((bits - 64) / 4).
+    shift = bits + 9 + (bits - 64) // 4
     m, low = 26, 11 * (pi + 1)
     b2, up = 6 * pi, 8 * pi * one - (1 << shift)
     up_step = 12 * pi * pi - 32 * pi * one - (1 << shift)
@@ -617,5 +717,35 @@ def check_bounds(n_max: int) -> BoundsReport:
         low += 8 * (pi + 1)
         b2 += 24 * pi - 64 * one
         up += up_step
-    return BoundsReport(n_max, violations, first_violation, tight_n, tight_gap,
-                        DENG_ALPHA, deng_beta())
+    return violations, first_violation, tight_n, tight_gap
+
+
+def check_bounds(n_max: int) -> BoundsReport:
+    """Verify the two-sided bound for every ``1 <= n <= n_max``, certified.
+
+    From ``N = tail_from`` on, a certificate proves both bounds for every
+    ``n`` at once, computed once per process in ``Fraction``: with
+    ``L_n = -ln(W_n / (pi/2)) = sum_k 4^-k zeta(2k, n+1) / k``, the bounds are
+    ``L_n < -ln(1 - 1/(4n + 5/2))`` and ``L_n > -ln(1 - 1/(4n + beta))``.
+    ``L_n`` is enclosed by Euler–Maclaurin brackets of ``zeta(2, n+1)`` and
+    ``zeta(4, n+1)`` plus a geometric bound on the rest, the logs by their
+    first two terms plus a geometric bound, and beta from below by its value
+    421/161 at ``pi = 355/113``.  Each side is then a rational function of
+    ``n``; at ``n = N + t`` its numerator has only positive coefficients.
+
+    Below ``N`` each ``n`` is tested directly.  With
+    ``beta = (32 - 9 pi) / (3 pi - 8)`` the bounds read
+    ``pi (8n + 3) < W_n (16n + 10)`` and ``2 W_n B_n <= pi A_n``, where
+    ``A_n = 12 (n - 1) pi - 8 (4n - 5)`` and ``B_n = (12n - 9) pi - 32 (n - 1) > 0``.
+    They are compared in integers scaled by ``2^P``, ``P = 4 log2(n_max) + 64``,
+    with ``W_n`` from the kernel's running product and ``pi`` from Machin's
+    formula, each side enclosed by its rounding bound: no float slack.  The
+    upper bound at n = 1, an equality by design of beta, stays unresolved and
+    is reported as ``tight_upper_n``; any other unresolved comparison raises
+    ``ArithmeticError``, and so does a certificate that fails.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    tail_from = _tail_certificate()
+    scan = _scan_bounds(min(n_max, tail_from - 1), 4 * n_max.bit_length() + 64)
+    return BoundsReport(n_max, *scan, DENG_ALPHA, deng_beta(), tail_from)

@@ -11,7 +11,10 @@ split at ``D = max(ceil(4 r) + 1, 64)``:
   goes through a per-factor loop: exact-rational zero test, near-zero flag,
   float-underflow exit, explicit sign tracking when the parameters are real
   (instead of complex logs).  A factor within 1/2 of 1 takes its log from
-  ``z_d`` (``log1p``), not from the rounded ``1 + z_d``.  The logs and the
+  ``z_d`` (``log1p``), not from the rounded ``1 + z_d``; a factor below
+  ``2^-12 (1 + |p/d| + |q/d^2|)``, which the rounding of ``1 + z_d`` could
+  cost more than ``2^-40`` of its log, is taken as the exact rational
+  ``(d^2 + p d + q) / d^2``.  The logs and the
   damping terms go into one exactly rounded ``math.fsum`` every ``_CHUNK``
   entries;
 * the tail, ``d >= D``, has ``|x_i| / d < 1/4``, so no factor can vanish or
@@ -53,6 +56,10 @@ __all__ = [
 ]
 
 _ZERO_TOL = 1e-15
+# a factor below this share of 1 + |p/d| + |q/d^2| is taken exactly: 1 + p/d + q/d^2
+# rounds by up to about 2^-52 of that sum, which would cost its log more than 2^-40
+_EXACT_BELOW = 2.0**-12
+_LN2 = math.log(2.0)
 _EXP_OVERFLOW = 709.0  # log of the largest finite double, minus slack
 _CHUNK = 4096  # head terms per fsum: bounded memory
 _MIN_TAIL_START = 64  # the zeta arguments stay at 32 or more, where Euler–Maclaurin is short
@@ -76,9 +83,10 @@ class ProductResult(namedtuple("ProductResult", "value log_abs phase_or_sign zer
     part is exactly zero (then ``value == 0`` and ``log_abs == -inf``).
     ``near_zero_at`` flags the first factor that came within 1e-15 of
     zero without being an exact rational root: the result is still
-    returned but its precision is reduced.  :meth:`to_json_dict` writes a
-    ``log_abs`` of ``-inf`` (a zero product) and a phase sum that is not
-    finite as ``None``, since strict JSON has no ``Infinity``.
+    returned, with that factor's log taken from its exact value.
+    :meth:`to_json_dict` writes a ``log_abs`` of ``-inf`` (a zero product)
+    and a phase sum that is not finite as ``None``, since strict JSON has
+    no ``Infinity``.
     """
 
     __slots__ = ()
@@ -95,12 +103,18 @@ class ProductResult(namedtuple("ProductResult", "value log_abs phase_or_sign zer
         }
 
 
-def _exact_zero(den: int, p: complex, q: complex) -> bool:
-    # den^2 + p*den + q == 0 checked in exact rational arithmetic, real and
-    # imaginary parts apart (floats convert to Fractions exactly)
+def _exact_factor(den: int, p: complex, q: complex) -> tuple[Fraction, Fraction]:
+    """``1 + p/den + q/den^2`` in exact rational arithmetic, real and imaginary
+    parts apart (floats convert to Fractions exactly)."""
     d = Fraction(den)
-    return (d * d + Fraction(p.real) * d + Fraction(q.real) == 0
-            and Fraction(p.imag) * d + Fraction(q.imag) == 0)
+    return (1 + (Fraction(p.real) + Fraction(q.real) / d) / d,
+            (Fraction(p.imag) + Fraction(q.imag) / d) / d)
+
+
+def _log_rational(x: Fraction) -> float:
+    """``ln x`` for a rational ``x > 0``, from ``x 2^-k`` within a factor 2 of 1."""
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    return math.log(x / Fraction(2) ** k) + k * _LN2
 
 
 def _root_bound(p: complex, q: complex) -> float:
@@ -204,11 +218,14 @@ def _product(n: int, step: int, p: complex, q: complex) -> ProductResult:
     near_at: int | None = None
 
     # head: factors that may be negative, near zero or zero, one at a time
+    abs_p, abs_q = math.hypot(p.real, p.imag), math.hypot(q.real, q.imag)
+    cutoff = _EXACT_BELOW * (1.0 + abs_p + abs_q)  # no head factor is taken exactly above it
     for j, den in enumerate(range(1, step * split + 1, step), start=1):
         u, v = p / den, q / (den * den)
         factor = 1 + u + v
-        if math.hypot(factor.real, factor.imag) < _ZERO_TOL:
-            if _exact_zero(den, p, q):
+        size = math.hypot(factor.real, factor.imag)
+        if size < _ZERO_TOL:
+            if _exact_factor(den, p, q) == (0, 0):
                 return ProductResult(0j, -math.inf, 0.0, j, n, near_at)
             if near_at is None:
                 near_at = j
@@ -219,7 +236,16 @@ def _product(n: int, step: int, p: complex, q: complex) -> ProductResult:
         # a factor within 1/2 of 1 takes its log from z = u + v, not from the rounded 1 + z
         z = u + v
         x, y = z.real, z.imag
-        if real_mode:
+        if size < cutoff and size < _EXACT_BELOW * (1.0 + abs_p / den + abs_q / (den * den)):
+            # cancellation has cost the rounded factor its low bits: take the exact one
+            re, im = _exact_factor(den, p, q)
+            if re == im == 0:  # a root whose rounded factor passed the zero screen
+                return ProductResult(0j, -math.inf, 0.0, j, n, near_at)
+            if re < 0:  # the sign serves real parameters and the phase complex ones
+                sign = -sign
+            re_terms += (_log_rational(re * re + im * im) / 2, -p.real / den)
+            im_terms += (math.atan2(im, re), -p.imag / den)
+        elif real_mode:
             if factor.real < 0.0:
                 sign = -sign
             re_terms += (math.log1p(x) if x > -0.5 else math.log(abs(factor.real)), -p.real / den)
@@ -234,6 +260,8 @@ def _product(n: int, step: int, p: complex, q: complex) -> ProductResult:
         if len(re_terms) >= _CHUNK:
             re_terms = [_fsum(re_terms)]
             im_terms = [_fsum(im_terms)]
+            # 1 + |p/d| + |q/d^2| only falls as d grows: no later factor is exact above this
+            cutoff = _EXACT_BELOW * (1.0 + abs_p / den + abs_q / (den * den))
 
     # tail: every factor within 1/2 of 1, in O(K) from the Hurwitz zeta function
     if split < n:

@@ -202,6 +202,9 @@ def suite_bounds() -> list[CheckResult]:
                f"tight at {report.tight_upper_n}"),
         _check("bounds.beta_decimal", abs(report.beta - 2.614909986) < 5e-10,
                f"beta {report.beta!r}"),
+        _check("bounds.tail_certificate", report.tail_from <= report.n_max + 1,
+               f"every n >= {report.tail_from} by the certificate, n < {report.tail_from} "
+               "by the scan"),
     ]
     return out
 

@@ -506,6 +506,14 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert "PASS bounds.zero_violations_n<=1e4" in result.output
 
+    def test_bounds_suite_names_the_certificate_start(self, runner):
+        result = runner.invoke(main, ["verify", "--suite", "bounds", "--format", "json"])
+        assert result.exit_code == 0
+        checks = {c["name"]: c for c in json.loads(result.output)["checks"]}
+        assert len(checks) == 4
+        certificate = checks["bounds.tail_certificate"]
+        assert certificate["passed"] and "every n >= 2 by the certificate" in certificate["detail"]
+
     def test_limits_suite_passes(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "limits"])
         assert result.exit_code == 0

@@ -31,14 +31,20 @@ from wallisprod.expansions import (
     eval_wallis_omega,
     family_report,
     wallis_error_exact,
+    _BETA_BELOW,
     _FAMILIES,
+    _TAIL_FROM,
     _approx_scaled,
     _exp_scaled,
     _log_ratio,
     _next_beta,
     _pi_scaled,
+    _scan_bounds,
     _scaled_terms,
+    _tail_holds,
+    _wallis_log_terms,
     _wallis_scaled,
+    _zeta_bracket,
 )
 from wallisprod.products import r_product, w_product, wallis_seq
 from wallisprod.special import PoleError
@@ -540,18 +546,23 @@ class TestBounds:
 
         monkeypatch.setattr(expansions, "_wallis_scaled", patched)
 
+    @staticmethod
+    def _scan(n_max):
+        """The per-n scan of ``check_bounds(n_max)`` over all of ``1..n_max``."""
+        return _scan_bounds(n_max, 4 * n_max.bit_length() + 64)
+
     def test_one_ulp_low_at_1e5_is_a_violation(self, monkeypatch):
         # the lower margin at 10^5 is about 0.1 ulp of W_n near pi/2
         self._patch_walk(monkeypatch, 10**5, lambda x, bits: x - (1 << (bits - 52)))
-        report = check_bounds(10**5)
-        assert (report.violations, report.first_violation) == (1, 10**5)
-        assert report.tight_upper_n == 1
+        violations, first_violation, tight_upper_n, _ = self._scan(10**5)
+        assert (violations, first_violation) == (1, 10**5)
+        assert tight_upper_n == 1
 
     def test_above_the_upper_bound_is_a_violation(self, monkeypatch):
         # the upper margin at 500 is about 5e-8 relative
         self._patch_walk(monkeypatch, 500, lambda x, bits: x + (x >> 20))
-        report = check_bounds(600)
-        assert (report.violations, report.first_violation) == (1, 500)
+        violations, first_violation, _, _ = self._scan(600)
+        assert (violations, first_violation) == (1, 500)
 
     @pytest.mark.parametrize("at,on_bound", [
         # the lower bound pi (8n + 3) / (16n + 10) at n = 7
@@ -563,7 +574,57 @@ class TestBounds:
     def test_unresolved_comparison_raises(self, monkeypatch, at, on_bound):
         self._patch_walk(monkeypatch, at, lambda x, bits: on_bound(_pi_scaled(bits), 1 << bits))
         with pytest.raises(ArithmeticError, match=f"n = {at} "):
-            check_bounds(600)
+            self._scan(600)
+
+    def test_scan_finds_no_violation_past_the_certificate(self):
+        assert self._scan(10**4)[:2] == (0, None)
+
+    def test_certificate_holds_from_its_constant(self):
+        assert _TAIL_FROM <= 2
+        assert _tail_holds(_TAIL_FROM, F(5, 2), _BETA_BELOW) == (True, True)
+        assert check_bounds(1).tail_from == _TAIL_FROM
+        # 421/161 is beta at pi = 355/113 > pi, just below beta
+        assert 0 < deng_beta() - float(_BETA_BELOW) < 4e-6
+
+    @pytest.mark.parametrize("n0", [_TAIL_FROM, 10, 1000, 10**6])
+    def test_perturbed_constants_fail_the_certificate(self, n0):
+        # alpha + 1/100 breaks the lower bound for large n, and beta - 1/5 moves the
+        # upper one by about 0.0125 n^-2, past its 0.0072 n^-2 margin
+        assert _tail_holds(n0, F(5, 2) + F(1, 100), _BETA_BELOW) == (False, True)
+        assert _tail_holds(n0, F(5, 2), _BETA_BELOW - F(1, 5)) == (True, False)
+
+    @staticmethod
+    def _value(terms, n):
+        """A certificate side at ``n``: ``sum c a^e1`` times ``(4a^2 - 1)^e4``, ``a = n + 1``."""
+        a = F(n + 1)
+        return sum(c * a ** e[0] * (4 * a * a - 1) ** e[3] for c, e in terms)
+
+    def test_zeta_brackets_enclose_mpmath(self):
+        with mp.workdps(50):
+            for s in (2, 4):
+                for n in range(1, 51):
+                    a = F(n + 1)
+                    low, high = (sum(c * a**-e for e, c in _zeta_bracket(s, upper).items())
+                                 for upper in (False, True))
+                    zeta = mp.zeta(s, n + 1)
+                    assert mp.mpf(low.numerator) / low.denominator < zeta, (s, n)
+                    assert zeta < mp.mpf(high.numerator) / high.denominator, (s, n)
+
+    def test_log_ratio_brackets_enclose_mpmath(self):
+        # L_n = -ln(W_n / (pi/2)) between the two certificate bounds
+        with mp.workdps(50):
+            for n in (2, 10, 100):
+                ln = -mp.log(mp.gamma(n + 1) ** 2 / (mp.gamma(n + 0.5) * mp.gamma(n + 1.5)))
+                low, high = (self._value(_wallis_log_terms(upper), n) for upper in (False, True))
+                assert mp.mpf(low.numerator) / low.denominator < ln, n
+                assert ln < mp.mpf(high.numerator) / high.denominator, n
+
+    def test_huge_n_max_costs_no_scan(self):
+        small = check_bounds(10**4)
+        start = time.perf_counter()
+        report = check_bounds(10**12)
+        assert time.perf_counter() - start < 0.05
+        assert report[1:4] == small[1:4]  # violations, first_violation, tight_upper_n
 
     def test_validation(self):
         with pytest.raises(ValueError):

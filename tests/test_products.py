@@ -182,9 +182,13 @@ class TestCrossConsistency:
                 assert abs(r_ratio - 1) <= 1e-10, (n, p, q)
 
     def test_reciprocal_identity(self):
-        for n in (1, 2, 5, 10, 100, 1000, 10**4):
-            product = w_product(n, 0, -0.25).value.real
-            assert abs(wallis_seq(n) * product - 1) <= 1e-12
+        # W_n(0, -1/4) is prod (4j^2 - 1) / (4j^2) = 1 / wallis_seq_exact(n); n = 63..65
+        # straddle the head/tail seam at d = 64
+        for n in (1, 2, 63, 64, 65, 1000, 10**4):
+            exact = wallis_seq_exact(n)
+            with mp.workdps(40):
+                ref = -mp.log(mp.mpf(exact.numerator) / exact.denominator)
+            assert abs(w_product(n, 0, -0.25).log_abs - float(ref)) <= 2e-16, n
 
 
 @given(
@@ -248,7 +252,9 @@ def test_product_result_shape():
 def _loop_oracle(n, p, q, denominator):
     """Every factor through one loop: the log of the rounded factor and the
     damping term in one exactly rounded ``math.fsum`` each, zero and
-    near-zero screens, and sign tracking for real parameters.
+    near-zero screens, and sign tracking for real parameters.  A factor
+    below 2^-12 of ``1 + |p/d| + |q/d^2|`` has lost bits to cancellation,
+    so, as in the library, it is taken exactly, its log from mpmath.
 
     Returns ``(log_abs, phase_or_sign, zero_factor_at, near_zero_at, terms)``.
     """
@@ -260,15 +266,29 @@ def _loop_oracle(n, p, q, denominator):
     for j in range(1, n + 1):
         den = denominator(j)
         factor = 1 + p / den + q / (den * den)
+        d = Fraction(den)
+        re = d * d + Fraction(p.real) * d + Fraction(q.real)  # d^2 times the exact factor
+        im = Fraction(p.imag) * d + Fraction(q.imag)
         if abs(factor) < 1e-15:
-            d = Fraction(den)
-            if (d * d + Fraction(p.real) * d + Fraction(q.real) == 0
-                    and Fraction(p.imag) * d + Fraction(q.imag) == 0):
+            if re == 0 and im == 0:
                 return -math.inf, 0.0, j, near_at, n
             if near_at is None:
                 near_at = j
             if factor == 0:
                 return -math.inf, 0.0, None, near_at, n
+        if abs(factor) < 2.0**-12 * (1.0 + abs(p / den) + abs(q / (den * den))):
+            if re == 0 and im == 0:
+                return -math.inf, 0.0, j, near_at, n
+            with mp.workdps(40):
+                exact = mp.mpc(mp.mpf(re.numerator) / re.denominator,
+                               mp.mpf(im.numerator) / im.denominator) / den**2
+                term = mp.log(exact)
+            re_terms += (float(term.real), -p.real / den)
+            if real_mode:
+                sign = -sign if re < 0 else sign
+            else:
+                im_terms += (float(term.imag), -p.imag / den)
+            continue
         if real_mode:
             if factor.real < 0.0:
                 sign = -sign
@@ -604,6 +624,35 @@ def _dominant_parameters():
     r = 2e-3 / math.sqrt(2)
     return [(complex(rng.uniform(-r, r), rng.uniform(-r, r)),
              complex(rng.uniform(-r, r), rng.uniform(-r, r))) for _ in range(3)]
+
+
+@pytest.mark.parametrize("product,n,p,q", [
+    # the factor at d = 9 is 4.21e-15 exactly but rounds to 3.55e-15 in double;
+    # its log came out 2.6e-3 off the whole product's
+    (r_product, 110, -51.0, 378 * (1 + 2**-50)),
+    # near the root d = 3000, past the first fsum flush of a 12000-factor head, the
+    # factor is 4.9e-15 and rounds by up to about 2e-16
+    (w_product, 3100, -3001.0, 3000 * (1 + 2**-36)),
+])
+def test_cancelled_head_factor_is_taken_exactly(product, n, p, q):
+    got = product(n, p, q)
+    step = 2 if product is r_product else 1
+    with mp.workdps(50):
+        ref = mp.fsum(mp.log(abs(1 + mp.mpf(p) / d + mp.mpf(q) / d**2)) - mp.mpf(p) / d
+                      for d in range(1, step * (n - 1) + 2, step))
+    assert (got.near_zero_at, got.phase_or_sign) == (None, 1.0)
+    assert abs(got.log_abs - float(ref)) <= 1e-13 * abs(float(ref))
+
+
+@pytest.mark.parametrize("product,n,p,q,at", [
+    (w_product, 67, -1066.0, 65065.0, 65), (w_product, 68, -1067.0, 66066.0, 66),
+    (r_product, 40, -1066.0, 65065.0, 33),
+])
+def test_root_whose_rounded_factor_passes_the_zero_screen(product, n, p, q, at):
+    # (d - 65)(d - 1001) / d^2 rounds to 1.8e-15 at d = 65, above the 1e-15 zero
+    # screen, and (d - 66)(d - 1001) / d^2 to -1.8e-15 at d = 66
+    result = product(n, p, q)
+    assert (result.zero_factor_at, result.value, result.log_abs) == (at, 0, -math.inf)
 
 
 def test_head_logs_come_from_the_small_part():
