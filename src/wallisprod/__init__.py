@@ -24,12 +24,7 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS: dict[str, tuple[str, ...]] = {
-    "bernoulli": (
-        "UniPoly",
-        "bernoulli_number",
-        "bernoulli_poly",
-        "format_rational",
-    ),
+    "bernoulli": ("bernoulli_number", "format_rational"),
     "coeffs": (
         "BiPoly",
         "CoeffSeries",

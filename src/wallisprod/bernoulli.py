@@ -1,4 +1,4 @@
-"""Exact Bernoulli numbers and Bernoulli polynomials over rationals.
+"""Exact Bernoulli numbers over rationals.
 
 Sign convention
 ---------------
@@ -9,25 +9,23 @@ convention is pinned here once and for all.  Even-index numbers agree
 under both conventions, and ``B_{2k+1} = 0`` for ``k >= 1``.
 
 Numbers come from the integer tangent-number recurrence and are kept in
-one list, grown by prefix under the lock of every exact table (:func:`_grow`);
-polynomials come from their binomial sum and are built on each call.
-Everything in this module is exact: values are `fractions.Fraction`,
-and :meth:`UniPoly.evaluate` at a rational point stays rational.  Callers
-that need a polynomial in floating point read its ``coeffs`` themselves.
+one list, grown by prefix under the lock of every exact table (:func:`_grow`).
+Everything in this module is exact: values are `fractions.Fraction`.  The
+Bernoulli polynomials ``B_n(t)`` appear only in the definitions that
+``coeffs.wallis_nu_raw`` and ``verify`` check against, so they are not a
+public object: :func:`_poly_values` gives their exact values at rational
+points.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
     "format_rational",
-    "UniPoly",
     "bernoulli_number",
-    "bernoulli_poly",
 ]
 
 
@@ -37,32 +35,6 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-class UniPoly(namedtuple("UniPoly", "coeffs")):
-    """Dense univariate polynomial with exact rational coefficients.
-
-    ``coeffs[k]`` is the coefficient of ``t**k``.  Trailing zero
-    coefficients are stripped on construction, so equality of the
-    coefficient tuples is equality of polynomials.  The zero polynomial
-    is the empty tuple.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, coeffs: tuple) -> UniPoly:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return super().__new__(cls, tuple(cs))
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 # Prefix caches of ordered exact tables: the Bernoulli numbers here, and the
@@ -126,8 +98,19 @@ def bernoulli_number(n: int) -> Fraction:
     return _grow(_NUMBERS, _bernoulli_entries, n + 1)[n]
 
 
-def bernoulli_poly(n: int) -> UniPoly:
-    """Exact Bernoulli polynomial ``B_n(t) = sum_k C(n, k) B_(n-k) t^k``, built on each call."""
+def _poly_values(n: int, points) -> list[Fraction]:
+    """Exact ``B_n(x)`` at each rational ``x`` of ``points``.
+
+    One coefficient list ``C(n, k) B_(n-k)`` of ``t^k`` is built per call
+    and evaluated by Horner's rule at every point.
+    """
     if n < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    return UniPoly(tuple(math.comb(n, k) * bernoulli_number(n - k) for k in range(n + 1)))
+    coeffs = [math.comb(n, k) * bernoulli_number(n - k) for k in range(n, -1, -1)]
+    values = []
+    for x in points:
+        acc = Fraction(0)
+        for c in coeffs:
+            acc = acc * x + c
+        values.append(acc)
+    return values

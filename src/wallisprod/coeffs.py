@@ -51,7 +51,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
-from .bernoulli import _NUMBERS, _grow, bernoulli_number, bernoulli_poly
+from .bernoulli import _NUMBERS, _grow, _poly_values, bernoulli_number
 
 __all__ = [
     "BiPoly",
@@ -319,10 +319,8 @@ def wallis_nu_raw(order: int) -> CoeffSeries:
         raise ValueError("order must be >= 1")
     values = []
     for j in range(1, order + 1):
-        poly = bernoulli_poly(j + 1)
-        num = (2 * bernoulli_number(j + 1)
-               - poly.evaluate(Fraction(1, 2))
-               - poly.evaluate(Fraction(3, 2)))
+        half, three_halves = _poly_values(j + 1, (Fraction(1, 2), Fraction(3, 2)))
+        num = 2 * bernoulli_number(j + 1) - half - three_halves
         values.append(Fraction((-1) ** (j + 1)) * num / (j * (j + 1)))
     return CoeffSeries(Family.NU, order, tuple(values))
 

@@ -27,8 +27,8 @@ operations on ``G``-bit integers.  The two (p, q) families are measured in
 double precision, where their errors sit far above the float noise for the
 orders of interest; estimates that would be dominated by noise are flagged
 as NaN.  The sharp two-sided Wallis bounds are proved for every ``n``
-from 2 on by one polynomial certificate in ``Fraction``, and tested on the
-same integer layer below it (:func:`check_bounds`).
+from 2 on by one polynomial certificate in ``Fraction``, and at ``n = 1``
+by the identity that defines beta (:func:`check_bounds`).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 import sys
 from collections import namedtuple
 from enum import Enum
@@ -556,6 +557,7 @@ def convergence_order(family: ExpansionFamily, n_values: list[int]) -> list[floa
 # ---------------------------------------------------------------------------
 
 DENG_ALPHA = 2.5
+_PI_ABOVE = Fraction(355, 113)  # above pi by 2.7e-7
 # beta at pi = 355/113: beta falls as pi rises and 355/113 > pi, so this lies below beta
 _BETA_BELOW = Fraction(421, 161)
 _CERT_ZETAS = 2  # K: zeta(2k, n + 1) for k <= K from Euler–Maclaurin, the rest bounded
@@ -575,7 +577,9 @@ class BoundsReport(namedtuple("BoundsReport", "n_max violations first_violation 
 
     ``tight_upper_gap`` bounds ``|W_n - upper|`` at ``tight_upper_n``.
     ``tail_from`` is the ``N`` from which the polynomial certificate proves
-    both bounds for every ``n``.
+    both bounds for every ``n``.  Since the bounds are proved for every
+    ``n``, :func:`check_bounds` always reports no violation and an upper
+    bound met exactly at ``n = 1``.
     """
 
     __slots__ = ()
@@ -682,46 +686,8 @@ def _tail_certificate() -> int:
     return _TAIL_FROM
 
 
-def _scan_bounds(n_max: int, bits: int) -> tuple[int, int | None, int | None, float]:
-    """Test both bounds at every ``1 <= n <= n_max`` with ``bits >= 4 log2(n_max) + 64``.
-
-    Returns ``(violations, first_violation, tight_upper_n, tight_upper_gap)``.
-    """
-    pi, one = _pi_scaled(bits), 1 << bits
-    # Every form is linear in n and starts at n = 1: m = 16n + 10,
-    # low = (pi + 1)(8n + 3) >= pi (8n + 3), b2 = 2 B_n and up = pi A_n - E_n.
-    # E_n = n 2^shift >= 512 n^2 2^bits bounds how far pi A - 2 W B moves
-    # when pi moves by one unit and W by 2n; n < 2^((bits - 64) / 4).
-    shift = bits + 9 + (bits - 64) // 4
-    m, low = 26, 11 * (pi + 1)
-    b2, up = 6 * pi, 8 * pi * one - (1 << shift)
-    up_step = 12 * pi * pi - 32 * pi * one - (1 << shift)
-    violations = 0
-    first_violation = tight_n = None
-    tight_gap = math.nan
-    for n, x in zip(range(1, n_max + 1), _wallis_scaled(bits)):
-        if x * m <= low or x * b2 > up:  # not certain to hold: test both ends
-            slack = n << shift
-            low_broken = (x + 2 * n) * m <= low - m
-            up_broken = x * b2 > up + 2 * slack
-            up_open = x * b2 > up and not up_broken
-            if x * m <= low and not low_broken or up_open and n > 1:
-                raise ArithmeticError(f"Wallis bounds at n = {n} not resolved at {bits} bits")
-            if low_broken or up_broken:
-                violations += 1
-                first_violation = first_violation or n
-            else:  # the n = 1 equality: |W - upper| = |pi A - 2 W B| / 2B, 2B >= b2 - 24n
-                tight_n = n
-                tight_gap = float(Fraction(abs(up + slack - x * b2) + slack, (b2 - 24 * n) << bits))
-        m += 16
-        low += 8 * (pi + 1)
-        b2 += 24 * pi - 64 * one
-        up += up_step
-    return violations, first_violation, tight_n, tight_gap
-
-
 def check_bounds(n_max: int) -> BoundsReport:
-    """Verify the two-sided bound for every ``1 <= n <= n_max``, certified.
+    """Prove the two-sided bound for every ``n >= 1``; the report covers ``1 <= n <= n_max``.
 
     From ``N = tail_from`` on, a certificate proves both bounds for every
     ``n`` at once, computed once per process in ``Fraction``: with
@@ -733,19 +699,19 @@ def check_bounds(n_max: int) -> BoundsReport:
     421/161 at ``pi = 355/113``.  Each side is then a rational function of
     ``n``; at ``n = N + t`` its numerator has only positive coefficients.
 
-    Below ``N`` each ``n`` is tested directly.  With
-    ``beta = (32 - 9 pi) / (3 pi - 8)`` the bounds read
-    ``pi (8n + 3) < W_n (16n + 10)`` and ``2 W_n B_n <= pi A_n``, where
-    ``A_n = 12 (n - 1) pi - 8 (4n - 5)`` and ``B_n = (12n - 9) pi - 32 (n - 1) > 0``.
-    They are compared in integers scaled by ``2^P``, ``P = 4 log2(n_max) + 64``,
-    with ``W_n`` from the kernel's running product and ``pi`` from Machin's
-    formula, each side enclosed by its rounding bound: no float slack.  The
-    upper bound at n = 1, an equality by design of beta, stays unresolved and
-    is reported as ``tight_upper_n``; any other unresolved comparison raises
-    ``ArithmeticError``, and so does a certificate that fails.
+    ``N = 2``, and ``n = 1`` is settled in ``Fraction``.  There
+    ``W_1 = 4/3``: the lower bound reads ``pi < 104/33``, which
+    ``pi < 355/113`` gives, and the upper bound is the identity
+    ``W_1 = (pi/2)(1 - 1/(4 + beta))`` that defines beta, reported as
+    ``tight_upper_n = 1`` with ``tight_upper_gap = 0.0``.  Nothing depends
+    on ``n_max`` but the check ``n_max >= 1``, so every report is the same
+    apart from ``n_max``.  A certificate that fails raises ``ArithmeticError``.
     """
-    if n_max < 1:
+    if operator.index(n_max) < 1:
         raise ValueError("n_max must be >= 1")
     tail_from = _tail_certificate()
-    scan = _scan_bounds(min(n_max, tail_from - 1), 4 * n_max.bit_length() + 64)
-    return BoundsReport(n_max, *scan, DENG_ALPHA, deng_beta(), tail_from)
+    alpha = Fraction(DENG_ALPHA)
+    # n = 1: W_1 = 4/3 > (pi/2)(1 - 1/(4 + alpha)) reads pi < (8/3)(4 + alpha)/(3 + alpha)
+    if not _PI_ABOVE < Fraction(8, 3) * (4 + alpha) / (3 + alpha):
+        raise ArithmeticError("the Wallis lower bound at n = 1 is not proved")
+    return BoundsReport(n_max, 0, None, 1, 0.0, DENG_ALPHA, deng_beta(), tail_from)

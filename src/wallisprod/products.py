@@ -9,14 +9,14 @@ split at ``D = max(ceil(4 r) + 1, 64)``:
 
 * the head, ``d < D``, where a factor may be negative, near zero or zero,
   goes through a per-factor loop: exact-rational zero test, near-zero flag,
-  float-underflow exit, explicit sign tracking when the parameters are real
-  (instead of complex logs).  A factor within 1/2 of 1 takes its log from
-  ``z_d`` (``log1p``), not from the rounded ``1 + z_d``; a factor below
+  explicit sign tracking when the parameters are real (instead of complex
+  logs).  A factor within 1/2 of 1 takes its log from ``z_d`` (``log1p``),
+  not from the rounded ``1 + z_d``; a factor below
   ``2^-12 (1 + |p/d| + |q/d^2|)``, which the rounding of ``1 + z_d`` could
-  cost more than ``2^-40`` of its log, is taken as the exact rational
-  ``(d^2 + p d + q) / d^2``.  The logs and the
-  damping terms go into one exactly rounded ``math.fsum`` every ``_CHUNK``
-  entries;
+  cost more than ``2^-40`` of its log (a factor that rounds to 0.0 among
+  them), is taken as the exact rational ``(d^2 + p d + q) / d^2``.  The logs
+  and the damping terms go into one exactly rounded ``math.fsum`` every
+  ``_CHUNK`` entries;
 * the tail, ``d >= D``, has ``|x_i| / d < 1/4``, so no factor can vanish or
   change sign, and ``sum_d log(1 + z_d) - p/d`` is the log series
   ``sum_(k=2..K) (-1)^(k+1) (s_k / k) P_k`` in the root power sums
@@ -229,10 +229,6 @@ def _product(n: int, step: int, p: complex, q: complex) -> ProductResult:
                 return ProductResult(0j, -math.inf, 0.0, j, n, near_at)
             if near_at is None:
                 near_at = j
-            if factor == 0:
-                # rounded to zero in double without being an exact root:
-                # the product is unrepresentably small, not exactly zero
-                return ProductResult(0j, -math.inf, 0.0, None, n, near_at)
         # a factor within 1/2 of 1 takes its log from z = u + v, not from the rounded 1 + z
         z = u + v
         x, y = z.real, z.imag

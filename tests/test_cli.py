@@ -314,8 +314,7 @@ class TestEvalCommand:
         assert data["zero_factor_at"] is None
 
     @pytest.mark.parametrize("target,p,q,zero_at", [
-        ("wproduct", "-3", "2", "1"), ("rproduct", "-3", "0", "2"),
-        ("wproduct", "-1e-17", "-1", ""), ("rproduct", "-1e-17", "-1", "")])
+        ("wproduct", "-3", "2", "1"), ("rproduct", "-3", "0", "2")])
     def test_zero_product_strict_json(self, runner, target, p, q, zero_at):
         # log_abs is -inf: JSON writes null, CSV an empty cell, plain output -inf
         args = ["eval", "--target", target, "--n", "5", f"--p={p}", f"--q={q}"]
@@ -330,6 +329,16 @@ class TestEvalCommand:
         row = list(csv.DictReader(io.StringIO(invoke(runner, *args, "--format", "csv").stdout)))
         assert (row[0]["log_abs"], row[0]["zero_factor_at"]) == ("", zero_at)
         assert "log_abs: -inf\n" in invoke(runner, *args).stdout
+
+    @pytest.mark.parametrize("target,fn", [("wproduct", products.w_product),
+                                           ("rproduct", products.r_product)])
+    def test_factor_rounding_to_zero_is_not_a_zero_product(self, runner, target, fn):
+        # 1 + p + q rounds to 0.0 at j = 1 without being a root: a finite log, no zero index
+        args = ["eval", "--target", target, "--n", "5", "--p=-1e-17", "--q=-1", "--format", "json"]
+        data = json.loads(invoke(runner, *args).stdout)
+        assert (data["zero_factor_at"], data["near_zero_at"]) == (None, 1)
+        assert data["log_abs"] == fn(5, -1e-17, -1).log_abs
+        assert data["value"]["re"] < 0
 
     def test_infinite_phase_strict_json(self, runner):
         # the damping phases overflow, so the phase sum is -inf: JSON writes null

@@ -10,10 +10,10 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_bernoulli import horner
+from test_bernoulli import bernoulli_coeffs, horner
 
 from wallisprod import coeffs
-from wallisprod.bernoulli import bernoulli_number, bernoulli_poly, format_rational
+from wallisprod.bernoulli import _poly_values, bernoulli_number, format_rational
 from wallisprod.coeffs import (
     BiPoly,
     CoeffSeries,
@@ -68,10 +68,10 @@ def generic_a(j: int, params: GenericParams) -> complex:
     """
     lam, mu, nu = map(complex, params)
     if j == 1:
-        poly = bernoulli_poly(2)
+        poly = bernoulli_coeffs(2)
         b2 = float(bernoulli_number(2))
         return (lam + horner(poly, mu) + horner(poly, nu) - 2 * b2) / 2
-    poly = bernoulli_poly(j + 1)
+    poly = bernoulli_coeffs(j + 1)
     bj = float(bernoulli_number(j))
     bj1 = float(bernoulli_number(j + 1))
     pair = horner(poly, mu) + horner(poly, nu) - 2 * bj1
@@ -114,7 +114,7 @@ P_VAR = {(1, 0): F(1)}
 def d_route_branch(m: int, c: Fraction, sign: int) -> dict[tuple[int, int], Fraction]:
     """``B_m(c p + sign c D)`` expanded in ``(p, D)``: ``{(i, r): coefficient of p^i D^r}``."""
     pd: dict[tuple[int, int], Fraction] = {}
-    for k, coef in enumerate(bernoulli_poly(m).coeffs):
+    for k, coef in enumerate(bernoulli_coeffs(m)):
         for r in range(k + 1):
             key = (k - r, r)
             pd[key] = pd.get(key, F(0)) + coef * c**k * math.comb(k, r) * sign**r
@@ -172,7 +172,7 @@ def newton_pair(m: int, c: Fraction) -> BiPoly:
     sums = [{(0, 0): F(2)}, P]
     for _ in range(2, m + 1):
         sums.append(combine((1, P, sums[-1]), (-1, Q, sums[-2])))
-    coeffs = bernoulli_poly(m).coeffs
+    coeffs = bernoulli_coeffs(m)
     return BiPoly(combine(*((coef, sums[k], ONE) for k, coef in enumerate(coeffs))))
 
 
@@ -181,7 +181,7 @@ def retired_pair_terms(m: int, c: Fraction, scale: Fraction) -> dict[tuple[int, 
     ``Fraction`` arithmetic over the coefficients of ``B_m(t)``, one scaled
     ``Fraction`` per ``k`` and one more per term, in the same term order."""
     terms: dict[tuple[int, int], Fraction] = {}
-    for k, coef in enumerate(bernoulli_poly(m).coeffs):
+    for k, coef in enumerate(bernoulli_coeffs(m)):
         if coef:
             coef *= (2 * c) ** k * scale
             for i in range(k // 2 + 1):
@@ -730,7 +730,7 @@ def test_concurrent_cache_growth(cold_bernoulli, cold_series_caches, cold_poly_c
         try:
             for n in range(order, order + 20):
                 bernoulli_number(n)
-                bernoulli_poly(n)
+                _poly_values(n, (F(1, 2),))
             start_series.wait(timeout=60)  # all threads grow the series caches together
             results.append(series())
         except Exception as exc:  # surfaced after join

@@ -39,7 +39,6 @@ from wallisprod.expansions import (
     _log_ratio,
     _next_beta,
     _pi_scaled,
-    _scan_bounds,
     _scaled_terms,
     _tail_holds,
     _wallis_log_terms,
@@ -446,7 +445,10 @@ class TestExactKernel:
     @given(st.integers(1, 2**400), st.integers(1, 2**400), st.integers(1, 2**400),
            st.integers(1, 2**400))
     def test_log_ratio_is_correctly_rounded(self, p, q, r, s):
-        with mp.workdps(200):
+        # log(1 + d) = d - d^2/2 + ...: a structured d, such as (2^53 + 1) / r, can sit
+        # within about d (relative) of a rounding tie, so the reference needs twice the
+        # digits that 1 + d cancels; here |d| >= 2^-800, about 10^-241
+        with mp.workdps(600):
             want = float(mp.log(mp.mpf(p) * s / (mp.mpf(q) * r)))
         assert _log_ratio(F(p, q), F(r, s)) == want
 
@@ -499,6 +501,55 @@ class TestNextBeta:
         assert _next_beta(1) == 0.5
 
 
+def scan_bounds(n_max: int, bits: int) -> tuple[int, int | None, int | None, float]:
+    """Test both bounds at every ``1 <= n <= n_max`` with ``bits >= 4 log2(n_max) + 64``.
+
+    The per-n oracle of the bounds certificate.  Returns ``(violations,
+    first_violation, tight_upper_n, tight_upper_gap)``.  With
+    ``beta = (32 - 9 pi) / (3 pi - 8)`` the bounds read
+    ``pi (8n + 3) < W_n (16n + 10)`` and ``2 W_n B_n <= pi A_n``, where
+    ``A_n = 12 (n - 1) pi - 8 (4n - 5)`` and ``B_n = (12n - 9) pi - 32 (n - 1) > 0``.
+    They are compared in integers scaled by ``2^bits``, with ``W_n`` from the
+    library's running product (at most ``2n`` units low) and ``pi`` from
+    Machin's formula, each side enclosed by its rounding bound.  The upper
+    bound at n = 1, an equality by design of beta, stays unresolved and is
+    reported as ``tight_upper_n``; any other unresolved comparison raises
+    ``ArithmeticError``.  ``_wallis_scaled`` is read from the module, so a
+    test can patch the walk.
+    """
+    pi, one = _pi_scaled(bits), 1 << bits
+    # Every form is linear in n and starts at n = 1: m = 16n + 10,
+    # low = (pi + 1)(8n + 3) >= pi (8n + 3), b2 = 2 B_n and up = pi A_n - E_n.
+    # E_n = n 2^shift >= 512 n^2 2^bits bounds how far pi A - 2 W B moves
+    # when pi moves by one unit and W by 2n; n < 2^((bits - 64) / 4).
+    shift = bits + 9 + (bits - 64) // 4
+    m, low = 26, 11 * (pi + 1)
+    b2, up = 6 * pi, 8 * pi * one - (1 << shift)
+    up_step = 12 * pi * pi - 32 * pi * one - (1 << shift)
+    violations = 0
+    first_violation = tight_n = None
+    tight_gap = math.nan
+    for n, x in zip(range(1, n_max + 1), expansions._wallis_scaled(bits)):
+        if x * m <= low or x * b2 > up:  # not certain to hold: test both ends
+            slack = n << shift
+            low_broken = (x + 2 * n) * m <= low - m
+            up_broken = x * b2 > up + 2 * slack
+            up_open = x * b2 > up and not up_broken
+            if x * m <= low and not low_broken or up_open and n > 1:
+                raise ArithmeticError(f"Wallis bounds at n = {n} not resolved at {bits} bits")
+            if low_broken or up_broken:
+                violations += 1
+                first_violation = first_violation or n
+            else:  # the n = 1 equality: |W - upper| = |pi A - 2 W B| / 2B, 2B >= b2 - 24n
+                tight_n = n
+                tight_gap = float(F(abs(up + slack - x * b2) + slack, (b2 - 24 * n) << bits))
+        m += 16
+        low += 8 * (pi + 1)
+        b2 += 24 * pi - 64 * one
+        up += up_step
+    return violations, first_violation, tight_n, tight_gap
+
+
 class TestBounds:
     def test_beta_constant(self):
         assert deng_beta() == pytest.approx(2.614909986, abs=5e-10)
@@ -515,6 +566,9 @@ class TestBounds:
         # direct substitution: W_1 = 4/3 meets the upper bound exactly
         upper = (math.pi / 2) * (1 - 1 / (4 + deng_beta()))
         assert abs(4.0 / 3.0 - upper) <= 1e-12
+        # the per-n oracle leaves n = 1 unresolved within its enclosure, as an identity must
+        *scan, gap = self._scan(1)
+        assert scan == [0, None, 1] and gap < 1e-18
 
     def test_bounds_hold_against_mpmath(self):
         report = check_bounds(10**5)
@@ -548,8 +602,8 @@ class TestBounds:
 
     @staticmethod
     def _scan(n_max):
-        """The per-n scan of ``check_bounds(n_max)`` over all of ``1..n_max``."""
-        return _scan_bounds(n_max, 4 * n_max.bit_length() + 64)
+        """The per-n oracle over all of ``1..n_max``."""
+        return scan_bounds(n_max, 4 * n_max.bit_length() + 64)
 
     def test_one_ulp_low_at_1e5_is_a_violation(self, monkeypatch):
         # the lower margin at 10^5 is about 0.1 ulp of W_n near pi/2
@@ -620,12 +674,17 @@ class TestBounds:
                 assert ln < mp.mpf(high.numerator) / high.denominator, n
 
     def test_huge_n_max_costs_no_scan(self):
-        small = check_bounds(10**4)
-        start = time.perf_counter()
-        report = check_bounds(10**12)
-        assert time.perf_counter() - start < 0.05
-        assert report[1:4] == small[1:4]  # violations, first_violation, tight_upper_n
+        # n = 1 is an identity and n >= 2 the certificate: nothing depends on n_max
+        small = check_bounds(1)
+        assert small[1:5] == (0, None, 1, 0.0)  # no violation; the upper bound met exactly at 1
+        for n_max in (2, 10**4, 10**12, 10**30000):
+            start = time.perf_counter()
+            report = check_bounds(n_max)
+            assert time.perf_counter() - start < 0.05
+            assert report.n_max == n_max and report._replace(n_max=1) == small
 
     def test_validation(self):
         with pytest.raises(ValueError):
             check_bounds(0)
+        with pytest.raises(TypeError):
+            check_bounds(2.0)

@@ -64,10 +64,9 @@ class TestRecordTypes:
 
     @staticmethod
     def records():
-        from wallisprod import bernoulli, coeffs, expansions, products, verify
+        from wallisprod import coeffs, expansions, products, verify
         tag = expansions.ExpansionTag.WALLIS_MU
         return [
-            (bernoulli.UniPoly((1, 2)), "coeffs"),
             (coeffs.CoeffSeries(coeffs.Family.NU, 1, (1,)), "values"),
             (products.ProductResult(1 + 0j, 0.0, 1.0, None, 3), "near_zero_at"),
             (expansions.ExpansionFamily(tag, 2), "order"),
@@ -92,7 +91,7 @@ class TestRecordTypes:
     def test_validation_errors(self):
         from fractions import Fraction
 
-        from wallisprod import bernoulli, coeffs, expansions
+        from wallisprod import coeffs, expansions
         with pytest.raises(ValueError, match="value count must equal the order"):
             coeffs.CoeffSeries(coeffs.Family.MU, 2, (Fraction(1),))
         with pytest.raises(ValueError, match="series order must be >= 1"):
@@ -106,10 +105,6 @@ class TestRecordTypes:
             expansions.ExpansionFamily(tag.W_PQ, 2)
         with pytest.raises(ValueError, match="params are required exactly"):
             expansions.ExpansionFamily(tag.WALLIS_MU, 2, (1, 0.5))
-        poly = bernoulli.UniPoly((1, Fraction(1, 2), 0, 0))
-        assert poly.coeffs == (Fraction(1), Fraction(1, 2))
-        assert all(type(c) is Fraction for c in poly.coeffs)
-        assert bernoulli.UniPoly((0, 0)).coeffs == ()
 
     def test_fields_cannot_be_assigned(self):
         for record, field in self.records():

@@ -70,12 +70,14 @@ class TestWProduct:
         assert result.value != 0
 
     def test_factor_underflows_to_float_zero(self):
-        # 1 + p + q rounds to exactly 0.0 although the exact value is -1e-17
+        # 1 + p + q rounds to exactly 0.0 although the exact value is -1e-17:
+        # that factor is taken exactly, so the product is small, not zero
         result = w_product(2, -1e-17, -1.0)
         assert result.zero_factor_at is None
         assert result.near_zero_at == 1
-        assert result.value == 0j
-        assert result.log_abs == -math.inf
+        assert result.phase_or_sign == -1.0
+        ref = _mp_head_log(1, 2, -1e-17, -1.0)  # -39.4316286533505575
+        assert abs(result.log_abs - ref) <= 1e-15 * abs(ref)
 
     def test_result_reconstructs_from_log(self):
         result = w_product(50, 1.5, -0.25)
@@ -215,14 +217,19 @@ def test_incremental_consistency(n, pr, pi_, qr, qi):
     assert abs(longer.value - stepped) <= 1e-13 * max(abs(longer.value), abs(stepped), 1e-3)
 
 
+def _mp_head_log(step, n, p, q):
+    """``sum_d log|1 + p/d + q/d^2| - p/d`` over the ``n`` denominators, at 50 digits."""
+    with mp.workdps(50):
+        return float(mp.fsum(mp.log(abs(1 + mp.mpf(p) / d + mp.mpf(q) / d**2)) - mp.mpf(p) / d
+                             for d in range(1, step * (n - 1) + 2, step)))
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-# zero products: an exact zero factor (w at j = 1, r at j = 2), and a factor
-# that rounds to exactly 0.0 without being a root
-ZERO_PRODUCTS = [(w_product, 3, -2, 1), (w_product, 5, -3, 2), (r_product, 5, -3, 0),
-                 (w_product, 2, -1e-17, -1.0), (r_product, 2, -1e-17, -1.0)]
+# zero products: an exact zero factor (w at j = 1, r at j = 2)
+ZERO_PRODUCTS = [(w_product, 3, -2, 1), (w_product, 5, -3, 2), (r_product, 5, -3, 0)]
 
 
 @pytest.mark.parametrize("fn,n,p,q", ZERO_PRODUCTS)
@@ -234,6 +241,18 @@ def test_zero_product_json_is_strict(fn, n, p, q):
     assert data["log_abs"] is None
     text = json.dumps(data, allow_nan=False)
     assert json.loads(text, parse_constant=_reject_constant)["log_abs"] is None
+
+
+@pytest.mark.parametrize("fn,step", [(w_product, 1), (r_product, 2)])
+def test_factor_rounding_to_zero_matches_mpmath(fn, step):
+    # 1 + p + q rounds to exactly 0.0 at d = 1, but is not a root: the factor is
+    # taken exactly, and the product is a small finite number written as such
+    result = fn(2, -1e-17, -1.0)
+    assert (result.zero_factor_at, result.near_zero_at) == (None, 1)
+    ref = _mp_head_log(step, 2, -1e-17, -1.0)
+    assert abs(result.log_abs - ref) <= 1e-15 * abs(ref)
+    text = json.dumps(result.to_json_dict(), allow_nan=False)
+    assert json.loads(text, parse_constant=_reject_constant)["log_abs"] == result.log_abs
 
 
 def test_product_result_shape():
@@ -274,8 +293,6 @@ def _loop_oracle(n, p, q, denominator):
                 return -math.inf, 0.0, j, near_at, n
             if near_at is None:
                 near_at = j
-            if factor == 0:
-                return -math.inf, 0.0, None, near_at, n
         if abs(factor) < 2.0**-12 * (1.0 + abs(p / den) + abs(q / (den * den))):
             if re == 0 and im == 0:
                 return -math.inf, 0.0, j, near_at, n
@@ -636,12 +653,9 @@ def _dominant_parameters():
 ])
 def test_cancelled_head_factor_is_taken_exactly(product, n, p, q):
     got = product(n, p, q)
-    step = 2 if product is r_product else 1
-    with mp.workdps(50):
-        ref = mp.fsum(mp.log(abs(1 + mp.mpf(p) / d + mp.mpf(q) / d**2)) - mp.mpf(p) / d
-                      for d in range(1, step * (n - 1) + 2, step))
+    ref = _mp_head_log(2 if product is r_product else 1, n, p, q)
     assert (got.near_zero_at, got.phase_or_sign) == (None, 1.0)
-    assert abs(got.log_abs - float(ref)) <= 1e-13 * abs(float(ref))
+    assert abs(got.log_abs - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("product,n,p,q,at", [
