@@ -98,6 +98,13 @@ def bernoulli_number(n: int) -> Fraction:
     return _grow(_NUMBERS, _bernoulli_entries, n + 1)[n]
 
 
+def _em_weight(k: int, m: int) -> Fraction:
+    """The exact Euler–Maclaurin weight ``B_2m/(2m)! (k+1)(k+2)...(k+2m-2)``: ``k`` times it
+    weighs ``a^(1-k-2m)`` in ``zeta(k, a)``, and ``k = 0`` and ``1`` give the Stirling
+    coefficients ``B_2m/(2m(2m-1))`` of ``lnGamma`` and ``B_2m/(2m)`` of ``psi``."""
+    return bernoulli_number(2 * m) * math.prod(range(k + 1, k + 2 * m - 1)) / math.factorial(2 * m)
+
+
 def _poly_values(n: int, points) -> list[Fraction]:
     """Exact ``B_n(x)`` at each rational ``x`` of ``points``.
 

@@ -56,7 +56,7 @@ stderr.  Plain output prints floats with 17 significant digits;
 The module needs only the standard library: the parser is ``argparse``.  It
 imports no library module at its top: each subcommand imports what it
 uses, so ``wallisprod --help`` loads no library module, and ``eval
---target wallis`` only ``products`` and the ``bernoulli`` table it reads.
+--target wallis`` only ``products`` and the ``bernoulli`` and ``_fixed`` it reads.
 A usage error prints the usage, a ``--help`` hint and ``Error: <message>``
 to stderr and exits 2.  Options cannot be abbreviated, and an option value
 may begin with ``-`` (``--p -1e-3``, ``--q -i``).  An uncaught exception
@@ -545,14 +545,16 @@ def _parser(argv: list[str]) -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
     pq_help = "Complex literal (wproduct, rproduct, wclosed, rclosed, expansion:w|r)."
+    point_help = ("Complex literal; evaluates a/b at (p, q) as a sum of monomials in doubles, "
+                  "which cancels near a double root (p^2 near 4q): a_40(10, 49/2) is off by 0.14.")
     _command(commands, chosen, "coeffs", cmd_coeffs,
              family=dict(required=True, choices=["a", "b", "nu", "mu", "omega", "alphabeta"],
                          help="Coefficient family."),
              order=dict(required=True, type=int, help="Number of coefficients, at most "
                         + ", ".join(f"{cap} ({family})" for family, cap in MAX_ORDER.items())
                         + "."),
-             p=dict(dest="p_text", metavar="P", help="Complex literal; evaluates a/b at (p, q)."),
-             q=dict(dest="q_text", metavar="Q", help="Complex literal; evaluates a/b at (p, q)."),
+             p=dict(dest="p_text", metavar="P", help=point_help),
+             q=dict(dest="q_text", metavar="Q", help=point_help),
              signs=dict(action="store_true",
                         help="Also print the sign pattern to stderr (nu, mu, omega, alphabeta)."))
     _command(commands, chosen, "eval", cmd_eval,

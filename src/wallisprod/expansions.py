@@ -16,19 +16,19 @@ Errors are always measured against the brute-force product oracle, never
 against the gamma closed form.  The Wallis-sequence families are measured
 exactly, because their truncation errors drop far below double precision
 (the order-5 odd family is at 1e-24 by ``n = 100``).  The kernel works on
-integers scaled by ``2^G``: ``pi`` from Machin's formula, ``exp`` from a
-Taylor series with argument halving, each term ``c_k / (n + s_k)^e_k``
-rounded once, and ``W_n`` as the running product ``x <- x 4k^2 // (4k^2 - 1)``.
-Every step carries an integer bound on its rounding.  ``G`` starts at
-``(2 order + 4) log2(n) + 128`` bits and doubles until the total bound is
-below ``2^-60`` of the error (Ziv's strategy, Brent and Zimmermann, *Modern
-Computer Arithmetic*, ch. 3-4), so a measured error costs ``O(n)``
-operations on ``G``-bit integers.  The two (p, q) families are measured in
-double precision, where their errors sit far above the float noise for the
-orders of interest; estimates that would be dominated by noise are flagged
-as NaN.  The sharp two-sided Wallis bounds are proved for every ``n``
-from 2 on by one polynomial certificate in ``Fraction``, and at ``n = 1``
-by the identity that defines beta (:func:`check_bounds`).
+integers scaled by ``2^G``: ``pi`` and ``exp`` from ``_fixed``, each term
+``c_k / (n + s_k)^e_k`` rounded once, and ``W_n`` as the running product
+``x <- x 4k^2 // (4k^2 - 1)``.  Every step carries an integer bound on its
+rounding.  ``G`` starts at ``(2 order + 4) log2(n) + 128`` bits and doubles
+until the total bound is below ``2^-60`` of the error (Ziv's strategy,
+Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 3-4), so a
+measured error costs ``O(n)`` operations on ``G``-bit integers.  The two
+(p, q) families are measured in double precision, where their errors sit
+far above the float noise for the orders of interest; estimates that would
+be dominated by noise are flagged as NaN.  The sharp two-sided Wallis
+bounds are proved for every ``n`` from 2 on by one polynomial certificate
+in ``Fraction``, and at ``n = 1`` by the identity that defines beta
+(:func:`check_bounds`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
-from .bernoulli import bernoulli_number
+from ._fixed import _div_round, _exp_scaled, _log_ratio, _pi_scaled, _scaled
+from .bernoulli import _em_weight
 from .coeffs import (
     MAX_ALPHA_BETA_ORDER,
     _alpha_beta_levels,
@@ -251,121 +252,12 @@ def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point kernel of the exact errors
+# Fixed-point kernel of the exact errors, on the primitives of ``_fixed``
 # ---------------------------------------------------------------------------
-# A real x is held at precision ``bits`` as an integer X near x 2^bits,
-# with an integer bound on |X - x 2^bits| in units of 2^-bits.
 
 _TERM_GUARD = 64  # extra bits of the rounded coefficients and shifts
-_EXP_MAX = 1024  # largest exp argument; the float evaluator overflows past 709.78
 _MAX_DOUBLINGS = 8  # 256 times the starting precision: past that the error is not resolved
-_LOG_BITS = 160  # precision of the log of an error ratio in convergence_order
-
-
-def _div_round(a: int, b: int) -> int:
-    """The integer nearest ``a / b`` for ``b > 0``, within half a unit."""
-    return (2 * a + b) // (2 * b)
-
-
-def _scaled(x: Fraction | int, bits: int) -> int:
-    """``x 2^bits`` rounded to the nearest integer."""
-    return _div_round(x.numerator << bits, x.denominator)
-
-
-def _atan_inv(x: int, bits: int) -> int:
-    """``atan(1/x) 2^bits`` from its Taylor series, within ``2 terms + 1`` units."""
-    term = (1 << bits) // x  # floor(2^bits / x^(2k+1)): a floor of a floor is exact
-    total, k = 0, 1
-    while term:
-        total += term // k if k % 4 == 1 else -(term // k)
-        term //= x * x
-        k += 2
-    return total
-
-
-@functools.lru_cache(maxsize=16)
-def _pi_scaled(bits: int) -> int:
-    """``pi 2^bits`` within one unit, by Machin's ``pi = 16 atan(1/5) - 4 atan(1/239)``."""
-    # the series err by under 8 w + 100 units at w bits, below 2^(guard-1)
-    guard = bits.bit_length() + 10
-    w = bits + guard
-    total = 16 * _atan_inv(5, w) - 4 * _atan_inv(239, w)
-    return (total + (1 << (guard - 1))) >> guard
-
-
-def _atanh_scaled(t: int, bits: int) -> int:
-    """``atanh(t / 2^bits) 2^bits`` for ``|t| <= 2^bits / 3``, within ``2 terms + 1`` units."""
-    if t < 0:
-        return -_atanh_scaled(-t, bits)
-    t2 = t * t >> bits
-    total, power, k = 0, t, 1
-    while power:  # each power and quotient is floored: under two units per term
-        total += power // k
-        power = power * t2 >> bits
-        k += 2
-    return total
-
-
-def _log_ratio(a: Fraction, b: Fraction) -> float:
-    """``ln(a / b)`` for ``a, b > 0``, correctly rounded to a double.
-
-    With ``a / b = 2^k m``, ``1/2 <= m <= 2`` and ``k = 0`` whenever
-    ``a / b`` itself lies there, the log is ``k ln 2 + 2 atanh(t)`` with
-    ``t = (m - 1) / (m + 1)`` within 1/3.  Both series are summed at
-    ``_LOG_BITS`` bits plus the leading zero bits of ``t``, so a log near 0
-    keeps as many significant bits, and the sum carries an error bound; the
-    bits double until both ends of the bound round to the same double
-    (Ziv's strategy), which only a log within about ``2^-150`` of a
-    rounding boundary needs.  A double ratio would cost up to an ulp of the log.
-    """
-    r = a / b
-    num, den = r.numerator, r.denominator
-    if num == den:
-        return 0.0
-    k = 0 if den <= 2 * num <= 4 * den else num.bit_length() - den.bit_length()
-    if k >= 0:
-        den <<= k
-    else:
-        num <<= -k
-    bits = _LOG_BITS + (num + den).bit_length() - abs(num - den).bit_length()
-    while True:
-        value = 2 * _atanh_scaled(_div_round((num - den) << bits, num + den), bits)
-        if k:
-            value += 2 * k * _atanh_scaled(_div_round(1 << bits, 3), bits)
-        # each atanh is within 2 terms + 1 units, with at most bits / 3 + 1 terms,
-        # plus under a unit from rounding its argument; doubled for the log
-        err = (abs(k) + 1) * (2 * bits + 8)
-        # int / int rounds correctly, as float(Fraction) does
-        low, high = (value - err) / (1 << bits), (value + err) / (1 << bits)
-        if low == high:
-            return low
-        bits *= 2
-
-
-def _exp_scaled(s: int, bits: int) -> tuple[int, int]:
-    """``exp(s / 2^bits) 2^bits`` and its error bound, for an exact ``s``.
-
-    Sums the Taylor series of ``y = s / 2^(bits + r)``, ``|y| < 2^-8``, and
-    squares the sum ``r`` times, at ``bits + extra`` bits; the bound is
-    carried through every squaring.
-    """
-    if s > _EXP_MAX << bits:
-        raise OverflowError(f"exp argument above {_EXP_MAX}: the truncated series overflows")
-    r = max(0, abs(s).bit_length() - bits + 8)
-    extra = 2 * r + 2 * bits.bit_length() + 16
-    w = bits + extra
-    y = s << (extra - r)  # y / 2^w = s / 2^(bits + r)
-    z = term = 1 << w
-    k = 0
-    while term:  # each term is within 1 + 2^-8 units, and so is the first one dropped
-        k += 1
-        term = term * y // (k << w)
-        z += term
-    err = 2 * k + 2
-    for _ in range(r):
-        err = (err * (2 * z + err) >> w) + 2
-        z = z * z >> w
-    return (z + (1 << (extra - 1))) >> extra, (err >> extra) + 2
+_MAX_N = 10**7  # largest n of the exact kernel, whose walk to n costs O(n)
 
 
 def _wallis_scaled(bits: int) -> Iterator[int]:
@@ -431,8 +323,11 @@ def _wallis_errors(tag: ExpansionTag, order: int, ns: list[int]) -> list[Fractio
     if spec.needs_params:
         raise ValueError(f"not a Wallis-sequence family: {tag}")
     spec.check_order(order)
+    ns = [operator.index(n) for n in ns]  # a float n is refused: the walk needs integers
     if ns[0] < 1:
         raise ValueError("n must be >= 1")
+    if ns[-1] > _MAX_N:
+        raise ValueError(f"n must be <= {_MAX_N}: the exact kernel walks every n up to it")
     bits = (2 * order + 4) * ns[-1].bit_length() + 128
     for _ in range(_MAX_DOUBLINGS):
         terms = _scaled_terms(spec, order, bits)
@@ -501,13 +396,10 @@ def family_report(family: ExpansionFamily, n: int) -> ErrorReport:
 def wallis_error_exact(tag: ExpansionTag, order: int, n: int) -> Fraction:
     """|truncation - W_n| for a Wallis-sequence family, to ``2^-60`` relative.
 
-    The result is a dyadic ``Fraction`` ``E / 2^G``.  The kernel computes
-    ``W_n`` and the truncated family in integers scaled by ``2^G`` and adds
-    up an explicit bound on every rounding; ``G`` starts at
-    ``(2 order + 4) log2(n) + 128`` bits and doubles until that bound is
-    below ``2^-60`` of the error.  The cost is ``O(n)`` operations on
-    ``G``-bit integers.  An ``exp`` argument above 1024 raises
-    ``OverflowError``, as the float evaluator does past 709.78.
+    A dyadic ``Fraction`` from the kernel of the module docstring, whose walk
+    costs 0.4 s at ``n = 10^6`` and 3-4 s at ``10^7``, the largest ``n`` taken
+    (``ValueError`` past it, ``TypeError`` for a float).  An ``exp`` argument
+    above 1024 raises ``OverflowError``, as the float evaluator does past 709.78.
     """
     return _wallis_errors(tag, order, [n])[0]
 
@@ -522,7 +414,8 @@ def convergence_order(family: ExpansionFamily, n_values: list[int]) -> list[floa
     One estimate per consecutive pair of ``n_values`` (which must be
     strictly increasing), with ``x = n + shift`` in the family's own
     expansion variable.  The Wallis-sequence errors come from one walk of
-    the fixed-point kernel across the grid, and the log of each ratio of
+    the fixed-point kernel across the grid, so their ``n`` are integers up
+    to ``10^7`` as in :func:`wallis_error_exact`, and the log of each ratio of
     them is rounded once to a double.  Entries whose errors are
     degenerate (at the double-precision noise floor for the (p, q)
     families) are returned as NaN.
@@ -577,9 +470,7 @@ class BoundsReport(namedtuple("BoundsReport", "n_max violations first_violation 
 
     ``tight_upper_gap`` bounds ``|W_n - upper|`` at ``tight_upper_n``.
     ``tail_from`` is the ``N`` from which the polynomial certificate proves
-    both bounds for every ``n``.  Since the bounds are proved for every
-    ``n``, :func:`check_bounds` always reports no violation and an upper
-    bound met exactly at ``n = 1``.
+    both bounds for every ``n``.
     """
 
     __slots__ = ()
@@ -606,8 +497,7 @@ def _zeta_bracket(s: int, upper: bool) -> dict[int, Fraction]:
     top = _CERT_EM if (_CERT_EM % 2 == 1) == upper else _CERT_EM + 1
     terms = {s - 1: Fraction(1, s - 1), s: _HALF}
     for m in range(1, top + 1):
-        terms[s + 2 * m - 1] = (bernoulli_number(2 * m) / math.factorial(2 * m)
-                                * math.prod(range(s, s + 2 * m - 1)))
+        terms[s + 2 * m - 1] = s * _em_weight(s, m)
     return terms
 
 
@@ -689,15 +579,11 @@ def _tail_certificate() -> int:
 def check_bounds(n_max: int) -> BoundsReport:
     """Prove the two-sided bound for every ``n >= 1``; the report covers ``1 <= n <= n_max``.
 
-    From ``N = tail_from`` on, a certificate proves both bounds for every
-    ``n`` at once, computed once per process in ``Fraction``: with
-    ``L_n = -ln(W_n / (pi/2)) = sum_k 4^-k zeta(2k, n+1) / k``, the bounds are
-    ``L_n < -ln(1 - 1/(4n + 5/2))`` and ``L_n > -ln(1 - 1/(4n + beta))``.
-    ``L_n`` is enclosed by Euler–Maclaurin brackets of ``zeta(2, n+1)`` and
-    ``zeta(4, n+1)`` plus a geometric bound on the rest, the logs by their
-    first two terms plus a geometric bound, and beta from below by its value
-    421/161 at ``pi = 355/113``.  Each side is then a rational function of
-    ``n``; at ``n = N + t`` its numerator has only positive coefficients.
+    From ``N = tail_from`` on, the certificate of :func:`_tail_holds` proves
+    both bounds for every ``n`` at once, computed once per process in
+    ``Fraction``: with ``L_n = -ln(W_n / (pi/2))`` and the logs enclosed, each
+    side is a rational function of ``n`` whose numerator at ``n = N + t`` has
+    only positive coefficients.
 
     ``N = 2``, and ``n = 1`` is settled in ``Fraction``.  There
     ``W_1 = 4/3``: the lower bound reads ``pi < 104/33``, which

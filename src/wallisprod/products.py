@@ -14,9 +14,9 @@ split at ``D = max(ceil(4 r) + 1, 64)``:
   not from the rounded ``1 + z_d``; a factor below
   ``2^-12 (1 + |p/d| + |q/d^2|)``, which the rounding of ``1 + z_d`` could
   cost more than ``2^-40`` of its log (a factor that rounds to 0.0 among
-  them), is taken as the exact rational ``(d^2 + p d + q) / d^2``.  The logs
-  and the damping terms go into one exactly rounded ``math.fsum`` every
-  ``_CHUNK`` entries;
+  them), is taken as the exact rational ``(d^2 + p d + q) / d^2`` and its
+  log from ``_fixed._log_ratio``.  The logs and the damping terms go into
+  one exactly rounded ``math.fsum`` every ``_CHUNK`` entries;
 * the tail, ``d >= D``, has ``|x_i| / d < 1/4``, so no factor can vanish or
   change sign, and ``sum_d log(1 + z_d) - p/d`` is the log series
   ``sum_(k=2..K) (-1)^(k+1) (s_k / k) P_k`` in the root power sums
@@ -33,9 +33,8 @@ So a product costs at most ``D - 1`` factors plus ``O(K)``, whatever ``n``
 is.  For ``|p|, |q| <= 3`` and for ``|p|, |q| <= 2e-3``, up to ``n = 10^15``,
 the tests hold the log to 2e-15 of an ``mpmath`` reference.  Moduli are
 taken with ``math.hypot``, which returns ``inf`` where ``abs`` of a complex
-raises ``OverflowError``; ``D`` is then infinite and every factor takes the
-head.  A complex product whose phase sum is not finite raises ``ValueError``
-when ``log_abs`` lies in the range of ``exp``.
+raises ``OverflowError``.  A complex product whose phase sum is not finite
+raises ``ValueError`` when ``log_abs`` lies in the range of ``exp``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,8 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .bernoulli import bernoulli_number
+from ._fixed import _log_ratio
+from .bernoulli import _em_weight
 
 __all__ = [
     "ProductResult",
@@ -59,16 +59,13 @@ _ZERO_TOL = 1e-15
 # a factor below this share of 1 + |p/d| + |q/d^2| is taken exactly: 1 + p/d + q/d^2
 # rounds by up to about 2^-52 of that sum, which would cost its log more than 2^-40
 _EXACT_BELOW = 2.0**-12
-_LN2 = math.log(2.0)
 _EXP_OVERFLOW = 709.0  # log of the largest finite double, minus slack
 _CHUNK = 4096  # head terms per fsum: bounded memory
 _MIN_TAIL_START = 64  # the zeta arguments stay at 32 or more, where Euler–Maclaurin is short
 _MAX_TERMS = 28  # log-series terms at rho = 1/4, the largest ratio the tail sees
-# Euler–Maclaurin weights B_2m / (2m)! (k)_(2m-1) of zeta(k, a), with the rising factorial
-# (k)_(2m-1) = k (k+1) ... (k+2m-2), for k = 2.._MAX_TERMS and m = 1..14; at an argument
-# of 32 or more the terms fall below 2^-60 before the last weight is reached
-_EM_WEIGHTS = [float(bernoulli_number(2 * m) / math.factorial(2 * m)) for m in range(1, 15)]
-_EM_TABLE = {k: [w * math.prod(range(k, k + 2 * m - 1)) for m, w in enumerate(_EM_WEIGHTS, 1)]
+# Euler–Maclaurin weights of zeta(k, a) for k = 2.._MAX_TERMS and m = 1..14, each rounded once;
+# at an argument of 32 or more the terms fall below 2^-60 before the last is reached
+_EM_TABLE = {k: [float(k * _em_weight(k, m)) for m in range(1, 15)]
              for k in range(2, _MAX_TERMS + 1)}
 
 
@@ -104,17 +101,10 @@ class ProductResult(namedtuple("ProductResult", "value log_abs phase_or_sign zer
 
 
 def _exact_factor(den: int, p: complex, q: complex) -> tuple[Fraction, Fraction]:
-    """``1 + p/den + q/den^2`` in exact rational arithmetic, real and imaginary
-    parts apart (floats convert to Fractions exactly)."""
+    """``1 + p/den + q/den^2`` exactly, real and imaginary parts apart (a float is a Fraction)."""
     d = Fraction(den)
     return (1 + (Fraction(p.real) + Fraction(q.real) / d) / d,
             (Fraction(p.imag) + Fraction(q.imag) / d) / d)
-
-
-def _log_rational(x: Fraction) -> float:
-    """``ln x`` for a rational ``x > 0``, from ``x 2^-k`` within a factor 2 of 1."""
-    k = x.numerator.bit_length() - x.denominator.bit_length()
-    return math.log(x / Fraction(2) ** k) + k * _LN2
 
 
 def _root_bound(p: complex, q: complex) -> float:
@@ -224,22 +214,20 @@ def _product(n: int, step: int, p: complex, q: complex) -> ProductResult:
         u, v = p / den, q / (den * den)
         factor = 1 + u + v
         size = math.hypot(factor.real, factor.imag)
-        if size < _ZERO_TOL:
-            if _exact_factor(den, p, q) == (0, 0):
-                return ProductResult(0j, -math.inf, 0.0, j, n, near_at)
-            if near_at is None:
-                near_at = j
         # a factor within 1/2 of 1 takes its log from z = u + v, not from the rounded 1 + z
         z = u + v
         x, y = z.real, z.imag
+        # cancellation has cost the rounded factor its low bits, a near-zero one among them
+        # (the cutoffs stay above _ZERO_TOL): take the exact one
         if size < cutoff and size < _EXACT_BELOW * (1.0 + abs_p / den + abs_q / (den * den)):
-            # cancellation has cost the rounded factor its low bits: take the exact one
             re, im = _exact_factor(den, p, q)
-            if re == im == 0:  # a root whose rounded factor passed the zero screen
+            if re == im == 0:
                 return ProductResult(0j, -math.inf, 0.0, j, n, near_at)
+            if size < _ZERO_TOL and near_at is None:
+                near_at = j
             if re < 0:  # the sign serves real parameters and the phase complex ones
                 sign = -sign
-            re_terms += (_log_rational(re * re + im * im) / 2, -p.real / den)
+            re_terms += (_log_ratio(re * re + im * im, 1) / 2, -p.real / den)
             im_terms += (math.atan2(im, re), -p.imag / den)
         elif real_mode:
             if factor.real < 0.0:

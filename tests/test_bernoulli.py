@@ -4,7 +4,9 @@ The implementation uses the integer tangent-number recurrence; the
 oracles here are the Akiyama-Tanigawa triangle, the binomial-sum
 recurrence and a power-series reciprocal, none of which shares code
 with the implementation.  The Bernoulli polynomial values of the private
-``_poly_values`` are checked against coefficient lists built here.
+``_poly_values`` are checked against coefficient lists built here, and the
+Euler–Maclaurin weights of ``_em_weight`` against their closed forms in
+the Akiyama-Tanigawa numbers.
 """
 
 import functools
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallisprod import bernoulli
-from wallisprod.bernoulli import _poly_values, bernoulli_number, format_rational
+from wallisprod.bernoulli import _em_weight, _poly_values, bernoulli_number, format_rational
 
 
 def bernoulli_by_series_inversion(count: int) -> list[Fraction]:
@@ -151,6 +153,28 @@ class TestBernoulliNumbers:
             reader.join(timeout=60)
         assert not holder.is_alive()
         assert got == [expected]
+
+
+class TestEulerMaclaurinWeight:
+    """``_em_weight(k, m) = B_2m/(2m)! (k+1)...(k+2m-2)`` against its closed forms."""
+
+    numbers = bernoulli_by_akiyama_tanigawa(32)
+
+    def test_stirling_coefficients_of_ln_gamma(self):
+        for m in range(1, 17):
+            assert _em_weight(0, m) == self.numbers[2 * m] / (2 * m * (2 * m - 1)), m
+
+    def test_stirling_coefficients_of_digamma(self):
+        for m in range(1, 17):
+            assert _em_weight(1, m) == self.numbers[2 * m] / (2 * m), m
+
+    def test_hurwitz_zeta_weights(self):
+        # k times the weight is the coefficient of a^(1-k-2m) in zeta(k, a)
+        for k in (*range(2, 29), 40, 101):
+            for m in range(1, 17):
+                rising = math.prod(k + i for i in range(2 * m - 1))  # k (k+1) ... (k+2m-2)
+                want = self.numbers[2 * m] / math.factorial(2 * m) * rising
+                assert k * _em_weight(k, m) == want, (k, m)
 
 
 class TestBernoulliPolynomials:

@@ -704,12 +704,13 @@ class TestImportGraph:
         (["coeffs", "--family", "a", "--order", "2", "--format", "json"],
          ["bernoulli", "coeffs"]),
         (["eval", "--target", "wallis", "--n", "5", "--format", "json"],
-         ["bernoulli", "products"]),
-        (["eval", "--target", "wproduct", "--n", "5", *PQ], ["bernoulli", "products"]),
+         ["_fixed", "bernoulli", "products"]),
+        (["eval", "--target", "wproduct", "--n", "5", *PQ], ["_fixed", "bernoulli", "products"]),
+        (["eval", "--target", "rproduct", "--n", "5", *PQ], ["_fixed", "bernoulli", "products"]),
         (["eval", "--target", "wclosed", "--n", "5", *PQ], ["bernoulli", "special"]),
         (["constants", "--format", "json"], ["bernoulli", "special"]),
         (["eval", "--target", "expansion:mu", "--n", "50", "--order", "2"],
-         ["bernoulli", "coeffs", "expansions", "products", "special"]),
+         ["_fixed", "bernoulli", "coeffs", "expansions", "products", "special"]),
     ])
     def test_subcommand_loads_what_it_uses(self, argv, modules):
         expected = ["wallisprod", *(f"wallisprod.{m}" for m in ["cli", *modules])]

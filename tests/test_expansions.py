@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallisprod import coeffs, expansions
+from wallisprod._fixed import _exp_scaled, _log_ratio, _pi_scaled
 from wallisprod.coeffs import alpha_beta, b_poly, cache_sizes, wallis_mu
 from wallisprod.expansions import (
     ELEZOVIC_TERMS,
@@ -35,10 +36,7 @@ from wallisprod.expansions import (
     _FAMILIES,
     _TAIL_FROM,
     _approx_scaled,
-    _exp_scaled,
-    _log_ratio,
     _next_beta,
-    _pi_scaled,
     _scaled_terms,
     _tail_holds,
     _wallis_log_terms,
@@ -413,6 +411,21 @@ class TestExactKernel:
             wallis_error_exact(ExpansionTag.WALLIS_ALPHA_BETA, 13, 5)
         with pytest.raises(ValueError, match="n must be >= 1"):
             convergence_order(ExpansionFamily(ExpansionTag.WALLIS_OMEGA, 2), [0, 10])
+
+    def test_n_is_an_integer_up_to_the_cap(self):
+        # the walk to n costs O(n): 3-4 s at 10^7, so the domain ends there
+        family = ExpansionFamily(ExpansionTag.WALLIS_MU, 2)
+        with pytest.raises(TypeError):
+            wallis_error_exact(ExpansionTag.WALLIS_MU, 2, 10.0)
+        with pytest.raises(TypeError):
+            convergence_order(family, [10.0, 20.0])
+        for tag in WALLIS_TAGS:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="n must be <= 10000000"):
+                wallis_error_exact(tag, 1, 10**7 + 1)
+            with pytest.raises(ValueError, match="n must be <= 10000000"):
+                convergence_order(ExpansionFamily(tag, 1), [10, 10**7 + 1])
+            assert time.perf_counter() - start < 0.5  # refused before the walk
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(WALLIS_TAGS), st.data(), st.integers(1, 3000), st.integers(4, 200))

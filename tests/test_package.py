@@ -1,9 +1,11 @@
 """The public surface: ``wallisprod`` lazily re-exports each module's ``__all__``.
 
 That ``import wallisprod`` loads no submodule is checked in a fresh
-interpreter by ``tests/test_cli.py::TestImportGraph``.
+interpreter by ``tests/test_cli.py::TestImportGraph``; the layering of the
+modules is read from their source here.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -57,6 +59,52 @@ def test_version_matches_pyproject():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     project = text.split("[project]", 1)[1]
     assert wallisprod.__version__ == re.search(r'^version = "([^"]+)"', project, re.M).group(1)
+
+
+SOURCES = Path(wallisprod.__file__).parent
+MODULES = {path.stem for path in SOURCES.glob("*.py")}
+
+
+def package_imports(module_name: str) -> set[str]:
+    """The package modules that a source file imports anywhere, function bodies too."""
+    found = set()
+    for node in ast.walk(ast.parse((SOURCES / f"{module_name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("wallisprod.")}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module
+            elif node.module == "wallisprod" or (node.module or "").startswith("wallisprod."):
+                base = node.module.partition(".")[2] or None
+            else:
+                continue  # the standard library or a third party
+            if base:
+                found.add(base.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names if alias.name in MODULES}
+    return found
+
+
+class TestLayering:
+    """Which package modules each module may import: the layers admit no cycle."""
+
+    @pytest.mark.parametrize("module_name", ["bernoulli", "_fixed"])
+    def test_kernels_import_no_package_module(self, module_name):
+        assert package_imports(module_name) == set()
+
+    @pytest.mark.parametrize("module_name", ["products", "special", "coeffs"])
+    def test_numeric_modules_import_only_the_kernels(self, module_name):
+        assert package_imports(module_name) <= {"bernoulli", "_fixed"}
+
+    def test_expansions_imports_neither_verify_nor_cli(self):
+        assert not package_imports("expansions") & {"verify", "cli"}
+
+    def test_the_walk_sees_every_kind_of_import(self):
+        # module level (expansions), function level (cli) and "from . import x" (verify)
+        assert {"_fixed", "coeffs", "products"} <= package_imports("expansions")
+        assert {"coeffs", "expansions", "verify"} <= package_imports("cli")
+        assert {"coeffs", "expansions", "products", "special"} <= package_imports("verify")
 
 
 class TestRecordTypes:
