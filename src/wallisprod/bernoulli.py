@@ -14,12 +14,15 @@ Everything in this module is exact: values are `fractions.Fraction`.  The
 Bernoulli polynomials ``B_n(t)`` appear only in the definitions that
 ``coeffs.wallis_nu_raw`` and ``verify`` check against, so they are not a
 public object: :func:`_poly_values` gives their exact values at rational
-points.
+points.  Every public entry point of the package takes its integer counts
+through :func:`_count` and its parameters ``(p, q)`` through :func:`_pair`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 import threading
 from fractions import Fraction
 
@@ -35,6 +38,24 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
+    """``operator.index(value)``, with a ``ValueError`` naming ``name`` outside ``low..high``."""
+    value = operator.index(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be in {low}..{high}")
+    return value
+
+
+def _pair(p, q) -> tuple[complex, complex]:
+    """The parameters ``(p, q)`` as complex numbers; ``ValueError`` unless both are finite."""
+    p, q = complex(p), complex(q)
+    if not (cmath.isfinite(p) and cmath.isfinite(q)):
+        raise ValueError("p and q must be finite")
+    return p, q
 
 
 # Prefix caches of ordered exact tables: the Bernoulli numbers here, and the
@@ -93,8 +114,7 @@ def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number ``B_n`` (with ``B_1 = -1/2``)."""
     if 0 <= n < len(_NUMBERS):
         return _NUMBERS[n]
-    if n < 0:
-        raise ValueError("Bernoulli index must be non-negative")
+    n = _count(n, "Bernoulli index", 0)
     return _grow(_NUMBERS, _bernoulli_entries, n + 1)[n]
 
 
@@ -111,8 +131,7 @@ def _poly_values(n: int, points) -> list[Fraction]:
     One coefficient list ``C(n, k) B_(n-k)`` of ``t^k`` is built per call
     and evaluated by Horner's rule at every point.
     """
-    if n < 0:
-        raise ValueError("Bernoulli index must be non-negative")
+    n = _count(n, "Bernoulli index", 0)
     coeffs = [math.comb(n, k) * bernoulli_number(n - k) for k in range(n, -1, -1)]
     values = []
     for x in points:

@@ -116,13 +116,9 @@ def parse_complex_literal(text: str) -> complex:
             raise ValueError(f"cannot parse complex literal: {text!r}")
         return complex(_parse_real(real_part), 0.0)
     if imag_part is None:
-        # the whole body is the imaginary coefficient: "2i", "i", "-i"
-        coeff = real_part
-        if coeff is None or coeff == "":
-            coeff = "1"
-        elif coeff in ("+", "-"):
-            coeff += "1"
-        return complex(0.0, _parse_real(coeff))
+        # the whole body is the imaginary coefficient: "2i" or "i" (a bare sign, as in
+        # "-i", matches as imag_part)
+        return complex(0.0, _parse_real(real_part or "1"))
     if imag_part in ("+", "-"):
         imag_part += "1"
     return complex(_parse_real(real_part) if real_part else 0.0, _parse_real(imag_part))
@@ -148,8 +144,6 @@ def _digits() -> int:
 
 
 def fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
     return f"{x:.{_digits()}g}"
 
 

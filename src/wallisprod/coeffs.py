@@ -44,6 +44,7 @@ coefficient polynomial is evaluated at a complex point (:func:`eval_bipoly`).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -51,7 +52,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
-from .bernoulli import _NUMBERS, _grow, _poly_values, bernoulli_number
+from .bernoulli import _NUMBERS, _count, _grow, _pair, _poly_values, bernoulli_number
 
 __all__ = [
     "BiPoly",
@@ -204,8 +205,7 @@ def _coeff_poly(j: int, c: Fraction) -> BiPoly:
     # j = 1).  The scaled pair's p term is -2c B_j / j * p (B_j = 0 for odd j > 1),
     # so only the terms of degree two and up remain: the pair less its 1 and p
     # terms, taken out in place since no one else holds the new pair yet.
-    if j < 1:
-        raise ValueError("coefficient index must be >= 1")
+    j = _count(j, "coefficient index")
     scale = Fraction(1, 2) if j == 1 else Fraction((-1) ** (j + 1), j * (j + 1))
     pair = _bernoulli_pair(j + 1, c, scale)
     pair.terms.pop((0, 0), None)
@@ -213,14 +213,14 @@ def _coeff_poly(j: int, c: Fraction) -> BiPoly:
     return pair
 
 
-# Each entry depends on j alone, so a memo per family is the whole cache.
-@functools.cache
+# Each entry depends on j alone, so a typed memo per family (a float j misses it) is the cache.
+@functools.lru_cache(maxsize=None, typed=True)
 def a_poly(j: int) -> BiPoly:
     """Exact correction coefficient of ``1/(n+1)^j`` for ``W_n(p, q)``."""
     return _coeff_poly(j, Fraction(1, 2))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def b_poly(j: int) -> BiPoly:
     """Exact correction coefficient of ``1/(n+1/2)^j`` for ``R_n(p, q)``."""
     return _coeff_poly(j, Fraction(1, 4))
@@ -232,12 +232,14 @@ def eval_bipoly(poly: BiPoly, p: complex, q: complex) -> complex:
     The monomial sum cancels near a double root (``p^2`` near ``4q``): at ``(10, 49/2)``
     ``a_12``, ``a_40`` and ``a_120`` are off by 3.3e-12, 0.14 and 1.1e14 (relative; at
     ``(1, 1/2)`` at most 1.4e-14).  :meth:`BiPoly.evaluate_exact` is exact.
+    A power or a sum past the double range raises ``OverflowError``.
     """
-    p = complex(p)
-    q = complex(q)
+    p, q = _pair(p, q)
     acc = 0j
     for (i, j), c in poly.terms.items():
         acc += float(c) * p**i * q**j
+    if not cmath.isfinite(acc):
+        raise OverflowError("the monomial sum leaves the double range")
     return acc
 
 
@@ -258,8 +260,7 @@ class CoeffSeries(namedtuple("CoeffSeries", "family order values")):
     __slots__ = ()
 
     def __new__(cls, family: Family, order: int, values: tuple) -> CoeffSeries:
-        if order < 1:
-            raise ValueError("series order must be >= 1")
+        order = _count(order, "series order")
         if len(values) != order:
             raise ValueError("value count must equal the order")
         return super().__new__(cls, family, order, values)
@@ -304,8 +305,7 @@ def _nu_entries(nu: list[Fraction], count: int):
 
 def _series(family: Family, values: list, entries, order: int, *args) -> CoeffSeries:
     # the first ``order`` entries of a cached series, refused before any work below order 1
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = _count(order, "order")
     return CoeffSeries(family, order, tuple(_grow(values, entries, order, *args)))
 
 
@@ -320,8 +320,7 @@ def wallis_nu_raw(order: int) -> CoeffSeries:
     ``nu_j = (-1)^(j+1) (2 B_{j+1} - B_{j+1}(1/2) - B_{j+1}(3/2)) / (j (j+1))``.
     Kept as an independent route for consistency checks.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = _count(order, "order")
     values = []
     for j in range(1, order + 1):
         half, three_halves = _poly_values(j + 1, (Fraction(1, 2), Fraction(3, 2)))

@@ -37,7 +37,6 @@ import cmath
 import functools
 import itertools
 import math
-import operator
 import sys
 from collections import namedtuple
 from enum import Enum
@@ -45,7 +44,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from ._fixed import _div_round, _exp_scaled, _log_ratio, _pi_scaled, _scaled
-from .bernoulli import _em_weight
+from .bernoulli import _count, _em_weight
 from .coeffs import (
     MAX_ALPHA_BETA_ORDER,
     _alpha_beta_levels,
@@ -104,7 +103,7 @@ class ExpansionFamily(namedtuple("ExpansionFamily", "tag order params")):
     def __new__(cls, tag: ExpansionTag, order: int,
                 params: tuple[complex, complex] | None = None) -> ExpansionFamily:
         spec = _FAMILIES[tag]
-        spec.check_order(order)
+        order = spec.check_order(order)
         if spec.needs_params != (params is not None):
             raise ValueError("params are required exactly for the (p, q) families")
         return super().__new__(cls, tag, order, params)
@@ -145,11 +144,8 @@ class _Spec(namedtuple("_Spec", "terms exp_form oracle est_shift limit max_order
     def needs_params(self) -> bool:
         return self.limit is not None
 
-    def check_order(self, order: int) -> None:
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if self.max_order is not None and order > self.max_order:
-            raise ValueError(f"order must be in 1..{self.max_order}")
+    def check_order(self, order: int) -> int:
+        return _count(order, "order", 1, self.max_order)
 
 
 def _powers(values, shift) -> list[tuple]:
@@ -235,9 +231,8 @@ _FAMILIES: dict[ExpansionTag, _Spec] = {
 def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None):
     """The truncated family at ``n``: a float, or a complex for the (p, q) families."""
     spec = _FAMILIES[tag]
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    spec.check_order(order)
+    n = _count(n, "n")
+    order = spec.check_order(order)
     if not spec.needs_params:
         s = math.fsum(float(c) / (n + float(sh)) ** e for c, sh, e in spec.terms(order, None))
         return math.pi / 2 * (math.exp(s) if spec.exp_form else 1 + s)
@@ -322,10 +317,7 @@ def _wallis_errors(tag: ExpansionTag, order: int, ns: list[int]) -> list[Fractio
     spec = _FAMILIES[tag]
     if spec.needs_params:
         raise ValueError(f"not a Wallis-sequence family: {tag}")
-    spec.check_order(order)
-    ns = [operator.index(n) for n in ns]  # a float n is refused: the walk needs integers
-    if ns[0] < 1:
-        raise ValueError("n must be >= 1")
+    order = spec.check_order(order)
     if ns[-1] > _MAX_N:
         raise ValueError(f"n must be <= {_MAX_N}: the exact kernel walks every n up to it")
     bits = (2 * order + 4) * ns[-1].bit_length() + 128
@@ -401,7 +393,7 @@ def wallis_error_exact(tag: ExpansionTag, order: int, n: int) -> Fraction:
     (``ValueError`` past it, ``TypeError`` for a float).  An ``exp`` argument
     above 1024 raises ``OverflowError``, as the float evaluator does past 709.78.
     """
-    return _wallis_errors(tag, order, [n])[0]
+    return _wallis_errors(tag, order, [_count(n, "n")])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +412,7 @@ def convergence_order(family: ExpansionFamily, n_values: list[int]) -> list[floa
     degenerate (at the double-precision noise floor for the (p, q)
     families) are returned as NaN.
     """
+    n_values = [_count(n, "n") for n in n_values]  # all refused before any work
     if len(n_values) < 2:
         raise ValueError("need at least two n values")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
@@ -593,8 +586,7 @@ def check_bounds(n_max: int) -> BoundsReport:
     on ``n_max`` but the check ``n_max >= 1``, so every report is the same
     apart from ``n_max``.  A certificate that fails raises ``ArithmeticError``.
     """
-    if operator.index(n_max) < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = _count(n_max, "n_max")
     tail_from = _tail_certificate()
     alpha = Fraction(DENG_ALPHA)
     # n = 1: W_1 = 4/3 > (pi/2)(1 - 1/(4 + alpha)) reads pi < (8/3)(4 + alpha)/(3 + alpha)

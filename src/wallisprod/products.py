@@ -40,13 +40,14 @@ raises ``ValueError`` when ``log_abs`` lies in the range of ``exp``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
 
 from ._fixed import _log_ratio
-from .bernoulli import _em_weight
+from .bernoulli import _count, _em_weight, _pair
 
 __all__ = [
     "ProductResult",
@@ -63,10 +64,13 @@ _EXP_OVERFLOW = 709.0  # log of the largest finite double, minus slack
 _CHUNK = 4096  # head terms per fsum: bounded memory
 _MIN_TAIL_START = 64  # the zeta arguments stay at 32 or more, where Euler–Maclaurin is short
 _MAX_TERMS = 28  # log-series terms at rho = 1/4, the largest ratio the tail sees
-# Euler–Maclaurin weights of zeta(k, a) for k = 2.._MAX_TERMS and m = 1..14, each rounded once;
-# at an argument of 32 or more the terms fall below 2^-60 before the last is reached
-_EM_TABLE = {k: [float(k * _em_weight(k, m)) for m in range(1, 15)]
-             for k in range(2, _MAX_TERMS + 1)}
+
+
+@functools.cache
+def _em_row(k: int) -> list[float]:
+    # Euler–Maclaurin weights of zeta(k, a) for m = 1..14, each rounded once, built on first
+    # use; at an argument of 32 or more the terms fall below 2^-60 before the last is reached
+    return [float(k * _em_weight(k, m)) for m in range(1, 15)]
 
 
 class ProductResult(namedtuple("ProductResult", "value log_abs phase_or_sign zero_factor_at "
@@ -165,13 +169,13 @@ def _hurwitz_zetas(a: float, terms: int) -> list[float]:
     """
     inv_sq = a**-2
     power, powers = 1.0, []
-    for weight in _EM_TABLE[terms]:
+    for weight in _em_row(terms):
         power *= inv_sq
         powers.append(power)
         if abs(weight) * power < 2.0**-60:
             break
     return [a ** (1 - k) * math.fsum([1 / (k - 1), 0.5 / a,
-                                      *map(operator.mul, _EM_TABLE[k], powers)])
+                                      *map(operator.mul, _em_row(k), powers)])
             for k in range(2, terms + 1)]
 
 
@@ -191,13 +195,8 @@ def _log_tail(first: float, end: float, step: int, p: complex, q: complex) -> co
 
 def _product(n: int, step: int, p: complex, q: complex) -> ProductResult:
     # factor j has the denominator step (j - 1) + 1: j for W_n, 2j - 1 for R_n
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    n = operator.index(n)  # a float n is refused, as range() refused it
-    p = complex(p)
-    q = complex(q)
-    if not (cmath.isfinite(p) and cmath.isfinite(q)):
-        raise ValueError("p and q must be finite")
+    n = _count(n, "n")
+    p, q = _pair(p, q)
     real_mode = p.imag == 0.0 and q.imag == 0.0
     start = _tail_start(p, q)
     # the factors whose denominators lie below start

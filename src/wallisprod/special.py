@@ -63,7 +63,7 @@ import math
 import operator
 import warnings
 
-from .bernoulli import _em_weight
+from .bernoulli import _count, _em_weight, _pair
 
 __all__ = [
     "EULER_GAMMA",
@@ -208,13 +208,12 @@ def delta(p: complex, q: complex) -> complex:
 
     Branch cut on the negative real axis: the result has nonnegative
     real part, and nonnegative imaginary part when the real part is 0.
-    Raises ``ValueError`` naming ``p`` and ``q`` when they are finite but
-    ``p^2 - 4q`` leaves the double range (``|p|`` above about 1.3e154).
+    Raises ``ValueError`` unless ``p`` and ``q`` are finite, and naming them
+    when ``p^2 - 4q`` leaves the double range (``|p|`` above about 1.3e154).
     """
-    p = complex(p)
-    q = complex(q)
+    p, q = _pair(p, q)
     d = p * p - 4 * q
-    if not cmath.isfinite(d) and cmath.isfinite(p) and cmath.isfinite(q):
+    if not cmath.isfinite(d):
         raise ValueError(f"p^2 - 4q leaves the double range at p = {p}, q = {q}")
     if d.imag == 0.0:
         d = complex(d.real, 0.0)  # normalize -0.0 so the cut side is fixed
@@ -247,8 +246,7 @@ def _exp(total: complex, p: complex, q: complex) -> complex:
 def _limit(p: complex, q: complex, a: float, c: int,
            psi_a: complex, two_lgamma_a: complex) -> complex:
     # P_inf at offset a and scale c
-    p = complex(p)
-    q = complex(q)
+    p, q = _pair(p, q)
     s, t, pc = _roots(p, q, c)
     if _nonpositive_int_near(a + s) is not None or _nonpositive_int_near(a + t) is not None:
         return 0j
@@ -299,10 +297,8 @@ def _log_rising(a: complex, n: int) -> complex:
 def _closed(name: str, n: int, p: complex, q: complex, a: float, c: int,
             psi_a: complex, two_lgamma_a: complex) -> complex:
     # ln P_n of the module docstring at offset a and scale c; ``name`` labels the warning
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p = complex(p)
-    q = complex(q)
+    n = _count(n, "n")
+    p, q = _pair(p, q)
     s, t, pc = _roots(p, q, c)
 
     for root in (s, t):
@@ -355,8 +351,7 @@ def ser_partial(terms: int) -> float:
     at 17, 1.3e-12 at 18, 6.7e-10 at 30 and 10% at 60, and by 100 terms the
     accumulated error overflows ``exp``.
     """
-    if not 1 <= terms <= 17:
-        raise ValueError(f"terms must be in 1..17, got {terms}")
+    terms = _count(terms, "terms", 1, 17)
     factor_logs = []
     for m in range(1, terms + 1):
         inner = math.fsum(

@@ -151,7 +151,7 @@ def suite_closedforms() -> list[CheckResult]:
         full = products.w_product(n + 1, p, q).value
         step = products.w_product(n, p, q).value
         d = n + 1.0
-        step *= cmath.exp(complex(-p) / d) * (1 + complex(p) / d + complex(q) / d**2)
+        step *= cmath.exp(-p / d) * (1 + p / d + q / d**2)
         worst_step = max(worst_step, _rel(full, step))
     out.append(_check("closedforms.incremental_consistency", worst_step <= 1e-13,
                       f"worst rel {worst_step:.3e}"))

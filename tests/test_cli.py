@@ -259,6 +259,16 @@ class TestCoeffsCommand:
         assert result.stderr.startswith("domain error: ")
         assert "complex exponentiation" in result.stderr
 
+    def test_overflowing_sum_exit_3(self, runner):
+        # every power of p and q is finite, but the sums of a_97..a_100 are not:
+        # no NaN in the JSON, which RFC 8259 does not allow
+        result = runner.invoke(main, ["coeffs", "--family", "a", "--order", "100", "--p", "1000",
+                                      "--q", "1e6", "--format", "json"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("domain error: ")
+        assert "monomial sum leaves the double range" in result.stderr
+
     def test_signs_flag(self, runner):
         result = runner.invoke(main, ["coeffs", "--family", "omega", "--order", "5",
                                       "--signs"])

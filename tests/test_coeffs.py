@@ -314,6 +314,15 @@ class TestPolynomialFamilies:
         const = anything.terms.get((0, 0), F(0))
         assert eval_bipoly(anything, 0, 0) == pytest.approx(float(const), abs=1e-15)
 
+    @pytest.mark.parametrize("j,p,q", [
+        (100, 1000, 1e6),  # terms of both signs past the double range: inf - inf
+        (1, 1e154, -1.7e308),  # two finite terms whose sum passes it
+    ])
+    def test_eval_bipoly_sum_past_the_double_range_raises(self, j, p, q):
+        # no power overflows, so only the sum shows it; it was returned as nan or inf
+        with pytest.raises(OverflowError, match="monomial sum leaves the double range"):
+            eval_bipoly(a_poly(j), p, q)
+
     def test_discriminant_parity_to_15(self):
         # the odd powers of D cancel between the branches, and the even
         # remainder is the power-sum pair the library builds

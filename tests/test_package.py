@@ -163,3 +163,93 @@ class TestRecordTypes:
                 record.no_such_field = None
             assert getattr(record, field) == before
             assert not hasattr(record, "no_such_field")
+
+
+# Each count argument of a public entry point: (id, call with x as that count, lowest count).
+T = wallisprod.ExpansionTag
+_PQ_FAMILY = (T.W_PQ, 3, (1, 0.5))
+COUNT_ARGS = [
+    ("bernoulli_number", wallisprod.bernoulli_number, 0),
+    ("a_poly", wallisprod.a_poly, 1),
+    ("b_poly", wallisprod.b_poly, 1),
+    ("CoeffSeries", lambda x: wallisprod.CoeffSeries(wallisprod.Family.MU, x, ()), 1),
+    ("wallis_nu", wallisprod.wallis_nu, 1),
+    ("wallis_nu_raw", wallisprod.wallis_nu_raw, 1),
+    ("wallis_mu", wallisprod.wallis_mu, 1),
+    ("alpha_beta", wallisprod.alpha_beta, 1),
+    ("omega", wallisprod.omega, 1),
+    ("omega_alt", wallisprod.omega_alt, 1),
+    ("w_product", lambda x: wallisprod.w_product(x, 1, 0.5), 1),
+    ("r_product", lambda x: wallisprod.r_product(x, 1, 0.5), 1),
+    ("wallis_seq", wallisprod.wallis_seq, 1),
+    ("w_closed", lambda x: wallisprod.w_closed(x, 1, 0.5), 1),
+    ("r_closed", lambda x: wallisprod.r_closed(x, 1, 0.5), 1),
+    ("ser_partial", wallisprod.ser_partial, 1),
+    ("ExpansionFamily.order", lambda x: wallisprod.ExpansionFamily(T.WALLIS_MU, x), 1),
+    ("eval_w_expansion.n", lambda x: wallisprod.eval_w_expansion(x, 1, 0.5, 3), 1),
+    ("eval_w_expansion.order", lambda x: wallisprod.eval_w_expansion(100, 1, 0.5, x), 1),
+    ("eval_r_expansion.n", lambda x: wallisprod.eval_r_expansion(x, 1, 0.5, 3), 1),
+    ("eval_r_expansion.order", lambda x: wallisprod.eval_r_expansion(100, 1, 0.5, x), 1),
+    *((f"{name}.{arg}", call, 1)
+      for name in ("eval_wallis_mu", "eval_wallis_nu_exp", "eval_wallis_alpha_beta",
+                   "eval_wallis_omega", "eval_elezovic")
+      for arg, call in (("n", lambda x, f=name: getattr(wallisprod, f)(x, 3)),
+                        ("order", lambda x, f=name: getattr(wallisprod, f)(100, x)))),
+    ("family_report.wallis", lambda x: wallisprod.family_report(
+        wallisprod.ExpansionFamily(T.WALLIS_MU, 3), x), 1),
+    ("family_report.pq", lambda x: wallisprod.family_report(
+        wallisprod.ExpansionFamily(*_PQ_FAMILY), x), 1),
+    ("wallis_error_exact.order", lambda x: wallisprod.wallis_error_exact(T.WALLIS_MU, x, 10), 1),
+    ("wallis_error_exact.n", lambda x: wallisprod.wallis_error_exact(T.WALLIS_MU, 3, x), 1),
+    # the later n of a grid too: the (p, q) route would evaluate n = 1 first
+    ("convergence_order.first", lambda x: wallisprod.convergence_order(
+        wallisprod.ExpansionFamily(*_PQ_FAMILY), [x, 10**6]), 1),
+    ("convergence_order.last", lambda x: wallisprod.convergence_order(
+        wallisprod.ExpansionFamily(*_PQ_FAMILY), [1, x]), 1),
+    ("check_bounds", wallisprod.check_bounds, 1),
+]
+
+# Each public entry point that takes (p, q): (id, call with those parameters).
+PQ_ARGS = [
+    ("w_product", lambda p, q: wallisprod.w_product(10, p, q)),
+    ("r_product", lambda p, q: wallisprod.r_product(10, p, q)),
+    ("delta", wallisprod.delta),
+    ("w_inf", wallisprod.w_inf),
+    ("r_inf", wallisprod.r_inf),
+    ("w_closed", lambda p, q: wallisprod.w_closed(10, p, q)),
+    ("r_closed", lambda p, q: wallisprod.r_closed(10, p, q)),
+    # a_1 written out, so that no memo entry is built
+    ("eval_bipoly", lambda p, q: wallisprod.eval_bipoly(
+        wallisprod.BiPoly({(2, 0): 0.5, (0, 1): -1}), p, q)),
+    ("eval_w_expansion", lambda p, q: wallisprod.eval_w_expansion(100, p, q, 3)),
+    ("eval_r_expansion", lambda p, q: wallisprod.eval_r_expansion(100, p, q, 3)),
+    ("family_report", lambda p, q: wallisprod.family_report(
+        wallisprod.ExpansionFamily(T.W_PQ, 3, (p, q)), 100)),
+]
+
+
+class TestDomains:
+    """One statement of each domain: counts are integers at or above a floor, (p, q) finite."""
+
+    @pytest.mark.parametrize("call,low", [args[1:] for args in COUNT_ARGS],
+                             ids=[args[0] for args in COUNT_ARGS])
+    @pytest.mark.parametrize("bad", [2.0, float("nan"), float("inf"), None],
+                             ids=["float", "nan", "inf", "below"])
+    def test_counts(self, call, low, bad):
+        error, match = (ValueError, f"must be >= {low}") if bad is None else (TypeError, None)
+        before = wallisprod.cache_sizes()
+        with pytest.raises(error, match=match):
+            call(low - 1 if bad is None else bad)
+        assert wallisprod.cache_sizes() == before  # refused before any work
+
+    @pytest.mark.parametrize("call", [args[1] for args in PQ_ARGS],
+                             ids=[args[0] for args in PQ_ARGS])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("slot", ["p", "q", "imag p"])
+    def test_parameters(self, call, bad, slot):
+        p, q = {"p": (bad, 0.5), "q": (1, bad), "imag p": (complex(1, bad), 0.5)}[slot]
+        before = wallisprod.cache_sizes()
+        with pytest.raises(ValueError, match="p and q must be finite"):
+            call(p, q)
+        assert wallisprod.cache_sizes() == before
