@@ -7,8 +7,8 @@ coefficient families of the large-n expansions of
     R_n(p, q) = prod_{j<=n} exp(-p/(2j-1)) (1 + p/(2j-1) + q/(2j-1)^2)
 
 and of the classical Wallis sequence, and cross-checks every closed
-form, limit value, truncated expansion and sharp bound against direct
-brute-force product evaluation.
+form, limit value, truncated expansion and sharp bound against the
+product oracle, which evaluates the products directly in log space.
 
 The package re-exports the ``__all__`` of ``bernoulli``, ``coeffs``,
 ``expansions``, ``products`` and ``special``, and it loads them lazily:

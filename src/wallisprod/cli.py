@@ -6,7 +6,7 @@ Subcommands:
                  bivariate polynomial families a/b, optionally evaluated at
                  a complex point (p, q)
 * ``eval``       products, closed forms, the Wallis sequence, and truncated
-                 expansions with an error report against the brute force
+                 expansions with an error report against the product oracle
 * ``verify``     run the built-in identity suites; exit 1 on any failure
 * ``constants``  the classical constants this package revolves around
 
@@ -37,14 +37,11 @@ an empty cell and booleans as ``true``/``false``.  ``--format plain``, the
 default, prints each command's own lines.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 domain error
-(a gamma pole, a value past the double range, or a gamma argument left of
-``Re = -10^6``).  ``eval`` refuses, with
-exit 2, an option its target does not read (``--p``/``--q`` for
-``wallis`` and the Wallis-sequence expansions, ``--order`` outside
-``expansion:*``) and, for the product targets and the expansions checked
-against them, an ``--n`` above ``MAX_BRUTE_FORCE_N``: a product takes its
-first ``min(n, D)`` factors one by one, and ``D`` grows with ``|p|`` and
-``sqrt|q|``.
+(a gamma pole, a value past the double range, a gamma argument left of
+``Re = -10^6``, or a product head past the library's bound).  ``eval``
+refuses, with exit 2, an option its target does not read (``--p``/``--q``
+for ``wallis`` and the Wallis-sequence expansions, ``--order`` outside
+``expansion:*``).
 ``coeffs`` refuses ``--p``/``--q`` for the series families (nu, mu, omega,
 alphabeta).  Both refuse an ``--order`` above the family's cap in
 ``MAX_ORDER``, which ``expansion:w`` and ``expansion:r`` share with ``a``
@@ -90,9 +87,6 @@ MAX_ALPHABETA_ORDER = 12
 # (mu), and about 0.6 s for a and 0.7 s for b since their terms are built in integers
 MAX_ORDER = {"a": 120, "b": 120, "nu": 1800, "mu": 750, "omega": 400,
              "alphabeta": MAX_ALPHABETA_ORDER}
-# wallis, wproduct, rproduct and expansion:* take the first min(n, D) factors one by
-# one, about 600 ns each, with D = max(ceil(4 (|p| + sqrt|q|)) + 1, 64)
-MAX_BRUTE_FORCE_N = 10**8
 
 _ATOM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+|/\d+)?"
 _COMPLEX_RE = re.compile(rf"^({_ATOM})?((?:{_ATOM})|[+-])?(i)?$")
@@ -356,9 +350,6 @@ def _eval_record(target: str, n: int, p_text: str | None, q_text: str | None,
             f"unknown expansion family {key!r} (choose from {sorted(_EXPANSION_TAGS)})")
     if order is not None and key is None:
         raise UsageError("--order applies to expansion targets only")
-    if n > MAX_BRUTE_FORCE_N and target not in _CLOSED_FORMS:
-        raise UsageError(f"--n must be <= {MAX_BRUTE_FORCE_N} for {target}, whose product "
-                         "takes up to n factors one by one")
     if key is not None:
         return _expansion_record(target, key, n, p_text, q_text, order)
     if target == "wallis":
@@ -379,7 +370,7 @@ def _eval_record(target: str, n: int, p_text: str | None, q_text: str | None,
     from .products import r_product, w_product
     try:
         result = (w_product if target == "wproduct" else r_product)(n, p, q)
-    except ValueError as exc:  # the phase sum leaves the double range
+    except ValueError as exc:  # the phase sum leaves the double range, or the head is too long
         _domain_error(str(exc))
     # a zero product has no log, and its phase sum may not be finite:
     # strict JSON writes null, not -Infinity
@@ -416,7 +407,7 @@ def _expansion_record(target: str, key: str, n: int, p_text: str | None, q_text:
     except PoleError as exc:
         _domain_error(str(exc))
     except (OverflowError, ValueError) as exc:  # a sum or p^2 - 4q past the double range,
-        # or a gamma argument left of the domain
+        # a gamma argument left of the domain, or a product head that is too long
         _domain_error(f"{target} at n = {n}, order {order}: {exc}")
     record = {"target": target, "family": tag.value, "order": order, **report._asdict()}
     return record, [
@@ -554,9 +545,7 @@ def _parser(argv: list[str]) -> _Parser:
     _command(commands, chosen, "eval", cmd_eval,
              target=dict(required=True, help="wproduct | rproduct | wallis | wclosed | rclosed"
                          " | expansion:<family>"),
-             n=dict(required=True, type=int, help=f"At most {MAX_BRUTE_FORCE_N} for wallis, "
-                    "wproduct, rproduct and expansion:*, whose products take min(n, D) "
-                    "factors one by one; D grows with |p| and sqrt|q|."),
+             n=dict(required=True, type=int),
              p=dict(dest="p_text", metavar="P", help=pq_help),
              q=dict(dest="q_text", metavar="Q", help=pq_help),
              order=dict(type=int, help="Truncation order for expansions, at most "

@@ -4,7 +4,7 @@ Every family is one entry of the table ``_FAMILIES``, keyed by
 :class:`ExpansionTag`.  An entry states the terms ``c_k / (n + s_k)^e_k``
 (coefficient source, shift and exponent), the outer form ``1 + s`` or
 ``exp(s)``, the prefactor (``pi/2``, ``W_inf`` or ``R_inf``), the
-brute-force oracle, the shift used for order estimation and, for a finite
+product oracle, the shift used for order estimation and, for a finite
 or costly family, its largest order.  Two evaluators read the table: one
 in floats (complex for the two (p, q) families) behind the public
 ``eval_*`` functions, and one in fixed-point integers behind
@@ -12,7 +12,7 @@ in floats (complex for the two (p, q) families) behind the public
 Vuksic is the ``mu`` series re-expanded at shift 5/8, so
 :data:`ELEZOVIC_TERMS` is derived, not typed.
 
-Errors are always measured against the brute-force product oracle, never
+Errors are always measured against the product oracle, never
 against the gamma closed form.  The Wallis-sequence families are measured
 exactly, because their truncation errors drop far below double precision
 (the order-5 odd family is at 1e-24 by ``n = 100``).  The kernel works on
@@ -133,7 +133,7 @@ class _Spec(namedtuple("_Spec", "terms exp_form oracle est_shift limit max_order
     """``prefactor * F(sum_k c_k / (n + s_k)^e_k)`` with ``F(s)`` = ``1 + s`` or ``exp(s)``.
 
     ``terms(order, params)`` gives the ``(c_k, s_k, e_k)``; ``oracle(n, params)``
-    the brute-force value; ``est_shift(order)`` the ``x = n + shift`` used by
+    the product oracle's value; ``est_shift(order)`` the ``x = n + shift`` used by
     ``convergence_order``; ``limit(p, q)`` the prefactor, ``pi/2`` when it is
     ``None``; ``max_order`` caps the order when the family has one.
     """
@@ -379,7 +379,7 @@ def eval_elezovic(n: int, terms: int) -> float:
 
 
 def family_report(family: ExpansionFamily, n: int) -> ErrorReport:
-    """ErrorReport of the truncated family against its brute-force oracle."""
+    """ErrorReport of the truncated family against its product oracle."""
     note = "asymptotic regime not reached (n < order)" if n < family.order else None
     approx = _evaluate(family.tag, family.order, n, family.params)
     return error_report(n, approx, _FAMILIES[family.tag].oracle(n, family.params), note)

@@ -1,4 +1,4 @@
-"""Direct evaluation of the finite products; the brute-force oracle.
+"""Direct evaluation of the finite products; the product oracle.
 
 Everything is accumulated in log space: the exponential damping factors
 contribute ``-p/d`` terms and each polynomial factor contributes
@@ -30,11 +30,13 @@ split at ``D = max(ceil(4 r) + 1, 64)``:
   every factor's scale ``|p|/d + |q|/d^2 >= (r/d)^2 / 4``.
 
 So a product costs at most ``D - 1`` factors plus ``O(K)``, whatever ``n``
-is.  For ``|p|, |q| <= 3`` and for ``|p|, |q| <= 2e-3``, up to ``n = 10^15``,
-the tests hold the log to 2e-15 of an ``mpmath`` reference.  Moduli are
-taken with ``math.hypot``, which returns ``inf`` where ``abs`` of a complex
-raises ``OverflowError``.  A complex product whose phase sum is not finite
-raises ``ValueError`` when ``log_abs`` lies in the range of ``exp``.
+is; a head of more than ``10^8`` factors (``|p|`` near ``2.5e7``, or ``4 r``
+past the double range) raises ``ValueError`` before its first factor.  For
+``|p|, |q| <= 3`` and for ``|p|, |q| <= 2e-3``, up to ``n = 10^15``, the
+tests hold the log to 2e-15 of an ``mpmath`` reference.  Moduli are taken
+with ``math.hypot``, which returns ``inf`` where ``abs`` of a complex raises
+``OverflowError``.  A complex product whose phase sum is not finite raises
+``ValueError`` when ``log_abs`` lies in the range of ``exp``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ _ZERO_TOL = 1e-15
 # a factor below this share of 1 + |p/d| + |q/d^2| is taken exactly: 1 + p/d + q/d^2
 # rounds by up to about 2^-52 of that sum, which would cost its log more than 2^-40
 _EXACT_BELOW = 2.0**-12
-_EXP_OVERFLOW = 709.0  # log of the largest finite double, minus slack
+_MAX_HEAD = 10**8  # head factors, about 0.5 us each
 _CHUNK = 4096  # head terms per fsum: bounded memory
 _MIN_TAIL_START = 64  # the zeta arguments stay at 32 or more, where Euler–Maclaurin is short
 _MAX_TERMS = 28  # log-series terms at rho = 1/4, the largest ratio the tail sees
@@ -201,6 +203,9 @@ def _product(n: int, step: int, p: complex, q: complex) -> ProductResult:
     start = _tail_start(p, q)
     # the factors whose denominators lie below start
     split = n if start == math.inf else min(n, (start + step - 2) // step)
+    if split > _MAX_HEAD:
+        raise ValueError(f"the product at n = {n}, p = {p}, q = {q} takes a head of {split} "
+                         f"factors one by one, more than {_MAX_HEAD}")
     re_terms: list[float] = []
     im_terms: list[float] = []
     sign = 1.0
@@ -257,11 +262,14 @@ def _product(n: int, step: int, p: complex, q: complex) -> ProductResult:
         im_terms.append(tail.imag)
 
     log_abs = _fsum(re_terms)
+    try:
+        mag = math.exp(log_abs)
+    except OverflowError:  # past the double range
+        mag = math.inf
     if real_mode:
-        mag = math.inf if log_abs > _EXP_OVERFLOW else math.exp(log_abs)
         return ProductResult(complex(sign * mag, 0.0), log_abs, sign, None, n, near_at)
     phase = _fsum(im_terms)
-    if log_abs > _EXP_OVERFLOW:
+    if mag == math.inf:
         value = complex(math.inf, math.inf)
     elif math.isfinite(phase) or log_abs == -math.inf:  # exp(-inf + i phase) is 0 for any phase
         value = cmath.exp(complex(log_abs, phase))

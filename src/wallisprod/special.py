@@ -211,7 +211,10 @@ def delta(p: complex, q: complex) -> complex:
     Raises ``ValueError`` unless ``p`` and ``q`` are finite, and naming them
     when ``p^2 - 4q`` leaves the double range (``|p|`` above about 1.3e154).
     """
-    p, q = _pair(p, q)
+    return _delta(*_pair(p, q))
+
+
+def _delta(p: complex, q: complex) -> complex:
     d = p * p - 4 * q
     if not cmath.isfinite(d):
         raise ValueError(f"p^2 - 4q leaves the double range at p = {p}, q = {q}")
@@ -226,8 +229,8 @@ def wilf_constant() -> float:
 
 
 def _roots(p: complex, q: complex, c: int) -> tuple[complex, complex, complex]:
-    # the scaled roots s, t = (p +- D) / (2c) and p/c
-    d = delta(p, q)
+    # the scaled roots s, t = (p +- D) / (2c) and p/c, on (p, q) checked by _pair
+    d = _delta(p, q)
     return (p + d) / (2 * c), (p - d) / (2 * c), complex(p.real / c, p.imag / c)
 
 
@@ -288,8 +291,7 @@ def _log_rising(a: complex, n: int) -> complex:
     ratio is a removable 0/0 and the logs are summed directly.
     """
     if _nonpositive_int_near(a) is not None:
-        if a.real < _MIN_RE:
-            raise ValueError(f"rising product start {a} is outside the domain Re >= -1e6")
+        _shift_steps(a)  # the domain's left edge, which bounds the n < 1 - Re a logs too
         return _fsum_complex([cmath.log(a + j) for j in range(n)])
     return ln_gamma(a + n) - ln_gamma(a)
 

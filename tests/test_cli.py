@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import traceback
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,7 +23,6 @@ import wallisprod
 from wallisprod import cli, coeffs, expansions, products, special, verify
 from wallisprod.cli import (
     MAX_ALPHABETA_ORDER,
-    MAX_BRUTE_FORCE_N,
     MAX_ORDER,
     fmt_complex,
     main,
@@ -504,19 +504,29 @@ class TestEvalCommand:
         ("rproduct", PQ),
         ("expansion:mu", ["--order", "2"]),
         ("expansion:w", ["--order", "2", *PQ]),
+        ("wclosed", PQ),
+        ("rclosed", PQ),
     ])
-    def test_brute_force_n_cap_exit_2(self, runner, no_work, target, extra):
-        result = runner.invoke(main, ["eval", "--target", target,
-                                      "--n", str(MAX_BRUTE_FORCE_N + 1), *extra])
-        assert result.exit_code == 2
-        assert f"--n must be <= {MAX_BRUTE_FORCE_N} for {target}" in result.output
+    def test_any_n_exit_0(self, runner, target, extra):
+        # the products take a head of at most 63 factors here plus the zeta tail,
+        # and the closed forms a fixed number of steps, whatever n is
+        for n in (10**8 + 1, 10**12):
+            result = runner.invoke(main, ["eval", "--target", target, "--n", str(n), *extra])
+            assert result.exit_code == 0, result.output
+            assert result.stderr == ""
 
-    def test_brute_force_n_cap_is_inclusive_and_spares_closed_forms(self, runner):
-        assert MAX_BRUTE_FORCE_N == 10**8
-        for n in (MAX_BRUTE_FORCE_N, 10**12):
-            result = invoke(runner, "eval", "--target", "wclosed", "--n", str(n), *PQ)
-            assert result.exit_code == 0
-        assert f"At most {MAX_BRUTE_FORCE_N}" in invoke(runner, "eval", "--help").output
+    @pytest.mark.parametrize("target", ["wproduct", "rproduct"])
+    def test_head_past_the_library_bound_exit_3(self, runner, target):
+        # D = 4 * 10^8 + 1: all 2 * 10^8 factors of W, and of R, lie in the head
+        start = time.perf_counter()
+        result = runner.invoke(main, ["eval", "--target", target, "--n", "200000000",
+                                      "--p", "1e8", "--q", "0"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("domain error: ")
+        assert "takes a head of 200000000 factors one by one, more than 100000000" \
+            in result.stderr
 
 
 class TestVerifyCommand:
@@ -557,6 +567,10 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_2(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "nonsense"])
         assert result.exit_code == 2
+
+    def test_unknown_suite_raises_in_the_library(self):
+        with pytest.raises(ValueError, match=r"^unknown suite: 'nope'$"):
+            verify.run_suite("nope")
 
 
 class TestUsageContract:

@@ -412,6 +412,10 @@ class TestExactKernel:
         with pytest.raises(ValueError, match="n must be >= 1"):
             convergence_order(ExpansionFamily(ExpansionTag.WALLIS_OMEGA, 2), [0, 10])
 
+    def test_refuses_a_pq_family(self):
+        with pytest.raises(ValueError, match=r"^not a Wallis-sequence family: "):
+            wallis_error_exact(ExpansionTag.W_PQ, 2, 10)
+
     def test_n_is_an_integer_up_to_the_cap(self):
         # the walk to n costs O(n): 3-4 s at 10^7, so the domain ends there
         family = ExpansionFamily(ExpansionTag.WALLIS_MU, 2)

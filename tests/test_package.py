@@ -8,6 +8,7 @@ modules is read from their source here.
 import ast
 import importlib
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,16 @@ PQ_ARGS = [
         wallisprod.ExpansionFamily(T.W_PQ, 3, (p, q)), 100)),
 ]
 
+# Each product whose head, the factors taken one by one, passes 10^8: (id, call, head).
+HEAD_ARGS = [
+    ("w_product", lambda: wallisprod.w_product(2 * 10**8, 1e8, 0), 2 * 10**8),
+    ("r_product", lambda: wallisprod.r_product(2 * 10**8, 1e8, 0), 2 * 10**8),
+    # D = 4 r + 2 = 10^8 + 2: one factor past the bound
+    ("w_product.edge", lambda: wallisprod.w_product(10**9, 25000000.25, 0), 10**8 + 1),
+    # 4 r past the double range: all n factors would be in the head
+    ("w_product.huge", lambda: wallisprod.w_product(10**8 + 1, 1e308, 1e308), 10**8 + 1),
+]
+
 
 class TestDomains:
     """One statement of each domain: counts are integers at or above a floor, (p, q) finite."""
@@ -252,4 +263,15 @@ class TestDomains:
         before = wallisprod.cache_sizes()
         with pytest.raises(ValueError, match="p and q must be finite"):
             call(p, q)
+        assert wallisprod.cache_sizes() == before
+
+    @pytest.mark.parametrize("call,head", [args[1:] for args in HEAD_ARGS],
+                             ids=[args[0] for args in HEAD_ARGS])
+    def test_product_heads(self, call, head):
+        before = wallisprod.cache_sizes()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"takes a head of {head} factors one by one, "
+                                             r"more than 100000000$"):
+            call()
+        assert time.perf_counter() - start < 1.0  # refused before the first factor
         assert wallisprod.cache_sizes() == before

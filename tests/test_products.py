@@ -1,10 +1,11 @@
-"""Brute-force product oracles: accumulation quality and diagnostics."""
+"""The product oracle: accumulation quality and diagnostics."""
 
 import cmath
 import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -537,6 +538,20 @@ def test_huge_complex_parameter_values():
     assert (data["log_abs"], data["phase_or_sign"]) == (None, None)
     with pytest.raises(ValueError, match="phase"):
         r_product(3, complex(1e300, 1.7e308), 0)
+
+
+@pytest.mark.parametrize("p", [-278.48128517771187, complex(-278.48128517771187, 0.5)],
+                         ids=["real", "complex"])
+def test_values_just_below_the_largest_double_match_mpmath(p):
+    # log_abs is 709.4, above 709 but below ln(DBL_MAX) = 709.78: the value is a double
+    got = w_product(6, p, 0)
+    ref = _mp_log_product(6, p, 0, False)
+    assert 709.0 < got.log_abs < math.log(sys.float_info.max)
+    tol = 2e-15 * float(abs(ref))
+    assert abs(got.log_abs - float(ref.real)) <= tol
+    with mp.workdps(50):
+        want = complex(mp.exp(ref))
+    assert abs(got.value - want) <= tol * abs(want)
 
 
 _bound_part = st.floats(-1e12, 1e12, allow_nan=False)

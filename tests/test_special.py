@@ -263,7 +263,11 @@ class TestClosedForms:
     def test_mpmath_grid(self):
         # n log-uniform in 1..10^6 with complex p, q in the disk of radius 10; then the
         # scaled roots -5.5+0.7i and 1.2-0.3i at n = 14..19, where Re(n + a - 5.5) reaches
-        # 12 and the Stirling tails take over from the direct log-gammas (W at 17, R at 18)
+        # 12 and the Stirling tails take over from the direct log-gammas (W at 17, R at 18);
+        # then roots above half of n + a, whose log(1 + r/z) the Stirling branch takes
+        # from cmath.log, with |q| up to 2500: outside the |p|, |q| <= 10 of the module
+        # docstring's 1.9e-14 (worst 2.2e-14, at W_15(-2, 2500)).  One bound, 1e-13, holds
+        # every point.
         rng = random.Random(2015)
         kernels = ((w_closed, 1, 1), (r_closed, mp.mpf(1) / 2, 2))
         cases = []
@@ -275,6 +279,8 @@ class TestClosedForms:
         s, t = complex(-5.5, 0.7), complex(1.2, -0.3)
         for n in range(14, 20):
             cases += [(fn, a, c, n, c * (s + t), c * c * s * t) for fn, a, c in kernels]
+        for n, p, q in ((20, 0, 900), (13, 1 + 2j, 400 - 3j), (15, -2, 2500)):
+            cases += [(fn, a, c, n, p, q) for fn, a, c in kernels]
         errors = ((abs(fn(n, p, q) / complex(_mp_closed(n, p, q, a, c)) - 1), fn.__name__, n, p, q)
                   for fn, a, c, n, p, q in cases)
         worst = max(errors, key=lambda e: e[0])
