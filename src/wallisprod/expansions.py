@@ -26,15 +26,15 @@ measured error costs ``O(n)`` operations on ``G``-bit integers.  The two
 (p, q) families are measured in double precision, where their errors sit
 far above the float noise for the orders of interest; estimates that would
 be dominated by noise are flagged as NaN.  The sharp two-sided Wallis
-bounds are proved for every ``n`` from 2 on by one polynomial certificate
-in ``Fraction``, and at ``n = 1`` by the identity that defines beta
-(:func:`check_bounds`).
+bounds are proved in ``Fraction`` by one ratio test: ``W_n (4n + c)/(4n + c
+- 1)`` is monotone toward ``pi/2`` wherever a polynomial linear in ``n``
+keeps its sign.  That covers every ``n`` but the upper bound at ``n = 1``,
+which is the identity that defines beta (:func:`check_bounds`).
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import sys
@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from ._fixed import _div_round, _exp_scaled, _log_ratio, _pi_scaled, _scaled
-from .bernoulli import _count, _em_weight
+from .bernoulli import _count
 from .coeffs import (
     MAX_ALPHA_BETA_ORDER,
     _alpha_beta_levels,
@@ -229,12 +229,20 @@ _FAMILIES: dict[ExpansionTag, _Spec] = {
 
 
 def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None):
-    """The truncated family at ``n``: a float, or a complex for the (p, q) families."""
+    """The truncated family at ``n``: a float, or a complex for the (p, q) families.
+
+    An ``n`` past the double range is taken as ``inf``: every term is 0 and
+    the value is the family's limit.
+    """
     spec = _FAMILIES[tag]
     n = _count(n, "n")
     order = spec.check_order(order)
+    try:
+        x = float(n)
+    except OverflowError:  # n past the double range
+        x = math.inf
     if not spec.needs_params:
-        s = math.fsum(float(c) / (n + float(sh)) ** e for c, sh, e in spec.terms(order, None))
+        s = math.fsum(float(c) / (x + float(sh)) ** e for c, sh, e in spec.terms(order, None))
         return math.pi / 2 * (math.exp(s) if spec.exp_form else 1 + s)
     limit = spec.limit(*params)
     if limit == 0:
@@ -242,7 +250,7 @@ def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None
                         "or a value below the double range); expansion undefined")
     s = 0j  # complex terms: summed in order, as fsum takes only reals
     for c, sh, e in spec.terms(order, params):
-        s += c / (n + float(sh)) ** e
+        s += c / (x + float(sh)) ** e
     return limit * (cmath.exp(s) if spec.exp_form else 1 + s)
 
 
@@ -444,11 +452,9 @@ def convergence_order(family: ExpansionFamily, n_values: list[int]) -> list[floa
 
 DENG_ALPHA = 2.5
 _PI_ABOVE = Fraction(355, 113)  # above pi by 2.7e-7
-# beta at pi = 355/113: beta falls as pi rises and 355/113 > pi, so this lies below beta
-_BETA_BELOW = Fraction(421, 161)
-_CERT_ZETAS = 2  # K: zeta(2k, n + 1) for k <= K from Euler–Maclaurin, the rest bounded
-_CERT_EM = 1  # J: each zeta lies between its partial sums with J and J + 1 Bernoulli terms
-_TAIL_FROM = 2  # N: the certificate proves both bounds for every n >= N
+# beta at pi = 355/113, which is 421/161: beta falls as pi rises, so this lies below beta
+_BETA_BELOW = (32 - 9 * _PI_ABOVE) / (3 * _PI_ABOVE - 8)
+_TAIL_FROM = 2  # N: the ratio test proves both bounds for every n >= N
 
 
 def deng_beta() -> float:
@@ -462,134 +468,47 @@ class BoundsReport(namedtuple("BoundsReport", "n_max violations first_violation 
     """Outcome of checking ``(pi/2)(1 - 1/(4n+alpha)) < W_n <= (pi/2)(1 - 1/(4n+beta))``.
 
     ``tight_upper_gap`` bounds ``|W_n - upper|`` at ``tight_upper_n``.
-    ``tail_from`` is the ``N`` from which the polynomial certificate proves
-    both bounds for every ``n``.
+    ``tail_from`` is the ``N`` from which the ratio test proves both bounds
+    for every ``n``.
     """
 
     __slots__ = ()
 
 
-def _poly_mul(a: list, b: list) -> list:
-    """The product of two polynomials as coefficient lists, lowest degree first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _zeta_bracket(s: int, upper: bool) -> dict[int, Fraction]:
-    """A bound on ``zeta(s, a)`` for every ``a > 0``, as ``{e: c}`` for ``sum c a^-e``.
-
-    Euler–Maclaurin gives ``zeta(s, a) = a^(1-s)/(s-1) + a^-s/2 + sum_(m<=M)
-    B_2m/(2m)! (s)_(2m-1) a^(1-s-2m) + R_M``.  ``x^-s`` is completely
-    monotone, so ``R_M`` has the sign of the first omitted term and is
-    smaller: the partial sums with ``J`` and ``J + 1`` Bernoulli terms enclose
-    the value, and the upper one ends on a positive ``B_2m``, an odd ``m``.
-    """
-    top = _CERT_EM if (_CERT_EM % 2 == 1) == upper else _CERT_EM + 1
-    terms = {s - 1: Fraction(1, s - 1), s: _HALF}
-    for m in range(1, top + 1):
-        terms[s + 2 * m - 1] = s * _em_weight(s, m)
-    return terms
-
-
-# A term (c, (e1, e2, e3, e4)) of a certificate side is c a^e1 g^e2 (g - 1)^e3 (4a^2 - 1)^e4
-# with a = n + 1 and g = 4n + alpha or 4n + beta.
-
-def _wallis_log_terms(upper: bool) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """A bound on ``L_n = -ln(W_n / (pi/2)) = sum_(k>=1) 4^-k zeta(2k, a) / k``.
-
-    Every term is positive, so the lower bound drops ``k > K``.  The upper
-    one bounds it by ``zeta(2k, a) <= a^-2k (1 + a/(2k - 1)) <= 2a a^-2k``,
-    a geometric series: ``2a / ((K + 1)(4a^2)^K (4a^2 - 1))``.
-    """
-    terms = [(c / (k * 4**k), (-e, 0, 0, 0))
-             for k in range(1, _CERT_ZETAS + 1) for e, c in _zeta_bracket(2 * k, upper).items()]
-    if upper:
-        terms.append((Fraction(2, (_CERT_ZETAS + 1) * 4**_CERT_ZETAS),
-                      (1 - 2 * _CERT_ZETAS, 0, 0, -1)))
-    return terms
-
-
-def _log_terms(upper: bool) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """A bound on ``-ln(1 - 1/g) = sum_(m>=1) g^-m / m``: its first two terms,
-    plus ``1 / (3 g^2 (g - 1))``, a geometric bound on the rest, above."""
-    terms = [(Fraction(1), (0, -1, 0, 0)), (_HALF, (0, -2, 0, 0))]
-    if upper:
-        terms.append((Fraction(1, 3), (0, -2, -1, 0)))
-    return terms
-
-
-def _positive_from(n0: int, c: Fraction, plus: list, minus: list) -> bool:
-    """Whether ``sum(plus) - sum(minus) > 0`` for every real ``n >= n0``, with ``g = 4n + c``.
-
-    Over the common denominator every term is a polynomial in ``t = n - n0``;
-    each factor has positive coefficients in ``t``, and so has the
-    denominator.  A numerator with a positive constant term and no negative
-    coefficient proves the claim (the leading ones cancel to zero).  The
-    work is in integers: ``g`` and ``g - 1`` are taken times the denominator
-    of ``c``, and the numerator times a positive integer.
-    """
-    num, den = c.numerator, c.denominator
-    factors = ([n0 + 1, 1], [4 * n0 * den + num, 4 * den], [(4 * n0 - 1) * den + num, 4 * den],
-               [4 * (n0 + 1) ** 2 - 1, 8 * (n0 + 1), 4])
-    terms = [(sign * coef * Fraction(den) ** -(exps[1] + exps[2]), exps)
-             for sign, side in ((1, plus), (-1, minus)) for coef, exps in side]
-    scale = math.lcm(*(coef.denominator for coef, _ in terms))
-    low = [min(0, *column) for column in zip(*(exps for _, exps in terms))]
-    numerator: list[int] = []
-    for coef, exps in terms:
-        poly = [coef.numerator * (scale // coef.denominator)]
-        for factor, e, e_min in zip(factors, exps, low):
-            for _ in range(e - e_min):
-                poly = _poly_mul(poly, factor)
-        numerator = [x + y for x, y in itertools.zip_longest(numerator, poly, fillvalue=0)]
-    return numerator[0] > 0 and min(numerator) >= 0
-
-
 def _tail_holds(n0: int, alpha: Fraction, beta: Fraction) -> tuple[bool, bool]:
-    """Whether the certificate proves the lower and the upper bound for every ``n >= n0``.
+    """Whether the ratio test proves the lower and the upper bound for every ``n >= n0``.
 
-    ``W_n > (pi/2)(1 - 1/(4n + alpha))`` is ``L_n < -ln(1 - 1/(4n + alpha))``,
-    and ``W_n < (pi/2)(1 - 1/(4n + beta))`` is ``L_n > -ln(1 - 1/(4n + beta))``;
-    each side is shown with ``L_n`` and the log replaced by the bounds above.
-    A ``beta`` below the true one proves the upper bound at the true one,
-    whose log is smaller.
+    ``f_c(n) = W_n (4n + c)/(4n + c - 1)`` tends to ``pi/2``; the lower bound
+    is ``f_alpha(n) > pi/2`` and the upper one ``f_beta(n) <= pi/2``.  With
+    ``W_(n+1)/W_n = 4(n+1)^2/((2n+1)(2n+3))``, ``f_c(n+1) < f_c(n)`` exactly when
+    ``16(n+1)^2 - (4n+c)(4n+c+3) = (16 - 3c - c^2) + (20 - 8c) n`` is positive.
+    Where that keeps its sign from ``n0`` on, read from its value at ``n0``
+    and its slope, ``f_c`` falls (or rises) to ``pi/2`` and so stays above (or
+    below) it.  A ``beta`` below the true one proves the upper bound at the
+    true one, as ``1 - 1/(4n + c)`` grows with ``c``.
     """
-    return (_positive_from(n0, alpha, _log_terms(False), _wallis_log_terms(True)),
-            _positive_from(n0, beta, _wallis_log_terms(False), _log_terms(True)))
-
-
-@functools.cache
-def _tail_certificate() -> int:
-    """``N``, once the certificate at ``alpha = 5/2`` and ``beta`` (below by 421/161) holds."""
-    if _tail_holds(_TAIL_FROM, Fraction(DENG_ALPHA), _BETA_BELOW) != (True, True):
-        raise ArithmeticError(f"the Wallis bounds certificate fails at N = {_TAIL_FROM}")
-    return _TAIL_FROM
+    (low, low_slope), (up, up_slope) = ((16 - 3 * c - c * c + (20 - 8 * c) * n0, 20 - 8 * c)
+                                        for c in (alpha, beta))
+    return low > 0 and low_slope >= 0, up < 0 and up_slope <= 0
 
 
 def check_bounds(n_max: int) -> BoundsReport:
     """Prove the two-sided bound for every ``n >= 1``; the report covers ``1 <= n <= n_max``.
 
-    From ``N = tail_from`` on, the certificate of :func:`_tail_holds` proves
-    both bounds for every ``n`` at once, computed once per process in
-    ``Fraction``: with ``L_n = -ln(W_n / (pi/2))`` and the logs enclosed, each
-    side is a rational function of ``n`` whose numerator at ``n = N + t`` has
-    only positive coefficients.
-
-    ``N = 2``, and ``n = 1`` is settled in ``Fraction``.  There
-    ``W_1 = 4/3``: the lower bound reads ``pi < 104/33``, which
-    ``pi < 355/113`` gives, and the upper bound is the identity
-    ``W_1 = (pi/2)(1 - 1/(4 + beta))`` that defines beta, reported as
-    ``tight_upper_n = 1`` with ``tight_upper_gap = 0.0``.  Nothing depends
-    on ``n_max`` but the check ``n_max >= 1``, so every report is the same
-    apart from ``n_max``.  A certificate that fails raises ``ArithmeticError``.
+    The ratio test of :func:`_tail_holds` runs in ``Fraction``.  At ``alpha =
+    5/2`` its expression is ``9/4`` for every ``n``, which proves the lower
+    bound from ``n = 1`` on.  At ``421/161``, just below beta, it is negative
+    from ``n = N = tail_from = 2`` on, which proves the upper bound there.  At
+    ``n = 1`` the upper bound is the identity ``W_1 = 4/3 = (pi/2)(1 - 1/(4 +
+    beta))`` that defines beta, reported as ``tight_upper_n = 1`` with
+    ``tight_upper_gap = 0.0``.  Nothing depends on ``n_max`` but the check
+    ``n_max >= 1``, so every report is the same apart from ``n_max``.  A test
+    that fails raises ``ArithmeticError``.
     """
     n_max = _count(n_max, "n_max")
-    tail_from = _tail_certificate()
     alpha = Fraction(DENG_ALPHA)
-    # n = 1: W_1 = 4/3 > (pi/2)(1 - 1/(4 + alpha)) reads pi < (8/3)(4 + alpha)/(3 + alpha)
-    if not _PI_ABOVE < Fraction(8, 3) * (4 + alpha) / (3 + alpha):
-        raise ArithmeticError("the Wallis lower bound at n = 1 is not proved")
-    return BoundsReport(n_max, 0, None, 1, 0.0, DENG_ALPHA, deng_beta(), tail_from)
+    lower, _ = _tail_holds(1, alpha, _BETA_BELOW)
+    _, upper = _tail_holds(_TAIL_FROM, alpha, _BETA_BELOW)
+    if not (lower and upper):
+        raise ArithmeticError(f"the Wallis bounds ratio test fails at N = {_TAIL_FROM}")
+    return BoundsReport(n_max, 0, None, 1, 0.0, DENG_ALPHA, deng_beta(), _TAIL_FROM)

@@ -310,7 +310,10 @@ def _closed(name: str, n: int, p: complex, q: complex, a: float, c: int,
                           RuntimeWarning, stacklevel=3)
             return 0j
 
-    z = complex(n + a)
+    try:
+        z = complex(n + a)
+    except OverflowError:  # n past the double range: the product is its limit
+        return _exp(_ln_limit(s, t, pc, a, psi_a, two_lgamma_a), p, q)
     if min(z.real, (z + s).real, (z + t).real) >= _SHIFT_RE:
         # ln P_inf - (p/c) psi(z) + sum_r lnGamma(z + r) - 2 lnGamma(z), where the r ln z parts
         # of lnGamma(z + r) - lnGamma(z) sum to (p/c) ln z and cancel against psi(z)'s; both
@@ -330,6 +333,8 @@ def w_closed(n: int, p: complex, q: complex) -> complex:
     When some factor ``1 + p/j + q/j^2`` vanishes for ``j <= n`` the
     product is exactly zero; a zero is returned and a RuntimeWarning
     carries the factor index.  The module docstring gives the accuracy.
+    An ``n`` past the double range gives the limit :func:`w_inf`, as the
+    products do.
     """
     return _closed("W", n, p, q, 1, 1, _PSI_ONE, _TWO_LGAMMA_ONE)
 

@@ -229,6 +229,7 @@ def run_suite(name: str) -> list[CheckResult]:
             results.extend(fn())
         return results
     try:
-        return SUITES[name]()
+        suite = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite: {name!r}") from None
+    return suite()

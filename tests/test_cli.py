@@ -380,6 +380,23 @@ class TestEvalCommand:
         assert result.exit_code == 0
         assert "log_abs: 2126.63" in result.output
 
+    @pytest.mark.parametrize("target,pq,limit", [
+        ("wclosed", PQ, "0.89687124216737757"),
+        ("rclosed", PQ, "0.91326639581895752"),
+        ("expansion:w", PQ, "0.89687124216737757"),
+        ("expansion:r", PQ, "0.91326639581895752"),
+        *((f"expansion:{k}", (), "1.5707963267948966")
+          for k in ("mu", "nu", "alphabeta", "omega", "elezovic")),
+    ])
+    def test_n_past_the_double_range_prints_the_limit(self, runner, target, pq, limit):
+        args = ["eval", "--target", target, "--n", str(10**400), *pq]
+        if target.startswith("expansion:"):
+            args += ["--order", "3"]
+        result = invoke(runner, *args)
+        assert result.exit_code == 0 and result.stderr == ""
+        want = limit if target.endswith("closed") else f"approx: {limit}"
+        assert want in result.output.splitlines()
+
     def test_missing_pq_exit_2(self, runner):
         result = runner.invoke(main, ["eval", "--target", "wproduct", "--n", "5"])
         assert result.exit_code == 2
@@ -571,6 +588,14 @@ class TestVerifyCommand:
     def test_unknown_suite_raises_in_the_library(self):
         with pytest.raises(ValueError, match=r"^unknown suite: 'nope'$"):
             verify.run_suite("nope")
+
+    def test_key_error_inside_a_suite_is_not_an_unknown_suite(self, monkeypatch):
+        def broken():
+            raise KeyError("inside")
+
+        monkeypatch.setitem(verify.SUITES, "limits", broken)
+        with pytest.raises(KeyError, match="inside"):
+            verify.run_suite("limits")
 
 
 class TestUsageContract:

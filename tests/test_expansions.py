@@ -39,12 +39,10 @@ from wallisprod.expansions import (
     _next_beta,
     _scaled_terms,
     _tail_holds,
-    _wallis_log_terms,
     _wallis_scaled,
-    _zeta_bracket,
 )
 from wallisprod.products import r_product, w_product, wallis_seq
-from wallisprod.special import PoleError
+from wallisprod.special import PoleError, r_inf, w_inf
 
 F = Fraction
 
@@ -207,6 +205,20 @@ class TestErrorReports:
             ExpansionFamily(ExpansionTag.W_PQ, 3)
         with pytest.raises(ValueError):
             ExpansionFamily(ExpansionTag.WALLIS_MU, 3, (1, 1))
+
+    def test_n_past_the_double_range_is_the_limit(self):
+        for n in (2**1100, 10**400):
+            for f in (eval_wallis_mu, eval_wallis_nu_exp, eval_wallis_alpha_beta,
+                      eval_wallis_omega, eval_elezovic):
+                assert f(n, 3) == math.pi / 2, f.__name__
+            for f, limit in ((eval_w_expansion, w_inf), (eval_r_expansion, r_inf)):
+                assert f(n, 1 + 1j, 0.5, 4) == limit(1 + 1j, 0.5), f.__name__
+            for tag in ExpansionTag:
+                params = (1, 0.5) if _FAMILIES[tag].needs_params else None
+                report = family_report(ExpansionFamily(tag, 3, params), n)
+                assert report.n == n and report.rel_err <= 1e-13, tag
+            family = ExpansionFamily(ExpansionTag.W_PQ, 3, (1, 0.5))
+            assert math.isnan(convergence_order(family, [10, n])[0])
 
 
 class TestConvergenceOrder:
@@ -659,39 +671,37 @@ class TestBounds:
 
     @pytest.mark.parametrize("n0", [_TAIL_FROM, 10, 1000, 10**6])
     def test_perturbed_constants_fail_the_certificate(self, n0):
-        # alpha + 1/100 breaks the lower bound for large n, and beta - 1/5 moves the
-        # upper one by about 0.0125 n^-2, past its 0.0072 n^-2 margin
+        # the slope 20 - 8c of the ratio test is -2/25 at alpha + 1/100 and about 0.68 at
+        # beta - 1/5, so for large n its sign turns against the bound at any n0
         assert _tail_holds(n0, F(5, 2) + F(1, 100), _BETA_BELOW) == (False, True)
         assert _tail_holds(n0, F(5, 2), _BETA_BELOW - F(1, 5)) == (True, False)
 
-    @staticmethod
-    def _value(terms, n):
-        """A certificate side at ``n``: ``sum c a^e1`` times ``(4a^2 - 1)^e4``, ``a = n + 1``."""
-        a = F(n + 1)
-        return sum(c * a ** e[0] * (4 * a * a - 1) ** e[3] for c, e in terms)
+    @pytest.mark.parametrize("c", [F(5, 2), F(421, 161), F(5, 2) + F(1, 100),
+                                   F(421, 161) - F(1, 5)])
+    def test_ratio_test_identity(self, c):
+        # f_c(n) = W_n (4n + c)/(4n + c - 1) falls from n to n + 1 exactly where the
+        # linear form is positive, with W_n exact
+        w = F(1)
+        f = [None]
+        for n in range(1, 302):
+            w *= F(4 * n * n, 4 * n * n - 1)
+            f.append(w * (4 * n + c) / (4 * n + c - 1))
+        for n in range(1, 301):
+            expr = 16 * (n + 1) ** 2 - (4 * n + c) * (4 * n + c + 3)
+            assert expr == (16 - 3 * c - c * c) + (20 - 8 * c) * n, (c, n)
+            ratio = 1 - f[n + 1] / f[n]
+            assert (expr > 0) - (expr < 0) == (ratio > 0) - (ratio < 0), (c, n)
 
-    def test_zeta_brackets_enclose_mpmath(self):
-        with mp.workdps(50):
-            for s in (2, 4):
-                for n in range(1, 51):
-                    a = F(n + 1)
-                    low, high = (sum(c * a**-e for e, c in _zeta_bracket(s, upper).items())
-                                 for upper in (False, True))
-                    zeta = mp.zeta(s, n + 1)
-                    assert mp.mpf(low.numerator) / low.denominator < zeta, (s, n)
-                    assert zeta < mp.mpf(high.numerator) / high.denominator, (s, n)
+    def test_beta_below_is_beta_at_355_over_113(self):
+        assert _BETA_BELOW == F(421, 161)
 
-    def test_log_ratio_brackets_enclose_mpmath(self):
-        # L_n = -ln(W_n / (pi/2)) between the two certificate bounds
-        with mp.workdps(50):
-            for n in (2, 10, 100):
-                ln = -mp.log(mp.gamma(n + 1) ** 2 / (mp.gamma(n + 0.5) * mp.gamma(n + 1.5)))
-                low, high = (self._value(_wallis_log_terms(upper), n) for upper in (False, True))
-                assert mp.mpf(low.numerator) / low.denominator < ln, n
-                assert ln < mp.mpf(high.numerator) / high.denominator, n
+    @pytest.mark.parametrize("n_max", [1, 2, 10**4, 10**30000], ids=["1", "2", "1e4", "1e30000"])
+    def test_report_is_pinned(self, n_max):
+        assert tuple(check_bounds(n_max)) == (n_max, 0, None, 1, 0.0, 2.5, 2.6149099861707605, 2)
 
     def test_huge_n_max_costs_no_scan(self):
-        # n = 1 is an identity and n >= 2 the certificate: nothing depends on n_max
+        # the ratio test covers every n but the upper bound at n = 1, an identity:
+        # nothing depends on n_max
         small = check_bounds(1)
         assert small[1:5] == (0, None, 1, 0.0)  # no violation; the upper bound met exactly at 1
         for n_max in (2, 10**4, 10**12, 10**30000):

@@ -241,6 +241,17 @@ class TestClosedForms:
         ref = r_product(100, 2, 0).value
         assert abs(got / ref - 1) <= 1e-11
 
+    @pytest.mark.parametrize("n", [2**1024, 2**1100, 10**400], ids=["2^1024", "2^1100", "1e400"])
+    def test_n_past_the_double_range_is_the_limit(self, n):
+        for p, q in ((1, 0.5), (1 + 1j, 0.5), (-3.5, 2)):
+            assert w_closed(n, p, q) == w_inf(p, q)
+            assert r_closed(n, p, q) == r_inf(p, q)
+        # a zero factor is still found first
+        with pytest.warns(RuntimeWarning, match="zero factor at j = 1"):
+            assert w_closed(n, -2, 1) == 0j
+        with pytest.warns(RuntimeWarning, match="zero factor at j = 2"):
+            assert r_closed(n, -3, 0) == 0j
+
     def test_zero_factor_detected(self):
         with pytest.warns(RuntimeWarning, match="zero factor at j = 1") as w_record:
             assert w_closed(3, -2, 1) == 0j
