@@ -31,12 +31,14 @@ split at ``D = max(ceil(4 r) + 1, 64)``:
 
 So a product costs at most ``D - 1`` factors plus ``O(K)``, whatever ``n``
 is; a head of more than ``10^8`` factors (``|p|`` near ``2.5e7``, or ``4 r``
-past the double range) raises ``ValueError`` before its first factor.  For
-``|p|, |q| <= 3`` and for ``|p|, |q| <= 2e-3``, up to ``n = 10^15``, the
-tests hold the log to 2e-15 of an ``mpmath`` reference.  Moduli are taken
-with ``math.hypot``, which returns ``inf`` where ``abs`` of a complex raises
-``OverflowError``.  A complex product whose phase sum is not finite raises
-``ValueError`` when ``log_abs`` lies in the range of ``exp``.
+past the double range) raises ``ValueError`` before its first factor, unless
+a root shows an exactly zero factor among the first ``10^8``: the head then
+ends on that factor.  For ``|p|, |q| <= 3`` and for ``|p|, |q| <= 2e-3``, up
+to ``n = 10^15``, the tests hold the log to 2e-15 of an ``mpmath``
+reference.  Moduli are taken with ``math.hypot``, which returns ``inf`` where
+``abs`` of a complex raises ``OverflowError``.  A complex product whose phase
+sum is not finite raises ``ValueError`` when ``log_abs`` lies in the range of
+``exp``.
 """
 
 from __future__ import annotations
@@ -129,6 +131,27 @@ def _tail_start(p: complex, q: complex) -> int | float:
     return max(math.ceil(bound) + 1, _MIN_TAIL_START) if math.isfinite(bound) else math.inf
 
 
+def _zero_factor_at(step: int, p: complex, q: complex) -> int | None:
+    """The first exactly zero factor among the first ``_MAX_HEAD``, if a root shows one.
+
+    Factor ``j`` vanishes where its denominator ``step (j - 1) + 1`` is a root
+    ``-x_i``.  The larger root is taken without cancellation and the other as
+    ``q / x``; the denominators next to the nearest take up their rounding.
+    """
+    root = cmath.sqrt(p * p - 4 * q)
+    if (p.conjugate() * root).real < 0:
+        root = -root
+    big = (p + root) / 2
+    if not cmath.isfinite(big):  # p^2 - 4q passed the double range
+        return None
+    zeros = []
+    for x in (big, q / big):
+        near = round((-x.real - 1) / step) + 1
+        zeros += [j for j in range(near - 1, near + 2)
+                  if 1 <= j <= _MAX_HEAD and _exact_factor(step * (j - 1) + 1, p, q) == (0, 0)]
+    return min(zeros, default=None)
+
+
 def _fsum(terms: list[float]) -> float:
     """``math.fsum``, or past the double range the plain sum, which overflows the same way."""
     try:
@@ -204,8 +227,11 @@ def _product(n: int, step: int, p: complex, q: complex) -> ProductResult:
     # the factors whose denominators lie below start
     split = n if start == math.inf else min(n, (start + step - 2) // step)
     if split > _MAX_HEAD:
-        raise ValueError(f"the product at n = {n}, p = {p}, q = {q} takes a head of {split} "
-                         f"factors one by one, more than {_MAX_HEAD}")
+        zero_at = _zero_factor_at(step, p, q)
+        if zero_at is None:
+            raise ValueError(f"the product at n = {n}, p = {p}, q = {q} takes a head of "
+                             f"{split} factors one by one, more than {_MAX_HEAD}")
+        split = zero_at  # the head ends on that factor, which returns the zero product
     re_terms: list[float] = []
     im_terms: list[float] = []
     sign = 1.0

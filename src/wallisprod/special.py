@@ -33,15 +33,14 @@ argument to ``Re z >= 12`` with principal logs; this yields the principal
 branch everywhere off the cut (the identity
 ``lnGamma(z) = lnGamma(z+m) - sum log(z+k)`` holds exactly there) and
 keeps the relative error a couple of decades below the 1e-13 contract.
-Every shift's ``m`` logs (``ln_gamma``) or reciprocals (``digamma``), and
-the ``n`` logs of a removable-pole rising factorial, go into one
-``_fsum_complex``; both Stirling tails are one Horner evaluation in ``1/w^2``.
+Every shift's ``m`` logs (``ln_gamma``) or reciprocals (``digamma``) go into
+one ``_fsum_complex``; both Stirling tails are one Horner evaluation in ``1/w^2``.
 
-Domain: every gamma argument, and the start of every rising product, has
-``Re >= -10^6``.  A shift or a removable-pole sum takes about ``|Re|``
-steps, so the edge bounds it at about a million (0.3 s); further left
-``ValueError`` names the argument.  A limit whose gamma argument sits on a
-pole is still the flagged ``0j`` however far left.
+Domain: every gamma argument has ``Re >= -10^6``.  A shift takes about
+``|Re|`` steps, so the edge bounds it at about a million (0.3 s); further
+left ``ValueError`` names the argument.  On a pole a limit is still the
+flagged ``0j`` however far left, and a closed form, a gamma ratio of 0/0
+there, is the product of ``products`` on that module's domain.
 
 The closed forms are evaluated entirely in log space and exponentiated
 once.  Once ``z``, ``z+s`` and ``z+t`` all have real part at least 12,
@@ -92,7 +91,7 @@ EXP_EULER_GAMMA = float(EXP_EULER_GAMMA_STR)
 _POLE_TOL = 1e-12
 _SHIFT_RE = 12.0
 # the domain's left edge (see the module docstring); each of the about |Re| steps of
-# a shift or a removable-pole sum holds one log or reciprocal in a list
+# a shift holds one log or reciprocal in a list
 _MIN_RE = -1e6
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _REAL = operator.attrgetter("real")
@@ -283,19 +282,6 @@ def _log1p(w: complex) -> complex:
     return cmath.log(1 + w)
 
 
-def _log_rising(a: complex, n: int) -> complex:
-    """Log of ``prod_{k=0}^{n-1} (a + k)`` up to a multiple of 2 pi i.
-
-    The caller has ruled out a zero factor.  When ``a`` is within
-    tolerance of a nonpositive integer beyond the product range, the gamma
-    ratio is a removable 0/0 and the logs are summed directly.
-    """
-    if _nonpositive_int_near(a) is not None:
-        _shift_steps(a)  # the domain's left edge, which bounds the n < 1 - Re a logs too
-        return _fsum_complex([cmath.log(a + j) for j in range(n)])
-    return ln_gamma(a + n) - ln_gamma(a)
-
-
 def _closed(name: str, n: int, p: complex, q: complex, a: float, c: int,
             psi_a: complex, two_lgamma_a: complex) -> complex:
     # ln P_n of the module docstring at offset a and scale c; ``name`` labels the warning
@@ -303,12 +289,15 @@ def _closed(name: str, n: int, p: complex, q: complex, a: float, c: int,
     p, q = _pair(p, q)
     s, t, pc = _roots(p, q, c)
 
-    for root in (s, t):
-        pole = _nonpositive_int_near(a + root)
-        if pole is not None and -pole + 1 <= n:
-            warnings.warn(f"{name}_{n}({p}, {q}) has a zero factor at j = {-pole + 1}",
-                          RuntimeWarning, stacklevel=3)
-            return 0j
+    at = [1 - pole for pole in map(_nonpositive_int_near, (a + s, a + t)) if pole is not None]
+    if at:  # a gamma ratio of 0/0, where the product and its factor j = 1 - pole decide
+        from . import products
+        for j in at:
+            if j <= n and products._exact_factor(c * (j - 1) + 1, p, q) == (0, 0):
+                warnings.warn(f"{name}_{n}({p}, {q}) has a zero factor at j = {j}",
+                              RuntimeWarning, stacklevel=3)
+                return 0j
+        return products._product(n, c, p, q).value
 
     try:
         z = complex(n + a)
@@ -323,18 +312,19 @@ def _closed(name: str, n: int, p: complex, q: complex, a: float, c: int,
                  + sum((z + r - 0.5) * _log1p(r / z) - r + _lngamma_tail(z + r) for r in (s, t)))
     else:
         total = (-pc * (digamma(z) - psi_a) + two_lgamma_a
-                 + _log_rising(a + s, n) + _log_rising(a + t, n) - 2 * ln_gamma(z))
+                 + (ln_gamma(a + s + n) - ln_gamma(a + s))
+                 + (ln_gamma(a + t + n) - ln_gamma(a + t)) - 2 * ln_gamma(z))
     return _exp(total, p, q)
 
 
 def w_closed(n: int, p: complex, q: complex) -> complex:
     """Gamma-ratio closed form of the finite product ``W_n(p, q)``.
 
-    When some factor ``1 + p/j + q/j^2`` vanishes for ``j <= n`` the
-    product is exactly zero; a zero is returned and a RuntimeWarning
-    carries the factor index.  The module docstring gives the accuracy.
-    An ``n`` past the double range gives the limit :func:`w_inf`, as the
-    products do.
+    A factor ``1 + p/j + q/j^2`` that is exactly zero for some ``j <= n``
+    gives ``0j`` and a RuntimeWarning with the factor index; any other root
+    within 1e-12 of a gamma pole gives the value of ``w_product``, under its
+    head bound.  An ``n`` past the double range gives the limit
+    :func:`w_inf`, as the products do.  The module docstring gives the accuracy.
     """
     return _closed("W", n, p, q, 1, 1, _PSI_ONE, _TWO_LGAMMA_ONE)
 

@@ -205,7 +205,7 @@ def suite_bounds() -> list[CheckResult]:
         _check("bounds.beta_decimal", abs(report.beta - 2.614909986) < 5e-10,
                f"beta {report.beta!r}"),
         _check("bounds.tail_certificate", report.tail_from <= report.n_max + 1,
-               f"every n >= {report.tail_from} by the certificate, n = 1 by its identity"),
+               f"every n >= {report.tail_from} by the ratio test, n = 1 by its identity"),
     ]
     return out
 

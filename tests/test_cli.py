@@ -414,21 +414,35 @@ class TestEvalCommand:
             assert "domain error" in result.output
             assert "Traceback" not in result.output
 
-    @pytest.mark.parametrize("argv", [
-        ["--target", "wclosed", "--n", "10", "--p=-1000000000.5", "--q", "0"],
-        ["--target", "expansion:w", "--n", "10", "--order", "2", "--p=-1000000000.5",
-         "--q", "0"],
-        # a root at an integer beyond n: the rising product's removable-pole branch
-        ["--target", "wclosed", "--n", "1000000000000", "--p=-2000000000000", "--q", "0"],
-    ])
-    def test_far_left_gamma_argument_exit_3(self, runner, argv):
-        # refused at Re < -10^6 before a shift of about 10^9 or 10^12 steps
+    @pytest.mark.parametrize("argv, message", [
+        (["--target", "wclosed", "--n", "10", "--p=-1000000000.5", "--q", "0"],
+         "outside the domain Re >= -1e6"),
+        (["--target", "expansion:w", "--n", "10", "--order", "2", "--p=-1000000000.5",
+          "--q", "0"], "outside the domain Re >= -1e6"),
+        # a root on a gamma pole beyond n: the product, whose head is all 10^12 factors
+        (["--target", "wclosed", "--n", "1000000000000", "--p=-2000000000000", "--q", "0"],
+         "takes a head of 1000000000000 factors one by one, more than 100000000"),
+    ], ids=["argv0", "argv1", "argv2"])
+    def test_far_left_gamma_argument_exit_3(self, runner, argv, message):
+        # refused before a shift of about 10^9 steps or a head of 10^12 factors
+        start = time.perf_counter()
         result = runner.invoke(main, ["eval", *argv])
+        assert time.perf_counter() - start < 1.0
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr.startswith("domain error: ")
-        assert "outside the domain Re >= -1e6" in result.stderr
+        assert message in result.stderr
         assert "Traceback" not in result.output
+
+    def test_root_near_a_pole_is_not_a_zero(self, runner):
+        # factor 30 of W_35(-30.1, 3) is 4e-14, not 0: the product's value, with no note
+        result = runner.invoke(main, ["eval", "--target", "wclosed", "--n", "35", "--p=-30.1",
+                                      "--q", "3", "--format", "json"])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        value = json.loads(result.stdout)["value"]
+        assert abs(value["re"] / 1.5473510956049562e32 - 1) <= 1e-13
+        assert value["im"] == 0.0
 
     def test_underflowing_limit_is_not_called_a_pole(self, runner):
         # R_inf(1e100, 0) is below the double range; no gamma argument is near a pole
@@ -545,6 +559,20 @@ class TestEvalCommand:
         assert "takes a head of 200000000 factors one by one, more than 100000000" \
             in result.stderr
 
+    @pytest.mark.parametrize("target, p, q", [
+        ("wproduct", "-30000001", "30000000"),
+        ("rproduct", "-60000001", "60000000"),
+    ])
+    def test_zero_factor_past_the_head_bound_exit_0(self, runner, target, p, q):
+        # factor 1 is 1 + p + q = 0, although the head passes the library bound
+        start = time.perf_counter()
+        result = runner.invoke(main, ["eval", "--target", target, "--n", "200000000",
+                                      f"--p={p}", "--q", q, "--format", "json"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0
+        data = json.loads(result.stdout)
+        assert (data["value"], data["zero_factor_at"]) == ({"re": 0.0, "im": 0.0}, 1)
+
 
 class TestVerifyCommand:
     def test_bounds_suite_passes(self, runner):
@@ -558,7 +586,7 @@ class TestVerifyCommand:
         checks = {c["name"]: c for c in json.loads(result.output)["checks"]}
         assert len(checks) == 4
         certificate = checks["bounds.tail_certificate"]
-        assert certificate["passed"] and "every n >= 2 by the certificate" in certificate["detail"]
+        assert certificate["passed"] and "every n >= 2 by the ratio test" in certificate["detail"]
 
     def test_limits_suite_passes(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "limits"])
@@ -679,6 +707,12 @@ class TestConstantsCommand:
     def test_digits_env_override(self, runner):
         result = invoke(runner, "constants", env={"WALLISPROD_DIGITS": "5"})
         assert "pi_over_2 = 1.5708\n" in result.output
+
+    def test_digits_env_not_an_integer_keeps_17(self, runner):
+        result = invoke(runner, "constants", env={"WALLISPROD_DIGITS": "abc"})
+        assert result.exit_code == 0
+        assert result.output == invoke(runner, "constants").output
+        assert "pi_over_2 = 1.5707963267948966\n" in result.output
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("args", [

@@ -403,6 +403,28 @@ class TestExactKernel:
     def test_deep_errors_match_mpmath(self, tag, order, n):
         assert _kernel_rel_to_mpmath(tag, order, n) <= KERNEL_REL
 
+    def test_unresolved_error_doubles_the_precision(self, monkeypatch):
+        # a bound as large as the value at the starting precision cannot resolve the error,
+        # so the loop doubles the precision once and resolves it there
+        tag, order, n = ExpansionTag.WALLIS_MU, 4, 50
+        want = wallis_error_exact(tag, order, n)
+        seen = []
+
+        def inflated(spec, terms, n, bits):
+            seen.append(bits)
+            value, bound = _approx_scaled(spec, terms, n, bits)
+            return value, (1 << bits if bits == seen[0] else bound)
+
+        monkeypatch.setattr(expansions, "_approx_scaled", inflated)
+        got = wallis_error_exact(tag, order, n)
+        assert seen == [seen[0], 2 * seen[0]]
+        assert abs(got - want) <= KERNEL_REL * want
+
+    def test_gives_up_naming_the_family(self, monkeypatch):
+        monkeypatch.setattr(expansions, "_MAX_DOUBLINGS", 0)
+        with pytest.raises(ArithmeticError, match=r"^error of wallis_mu order 4 not resolved"):
+            wallis_error_exact(ExpansionTag.WALLIS_MU, 4, 50)
+
     def test_alpha_beta_order_12_is_fast(self):
         alpha_beta(12)
         start = time.perf_counter()

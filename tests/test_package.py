@@ -94,9 +94,12 @@ class TestLayering:
     def test_kernels_import_no_package_module(self, module_name):
         assert package_imports(module_name) == set()
 
-    @pytest.mark.parametrize("module_name", ["products", "special", "coeffs"])
+    # special takes a closed form whose root sits on a gamma pole from products
+    NUMERIC = {"products": set(), "special": {"products"}, "coeffs": set()}
+
+    @pytest.mark.parametrize("module_name", list(NUMERIC))
     def test_numeric_modules_import_only_the_kernels(self, module_name):
-        assert package_imports(module_name) <= {"bernoulli", "_fixed"}
+        assert package_imports(module_name) <= {"bernoulli", "_fixed", *self.NUMERIC[module_name]}
 
     def test_expansions_imports_neither_verify_nor_cli(self):
         assert not package_imports("expansions") & {"verify", "cli"}

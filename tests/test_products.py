@@ -6,6 +6,7 @@ import json
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -22,6 +23,7 @@ from wallisprod.products import (
     _log_tail,
     _series_terms,
     _tail_start,
+    _zero_factor_at,
     r_product,
     w_product,
     wallis_seq,
@@ -127,6 +129,30 @@ def test_complex_exact_zero_factor(fn, p, q):
     result = fn(5, p, q)
     assert (result.zero_factor_at, result.near_zero_at) == (2, None)
     assert (result.value, result.log_abs) == (0j, -math.inf)
+
+
+@pytest.mark.parametrize("fn,p,q,zero_at", [
+    # the roots x = -1 and x = -3 * 10^7 (W) or -6 * 10^7 (R): factor 1 is 1 + p + q = 0,
+    # although the head, about 1.2 * 10^8 factors, passes the bound
+    (w_product, -30000001, 30000000, 1),
+    (r_product, -60000001, 60000000, 1),
+    (w_product, -30000001 + 1j, 30000000 - 1j, 1),  # the other root 3 * 10^7 - i
+    # the roots -1000 and -10^8: factor 1000 of W, found by the smaller root
+    (w_product, -1e8 - 1000, 1e11, 1000),
+], ids=["w", "r", "w_complex", "w_1000"])
+def test_zero_factor_past_the_head_bound(fn, p, q, zero_at):
+    start = time.perf_counter()
+    result = fn(2 * 10**8, p, q)
+    assert time.perf_counter() - start < 1.0
+    assert (result.zero_factor_at, result.terms) == (zero_at, 2 * 10**8)
+    assert (result.value, result.log_abs, result.near_zero_at) == (0j, -math.inf, None)
+
+
+def test_zero_factor_next_to_the_rounded_root():
+    # roots 97439228 and 97439230: p^2 - 4q = 4 rounds to 0, so both computed roots are
+    # 97439229, whose factor is not zero; the denominators next to it hold the zeros
+    p, q = -(97439228 + 97439230), 97439228 * 97439230
+    assert _zero_factor_at(1, complex(p), complex(q)) == 97439228
 
 
 class TestWallisSeq:

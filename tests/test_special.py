@@ -264,12 +264,30 @@ class TestClosedForms:
 
     def test_root_beyond_range_is_removable(self):
         # a double root at -5 for W (factor j + x) and at -9 for R (factor 2j - 1 + x):
-        # both vanishing factors sit at j = 5, beyond every n here
-        for closed, product, x in ((w_closed, w_product, -5), (r_closed, r_product, -9)):
+        # both vanishing factors sit at j = 5, beyond every n here.  Over d = c (j + a - 1)
+        # the product is exp(-2x sum 1/d) (rf(a + x/c, n) / rf(a, n))^2
+        for closed, a, c, x in ((w_closed, 1, 1, -5), (r_closed, mp.mpf(1) / 2, 2, -9)):
             for n in (1, 3, 4):
+                ref = (mp.exp(-2 * x * mp.fsum(1 / (c * (j + a - 1)) for j in range(1, n + 1)))
+                       * (mp.rf(a + mp.mpf(x) / c, n) / mp.rf(a, n)) ** 2)
                 got = closed(n, 2 * x, x * x)
-                ref = product(n, 2 * x, x * x).value
-                assert abs(got / ref - 1) <= 1e-11, (closed.__name__, n)
+                assert abs(got / complex(ref) - 1) <= 1e-11, (closed.__name__, n)
+
+    @pytest.mark.parametrize("closed, a, c, n, p, q", [
+        (w_closed, 1, 1, 35, -30.1, 3),  # factor 30 is 4e-14, not 0
+        (w_closed, 1, 1, 3, -4.9999999999999, 6),
+        (w_closed, 1, 1, 10, -3 + 1e-13j, 2),
+        (r_closed, mp.mpf(1) / 2, 2, 4, -3.4999999999999, 1.5),
+        # the root -5e6 sits on a gamma pole beyond n, left of the shift domain Re >= -10^6
+        (w_closed, 1, 1, 3, 0, -2.5e13),
+    ], ids=["W35", "W3", "W10_complex", "R4", "W3_far_left"])
+    def test_root_near_a_pole_is_the_product(self, closed, a, c, n, p, q):
+        # a root within 1e-12 of a gamma pole but no exactly zero factor: no zero, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = closed(n, p, q)
+        want = complex(_mp_product(n, p, q, a, c))
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
 
     def test_mpmath_grid(self):
         # n log-uniform in 1..10^6 with complex p, q in the disk of radius 10; then the
@@ -340,21 +358,25 @@ def test_non_finite_arguments_rejected(call, x):
         call(x)
 
 
-@pytest.mark.parametrize("call", [
-    lambda x: ln_gamma(complex(x, 0.5)),
-    lambda x: digamma(complex(x, 0.5)),
-    lambda x: w_inf(complex(x, 0.5), 0),
-    lambda x: r_inf(complex(x, 0.5), 0),
-    lambda x: w_closed(10, complex(x, 0.5), 0),
-    lambda x: r_closed(10, complex(x, 0.5), 0),
-    # a root at an integer beyond n: the rising product's removable-pole branch
-    lambda x: w_closed(10**12, 2 * x, 0),
+OUTSIDE = r"outside the domain Re >= -1e6"
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda x: ln_gamma(complex(x, 0.5)), OUTSIDE),
+    (lambda x: digamma(complex(x, 0.5)), OUTSIDE),
+    (lambda x: w_inf(complex(x, 0.5), 0), OUTSIDE),
+    (lambda x: r_inf(complex(x, 0.5), 0), OUTSIDE),
+    (lambda x: w_closed(10, complex(x, 0.5), 0), OUTSIDE),
+    (lambda x: r_closed(10, complex(x, 0.5), 0), OUTSIDE),
+    # a root on a gamma pole beyond n: the product, whose head is all 10^12 factors
+    (lambda x: w_closed(10**12, 2 * x, 0),
+     r"takes a head of 1000000000000 factors one by one, more than 100000000"),
 ], ids=["ln_gamma", "digamma", "w_inf", "r_inf", "w_closed", "r_closed", "w_closed_pole"])
-def test_far_left_arguments_rejected(call):
-    # a gamma argument or rising-product start left of Re = -10^6 would take about
-    # |Re| steps and as many list entries; it is refused before any of them
+def test_far_left_arguments_rejected(call, match):
+    # a gamma argument left of Re = -10^6 would take about |Re| steps and as many list
+    # entries, and a product head as many factors; each is refused before any of them
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"outside the domain Re >= -1e6"):
+    with pytest.raises(ValueError, match=match):
         call(-1e12)
     assert time.perf_counter() - start < 1.0
 
@@ -367,6 +389,17 @@ def test_domain_edge_matches_mpmath():
         assert abs(mine(z) - want) <= 1e-12 * max(1.0, abs(want)), mine.__name__
     # a far-left pole of the limit is still the flagged zero, at no cost
     assert w_inf(-2e12, 1e24) == 0j
+
+
+def _mp_product(n, p, q, a, c):
+    """The product over d = c (j + a - 1), j <= n, factor by factor in mpmath."""
+    p = mp.mpc(p)
+    q = mp.mpc(q)
+    total = mp.mpf(1)
+    for j in range(1, n + 1):
+        d = c * (j + a - 1)
+        total *= mp.exp(-p / d) * (1 + p / d + q / d**2)
+    return total
 
 
 def _mp_closed(n, p, q, a, c):
