@@ -37,11 +37,11 @@ an empty cell and booleans as ``true``/``false``.  ``--format plain``, the
 default, prints each command's own lines.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 domain error
-(a gamma pole, a value past the double range, a gamma argument left of
-``Re = -10^6``, or a product head past the library's bound).  ``eval``
-refuses, with exit 2, an option its target does not read (``--p``/``--q``
-for ``wallis`` and the Wallis-sequence expansions, ``--order`` outside
-``expansion:*``).
+(an expansion whose limit is 0, a value past the double range, a gamma
+argument left of ``Re = -10^6``, or a product head past the library's
+bound).  ``eval`` refuses, with exit 2, an option its target does not read
+(``--p``/``--q`` for ``wallis`` and the Wallis-sequence expansions,
+``--order`` outside ``expansion:*``).
 ``coeffs`` refuses ``--p``/``--q`` for the series families (nu, mu, omega,
 alphabeta).  Both refuse an ``--order`` above the family's cap in
 ``MAX_ORDER``, which ``expansion:w`` and ``expansion:r`` share with ``a``

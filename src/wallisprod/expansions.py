@@ -246,8 +246,8 @@ def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None
         return math.pi / 2 * (math.exp(s) if spec.exp_form else 1 + s)
     limit = spec.limit(*params)
     if limit == 0:
-        raise PoleError(f"{spec.limit.__name__}(p, q) is 0 in double precision (a gamma pole, "
-                        "or a value below the double range); expansion undefined")
+        raise PoleError(f"{spec.limit.__name__}(p, q) is 0 in double precision (an exactly zero "
+                        "factor, or a value below the double range); expansion undefined")
     s = 0j  # complex terms: summed in order, as fsum takes only reals
     for c, sh, e in spec.terms(order, params):
         s += c / (x + float(sh)) ** e

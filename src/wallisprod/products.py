@@ -131,12 +131,14 @@ def _tail_start(p: complex, q: complex) -> int | float:
     return max(math.ceil(bound) + 1, _MIN_TAIL_START) if math.isfinite(bound) else math.inf
 
 
-def _zero_factor_at(step: int, p: complex, q: complex) -> int | None:
-    """The first exactly zero factor among the first ``_MAX_HEAD``, if a root shows one.
+def _zero_factor_at(step: int, p: complex, q: complex, bound: int | float) -> int | None:
+    """The first exactly zero factor ``j <= bound``, if a root shows one: the package's one test.
 
-    Factor ``j`` vanishes where its denominator ``step (j - 1) + 1`` is a root
-    ``-x_i``.  The larger root is taken without cancellation and the other as
-    ``q / x``; the denominators next to the nearest take up their rounding.
+    The head bound asks up to ``_MAX_HEAD``, a closed form of ``special`` up
+    to its ``n`` and a limit up to ``inf``.  Factor ``j`` vanishes where its
+    denominator ``step (j - 1) + 1`` is a root ``-x_i``.  The larger root is
+    taken without cancellation and the other as ``q / x``; the denominators
+    next to the nearest take up their rounding.
     """
     root = cmath.sqrt(p * p - 4 * q)
     if (p.conjugate() * root).real < 0:
@@ -148,7 +150,7 @@ def _zero_factor_at(step: int, p: complex, q: complex) -> int | None:
     for x in (big, q / big):
         near = round((-x.real - 1) / step) + 1
         zeros += [j for j in range(near - 1, near + 2)
-                  if 1 <= j <= _MAX_HEAD and _exact_factor(step * (j - 1) + 1, p, q) == (0, 0)]
+                  if 1 <= j <= bound and _exact_factor(step * (j - 1) + 1, p, q) == (0, 0)]
     return min(zeros, default=None)
 
 
@@ -218,18 +220,18 @@ def _log_tail(first: float, end: float, step: int, p: complex, q: complex) -> co
                    math.fsum([c.imag * total for c, total in zip(coeffs, sums)]))
 
 
-def _product(n: int, step: int, p: complex, q: complex) -> ProductResult:
-    # factor j has the denominator step (j - 1) + 1: j for W_n, 2j - 1 for R_n
-    n = _count(n, "n")
-    p, q = _pair(p, q)
+def _product(n: int | float, step: int, p: complex, q: complex) -> ProductResult:
+    # factor j has the denominator step (j - 1) + 1: j for W_n, 2j - 1 for R_n; n = inf is
+    # the limit; n, p and q come checked
     real_mode = p.imag == 0.0 and q.imag == 0.0
     start = _tail_start(p, q)
     # the factors whose denominators lie below start
     split = n if start == math.inf else min(n, (start + step - 2) // step)
     if split > _MAX_HEAD:
-        zero_at = _zero_factor_at(step, p, q)
+        zero_at = _zero_factor_at(step, p, q, _MAX_HEAD)
         if zero_at is None:
-            raise ValueError(f"the product at n = {n}, p = {p}, q = {q} takes a head of "
+            at = "" if n == math.inf else f"n = {n}, "
+            raise ValueError(f"the product at {at}p = {p}, q = {q} takes a head of "
                              f"{split} factors one by one, more than {_MAX_HEAD}")
         split = zero_at  # the head ends on that factor, which returns the zero product
     re_terms: list[float] = []
@@ -306,12 +308,12 @@ def _product(n: int, step: int, p: complex, q: complex) -> ProductResult:
 
 def w_product(n: int, p: complex, q: complex) -> ProductResult:
     """``prod_{j=1..n} exp(-p/j) (1 + p/j + q/j^2)`` in log space."""
-    return _product(n, 1, p, q)
+    return _product(_count(n, "n"), 1, *_pair(p, q))
 
 
 def r_product(n: int, p: complex, q: complex) -> ProductResult:
     """Odd-denominator analogue over ``2j - 1`` in log space."""
-    return _product(n, 2, p, q)
+    return _product(_count(n, "n"), 2, *_pair(p, q))
 
 
 def wallis_seq(n: int) -> float:

@@ -38,9 +38,11 @@ one ``_fsum_complex``; both Stirling tails are one Horner evaluation in ``1/w^2`
 
 Domain: every gamma argument has ``Re >= -10^6``.  A shift takes about
 ``|Re|`` steps, so the edge bounds it at about a million (0.3 s); further
-left ``ValueError`` names the argument.  On a pole a limit is still the
-flagged ``0j`` however far left, and a closed form, a gamma ratio of 0/0
-there, is the product of ``products`` on that module's domain.
+left ``ValueError`` names the argument.  The limits are the closed forms at
+``n = inf``.  For a root on a gamma pole or past the edge, an exactly zero
+factor ``j <= n`` found by ``products._zero_factor_at`` gives ``0j`` (a
+closed form also warns), and any other root on a pole (a gamma ratio of
+0/0) the product of ``products`` on that module's domain.
 
 The closed forms are evaluated entirely in log space and exponentiated
 once.  Once ``z``, ``z+s`` and ``z+t`` all have real part at least 12,
@@ -60,6 +62,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 import warnings
 
 from .bernoulli import _count, _em_weight, _pair
@@ -245,33 +248,8 @@ def _exp(total: complex, p: complex, q: complex) -> complex:
     return complex(value.real, 0.0) if p.imag == 0.0 and q.imag == 0.0 else value
 
 
-def _limit(p: complex, q: complex, a: float, c: int,
-           psi_a: complex, two_lgamma_a: complex) -> complex:
-    # P_inf at offset a and scale c
-    p, q = _pair(p, q)
-    s, t, pc = _roots(p, q, c)
-    if _nonpositive_int_near(a + s) is not None or _nonpositive_int_near(a + t) is not None:
-        return 0j
-    return _exp(_ln_limit(s, t, pc, a, psi_a, two_lgamma_a), p, q)
-
-
-def w_inf(p: complex, q: complex) -> complex:
-    """Limit of ``W_n(p, q)`` as n grows.
-
-    Returns exact ``0j`` when a gamma argument ``1 + (p +- D)/2`` sits on
-    a pole: the reciprocal gamma vanishes there, i.e. the infinite
-    product converges to zero through a vanishing factor.
-    """
-    return _limit(p, q, 1, 1, _PSI_ONE, _TWO_LGAMMA_ONE)
-
-
-def r_inf(p: complex, q: complex) -> complex:
-    """Limit of ``R_n(p, q)`` as n grows; zero flag on gamma poles as in :func:`w_inf`."""
-    return _limit(p, q, 0.5, 2, _PSI_HALF, _TWO_LGAMMA_HALF)
-
-
 # ---------------------------------------------------------------------------
-# Finite closed forms
+# The closed forms and their limits
 # ---------------------------------------------------------------------------
 
 def _log1p(w: complex) -> complex:
@@ -282,27 +260,30 @@ def _log1p(w: complex) -> complex:
     return cmath.log(1 + w)
 
 
-def _closed(name: str, n: int, p: complex, q: complex, a: float, c: int,
+def _closed(name: str, n: int | float, p: complex, q: complex, a: float, c: int,
             psi_a: complex, two_lgamma_a: complex) -> complex:
-    # ln P_n of the module docstring at offset a and scale c; ``name`` labels the warning
-    n = _count(n, "n")
+    # P_n of the module docstring at offset a and scale c, the limit at n = inf; ``name``
+    # labels a closed form's zero warning
     p, q = _pair(p, q)
     s, t, pc = _roots(p, q, c)
 
-    at = [1 - pole for pole in map(_nonpositive_int_near, (a + s, a + t)) if pole is not None]
-    if at:  # a gamma ratio of 0/0, where the product and its factor j = 1 - pole decide
+    on_pole = _nonpositive_int_near(a + s) is not None or _nonpositive_int_near(a + t) is not None
+    if on_pole or a + t.real < _MIN_RE:
+        # a gamma ratio of 0/0, or a root left of the shift domain (Re t <= Re s, as Re D >= 0):
+        # the roots show any exactly zero factor, and on a pole the product decides the rest
         from . import products
-        for j in at:
-            if j <= n and products._exact_factor(c * (j - 1) + 1, p, q) == (0, 0):
+        j = products._zero_factor_at(c, p, q, n)
+        if j is not None:
+            if n < math.inf:
                 warnings.warn(f"{name}_{n}({p}, {q}) has a zero factor at j = {j}",
                               RuntimeWarning, stacklevel=3)
-                return 0j
-        return products._product(n, c, p, q).value
+            return 0j
+        if on_pole:
+            return products._product(n, c, p, q).value
 
-    try:
-        z = complex(n + a)
-    except OverflowError:  # n past the double range: the product is its limit
+    if n > sys.float_info.max:  # n = inf, or n past the double range: the product is its limit
         return _exp(_ln_limit(s, t, pc, a, psi_a, two_lgamma_a), p, q)
+    z = complex(n + a)
     if min(z.real, (z + s).real, (z + t).real) >= _SHIFT_RE:
         # ln P_inf - (p/c) psi(z) + sum_r lnGamma(z + r) - 2 lnGamma(z), where the r ln z parts
         # of lnGamma(z + r) - lnGamma(z) sum to (p/c) ln z and cancel against psi(z)'s; both
@@ -326,12 +307,27 @@ def w_closed(n: int, p: complex, q: complex) -> complex:
     head bound.  An ``n`` past the double range gives the limit
     :func:`w_inf`, as the products do.  The module docstring gives the accuracy.
     """
-    return _closed("W", n, p, q, 1, 1, _PSI_ONE, _TWO_LGAMMA_ONE)
+    return _closed("W", _count(n, "n"), p, q, 1, 1, _PSI_ONE, _TWO_LGAMMA_ONE)
 
 
 def r_closed(n: int, p: complex, q: complex) -> complex:
     """Gamma-ratio closed form of the odd-denominator product ``R_n(p, q)``."""
-    return _closed("R", n, p, q, 0.5, 2, _PSI_HALF, _TWO_LGAMMA_HALF)
+    return _closed("R", _count(n, "n"), p, q, 0.5, 2, _PSI_HALF, _TWO_LGAMMA_HALF)
+
+
+def w_inf(p: complex, q: complex) -> complex:
+    """Limit of ``W_n(p, q)`` as n grows: :func:`w_closed` at ``n = inf``.
+
+    An exactly zero factor gives ``0j`` with no warning; any other root
+    within 1e-12 of a gamma pole gives the product oracle's value, its zeta
+    tail run to infinity, under the products' head bound.
+    """
+    return _closed("W", math.inf, p, q, 1, 1, _PSI_ONE, _TWO_LGAMMA_ONE)
+
+
+def r_inf(p: complex, q: complex) -> complex:
+    """Limit of ``R_n(p, q)`` as n grows: :func:`r_closed` at ``n = inf``, as :func:`w_inf`."""
+    return _closed("R", math.inf, p, q, 0.5, 2, _PSI_HALF, _TWO_LGAMMA_HALF)
 
 
 def ser_partial(terms: int) -> float:

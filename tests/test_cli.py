@@ -444,6 +444,26 @@ class TestEvalCommand:
         assert abs(value["re"] / 1.5473510956049562e32 - 1) <= 1e-13
         assert value["im"] == 0.0
 
+    @pytest.mark.parametrize("target,p,q,order,step", [
+        ("expansion:w", "-30.1", "3", "4", 1),
+        ("expansion:r", "-29.1", "2.9", "3", 2),
+    ], ids=["w", "r"])
+    def test_limit_near_a_pole_is_not_a_zero(self, runner, target, p, q, order, step):
+        # the limits w_inf(-30.1, 3) and r_inf(-29.1, 2.9) have a root within 1e-12 of a
+        # gamma pole but no exactly zero factor: the expansion is defined
+        import mpmath as mp
+        result = runner.invoke(main, ["eval", "--target", target, "--n", "100", f"--p={p}",
+                                      "--q", q, "--order", order, "--format", "json"])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        exact = json.loads(result.stdout)["exact"]
+        with mp.workdps(50):
+            want = mp.fprod(mp.exp(-mp.mpf(float(p)) / d) * (1 + mp.mpf(float(p)) / d
+                                                           + mp.mpf(float(q)) / d**2)
+                            for d in range(1, step * 99 + 2, step))
+        assert abs(exact["re"] / float(want) - 1) <= 1e-13
+        assert exact["im"] == 0.0
+
     def test_underflowing_limit_is_not_called_a_pole(self, runner):
         # R_inf(1e100, 0) is below the double range; no gamma argument is near a pole
         result = runner.invoke(main, ["eval", "--target", "expansion:r", "--n", "50",

@@ -94,7 +94,8 @@ class TestLayering:
     def test_kernels_import_no_package_module(self, module_name):
         assert package_imports(module_name) == set()
 
-    # special takes a closed form whose root sits on a gamma pole from products
+    # special asks products for an exactly zero factor, and takes a closed form or limit
+    # whose root sits on a gamma pole from the product
     NUMERIC = {"products": set(), "special": {"products"}, "coeffs": set()}
 
     @pytest.mark.parametrize("module_name", list(NUMERIC))
@@ -239,6 +240,10 @@ HEAD_ARGS = [
     ("w_product.edge", lambda: wallisprod.w_product(10**9, 25000000.25, 0), 10**8 + 1),
     # 4 r past the double range: all n factors would be in the head
     ("w_product.huge", lambda: wallisprod.w_product(10**8 + 1, 1e308, 1e308), 10**8 + 1),
+    # a double root on a far-left gamma pole whose factor is not exactly zero (1e24 is not
+    # 10^24): the limit is the product's, with a head of 4 r = 6 |p| factors
+    ("w_inf", lambda: wallisprod.w_inf(-2e12, 1e24), 12 * 10**12),
+    ("r_inf", lambda: wallisprod.r_inf(-4e12 - 2, 4.000000000004e24), 12 * 10**12 + 6),
 ]
 
 

@@ -151,8 +151,11 @@ def test_zero_factor_past_the_head_bound(fn, p, q, zero_at):
 def test_zero_factor_next_to_the_rounded_root():
     # roots 97439228 and 97439230: p^2 - 4q = 4 rounds to 0, so both computed roots are
     # 97439229, whose factor is not zero; the denominators next to it hold the zeros
-    p, q = -(97439228 + 97439230), 97439228 * 97439230
-    assert _zero_factor_at(1, complex(p), complex(q)) == 97439228
+    p, q = complex(-(97439228 + 97439230)), complex(97439228 * 97439230)
+    assert _zero_factor_at(1, p, q, math.inf) == 97439228
+    # the bound is inclusive, and below the first zero there is none
+    assert _zero_factor_at(1, p, q, 97439228) == 97439228
+    assert _zero_factor_at(1, p, q, 97439227) is None
 
 
 class TestWallisSeq:

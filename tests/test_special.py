@@ -200,6 +200,57 @@ class TestLimits:
         assert w_inf(-2, 1) == 0j
         assert r_inf(-1, 0.25) != 0  # quarter-shift args are not poles here
 
+    def test_root_near_a_pole_matches_mpmath(self):
+        # a root within 1e-13 of a gamma pole but no exactly zero factor: the product's
+        # value, its zeta tail run to infinity, with no zero and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for limit, _, a, c, p, q in _near_pole_grid():
+                got, want = limit(p, q), complex(_mp_limit(p, q, a, c))
+                assert abs(got - want) <= 1e-13 * abs(want), (limit.__name__, p, q, got, want)
+
+    def test_root_near_a_pole_is_the_closed_form_at_infinity(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for limit, closed, _, _, p, q in _near_pole_grid():
+                assert repr(limit(p, q)) == repr(closed(2**1100, p, q)), (limit.__name__, p, q)
+
+    @pytest.mark.parametrize("limit, closed, p, q", [
+        # W: the roots 10^10 and -1/2 of d^2 + p d + q; R: 2 * 10^10 - 1 and -1/2
+        (w_inf, w_closed, -1e10 + 0.5, -5e9),
+        (r_inf, r_closed, -(2e10 - 1.5), -(1e10 - 0.5)),
+    ], ids=["W", "R"])
+    def test_zero_factor_past_the_head_bound(self, limit, closed, p, q):
+        # factor j = 10^10 is exactly zero, a hundred times past the products' head bound
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the limit is silent
+            assert limit(p, q) == 0j
+        assert time.perf_counter() - start < 0.1
+        with pytest.warns(RuntimeWarning, match=r"zero factor at j = 10000000000$"):
+            assert closed(10**12, p, q) == 0j
+        # a zero beyond n leaves the product, whose head of n factors is refused
+        with pytest.raises(ValueError, match="takes a head of 1000000000 factors"):
+            closed(10**9, p, q)
+
+    def test_zero_factor_behind_a_far_left_root(self):
+        # the roots -2 and -801201337557.25: factor 2 is exactly zero, but the computed small
+        # root is -1.99993896484375, off the pole, and the other is left of the shift domain
+        p, q = -801201337559.25, 1602402675114.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert w_inf(p, q) == 0j
+        with pytest.warns(RuntimeWarning, match=r"zero factor at j = 2$"):
+            assert w_closed(10, p, q) == 0j
+        with pytest.raises(ValueError, match=OUTSIDE):  # factor 2 lies beyond n = 1
+            w_closed(1, p, q)
+
+    def test_head_bound_names_no_n(self):
+        # the limit's product runs to infinity: its message names p and q only
+        with pytest.raises(ValueError, match=r"^the product at p = \(-2000000000000\+0j\)") as info:
+            w_inf(-2e12, 1e24)
+        assert "n = " not in str(info.value)
+
     def test_branch_invariance_numeric(self):
         # recompute w_inf with the opposite discriminant root
         import random
@@ -387,8 +438,6 @@ def test_domain_edge_matches_mpmath():
     for mine, ref in ((ln_gamma, mp.loggamma), (digamma, mp.digamma)):
         want = complex(ref(mp.mpc(z.real, z.imag)))
         assert abs(mine(z) - want) <= 1e-12 * max(1.0, abs(want)), mine.__name__
-    # a far-left pole of the limit is still the flagged zero, at no cost
-    assert w_inf(-2e12, 1e24) == 0j
 
 
 def _mp_product(n, p, q, a, c):
@@ -413,6 +462,42 @@ def _mp_closed(n, p, q, a, c):
     return (mp.e ** (-(p / c) * (mp.digamma(z) - mp.digamma(a)))
             * mp.gamma(z + s) * mp.gamma(z + t) * mp.gamma(a) ** 2
             / (mp.gamma(z) ** 2 * mp.gamma(a + s) * mp.gamma(a + t)))
+
+
+def _mp_limit(p, q, a, c):
+    """The product over d = c (j + a - 1), all j, as a gamma ratio in mpmath."""
+    p = mp.mpc(p)
+    q = mp.mpc(q)
+    d = mp.sqrt(p * p - 4 * q)
+    s = (p + d) / (2 * c)
+    t = (p - d) / (2 * c)
+    return (mp.e ** (p / c * mp.digamma(a)) * mp.gamma(a) ** 2
+            * mp.rgamma(a + s) * mp.rgamma(a + t))
+
+
+def _near_pole_grid():
+    """``(limit, closed, a, c, p, q)``, a root ``x`` within 1e-13 of ``-d = -c (j + a - 1)``.
+
+    Then ``a + x/c`` is within 1e-13 of the gamma pole ``1 - j``, for j = 1..60,
+    and factor j of the product is that close to zero without being zero.  The
+    other root is drawn in the disk of radius 40; every second pair of points is
+    complex.  The first two rows are ``w_inf(-30.1, 3)`` and ``r_inf(-29.1, 2.9)``.
+    """
+    rng = random.Random(30)
+    half = mp.mpf(1) / 2
+    cases = [(w_inf, w_closed, 1, 1, -30.1, 3), (r_inf, r_closed, half, 2, -29.1, 2.9)]
+    for i in range(60):
+        limit, closed, a, c = ((w_inf, w_closed, 1, 1), (r_inf, r_closed, half, 2))[i % 2]
+        j = rng.randint(1, 60)
+        size = rng.uniform(1e-14, 1e-13)
+        if i % 4 < 2:
+            x = rng.choice((-1, 1)) * size - (c * (j - 1) + 1)
+            other = rng.uniform(-40, 40)
+        else:
+            x = cmath.rect(size, rng.uniform(-math.pi, math.pi)) - (c * (j - 1) + 1)
+            other = cmath.rect(40 * rng.random(), rng.uniform(-math.pi, math.pi))
+        cases.append((limit, closed, a, c, x + other, x * other))
+    return cases
 
 
 class TestSerProduct:
