@@ -241,8 +241,10 @@ def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None
         x = float(n)
     except OverflowError:  # n past the double range
         x = math.inf
+    # each term is c (x + s)^-e: where (x + s)^e would pass the double range, the power
+    # underflows to a term far below the last bit of the sum
     if not spec.needs_params:
-        s = math.fsum(float(c) / (x + float(sh)) ** e for c, sh, e in spec.terms(order, None))
+        s = math.fsum(float(c) * (x + float(sh)) ** -e for c, sh, e in spec.terms(order, None))
         return math.pi / 2 * (math.exp(s) if spec.exp_form else 1 + s)
     limit = spec.limit(*params)
     if limit == 0:
@@ -250,7 +252,7 @@ def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None
                         "factor, or a value below the double range); expansion undefined")
     s = 0j  # complex terms: summed in order, as fsum takes only reals
     for c, sh, e in spec.terms(order, params):
-        s += c / (x + float(sh)) ** e
+        s += c * (x + float(sh)) ** -e
     return limit * (cmath.exp(s) if spec.exp_form else 1 + s)
 
 

@@ -5,7 +5,9 @@ contribute ``-p/d`` terms and each polynomial factor contributes
 ``log(1 + z_d)`` with ``z_d = p/d + q/d^2``, for the denominators ``d = j``
 (``W_n``) or ``d = 2j - 1`` (``R_n``).  ``r = |p| + sqrt|q|`` bounds both
 roots of ``1 + p u + q u^2 = (1 + x1 u)(1 + x2 u)``, and the denominators
-split at ``D = max(ceil(4 r) + 1, 64)``:
+split at ``D = ceil(4 r) + 1``.  A tail of at most ``3 K`` factors costs
+less in the head than as a series of ``K`` terms, so such a call takes all
+``n`` factors in the head:
 
 * the head, ``d < D``, where a factor may be negative, near zero or zero,
   goes through a per-factor loop: exact-rational zero test, near-zero flag,
@@ -24,21 +26,25 @@ split at ``D = max(ceil(4 r) + 1, 64)``:
   cancels ``k = 1``.  The real ``P_k = sum_d d^-k`` serve the modulus and the
   phase; over the whole tail they are differences of Hurwitz zeta values,
   ``zeta(k, D) - zeta(k, n + 1)`` for ``W_n`` and ``2^-k (zeta(k, D/2) -
-  zeta(k, n + 1/2))`` for ``R_n``, each from Euler–Maclaurin in about ten
-  terms.  At ``rho = r / D`` the series takes the fewest terms ``K <= 28``
-  with ``2 rho^(K+1) / ((K+1)(1 - rho)) <= 2^-54 rho^2 / 4``, below 2^-54 of
-  every factor's scale ``|p|/d + |q|/d^2 >= (r/d)^2 / 4``.
+  zeta(k, n + 1/2))`` for ``R_n``.  From an argument of 32 on each comes
+  from Euler–Maclaurin in at most 14 terms; below 32 the argument is an
+  integer or a half-integer, and its 27 orders are one cached row, built on
+  first use from the powers up to 32 and Euler–Maclaurin there.  The far
+  end takes only the orders whose ``zeta(k, n + 1)`` can reach 2^-60 of
+  ``zeta(k, D)``.  At ``rho = r / D`` the series takes the fewest terms
+  ``K <= 28`` with ``2 rho^(K+1) / ((K+1)(1 - rho)) <= 2^-54 rho^2 / 4``,
+  below 2^-54 of every factor's scale ``|p|/d + |q|/d^2 >= (r/d)^2 / 4``.
 
-So a product costs at most ``D - 1`` factors plus ``O(K)``, whatever ``n``
-is; a head of more than ``10^8`` factors (``|p|`` near ``2.5e7``, or ``4 r``
-past the double range) raises ``ValueError`` before its first factor, unless
-a root shows an exactly zero factor among the first ``10^8``: the head then
-ends on that factor.  For ``|p|, |q| <= 3`` and for ``|p|, |q| <= 2e-3``, up
-to ``n = 10^15``, the tests hold the log to 2e-15 of an ``mpmath``
-reference.  Moduli are taken with ``math.hypot``, which returns ``inf`` where
-``abs`` of a complex raises ``OverflowError``.  A complex product whose phase
-sum is not finite raises ``ValueError`` when ``log_abs`` lies in the range of
-``exp``.
+So a product costs at most ``D - 1 + 3 K`` factors, or ``D - 1`` factors
+plus ``O(K)``, whatever ``n`` is; a head of more than ``10^8`` factors
+(``|p|`` near ``2.5e7``, or ``4 r`` past the double range) raises
+``ValueError`` before its first factor, unless a root shows an exactly zero
+factor among the first ``10^8``: the head then ends on that factor.  For
+``|p|, |q| <= 3`` and for ``|p|, |q| <= 2e-3``, up to ``n = 10^15``, the
+tests hold the log to 2e-15 of an ``mpmath`` reference.  Moduli are taken
+with ``math.hypot``, which returns ``inf`` where ``abs`` of a complex raises
+``OverflowError``.  A complex product whose phase sum is not finite raises
+``ValueError`` when ``log_abs`` lies in the range of ``exp``.
 """
 
 from __future__ import annotations
@@ -66,7 +72,12 @@ _ZERO_TOL = 1e-15
 _EXACT_BELOW = 2.0**-12
 _MAX_HEAD = 10**8  # head factors, about 0.5 us each
 _CHUNK = 4096  # head terms per fsum: bounded memory
-_MIN_TAIL_START = 64  # the zeta arguments stay at 32 or more, where Euler–Maclaurin is short
+_EM_FROM = 32  # zeta arguments from here take Euler–Maclaurin, below it a cached row
+# a tail of t factors pays for its K-term series only past t = 3 K: on a 2-vCPU x86-64 VM
+# under CPython 3.11 a head factor costs about 0.63 us (real) to 1.04 us (complex), and a
+# series order about 0.72 us with both zeta ends from cached rows, 1.8 us with the far end
+# from Euler–Maclaurin, plus about 3 us a call
+_TAIL_COST = 3
 _MAX_TERMS = 28  # log-series terms at rho = 1/4, the largest ratio the tail sees
 
 
@@ -115,20 +126,16 @@ def _exact_factor(den: int, p: complex, q: complex) -> tuple[Fraction, Fraction]
             (Fraction(p.imag) + Fraction(q.imag) / d) / d)
 
 
-def _root_bound(p: complex, q: complex) -> float:
-    """``r = |p| + sqrt|q|``, which bounds the moduli of both roots ``x1``, ``x2``."""
-    return math.hypot(p.real, p.imag) + math.sqrt(math.hypot(q.real, q.imag))
+def _tail_start(r: float) -> int | float:
+    """First denominator ``D = ceil(4 r) + 1`` that the tail may start from.
 
-
-def _tail_start(p: complex, q: complex) -> int | float:
-    """First denominator ``D = max(ceil(4 r) + 1, 64)`` of the tail.
-
+    ``r = |p| + sqrt|q|`` bounds the moduli of both roots ``x1``, ``x2``, and
     ``D > 4 r`` bounds ``|x_i| / d`` by 1/4 for every ``d >= D``, so
     ``1 + p/d + q/d^2`` stays within 1/2 of 1.  Infinite when ``4 r``
     overflows a double: every factor then takes the per-factor loop.
     """
-    bound = 4 * _root_bound(p, q)
-    return max(math.ceil(bound) + 1, _MIN_TAIL_START) if math.isfinite(bound) else math.inf
+    bound = 4 * r
+    return math.ceil(bound) + 1 if math.isfinite(bound) else math.inf
 
 
 def _zero_factor_at(step: int, p: complex, q: complex, bound: int | float) -> int | None:
@@ -162,16 +169,24 @@ def _fsum(terms: list[float]) -> float:
         return sum(terms)
 
 
-def _series_terms(rho: float) -> int:
-    """Fewest log-series terms ``K`` for a tail whose first denominator is ``r / rho``.
+def _series_rule(rho: float, k: int) -> bool:
+    """Whether ``k >= 1`` log-series terms suffice for a tail from the denominator ``r / rho``.
 
-    ``K`` is the smallest with ``2 rho^(K+1) / ((K+1)(1 - rho)) <= 2^-54 rho^2 / 4``,
-    here divided by ``2 rho^2``; ``_MAX_TERMS`` meets it for every ``rho <= 1/4``.
+    The rule is ``2 rho^(k+1) / ((k+1)(1 - rho)) <= 2^-54 rho^2 / 4``, here divided
+    by ``2 rho^2``; it holds from some ``k`` on, and ``_MAX_TERMS`` meets it for every
+    ``rho <= 1/4``.
     """
-    for k in range(2, _MAX_TERMS):
-        if rho ** (k - 1) <= 2.0**-57 * (k + 1) * (1.0 - rho):
-            return k
-    return _MAX_TERMS
+    return rho ** (k - 1) <= 2.0**-57 * (k + 1) * (1.0 - rho)
+
+
+def _series_terms(rho: float) -> int:
+    """Fewest log-series terms ``K >= 2`` that meet :func:`_series_rule` at ``rho``."""
+    # a K that meets it has (K-1) log2(1/rho) >= 57 - log2(K+1) >= 57 - log2(29): the
+    # search starts there, and a start of 1 fails the rule at once
+    k = int(1 + 52.1 / -math.log2(rho)) if rho > 0 else 2
+    while k < _MAX_TERMS and not _series_rule(rho, k):
+        k += 1
+    return k
 
 
 def _series_coeffs(p: complex, q: complex, terms: int) -> list[complex]:
@@ -187,13 +202,16 @@ def _series_coeffs(p: complex, q: complex, terms: int) -> list[complex]:
 
 
 def _hurwitz_zetas(a: float, terms: int) -> list[float]:
-    """``zeta(k, a) = sum_(j>=0) (a + j)^-k`` for ``k = 2..terms <= 28`` and ``a >= 32``.
+    """``zeta(k, a) = sum_(j>=0) (a + j)^-k`` for ``k = 2..terms <= 28``.
 
-    Euler–Maclaurin at ``a`` itself:
+    Below 32, ``a`` is an integer or a half-integer and the orders come from its
+    cached row.  From 32 on, Euler–Maclaurin at ``a`` itself:
     ``zeta(k, a) = a^(1-k) (1/(k-1) + 1/(2a) + sum_m B_2m/(2m)! (k)_(2m-1) a^-2m)``.
     The terms alternate and fall, slowest for the largest ``k``, so every sum stops
     where that order's first term below 2^-60 stands.  ``a = inf`` gives zeros.
     """
+    if a < _EM_FROM:
+        return _zeta_row(a)[:terms - 1]
     inv_sq = a**-2
     power, powers = 1.0, []
     for weight in _em_row(terms):
@@ -206,15 +224,38 @@ def _hurwitz_zetas(a: float, terms: int) -> list[float]:
             for k in range(2, terms + 1)]
 
 
-def _log_tail(first: float, end: float, step: int, p: complex, q: complex) -> complex:
+@functools.cache
+def _zeta_row(a: float) -> list[float]:
+    """``zeta(k, a)`` for every order ``k = 2..28`` at an integer or half-integer ``a < 32``.
+
+    One ``fsum`` of the powers ``(a + j)^-k`` up to the first argument at or
+    past 32 and the Euler–Maclaurin value there.  The tail's zeta arguments are
+    ``first / step`` and ``end / step`` with integer numerators, so at most 63
+    rows (``a = 1..31`` and ``0.5..31.5``) are ever built, each on first use.
+    """
+    count = math.ceil(_EM_FROM - a)
+    far = _hurwitz_zetas(a + count, _MAX_TERMS)
+    return [math.fsum([*((a + j) ** -k for j in range(count)), rest])
+            for k, rest in zip(range(2, _MAX_TERMS + 1), far)]
+
+
+def _log_tail(first: float, end: float, step: int, p: complex, q: complex,
+              terms: int) -> complex:
     """``sum log(1 + z_d) - p/d`` over ``d = first, first + step, ...`` below ``end``.
 
-    ``first >= D`` from :func:`_tail_start`, and ``end`` may be infinite.
+    ``first >= D`` from :func:`_tail_start`, ``terms`` is the series length
+    :func:`_series_terms` gives at ``r / first``, and ``end`` may be infinite.
     The real part is the log of the modulus and the imaginary part the phase.
     """
-    terms = _series_terms(_root_bound(p, q) / first)
-    near, far = _hurwitz_zetas(first / step, terms), _hurwitz_zetas(end / step, terms)
-    sums = [(za - zb) / step**k for k, za, zb in zip(range(2, terms + 1), near, far)]
+    f, e = first / step, end / step
+    # zeta(k, e) / zeta(k, f) <= (f/e)^(k-1) (1 + (k-1)/e), falling in k: the far end
+    # takes only the orders where that bound reaches 2^-60, the others are 0
+    far_terms = 1
+    while far_terms < terms and (f / e) ** far_terms * (1.0 + far_terms / e) >= 2.0**-60:
+        far_terms += 1
+    far = _hurwitz_zetas(e, far_terms) if far_terms > 1 else []
+    sums = [(za - zb) / step**k for k, za, zb in
+            zip(range(2, terms + 1), _hurwitz_zetas(f, terms), far + [0.0] * (terms - far_terms))]
     coeffs = _series_coeffs(p, q, terms)
     return complex(math.fsum([c.real * total for c, total in zip(coeffs, sums)]),
                    math.fsum([c.imag * total for c, total in zip(coeffs, sums)]))
@@ -224,9 +265,17 @@ def _product(n: int | float, step: int, p: complex, q: complex) -> ProductResult
     # factor j has the denominator step (j - 1) + 1: j for W_n, 2j - 1 for R_n; n = inf is
     # the limit; n, p and q come checked
     real_mode = p.imag == 0.0 and q.imag == 0.0
-    start = _tail_start(p, q)
+    abs_p, abs_q = math.hypot(p.real, p.imag), math.hypot(q.real, q.imag)
+    root_bound = abs_p + math.sqrt(abs_q)
+    start = _tail_start(root_bound)
     # the factors whose denominators lie below start
     split = n if start == math.inf else min(n, (start + step - 2) // step)
+    # a tail of t factors pays for its K-term series only past t = _TAIL_COST K, that is
+    # when the series rule already holds at k = (t - 1) // _TAIL_COST; else all n go to the head
+    rest = n - split if split < n else 0  # inf - inf is no tail length
+    k = (rest - 1) // _TAIL_COST if rest <= _TAIL_COST * _MAX_TERMS else _MAX_TERMS
+    if k < 2 or not _series_rule(root_bound / (step * split + 1), k):
+        split = n
     if split > _MAX_HEAD:
         zero_at = _zero_factor_at(step, p, q, _MAX_HEAD)
         if zero_at is None:
@@ -240,7 +289,6 @@ def _product(n: int | float, step: int, p: complex, q: complex) -> ProductResult
     near_at: int | None = None
 
     # head: factors that may be negative, near zero or zero, one at a time
-    abs_p, abs_q = math.hypot(p.real, p.imag), math.hypot(q.real, q.imag)
     cutoff = _EXACT_BELOW * (1.0 + abs_p + abs_q)  # no head factor is taken exactly above it
     for j, den in enumerate(range(1, step * split + 1, step), start=1):
         u, v = p / den, q / (den * den)
@@ -285,7 +333,8 @@ def _product(n: int | float, step: int, p: complex, q: complex) -> ProductResult
             end = step * n + 1.0
         except OverflowError:  # n past the double range: zeta(k, n) is below 2^-1000
             end = math.inf
-        tail = _log_tail(step * split + 1.0, end, step, p, q)
+        first = step * split + 1.0
+        tail = _log_tail(first, end, step, p, q, _series_terms(root_bound / first))
         re_terms.append(tail.real)
         im_terms.append(tail.imag)
 

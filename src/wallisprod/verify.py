@@ -145,9 +145,10 @@ def suite_closedforms() -> list[CheckResult]:
     out.append(_check("closedforms.r_product_vs_r_closed", worst_r <= 1e-10,
                       f"worst {worst_r:.3e}"))
     worst_step = 0.0
-    # n = 63 steps across the products' head/tail seam at D = 64
+    # n = 88 steps across the products' seam: at (1+1j, 0.5-1j) the tail, from D = 11 with
+    # K = 26 terms, is first taken at n = 10 + 3 K + 1 = 89
     for n, p, q in [(5, 1.0, 0.5), (20, complex(1, 1), complex(0.5, -1)), (50, -0.5, 0.125),
-                    (63, complex(1, 1), complex(0.5, -1))]:
+                    (88, complex(1, 1), complex(0.5, -1))]:
         full = products.w_product(n + 1, p, q).value
         step = products.w_product(n, p, q).value
         d = n + 1.0

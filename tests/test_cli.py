@@ -559,7 +559,7 @@ class TestEvalCommand:
         ("rclosed", PQ),
     ])
     def test_any_n_exit_0(self, runner, target, extra):
-        # the products take a head of at most 63 factors here plus the zeta tail,
+        # the products take a head of at most 7 factors here (D = 8) plus the zeta tail,
         # and the closed forms a fixed number of steps, whatever n is
         for n in (10**8 + 1, 10**12):
             result = runner.invoke(main, ["eval", "--target", target, "--n", str(n), *extra])

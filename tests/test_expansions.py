@@ -221,6 +221,27 @@ class TestErrorReports:
             assert math.isnan(convergence_order(family, [10, n])[0])
 
 
+@pytest.mark.parametrize("f,tag,args", [
+    (eval_wallis_mu, ExpansionTag.WALLIS_MU, (60,)),
+    (eval_wallis_nu_exp, ExpansionTag.WALLIS_NU_EXP, (60,)),
+    (eval_w_expansion, ExpansionTag.W_PQ, (1, 0.5, 52)),
+    (eval_r_expansion, ExpansionTag.R_PQ, (1 + 1j, 0.5, 52)),
+])
+def test_powers_past_the_double_range_match_mpmath(f, tag, args):
+    # (10^6 + s)^e passes the largest double from e = 52 on, while the term is far
+    # below the last bit of the sum: the float evaluator gives mpmath's truncated sum
+    n, (*params, order) = 10**6, args
+    spec = _FAMILIES[tag]
+    got = f(n, *args)
+    with mp.workdps(50):
+        s = mp.fsum(mp.mpmathify(c if isinstance(c, complex) else _mp_rational(c))
+                    / (n + _mp_rational(Fraction(sh))) ** e
+                    for c, sh, e in spec.terms(order, tuple(params) or None))
+        limit = mp.mpmathify(spec.limit(*params)) if params else mp.pi / 2
+        want = complex(limit * (mp.exp(s) if spec.exp_form else 1 + s))
+    assert abs(got - want) <= 4 * math.ulp(abs(want)), (got, want)
+
+
 class TestConvergenceOrder:
     def test_mu_orders(self):
         for order in (1, 2, 3, 4):

@@ -1,6 +1,7 @@
 """The product oracle: accumulation quality and diagnostics."""
 
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -11,18 +12,20 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wallisprod.coeffs import b_poly
 from wallisprod.products import (
     _CHUNK,
     _MAX_TERMS,
+    _TAIL_COST,
     ProductResult,
     _hurwitz_zetas,
     _log_tail,
     _series_terms,
     _tail_start,
+    _zeta_row,
     _zero_factor_at,
     r_product,
     w_product,
@@ -30,6 +33,11 @@ from wallisprod.products import (
 )
 from wallisprod.special import r_inf, w_closed, r_closed
 from wallisprod.expansions import eval_wallis_omega
+
+
+def _root_bound(p: complex, q: complex) -> float:
+    """``r = |p| + sqrt|q|``, the bound on both roots that the products' tail start takes."""
+    return math.hypot(p.real, p.imag) + math.sqrt(math.hypot(q.real, q.imag))
 
 
 def wallis_seq_exact(n: int) -> Fraction:
@@ -214,9 +222,9 @@ class TestCrossConsistency:
                 assert abs(r_ratio - 1) <= 1e-10, (n, p, q)
 
     def test_reciprocal_identity(self):
-        # W_n(0, -1/4) is prod (4j^2 - 1) / (4j^2) = 1 / wallis_seq_exact(n); n = 63..65
-        # straddle the head/tail seam at d = 64
-        for n in (1, 2, 63, 64, 65, 1000, 10**4):
+        # W_n(0, -1/4) is prod (4j^2 - 1) / (4j^2) = 1 / wallis_seq_exact(n); with D = 3
+        # and K = 22 the tail is first taken at n = 2 + 3 K + 1 = 69, straddled by 68..70
+        for n in (1, 2, 3, 68, 69, 70, 1000, 10**4):
             exact = wallis_seq_exact(n)
             with mp.workdps(40):
                 ref = -mp.log(mp.mpf(exact.numerator) / exact.denominator)
@@ -231,8 +239,10 @@ class TestCrossConsistency:
     qi=st.floats(min_value=-2, max_value=2, allow_nan=False),
 )
 @settings(max_examples=40, deadline=None)
+# the first n that takes the tail at (1+1j, 0.5-1j): D = 11, K = 26, 10 + 3 K + 1 = 89
+@example(n=88, pr=1.0, pi_=1.0, qr=0.5, qi=-1.0)
 def test_incremental_consistency(n, pr, pi_, qr, qi):
-    # n + 1 crosses the head/tail seam: D = 64 for w, 32 odd denominators for r
+    # n + 1 crosses the seam where the tail is first taken, 3 K factors past D - 1
     p = complex(pr, pi_)
     q = complex(qr, qi)
     longer = w_product(n + 1, p, q)
@@ -408,33 +418,57 @@ def test_tail_sum_matches_tail_oracle(case):
     # spacings per term for parameters near the bottom of the range
     p, q, step, tail = case
     real_mode = p.imag == 0.0 and q.imag == 0.0
-    start = _tail_start(p, q)
+    start = _tail_start(_root_bound(p, q))
     first = start if step == 1 else start | 1  # r: the first odd denominator from D on
     dens = range(first, first + tail * step, step)
     scale = math.fsum(abs(p) / d + abs(q) / (d * d) for d in range(1, dens.stop, step))
     tol = 4 * math.ulp(1.0) * scale + 8 * len(dens) * math.ulp(0.0)
-    got = _log_tail(float(first), float(dens.stop), step, p, q)
+    terms = _series_terms(_root_bound(p, q) / first)
+    got = _log_tail(float(first), float(dens.stop), step, p, q, terms)
     want = _tail_oracle(dens, p, q, real_mode)
     assert abs(got.real - want[0]) <= tol, (p, q, dens)
     assert abs(got.imag - want[1]) <= tol, (p, q, dens)
 
 
+@functools.cache
 def _mp_hurwitz_zeta(k, a):
     """``zeta(k, a)`` from ``mpmath`` at 120 digits: at 40 to 80 digits ``mp.zeta``
-    loses up to 1e-10 relative for ``k`` near 20 and ``a`` of 64 or more."""
+    loses up to 1e-10 relative for ``k`` near 20 and ``a`` of 64 or more.  Below 32,
+    where ``a`` is an integer or a half-integer, it is ``zeta(k)`` or
+    ``zeta(k, 1/2) = (2^k - 1) zeta(k)`` less the powers below ``a``, which is faster."""
     with mp.workdps(120):
-        return mp.zeta(k, a)
+        if a >= 32:
+            return mp.zeta(k, a)
+        base = a % 1 or 1.0
+        return (mp.zeta(k) * (2**k - 1 if base == 0.5 else 1)
+                - mp.fsum(mp.mpf(base + j) ** -k for j in range(int(a - base))))
 
 
-@pytest.mark.parametrize("a", [32.5, 64.0, 64.5, 1e3, 1e6 + 0.5, 1e15])
+# every argument of a cached row: a W tail runs over 1..31, an R tail over 0.5..31.5
+_ROW_ARGUMENTS = [j / 2 for j in range(1, 64)]
+
+
+@pytest.mark.parametrize("a", [*_ROW_ARGUMENTS, 32.0, 32.5, 64.0, 64.5, 1e3, 1e6 + 0.5, 1e15])
 def test_hurwitz_zeta_matches_mpmath(a):
-    # every order the tail uses, at the smallest arguments of r (32.5) and w (64) and far
-    # out; fewer orders stop the sums sooner
+    # every order the tail uses, at every cached row, at the first Euler–Maclaurin
+    # arguments of w (32) and r (32.5) and far out; fewer orders stop the sums sooner
     for terms in (2, 7, _MAX_TERMS):
         for k, got in enumerate(_hurwitz_zetas(a, terms), start=2):
             want = _mp_hurwitz_zeta(k, a)
             assert abs(got - want) <= 2 * math.ulp(float(want)), (k, a, terms)
     assert _hurwitz_zetas(math.inf, 3) == [0.0, 0.0]
+
+
+def test_zeta_rows_stay_bounded():
+    # the tail's zeta arguments below 32 are integers or half-integers: a sweep of n and
+    # (p, q) over both products builds no more than the 63 rows of _ROW_ARGUMENTS
+    _zeta_row.cache_clear()
+    parts = [0.0, 1e-9, 1e-5, -2e-3, 0.05, 0.3, -1.7, 2.5, -4.0, 6.0]
+    for p, q in itertools.product([complex(x, y) for x in parts for y in (0.0, 0.4)], parts):
+        for n in (*range(1, 130, 5), 500, 10**4, 10**400):
+            w_product(n, p, q)
+            r_product(n, p, q)
+    assert 45 <= _zeta_row.cache_info().currsize <= len(_ROW_ARGUMENTS)
 
 
 def _meets_series_bound(k, rho):
@@ -481,12 +515,15 @@ def _head_tail_cases(draw):
     else:
         p, q = complex(draw(_part), draw(_part)), complex(draw(_part), draw(_part))
     which = draw(st.sampled_from(sorted(_PRODUCTS)))
-    # denominators below the tail start D: D - 1 of 1, 2, 3, ... and D // 2 of 1, 3, 5, ...
-    start = _tail_start(p, q)
+    # denominators below the tail start D: D - 1 of 1, 2, 3, ... and D // 2 of 1, 3, 5, ...;
+    # the tail is first taken 3 K factors further on
+    start = _tail_start(_root_bound(p, q))
     head = start - 1 if which == "w" else start // 2
+    terms = _series_terms(_root_bound(p, q) / (2 * head + 1 if which == "r" else start))
+    seam = draw(st.sampled_from([head, head + _TAIL_COST * terms]))
     offset = draw(st.one_of(st.sampled_from([-1, 0, 1, _CHUNK, _CHUNK + 1]),
                             st.integers(2, 2 * _CHUNK + 2)))
-    return which, max(1, head + offset), p, q
+    return which, max(1, seam + offset), p, q
 
 
 @given(_head_tail_cases())
@@ -512,7 +549,7 @@ def test_head_tail_matches_loop_oracle(case):
 def test_head_of_several_chunks_matches_loop_oracle(which, p, q):
     # a head of thousands of factors: its terms are flushed into several fsum parts
     product, denominator = _PRODUCTS[which]
-    head = _tail_start(p, q) // (1 if which == "w" else 2)
+    head = _tail_start(_root_bound(p, q)) // (1 if which == "w" else 2)
     assert 2 * head > _CHUNK
     n = head + 10
     got = product(n, p, q)
@@ -592,8 +629,8 @@ _bound_part = st.floats(-1e12, 1e12, allow_nan=False)
 def test_tail_start_bounds_every_tail_factor(p, q):
     # |p|/D <= 1/4 and |q|/D^2 <= 1/4, squared so that complex moduli stay
     # rational; both terms fall as d grows, so |p/d + q/d^2| <= 1/2 for d >= D
-    start = _tail_start(p, q)
-    assert isinstance(start, int) and start >= 64
+    start = _tail_start(_root_bound(p, q))
+    assert isinstance(start, int) and start == math.ceil(4 * (abs(p) + math.sqrt(abs(q)))) + 1
     p_sq = Fraction(p.real) ** 2 + Fraction(p.imag) ** 2
     q_sq = Fraction(q.real) ** 2 + Fraction(q.imag) ** 2
     assert 16 * p_sq <= start**2
@@ -661,7 +698,8 @@ def _moderate_parameters():
 
 @pytest.mark.parametrize("p,q", _moderate_parameters())
 def test_moderate_parameters_match_mpmath(p, q):
-    # n is far past D = 64, up to 10^15; the phase is taken mod 2 pi
+    # n is far past the first n whose tail is taken (at most 103 here), up to 10^15; the
+    # phase is taken mod 2 pi
     real = p.imag == 0.0 and q.imag == 0.0
     for n in (5000, 20000, 10**5, 10**9, 10**15):
         for product, odd in ((w_product, False), (r_product, True)):
@@ -714,14 +752,16 @@ def test_root_whose_rounded_factor_passes_the_zero_screen(product, n, p, q, at):
 
 
 def test_head_logs_come_from_the_small_part():
-    # n <= 200 with |p|, |q| <= 2e-3: the head spans d < 64, where log(1 + z_d) of the
-    # rounded 1 + z_d would lose up to 2^-53 a factor; from z_d itself the error stays
-    # a few ulps of sum(|p|/d + |q|/d^2), as in the tail
+    # |p|, |q| <= 2e-3: n = 25 runs all in the head (D = 2, and K >= 8 at these
+    # parameters, so a tail of 24 factors would not pay for its series), where
+    # log(1 + z_d) of the rounded 1 + z_d would lose up to 2^-53 a factor; from z_d
+    # itself the error stays a few ulps of sum(|p|/d + |q|/d^2), as in the tail that
+    # n = 200 takes
     rng = random.Random(21)
     for _ in range(8):
         p, q = (complex(rng.uniform(-2e-3, 2e-3), rng.choice((0.0, rng.uniform(-2e-3, 2e-3))))
                 for _ in range(2))
-        for n in (63, 200):
+        for n in (25, 200):
             for product, odd in ((w_product, False), (r_product, True)):
                 ref = _mp_log_product(n, p, q, odd)
                 dens = range(1, (1 + odd) * n + 1, 1 + odd)
