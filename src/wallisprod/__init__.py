@@ -29,7 +29,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "BiPoly",
         "CoeffSeries",
         "Family",
-        "MAX_ALPHA_BETA_ORDER",
         "a_poly",
         "alpha_beta",
         "b_poly",

@@ -15,7 +15,8 @@ Bernoulli polynomials ``B_n(t)`` appear only in the definitions that
 ``coeffs.wallis_nu_raw`` and ``verify`` check against, so they are not a
 public object: :func:`_poly_values` gives their exact values at rational
 points.  Every public entry point of the package takes its integer counts
-through :func:`_count` and its parameters ``(p, q)`` through :func:`_pair`.
+through :func:`_count`, capped from :data:`_CAPS` for an exact build, and
+its parameters ``(p, q)`` through :func:`_pair`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
     if high is not None and value > high:
         raise ValueError(f"{name} must be in {low}..{high}")
     return value
+
+
+# The largest count of each exact build, for coeffs, the expansion families and the CLI: a
+# cold build to its cap takes at most about 2 s, and past it the cost grows steeply.
+# ``error_order`` caps the exact error kernel of ``expansions``.  The Bernoulli cap is the
+# largest index they read: B_(j+1) for a_j, b_j and nu_j, with nu up to mu's count and
+# twice omega's and alpha_beta's.
+_CAPS = {"a": 120, "b": 120, "nu": 1800, "mu": 750, "omega": 400, "alpha_beta": 12,
+         "error_order": 20}
+_CAPS["bernoulli"] = 1 + max(_CAPS["a"], _CAPS["b"], _CAPS["nu"], _CAPS["mu"],
+                             2 * _CAPS["omega"], 2 * _CAPS["alpha_beta"])
 
 
 def _pair(p, q) -> tuple[complex, complex]:
@@ -92,9 +104,9 @@ def _bernoulli_entries(numbers: list[Fraction], count: int) -> list[Fraction]:
     recurrence (Brent & Harvey, "Fast computation of Bernoulli, Tangent
     and Secant numbers") runs over Python integers only and is not
     incremental, so the table grows to at least twice its size on each
-    rebuild.
+    rebuild, up to the cap.
     """
-    m = max(count - 1, 2 * len(numbers))
+    m = min(max(count - 1, 2 * len(numbers)), _CAPS["bernoulli"])
     half = m // 2
     tangent = [0, 1] + [0] * (half - 1)    # tangent[k] = T_k, k = 1 .. half
     for k in range(2, half + 1):
@@ -111,10 +123,10 @@ def _bernoulli_entries(numbers: list[Fraction], count: int) -> list[Fraction]:
 
 
 def bernoulli_number(n: int) -> Fraction:
-    """Exact Bernoulli number ``B_n`` (with ``B_1 = -1/2``)."""
-    if 0 <= n < len(_NUMBERS):
+    """Exact Bernoulli number ``B_n`` (with ``B_1 = -1/2``), ``0 <= n <= _CAPS["bernoulli"]``."""
+    if type(n) is int and 0 <= n < len(_NUMBERS):  # the table never passes the cap
         return _NUMBERS[n]
-    n = _count(n, "Bernoulli index", 0)
+    n = _count(n, "Bernoulli index", 0, _CAPS["bernoulli"])
     return _grow(_NUMBERS, _bernoulli_entries, n + 1)[n]
 
 
@@ -131,7 +143,7 @@ def _poly_values(n: int, points) -> list[Fraction]:
     One coefficient list ``C(n, k) B_(n-k)`` of ``t^k`` is built per call
     and evaluated by Horner's rule at every point.
     """
-    n = _count(n, "Bernoulli index", 0)
+    n = _count(n, "Bernoulli index", 0, _CAPS["bernoulli"])
     coeffs = [math.comb(n, k) * bernoulli_number(n - k) for k in range(n, -1, -1)]
     values = []
     for x in points:

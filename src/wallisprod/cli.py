@@ -43,9 +43,10 @@ bound).  ``eval`` refuses, with exit 2, an option its target does not read
 (``--p``/``--q`` for ``wallis`` and the Wallis-sequence expansions,
 ``--order`` outside ``expansion:*``).
 ``coeffs`` refuses ``--p``/``--q`` for the series families (nu, mu, omega,
-alphabeta).  Both refuse an ``--order`` above the family's cap in
-``MAX_ORDER``, which ``expansion:w`` and ``expansion:r`` share with ``a``
-and ``b``.  Every refusal comes before any library work.
+alphabeta).  Both refuse an ``--order`` above the family's cap in the
+library's table ``bernoulli._CAPS``, which ``expansion:w`` and
+``expansion:r`` share with ``a`` and ``b``.  Every refusal comes before any
+library work.
 Output goes to stdout, diagnostics (``note:``, ``domain error:``) to
 stderr.  Plain output prints floats with 17 significant digits;
 ``WALLISPROD_DIGITS`` overrides that and changes no JSON or CSV byte.
@@ -79,14 +80,6 @@ from . import __version__
 
 EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 3
-
-# coeffs.MAX_ALPHA_BETA_ORDER, written out so that the --help texts import nothing
-MAX_ALPHABETA_ORDER = 12
-# the largest --order of each coefficient family, for coeffs and for the expansion
-# targets that read it; a cold coeffs run up to the cap takes at most about 2 s
-# (mu), and about 0.6 s for a and 0.7 s for b since their terms are built in integers
-MAX_ORDER = {"a": 120, "b": 120, "nu": 1800, "mu": 750, "omega": 400,
-             "alphabeta": MAX_ALPHABETA_ORDER}
 
 _ATOM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+|/\d+)?"
 _COMPLEX_RE = re.compile(rf"^({_ATOM})?((?:{_ATOM})|[+-])?(i)?$")
@@ -241,7 +234,7 @@ def cmd_coeffs(family: str, order: int, p_text: str | None, q_text: str | None,
     """
     if order < 1:
         raise UsageError("--order must be >= 1")
-    _check_order(family, family, order)
+    _check_order(family, order)
     if signs and family in ("a", "b"):
         raise UsageError("--signs applies to the nu, mu, omega and alphabeta families only")
     if family not in ("a", "b") and (p_text is not None or q_text is not None):
@@ -266,10 +259,18 @@ def cmd_coeffs(family: str, order: int, p_text: str | None, q_text: str | None,
     _emit(fmt, {"family": series.family.value, "order": series.order, "values": values}, plain)
 
 
-def _check_order(name: str, family: str, order: int) -> None:
-    # refuse, before any work, an --order past the cap of the coefficient family
-    if order > MAX_ORDER[family]:
-        raise UsageError(f"--order must be <= {MAX_ORDER[family]} for {name} "
+# the key in bernoulli._CAPS of each coefficient family and of each expansion that
+# reads one; the library refuses expansion:elezovic past its six terms itself
+_CAP_KEYS = {"a": "a", "b": "b", "w": "a", "r": "b", "nu": "nu", "mu": "mu", "omega": "omega",
+             "alphabeta": "alpha_beta"}
+
+
+def _check_order(name: str, order: int) -> None:
+    # refuse, before any work, an --order past the library's cap of the family it reads
+    from .bernoulli import _CAPS
+    cap = _CAPS[_CAP_KEYS[name]]
+    if order > cap:
+        raise UsageError(f"--order must be <= {cap} for {name} "
                          "(the cold build grows steeply with the order)")
 
 
@@ -307,11 +308,6 @@ _EXPANSION_TAGS = {
     "elezovic": "elezovic",
 }
 _PQ_EXPANSIONS = ("w", "r")
-# the coefficient family whose --order cap each expansion shares
-_EXPANSION_COEFFS = {"w": "a", "r": "b", "mu": "mu", "nu": "nu", "alphabeta": "alphabeta",
-                     "omega": "omega"}
-# len(expansions.ELEZOVIC_TERMS), the library's own cap on expansion:elezovic
-_ELEZOVIC_TERMS = 6
 _PRODUCTS = ("wproduct", "rproduct")
 _CLOSED_FORMS = ("wclosed", "rclosed")
 
@@ -390,8 +386,8 @@ def _expansion_record(target: str, key: str, n: int, p_text: str | None, q_text:
                       order: int | None) -> tuple[dict, list[str]]:
     if order is None:
         raise UsageError("--order is required for expansion targets")
-    if key in _EXPANSION_COEFFS:
-        _check_order(key, _EXPANSION_COEFFS[key], order)
+    if key in _CAP_KEYS:
+        _check_order(key, order)
     from .expansions import ExpansionFamily, ExpansionTag, family_report
     from .special import PoleError
     tag = ExpansionTag(_EXPANSION_TAGS[key])
@@ -535,9 +531,9 @@ def _parser(argv: list[str]) -> _Parser:
     _command(commands, chosen, "coeffs", cmd_coeffs,
              family=dict(required=True, choices=["a", "b", "nu", "mu", "omega", "alphabeta"],
                          help="Coefficient family."),
-             order=dict(required=True, type=int, help="Number of coefficients, at most "
-                        + ", ".join(f"{cap} ({family})" for family, cap in MAX_ORDER.items())
-                        + "."),
+             # the caps of bernoulli._CAPS, written out so that --help imports nothing
+             order=dict(required=True, type=int, help="Number of coefficients, at most 120 (a), "
+                        "120 (b), 1800 (nu), 750 (mu), 400 (omega), 12 (alphabeta)."),
              p=dict(dest="p_text", metavar="P", help=point_help),
              q=dict(dest="q_text", metavar="Q", help=point_help),
              signs=dict(action="store_true",
@@ -548,10 +544,9 @@ def _parser(argv: list[str]) -> _Parser:
              n=dict(required=True, type=int),
              p=dict(dest="p_text", metavar="P", help=pq_help),
              q=dict(dest="q_text", metavar="Q", help=pq_help),
-             order=dict(type=int, help="Truncation order for expansions, at most "
-                        + ", ".join(f"{MAX_ORDER[family]} ({key})"
-                                    for key, family in _EXPANSION_COEFFS.items())
-                        + f", {_ELEZOVIC_TERMS} (elezovic)."))
+             order=dict(type=int, help="Truncation order for expansions, at most 120 (w), "
+                        "120 (r), 750 (mu), 1800 (nu), 12 (alphabeta), 400 (omega), "
+                        "6 (elezovic)."))
     _command(commands, chosen, "verify", cmd_verify, suite=dict(required=True, choices=_SUITE_NAMES))
     _command(commands, chosen, "constants", cmd_constants)
     return parser

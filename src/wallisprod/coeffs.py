@@ -37,6 +37,7 @@ Two kinds of objects live here:
   the family, so its sums cancel whole pieces without a gcd and the
   ``Fraction`` constructor reduces each new entry once.
   :func:`cache_sizes` reports how far every coefficient cache has grown.
+  Each builder checks its cap in ``bernoulli._CAPS`` before any cache grows.
 
 All values are exact `Fraction`s.  Floating point enters only where a
 coefficient polynomial is evaluated at a complex point (:func:`eval_bipoly`).
@@ -52,7 +53,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
-from .bernoulli import _NUMBERS, _count, _grow, _pair, _poly_values, bernoulli_number
+from .bernoulli import _CAPS, _NUMBERS, _count, _grow, _pair, _poly_values, bernoulli_number
 
 __all__ = [
     "BiPoly",
@@ -65,7 +66,6 @@ __all__ = [
     "wallis_nu_raw",
     "wallis_mu",
     "alpha_beta",
-    "MAX_ALPHA_BETA_ORDER",
     "omega",
     "omega_alt",
     "cache_sizes",
@@ -199,13 +199,13 @@ def _bernoulli_pair(m: int, c: Fraction, scale: Fraction = Fraction(1)) -> BiPol
     return BiPoly(terms)
 
 
-def _coeff_poly(j: int, c: Fraction) -> BiPoly:
+def _coeff_poly(j: int, family: str, c: Fraction) -> BiPoly:
     # shared shape of the two families: 2c B_j / j * p plus the Bernoulli pair at
     # scale c, less its constant 2 B_(j+1), times (-1)^(j+1) / (j (j+1)) (1/2 for
     # j = 1).  The scaled pair's p term is -2c B_j / j * p (B_j = 0 for odd j > 1),
     # so only the terms of degree two and up remain: the pair less its 1 and p
     # terms, taken out in place since no one else holds the new pair yet.
-    j = _count(j, "coefficient index")
+    j = _count(j, "coefficient index", 1, _CAPS[family])
     scale = Fraction(1, 2) if j == 1 else Fraction((-1) ** (j + 1), j * (j + 1))
     pair = _bernoulli_pair(j + 1, c, scale)
     pair.terms.pop((0, 0), None)
@@ -217,13 +217,13 @@ def _coeff_poly(j: int, c: Fraction) -> BiPoly:
 @functools.lru_cache(maxsize=None, typed=True)
 def a_poly(j: int) -> BiPoly:
     """Exact correction coefficient of ``1/(n+1)^j`` for ``W_n(p, q)``."""
-    return _coeff_poly(j, Fraction(1, 2))
+    return _coeff_poly(j, "a", Fraction(1, 2))
 
 
 @functools.lru_cache(maxsize=None, typed=True)
 def b_poly(j: int) -> BiPoly:
     """Exact correction coefficient of ``1/(n+1/2)^j`` for ``R_n(p, q)``."""
-    return _coeff_poly(j, Fraction(1, 4))
+    return _coeff_poly(j, "b", Fraction(1, 4))
 
 
 def eval_bipoly(poly: BiPoly, p: complex, q: complex) -> complex:
@@ -304,8 +304,8 @@ def _nu_entries(nu: list[Fraction], count: int):
 
 
 def _series(family: Family, values: list, entries, order: int, *args) -> CoeffSeries:
-    # the first ``order`` entries of a cached series, refused before any work below order 1
-    order = _count(order, "order")
+    # the first ``order`` entries of a cached series; a Family is a str, its own key in _CAPS
+    order = _count(order, "order", 1, _CAPS[family])
     return CoeffSeries(family, order, tuple(_grow(values, entries, order, *args)))
 
 
@@ -320,7 +320,7 @@ def wallis_nu_raw(order: int) -> CoeffSeries:
     ``nu_j = (-1)^(j+1) (2 B_{j+1} - B_{j+1}(1/2) - B_{j+1}(3/2)) / (j (j+1))``.
     Kept as an independent route for consistency checks.
     """
-    order = _count(order, "order")
+    order = _count(order, "order", 1, _CAPS["nu"])
     values = []
     for j in range(1, order + 1):
         half, three_halves = _poly_values(j + 1, (Fraction(1, 2), Fraction(3, 2)))
@@ -488,15 +488,8 @@ def _alpha_beta_entries(pairs: list[tuple[Fraction, Fraction]], count: int):
     return _alpha_beta_levels(_grow(_MU, _mu_entries, 2 * count), pairs, count)
 
 
-# The highest alpha-beta level the expansions and the CLI accept.  The
-# rationals triple in bit length per level: with mu built, a cold build to
-# level 12 takes about 0.2 s, and level 13 would add 1.3 s and level 14 about
-# 13 s, nearly all of it the Fraction constructor's gcd.
-MAX_ALPHA_BETA_ORDER = 12
-
-
 def alpha_beta(levels: int) -> CoeffSeries:
-    """Exact ``(alpha_l, beta_l)`` pairs of the shifted odd-power series."""
+    """Exact ``(alpha_l, beta_l)`` pairs, whose bit length triples per level."""
     return _series(Family.ALPHA_BETA, _ALPHA_BETA, _alpha_beta_entries, levels)
 
 

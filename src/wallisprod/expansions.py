@@ -4,9 +4,10 @@ Every family is one entry of the table ``_FAMILIES``, keyed by
 :class:`ExpansionTag`.  An entry states the terms ``c_k / (n + s_k)^e_k``
 (coefficient source, shift and exponent), the outer form ``1 + s`` or
 ``exp(s)``, the prefactor (``pi/2``, ``W_inf`` or ``R_inf``), the
-product oracle, the shift used for order estimation and, for a finite
-or costly family, its largest order.  Two evaluators read the table: one
-in floats (complex for the two (p, q) families) behind the public
+product oracle, the shift used for order estimation and its largest
+order: the cap in ``bernoulli._CAPS`` of the coefficients it reads, or
+Elezović's six terms.  Two evaluators read the table: one in floats
+(complex for the two (p, q) families) behind the public
 ``eval_*`` functions, and one in fixed-point integers behind
 :func:`wallis_error_exact`.  The ``(n + 5/8)`` series of Elezovic, Lin and
 Vuksic is the ``mu`` series re-expanded at shift 5/8, so
@@ -44,9 +45,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from ._fixed import _div_round, _exp_scaled, _log_ratio, _pi_scaled, _scaled
-from .bernoulli import _count
+from .bernoulli import _CAPS, _count
 from .coeffs import (
-    MAX_ALPHA_BETA_ORDER,
     _alpha_beta_levels,
     a_poly,
     alpha_beta,
@@ -128,14 +128,14 @@ def error_report(n: int, approx: complex, exact: complex, note: str | None = Non
 # The family table
 # ---------------------------------------------------------------------------
 
-class _Spec(namedtuple("_Spec", "terms exp_form oracle est_shift limit max_order",
-                       defaults=(None, None))):
+class _Spec(namedtuple("_Spec", "terms exp_form oracle est_shift max_order limit",
+                       defaults=(None,))):
     """``prefactor * F(sum_k c_k / (n + s_k)^e_k)`` with ``F(s)`` = ``1 + s`` or ``exp(s)``.
 
     ``terms(order, params)`` gives the ``(c_k, s_k, e_k)``; ``oracle(n, params)``
     the product oracle's value; ``est_shift(order)`` the ``x = n + shift`` used by
-    ``convergence_order``; ``limit(p, q)`` the prefactor, ``pi/2`` when it is
-    ``None``; ``max_order`` caps the order when the family has one.
+    ``convergence_order``; ``max_order`` the largest order; ``limit(p, q)`` the
+    prefactor, ``pi/2`` when it is ``None``.
     """
 
     __slots__ = ()
@@ -203,24 +203,24 @@ _FAMILIES: dict[ExpansionTag, _Spec] = {
     ExpansionTag.W_PQ: _Spec(
         lambda k, pq: _powers([eval_bipoly(a_poly(j), *pq) for j in range(1, k + 1)], 1),
         exp_form=True, oracle=lambda n, pq: w_product(n, *pq).value,
-        est_shift=lambda k: 1.0, limit=w_inf),
+        est_shift=lambda k: 1.0, max_order=_CAPS["a"], limit=w_inf),
     ExpansionTag.R_PQ: _Spec(
         lambda k, pq: _powers([eval_bipoly(b_poly(j), *pq) for j in range(1, k + 1)], _HALF),
         exp_form=True, oracle=lambda n, pq: r_product(n, *pq).value,
-        est_shift=lambda k: 0.5, limit=r_inf),
+        est_shift=lambda k: 0.5, max_order=_CAPS["b"], limit=r_inf),
     ExpansionTag.WALLIS_MU: _Spec(
         lambda k, _: _powers(wallis_mu(k).values, 0),
-        exp_form=False, oracle=_wallis_oracle, est_shift=lambda k: 0.0),
+        exp_form=False, oracle=_wallis_oracle, est_shift=lambda k: 0.0, max_order=_CAPS["mu"]),
     ExpansionTag.WALLIS_NU_EXP: _Spec(
         lambda k, _: _powers(wallis_nu(k).values, 0),
-        exp_form=True, oracle=_wallis_oracle, est_shift=lambda k: 0.0),
+        exp_form=True, oracle=_wallis_oracle, est_shift=lambda k: 0.0, max_order=_CAPS["nu"]),
     ExpansionTag.WALLIS_ALPHA_BETA: _Spec(
         lambda k, _: [(a, b, 2 * l - 1) for l, (a, b) in enumerate(alpha_beta(k).values, start=1)],
         exp_form=False, oracle=_wallis_oracle, est_shift=_next_beta,
-        max_order=MAX_ALPHA_BETA_ORDER),
+        max_order=_CAPS["alpha_beta"]),
     ExpansionTag.WALLIS_OMEGA: _Spec(
         lambda k, _: [(c, _HALF, 2 * l - 1) for l, c in enumerate(omega(k).values, start=1)],
-        exp_form=True, oracle=_wallis_oracle, est_shift=lambda k: 0.5),
+        exp_form=True, oracle=_wallis_oracle, est_shift=lambda k: 0.5, max_order=_CAPS["omega"]),
     ExpansionTag.ELEZOVIC: _Spec(
         lambda k, _: [(c, _FIVE_EIGHTHS, e) for c, e in ELEZOVIC_TERMS[:k]],
         exp_form=False, oracle=_wallis_oracle, est_shift=lambda k: 0.625,
@@ -327,7 +327,7 @@ def _wallis_errors(tag: ExpansionTag, order: int, ns: list[int]) -> list[Fractio
     spec = _FAMILIES[tag]
     if spec.needs_params:
         raise ValueError(f"not a Wallis-sequence family: {tag}")
-    order = spec.check_order(order)
+    order = _count(order, "order", 1, min(spec.max_order, _CAPS["error_order"]))
     if ns[-1] > _MAX_N:
         raise ValueError(f"n must be <= {_MAX_N}: the exact kernel walks every n up to it")
     bits = (2 * order + 4) * ns[-1].bit_length() + 128
@@ -399,8 +399,9 @@ def wallis_error_exact(tag: ExpansionTag, order: int, n: int) -> Fraction:
     """|truncation - W_n| for a Wallis-sequence family, to ``2^-60`` relative.
 
     A dyadic ``Fraction`` from the kernel of the module docstring, whose walk
-    costs 0.4 s at ``n = 10^6`` and 3-4 s at ``10^7``, the largest ``n`` taken
-    (``ValueError`` past it, ``TypeError`` for a float).  An ``exp`` argument
+    costs 0.4 s at ``n = 10^6`` and 3-4 s at ``10^7``, the largest ``n`` taken.
+    Its term powers grow steeply with the order, capped at ``_CAPS["error_order"]``
+    (``ValueError`` past either, ``TypeError`` for a float).  An ``exp`` argument
     above 1024 raises ``OverflowError``, as the float evaluator does past 709.78.
     """
     return _wallis_errors(tag, order, [_count(n, "n")])[0]

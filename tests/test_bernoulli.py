@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from wallisprod import bernoulli
 from wallisprod.bernoulli import _em_weight, _poly_values, bernoulli_number, format_rational
+from wallisprod.coeffs import cache_sizes
 
 
 def bernoulli_by_series_inversion(count: int) -> list[Fraction]:
@@ -153,6 +154,29 @@ class TestBernoulliNumbers:
             reader.join(timeout=60)
         assert not holder.is_alive()
         assert got == [expected]
+
+
+class TestDomain:
+    CAP = bernoulli._CAPS["bernoulli"]
+
+    def refusals(self):
+        out = []
+        for bad in (2.0, -1, self.CAP + 1):
+            with pytest.raises((TypeError, ValueError)) as info:
+                bernoulli_number(bad)
+            out.append((type(info.value), str(info.value)))
+        return out
+
+    def test_cold_and_warm_tables_refuse_alike(self, cold_bernoulli):
+        cold = self.refusals()
+        assert cache_sizes()["bernoulli"] == 0  # refused before any work
+        assert [e for e, _ in cold] == [TypeError, ValueError, ValueError]
+        assert cold[2][1] == f"Bernoulli index must be in 0..{self.CAP}"
+        bernoulli_number(1001)  # 1002 entries
+        bernoulli_number(1002)  # a rebuild doubles the table, but stops at the cap
+        assert cache_sizes()["bernoulli"] == self.CAP + 1
+        assert self.refusals() == cold
+        assert cache_sizes()["bernoulli"] == self.CAP + 1
 
 
 class TestEulerMaclaurinWeight:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -21,9 +22,8 @@ from hypothesis import strategies as st
 
 import wallisprod
 from wallisprod import cli, coeffs, expansions, products, special, verify
+from wallisprod.bernoulli import _CAPS
 from wallisprod.cli import (
-    MAX_ALPHABETA_ORDER,
-    MAX_ORDER,
     fmt_complex,
     main,
     parse_complex_literal,
@@ -204,10 +204,10 @@ class TestCoeffsCommand:
     ])
     def test_alphabeta_order_cap_exit_2(self, runner, argv):
         before = cache_sizes()
-        result = runner.invoke(main, [*argv, "--order", str(MAX_ALPHABETA_ORDER + 1)])
+        result = runner.invoke(main, [*argv, "--order", str(_CAPS["alpha_beta"] + 1)])
         assert result.exit_code == 2
         assert "Usage:" in result.output
-        assert f"--order must be <= {MAX_ALPHABETA_ORDER} for alphabeta" in result.output
+        assert f"--order must be <= {_CAPS['alpha_beta']} for alphabeta" in result.output
         assert cache_sizes() == before  # refused before any coefficient work
 
     # alphabeta's cap has its own test above
@@ -217,24 +217,27 @@ class TestCoeffsCommand:
            key) for key in ("w", "r", "nu", "mu", "omega")),
     ])
     def test_order_cap_exit_2(self, runner, argv, name):
-        family = name if argv[0] == "coeffs" else cli._EXPANSION_COEFFS[name]
+        cap = _CAPS[cli._CAP_KEYS[name]]
         before = cache_sizes()
-        result = runner.invoke(main, [*argv, "--order", str(MAX_ORDER[family] + 1)])
+        result = runner.invoke(main, [*argv, "--order", str(cap + 1)])
         assert result.exit_code == 2
         assert "Usage:" in result.output
-        assert f"--order must be <= {MAX_ORDER[family]} for {name} " in result.output
+        assert f"--order must be <= {cap} for {name} " in result.output
         assert cache_sizes() == before  # refused before any coefficient work
 
     def test_order_caps_cover_the_benchmark_and_show_in_help(self, runner):
         # the benchmark's CLI mix asks for orders up to 13, alphabeta up to its 12
-        assert all(cap >= 13 for family, cap in MAX_ORDER.items() if family != "alphabeta")
-        coeffs_help = " ".join(invoke(runner, "coeffs", "--help").output.split())
-        eval_help = " ".join(invoke(runner, "eval", "--help").output.split())
-        for family, cap in MAX_ORDER.items():
-            assert f"{cap} ({family})" in coeffs_help
-        for key, family in cli._EXPANSION_COEFFS.items():
-            assert f"{MAX_ORDER[family]} ({key})" in eval_help
-        assert f"{len(expansions.ELEZOVIC_TERMS)} (elezovic)" in eval_help
+        assert all(_CAPS[family] >= 13 for family in ("a", "b", "nu", "mu", "omega"))
+        # --help writes the caps out so that it imports nothing: each literal is the library's
+        def caps_in_help(command):
+            text = " ".join(invoke(runner, command, "--help").output.split())
+            return {name: int(cap) for cap, name in re.findall(r"(\d+) \((\w+)\)", text)}
+
+        families = ("a", "b", "nu", "mu", "omega", "alphabeta")
+        assert caps_in_help("coeffs") == {f: _CAPS[cli._CAP_KEYS[f]] for f in families}
+        assert caps_in_help("eval") == {
+            key: expansions._FAMILIES[expansions.ExpansionTag(tag)].max_order
+            for key, tag in cli._EXPANSION_TAGS.items()}
 
     @pytest.mark.parametrize("family", ["nu", "mu", "omega", "alphabeta"])
     @pytest.mark.parametrize("pq", [PQ, PQ[:2], PQ[2:]], ids=["p-q", "p", "q"])
@@ -768,10 +771,10 @@ def test_package_runs_as_a_module():
 
 
 def test_tables_written_out_for_import_match_the_library():
-    assert MAX_ALPHABETA_ORDER == MAX_ORDER["alphabeta"] == coeffs.MAX_ALPHA_BETA_ORDER
-    assert cli._ELEZOVIC_TERMS == len(expansions.ELEZOVIC_TERMS)
-    assert {*cli._EXPANSION_COEFFS, "elezovic"} == set(cli._EXPANSION_TAGS)
-    assert set(cli._EXPANSION_COEFFS.values()) == set(MAX_ORDER)
+    # the CLI's refusal of an expansion order reads the cap its family reads in the library
+    for key, tag in cli._EXPANSION_TAGS.items():
+        cap = expansions._FAMILIES[expansions.ExpansionTag(tag)].max_order
+        assert _CAPS[cli._CAP_KEYS[key]] == cap if key != "elezovic" else key not in cli._CAP_KEYS
     assert cli._SUITE_NAMES == verify.SUITE_NAMES
     assert sorted(cli._EXPANSION_TAGS.values()) == sorted(t.value for t in expansions.ExpansionTag)
     assert {k for k, tag in cli._EXPANSION_TAGS.items()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from test_bernoulli import bernoulli_coeffs, horner
 
 from wallisprod import coeffs
-from wallisprod.bernoulli import _poly_values, bernoulli_number, format_rational
+from wallisprod.bernoulli import _CAPS, _poly_values, bernoulli_number, format_rational
 from wallisprod.coeffs import (
     BiPoly,
     CoeffSeries,
@@ -31,6 +31,7 @@ from wallisprod.coeffs import (
     wallis_nu,
     wallis_nu_raw,
 )
+from wallisprod.expansions import _reexpand
 
 F = Fraction
 
@@ -472,6 +473,13 @@ class TestScalarFamilies:
 
     def test_omega_routes_agree(self):
         assert omega(12).values == omega_alt(12).values
+
+    def test_nu_is_the_wallis_specialisation_of_a(self):
+        # wallis_seq(n) = 1 / W_n(0, -1/4) and W_inf(0, -1/4) = 2/pi, so nu_j is minus the
+        # j-th coefficient of a(0, -1/4), re-expanded from 1/(n+1) to 1/n
+        top = _CAPS["a"]
+        a = [a_poly(j).evaluate_exact(0, F(-1, 4)) for j in range(1, top + 1)]
+        assert [-c for c in _reexpand(a, F(-1), top)] == list(wallis_nu(top).values)
 
     def test_prefix_consistency(self):
         assert wallis_nu(4).values == wallis_nu(11).values[:4]

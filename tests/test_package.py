@@ -138,8 +138,8 @@ class TestRecordTypes:
         assert (family.order, family.params) == (3, None)
         assert expansions.ErrorReport(1, 1j, 1j, 0.0, None).note is None
         assert verify.CheckResult("x", False).detail == ""
-        spec = expansions._Spec(None, True, None, None)
-        assert (spec.limit, spec.max_order, spec.needs_params) == (None, None, False)
+        spec = expansions._Spec(None, True, None, None, 5)
+        assert (spec.limit, spec.max_order, spec.needs_params) == (None, 5, False)
 
     def test_validation_errors(self):
         from fractions import Fraction
@@ -214,6 +214,29 @@ COUNT_ARGS = [
     ("check_bounds", wallisprod.check_bounds, 1),
 ]
 
+# Each exact build and each expansion family past its cap in bernoulli._CAPS:
+# (id, call with x as the count, lowest count, cap).
+CAPS = wallisprod.bernoulli._CAPS
+_CAPPED_FAMILIES = [(T.W_PQ, CAPS["a"]), (T.R_PQ, CAPS["b"]), (T.WALLIS_MU, CAPS["mu"]),
+                    (T.WALLIS_NU_EXP, CAPS["nu"]), (T.WALLIS_ALPHA_BETA, CAPS["alpha_beta"]),
+                    (T.WALLIS_OMEGA, CAPS["omega"]),
+                    (T.ELEZOVIC, len(wallisprod.ELEZOVIC_TERMS))]
+CAP_ARGS = [
+    ("bernoulli_number", wallisprod.bernoulli_number, 0, CAPS["bernoulli"]),
+    *((name, getattr(wallisprod, name), 1, CAPS[key]) for name, key in (
+        ("a_poly", "a"), ("b_poly", "b"), ("wallis_nu", "nu"), ("wallis_nu_raw", "nu"),
+        ("wallis_mu", "mu"), ("alpha_beta", "alpha_beta"), ("omega", "omega"),
+        ("omega_alt", "omega"))),
+    *((f"ExpansionFamily.{tag.value}", lambda x, t=tag: wallisprod.ExpansionFamily(
+        t, x, (1, 0.5) if t in (T.W_PQ, T.R_PQ) else None), 1, cap)
+      for tag, cap in _CAPPED_FAMILIES),
+    # the exact error kernel: its own cap, below the family's
+    ("wallis_error_exact", lambda x: wallisprod.wallis_error_exact(T.WALLIS_MU, x, 10), 1,
+     CAPS["error_order"]),
+    ("convergence_order", lambda x: wallisprod.convergence_order(
+        wallisprod.ExpansionFamily(T.WALLIS_OMEGA, x), [10, 100]), 1, CAPS["error_order"]),
+]
+
 # Each public entry point that takes (p, q): (id, call with those parameters).
 PQ_ARGS = [
     ("w_product", lambda p, q: wallisprod.w_product(10, p, q)),
@@ -260,6 +283,16 @@ class TestDomains:
         with pytest.raises(error, match=match):
             call(low - 1 if bad is None else bad)
         assert wallisprod.cache_sizes() == before  # refused before any work
+
+    @pytest.mark.parametrize("call,low,cap", [args[1:] for args in CAP_ARGS],
+                             ids=[args[0] for args in CAP_ARGS])
+    def test_caps(self, call, low, cap):
+        before = wallisprod.cache_sizes()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"must be in {low}\.\.{cap}$"):
+            call(cap + 1)
+        assert time.perf_counter() - start < 0.01  # refused at entry
+        assert wallisprod.cache_sizes() == before
 
     @pytest.mark.parametrize("call", [args[1] for args in PQ_ARGS],
                              ids=[args[0] for args in PQ_ARGS])
