@@ -53,13 +53,15 @@ def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
 
 # The largest count of each exact build, for coeffs, the expansion families and the CLI: a
 # cold build to its cap takes at most about 2 s, and past it the cost grows steeply.
-# ``error_order`` caps the exact error kernel of ``expansions``.  The Bernoulli cap is the
-# largest index they read: B_(j+1) for a_j, b_j and nu_j, with nu up to mu's count and
-# twice omega's and alpha_beta's.
-_CAPS = {"a": 120, "b": 120, "nu": 1800, "mu": 750, "omega": 400, "alpha_beta": 12,
-         "error_order": 20}
-_CAPS["bernoulli"] = 1 + max(_CAPS["a"], _CAPS["b"], _CAPS["nu"], _CAPS["mu"],
-                             2 * _CAPS["omega"], 2 * _CAPS["alpha_beta"])
+# ``nu_raw`` caps ``coeffs.wallis_nu_raw``, whose Bernoulli polynomials cost O(order^2)
+# terms; ``error_order`` caps the exact error kernel of ``expansions``.  The Bernoulli cap
+# is the largest index they read: B_(j+1) for a_j, b_j and nu_j (both routes), with nu up
+# to mu's count and to twice alpha_beta's; B_2l for omega_l, and nu up to 2L for the
+# ``omega_alt`` route, which shares omega's cap.
+_CAPS = {"a": 120, "b": 120, "nu": 1800, "nu_raw": 550, "mu": 750, "omega": 400,
+         "alpha_beta": 12, "error_order": 20}
+_CAPS["bernoulli"] = 1 + max(_CAPS["a"], _CAPS["b"], _CAPS["nu"], _CAPS["nu_raw"],
+                             _CAPS["mu"], 2 * _CAPS["omega"], 2 * _CAPS["alpha_beta"])
 
 
 def _pair(p, q) -> tuple[complex, complex]:

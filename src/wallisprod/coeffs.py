@@ -21,23 +21,19 @@ Two kinds of objects live here:
   - ``(alpha_l, beta_l)``: shifted odd-power series
     ``1 + sum alpha_l / (n + beta_l)^(2l-1)``
   - ``omega_l``: odd-power series at the half-integer shift,
-    ``exp(sum omega_l / (n + 1/2)^(2l-1))``, with two independent
-    recurrences (odd-index and even-index matching) that must agree.
+    ``exp(sum omega_l / (n + 1/2)^(2l-1))``; ``omega_alt`` is its
+    cross-check route, by the even-index matching of nu.
 
-  Entry ``k`` of each of these series (``nu``, ``mu``, ``alpha_beta``,
-  ``omega`` and its second route ``omega_alt``) depends only on earlier
-  entries and on a prefix of another series, so each is computed once per
-  process: a call extends the family's list by prefix as far as it asks,
-  and later calls read it.  These lists and the Bernoulli numbers grow
-  under one re-entrant lock (``bernoulli._grow``).  The ``mu`` and ``omega`` builds run over
-  integer numerators on a common denominator and reduce each new entry
-  once.  The ``alpha_beta`` build runs in integers over a factor base
-  (:class:`_FactorBase`): the primes up to ``2l - 1`` and the numerators
-  of the earlier ``alpha_k``, whose products make up every denominator of
-  the family, so its sums cancel whole pieces without a gcd and the
-  ``Fraction`` constructor reduces each new entry once.
-  :func:`cache_sizes` reports how far every coefficient cache has grown.
-  Each builder checks its cap in ``bernoulli._CAPS`` before any cache grows.
+  Each of these series is computed once per process: a call extends the family's
+  list by prefix as far as it asks, and later calls read it.  Entry ``k`` of ``nu``
+  and ``omega`` is a closed form in one Bernoulli number.  ``mu``, ``alpha_beta``
+  and ``omega_alt`` solve for it from the earlier entries and a prefix of another
+  series, in integers: ``mu`` and ``omega_alt`` over a common denominator
+  (:class:`_Common`), ``alpha_beta`` over a factor base (:class:`_FactorBase`),
+  with one ``Fraction`` reduction per new entry.  These lists and the Bernoulli
+  numbers grow under one re-entrant lock (``bernoulli._grow``).  :func:`cache_sizes`
+  reports how far every coefficient cache has grown.  Each builder checks its cap
+  in ``bernoulli._CAPS`` before any cache grows.
 
 All values are exact `Fraction`s.  Floating point enters only where a
 coefficient polynomial is evaluated at a complex point (:func:`eval_bipoly`).
@@ -178,10 +174,7 @@ def _bernoulli_pair(m: int, c: Fraction, scale: Fraction = Fraction(1)) -> BiPol
     The build runs in integers: per ``k`` one numerator and one denominator
     from ``scale``, ``C(m, k)``, ``B_(m-k)`` and the powers of the numerator
     and denominator of ``2c`` (1 and 1 for ``a_j``, 1 and 2 for ``b_j``), then
-    one reduced ``Fraction`` per term.  With the Bernoulli table warm, the
-    cold ``a_1 .. a_120`` and ``b_1 .. b_120`` take about 0.45 s together on
-    a shared 2-vCPU VM, against 1.0 s by ``Fraction`` arithmetic on the
-    coefficients of ``B_m(t)``.
+    one reduced ``Fraction`` per term.
     """
     two_c = 2 * c
     cn, cd = two_c.numerator, two_c.denominator
@@ -273,6 +266,11 @@ def _nu_closed(j: int) -> Fraction:
     return Fraction((-1) ** (j + 1)) * (scale * bernoulli_number(j + 1) - corr) / (j * (j + 1))
 
 
+def _omega_closed(level: int) -> Fraction:
+    # -(2 - 2^(1-2l)) B_2l / (l (2l - 1)), derived in omega's docstring
+    return (Fraction(2, 4**level) - 2) * bernoulli_number(2 * level) / (level * (2 * level - 1))
+
+
 # Series caches, grown by ``_grow``: list index ``k - 1`` holds entry ``k``.
 _NU: list[Fraction] = []
 _MU: list[Fraction] = []
@@ -299,8 +297,8 @@ class _Common:
         self.nums.append(value.numerator * (self.den // value.denominator))
 
 
-def _nu_entries(nu: list[Fraction], count: int):
-    return map(_nu_closed, range(len(nu) + 1, count + 1))
+def _closed_entries(values: list[Fraction], count: int, closed):
+    return map(closed, range(len(values) + 1, count + 1))
 
 
 def _series(family: Family, values: list, entries, order: int, *args) -> CoeffSeries:
@@ -311,7 +309,7 @@ def _series(family: Family, values: list, entries, order: int, *args) -> CoeffSe
 
 def wallis_nu(order: int) -> CoeffSeries:
     """Exact ``nu_1 .. nu_order`` of ``ln(2 W_n / pi) ~ sum nu_j / n^j``."""
-    return _series(Family.NU, _NU, _nu_entries, order)
+    return _series(Family.NU, _NU, _closed_entries, order, _nu_closed)
 
 
 def wallis_nu_raw(order: int) -> CoeffSeries:
@@ -320,19 +318,17 @@ def wallis_nu_raw(order: int) -> CoeffSeries:
     ``nu_j = (-1)^(j+1) (2 B_{j+1} - B_{j+1}(1/2) - B_{j+1}(3/2)) / (j (j+1))``.
     Kept as an independent route for consistency checks.
     """
-    order = _count(order, "order", 1, _CAPS["nu"])
-    values = []
-    for j in range(1, order + 1):
-        half, three_halves = _poly_values(j + 1, (Fraction(1, 2), Fraction(3, 2)))
-        num = 2 * bernoulli_number(j + 1) - half - three_halves
-        values.append(Fraction((-1) ** (j + 1)) * num / (j * (j + 1)))
-    return CoeffSeries(Family.NU, order, tuple(values))
+    order = _count(order, "order", 1, _CAPS["nu_raw"])
+    points = (Fraction(1, 2), Fraction(3, 2))
+    return CoeffSeries(Family.NU, order, tuple(
+        (-1) ** (j + 1) * (2 * bernoulli_number(j + 1) - sum(_poly_values(j + 1, points)))
+        / (j * (j + 1)) for j in range(1, order + 1)))
 
 
 def _mu_entries(mu: list[Fraction], count: int):
     # mu_n = (1/n) sum_{k=1}^{n} k nu_k mu_{n-k} with mu_0 = 1: one integer dot
     # product over the common denominators of the k nu_k and of mu_0 .. mu_(n-1)
-    weights = _Common([k * v for k, v in enumerate(_grow(_NU, _nu_entries, count), 1)])
+    weights = _Common([k * v for k, v in enumerate(wallis_nu(count).values, 1)])
     prefix = _Common([Fraction(1), *mu])
     for n in range(len(mu) + 1, count + 1):
         value = Fraction(sum(map(operator.mul, weights.nums, reversed(prefix.nums))),
@@ -451,8 +447,7 @@ def _alpha_beta_levels(mu: list[Fraction], pairs: list[tuple[Fraction, Fraction]
     primes): the denominators of ``alpha_k`` and ``beta_k`` are products of
     these pieces, so a term ``alpha_k beta_k^m`` is one integer power plus
     exponent arithmetic, and the ascending-``k`` sum cancels the pieces
-    without a gcd.  The base comes from ``pairs`` when the generator starts;
-    each output is the reduced ``Fraction`` however the pieces fall.
+    without a gcd; each output is the reduced ``Fraction`` however they fall.
     """
     base = _FactorBase(2 * count - 1)
     reps = []  # (sign, exponents) of alpha_k and (integer, exponents) of beta_k
@@ -493,32 +488,37 @@ def alpha_beta(levels: int) -> CoeffSeries:
     return _series(Family.ALPHA_BETA, _ALPHA_BETA, _alpha_beta_entries, levels)
 
 
-def _omega_entries(out: list[Fraction], count: int, parity: int):
-    # Matching nu_(r+1), r = 2l - 2 + parity, gives sum_{k<=l} omega_k C(r, 2k-2) /
-    # 2^(r-2k+2) = (-1)^parity nu_(r+1): parity 0 is the odd-index route, 1 the even-index
-    # one, and neither reads the other's list.  With omega_k = w_k / e for k < l, the
-    # known part is sum_k w_k C(r, 2k-2) 2^(2k-2) / (e 2^r).
-    nu = _grow(_NU, _nu_entries, 2 * count - 1 + parity)
+def _omega_entries(out: list[Fraction], count: int):
+    # Matching nu_2l, r = 2l - 1: sum_{k<=l} omega_k C(r, 2k-2) / 2^(r-2k+2) = -nu_2l.  With
+    # omega_k = w_k / e for k < l, the known part is sum_k w_k C(r, 2k-2) 2^(2k-2) / (e 2^r).
+    nu = wallis_nu(2 * count).values
     prefix = _Common(out)
     for level in range(len(out) + 1, count + 1):
-        r = 2 * level - 2 + parity
+        r = 2 * level - 1
         known = sum(w * math.comb(r, 2 * i) << 2 * i for i, w in enumerate(prefix.nums))
         den = prefix.den << r
         v = nu[r]
-        value = Fraction(((-1) ** parity * v.numerator * den - known * v.denominator) << parity,
+        value = Fraction((-v.numerator * den - known * v.denominator) << 1,
                          math.comb(r, 2 * level - 2) * v.denominator * den)
         prefix.append(value)
         yield value
 
 
 def omega(levels: int) -> CoeffSeries:
-    """Exact ``omega_l`` via matching of the odd-index nu coefficients."""
-    return _series(Family.OMEGA, _OMEGA, _omega_entries, levels, 0)
+    """Exact ``omega_l`` of ``ln(2 W_n / pi) ~ sum omega_l / (n + 1/2)^(2l-1)``, in closed form.
+
+    ``W_n = (pi/2) Gamma(n+1)^2 / (Gamma(n+1/2) Gamma(n+3/2))``, so at ``y = n + 1/2``,
+    ``ln(2 W_n / pi) = 2 lnGamma(y + 1/2) - lnGamma(y) - lnGamma(y + 1)``.  The Stirling
+    coefficient of ``y^-k`` is ``(-1)^(k+1) (2 B_(k+1)(1/2) - 2 B_(k+1)) / (k (k+1))``.
+    With ``B_m(1/2) = (2^(1-m) - 1) B_m`` only odd ``k = 2l - 1`` survive, and they give
+    ``omega_l = -(2 - 2^(1-2l)) B_2l / (l (2l - 1))``: no nu coefficient is read.
+    """
+    return _series(Family.OMEGA, _OMEGA, _closed_entries, levels, _omega_closed)
 
 
 def omega_alt(levels: int) -> CoeffSeries:
-    """Same ``omega_l`` via the even-index nu matching; must agree with :func:`omega`."""
-    return _series(Family.OMEGA, _OMEGA_ALT, _omega_entries, levels, 1)
+    """Same ``omega_l`` by the even-index matching of ``nu_1 .. nu_2L``: checks :func:`omega`."""
+    return _series(Family.OMEGA, _OMEGA_ALT, _omega_entries, levels)
 
 
 def cache_sizes() -> dict[str, int]:

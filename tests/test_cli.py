@@ -86,6 +86,20 @@ def runner():
     return Runner()
 
 
+@pytest.fixture()
+def no_work(monkeypatch):
+    """Every library entry point ``coeffs`` and ``eval`` call fails the test if it runs."""
+    def fail(*args):
+        raise AssertionError("the refused command did library work")
+    for module, name in [(coeffs, "a_poly"), (coeffs, "b_poly"), (coeffs, "eval_bipoly"),
+                         (coeffs, "wallis_nu"), (coeffs, "wallis_mu"), (coeffs, "omega"),
+                         (coeffs, "alpha_beta"), (products, "wallis_seq"),
+                         (products, "w_product"), (products, "r_product"),
+                         (special, "w_closed"), (special, "r_closed"),
+                         (expansions, "family_report")]:
+        monkeypatch.setattr(module, name, fail)
+
+
 def invoke(runner, *args, env=None):
     return runner.invoke(main, list(args), env=env, catch_exceptions=False)
 
@@ -522,16 +536,6 @@ class TestEvalCommand:
         result = invoke(runner, "eval", "--target", "wproduct", *PRODUCT_ARGS)
         assert "zero_factor_at: None\nnear_zero_at: None\nterms: 50\n" in result.stdout
 
-    @pytest.fixture()
-    def no_work(self, monkeypatch):
-        """Every library entry point ``eval`` calls fails the test if it runs."""
-        def fail(*args):
-            raise AssertionError("the refused command did library work")
-        for module, name in [(products, "wallis_seq"), (products, "w_product"),
-                             (products, "r_product"), (special, "w_closed"),
-                             (special, "r_closed"), (expansions, "family_report")]:
-            monkeypatch.setattr(module, name, fail)
-
     @pytest.mark.parametrize("argv,message", [
         pytest.param(["--target", "wallis", "--n", "5", "--p", "1"],
                      "--p and --q do not apply", id="wallis-p"),
@@ -676,6 +680,33 @@ class TestUsageContract:
         assert result.stdout == ""
         assert "Usage:" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("argv,code,line", [
+        pytest.param(["coeffs", "--family", "a", "--order", "2", "--p", "1"], 2,
+                     "Error: --p and --q must be given together", id="coeffs-p-alone"),
+        pytest.param(["coeffs", "--family", "b", "--order", "2", "--q", "1"], 2,
+                     "Error: --p and --q must be given together", id="coeffs-q-alone"),
+        pytest.param(["eval", "--target", "wallis", "--n", "0"], 2,
+                     "Error: --n must be >= 1", id="eval-n-0"),
+        pytest.param(["eval", "--target", "zproduct", "--n", "5"], 2,
+                     "Error: unknown target 'zproduct'", id="eval-unknown-target"),
+        pytest.param(["eval", "--target", "expansion:zeta", "--n", "5", "--order", "2"], 2,
+                     "Error: unknown expansion family 'zeta' (choose from ['alphabeta', "
+                     "'elezovic', 'mu', 'nu', 'omega', 'r', 'w'])", id="eval-unknown-family"),
+        pytest.param(["eval", "--target", "expansion:mu", "--n", "5"], 2,
+                     "Error: --order is required for expansion targets", id="eval-no-order"),
+        pytest.param(["verify", "--suite", "limits"], 1, "FAIL limits.planted  (off by one)",
+                     id="verify-failed"),
+    ])
+    def test_exit_code_paths(self, runner, no_work, monkeypatch, argv, code, line):
+        # a usage error exits 2 before any library work; a failing check makes verify exit 1
+        monkeypatch.setitem(verify.SUITES, "limits",
+                            lambda: [verify.CheckResult("limits.planted", False, "off by one")])
+        result = runner.invoke(main, argv)
+        assert result.exit_code == code
+        assert line in result.output.splitlines()
+        assert "Traceback" not in result.output
+        assert (result.stdout == "") == (code == 2)
 
     @pytest.mark.parametrize("pq", [
         ("--p", "-3000.0+0.5i", "--q", "2"),

@@ -228,6 +228,8 @@ PRINTED_TO_CAP_SHA256 = {
     "a": "97757399f79b1fb41d2dda178faf49ca94e64fc60627039e0498b0eebb7f52c6",
     "b": "a0baf3597533377da6cf31d1dda5b2a56d358c334453e3a3fe00961c278d3331",
 }
+# and of "\n".join(format_rational(v) for v in omega(400).values), omega's cap
+OMEGA_TO_CAP_SHA256 ="3c37e8fb960d8a33b82367f305778997d2e31b3c71b991d49f42dcff52c7c687"
 
 # (terms, printed): a negative leading term, unit coefficients, an integer
 # coefficient, a constant only, the zero polynomial, and values given as int,
@@ -481,6 +483,20 @@ class TestScalarFamilies:
         a = [a_poly(j).evaluate_exact(0, F(-1, 4)) for j in range(1, top + 1)]
         assert [-c for c in _reexpand(a, F(-1), top)] == list(wallis_nu(top).values)
 
+    def test_omega_is_nu_reexpanded_at_one_half(self):
+        # ln(2 W_n / pi) re-expanded from 1/n to 1/(n + 1/2) is omega's series: a third
+        # derivation, beside the closed form and the two matchings, whose even powers vanish
+        levels = 40
+        top = 2 * levels - 1
+        series = _reexpand(wallis_nu(top).values, F(1, 2), top)
+        assert series[0::2] == list(omega(levels).values)
+        assert not any(series[1::2])
+
+    def test_omega_to_the_cap_matches_frozen_digest(self):
+        # omega_1 .. omega_400 as the odd-index matching built them before the closed form
+        text = "\n".join(map(format_rational, omega(_CAPS["omega"]).values))
+        assert hashlib.sha256(text.encode()).hexdigest() == OMEGA_TO_CAP_SHA256
+
     def test_prefix_consistency(self):
         assert wallis_nu(4).values == wallis_nu(11).values[:4]
         assert wallis_mu(3).values == wallis_mu(11).values[:3]
@@ -679,6 +695,10 @@ class TestSeriesCache:
     def test_omega_alt_never_reads_omega(self, cold_series_caches):
         omega_alt(6)
         assert coeffs._OMEGA == []
+
+    def test_omega_never_reads_nu(self, cold_series_caches):
+        omega(6)
+        assert coeffs._NU == [] and cache_sizes()["nu"] == 0
 
     def test_degenerate_level_keeps_earlier_levels(self, cold_series_caches):
         # the fabricated mu of test_alpha_beta_degenerate_level_raises, placed in the cache

@@ -224,7 +224,7 @@ _CAPPED_FAMILIES = [(T.W_PQ, CAPS["a"]), (T.R_PQ, CAPS["b"]), (T.WALLIS_MU, CAPS
 CAP_ARGS = [
     ("bernoulli_number", wallisprod.bernoulli_number, 0, CAPS["bernoulli"]),
     *((name, getattr(wallisprod, name), 1, CAPS[key]) for name, key in (
-        ("a_poly", "a"), ("b_poly", "b"), ("wallis_nu", "nu"), ("wallis_nu_raw", "nu"),
+        ("a_poly", "a"), ("b_poly", "b"), ("wallis_nu", "nu"), ("wallis_nu_raw", "nu_raw"),
         ("wallis_mu", "mu"), ("alpha_beta", "alpha_beta"), ("omega", "omega"),
         ("omega_alt", "omega"))),
     *((f"ExpansionFamily.{tag.value}", lambda x, t=tag: wallisprod.ExpansionFamily(
