@@ -9,9 +9,12 @@ order: the cap in ``bernoulli._CAPS`` of the coefficients it reads, or
 Elezović's six terms.  Two evaluators read the table: one in floats
 (complex for the two (p, q) families) behind the public
 ``eval_*`` functions, and one in fixed-point integers behind
-:func:`wallis_error_exact`.  The ``(n + 5/8)`` series of Elezovic, Lin and
-Vuksic is the ``mu`` series re-expanded at shift 5/8, so
-:data:`ELEZOVIC_TERMS` is derived, not typed.
+:func:`wallis_error_exact`.  For the five Wallis-sequence families the float
+evaluator reads a per-family table of doubles, ``_FLOAT_TERMS``, built once per
+process by prefix as far as a call asks; a coefficient past the double range
+keeps its binary exponent beside its mantissa there.  The ``(n + 5/8)``
+series of Elezovic, Lin and Vuksic is the ``mu`` series re-expanded at shift
+5/8, so :data:`ELEZOVIC_TERMS` is derived, not typed.
 
 Errors are always measured against the product oracle, never
 against the gamma closed form.  The Wallis-sequence families are measured
@@ -45,7 +48,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from ._fixed import _div_round, _exp_scaled, _log_ratio, _pi_scaled, _scaled
-from .bernoulli import _CAPS, _count
+from .bernoulli import _CAPS, _count, _grow
 from .coeffs import (
     _alpha_beta_levels,
     a_poly,
@@ -228,6 +231,41 @@ _FAMILIES: dict[ExpansionTag, _Spec] = {
 }
 
 
+# Float terms of the Wallis-sequence families, grown by prefix under ``bernoulli._grow``'s
+# lock as far as a float evaluation asks: index ``k - 1`` holds ``(c, s, e, b)`` for the term
+# ``c 2^b (n + s)^-e`` of ``spec.terms``.  ``c`` is the coefficient as a double and ``b`` 0, or,
+# for a coefficient past the double range, ``c`` is its mantissa and ``b`` its binary exponent.
+_FLOAT_TERMS: dict[ExpansionTag, list[tuple[float, float, int, int]]] = {
+    tag: [] for tag, spec in _FAMILIES.items() if not spec.needs_params}
+
+
+def _float_entries(table: list, count: int, spec: _Spec):
+    for c, s, e in spec.terms(count, None)[len(table):]:
+        try:
+            c, b = float(c), 0
+        except OverflowError:  # |c| > 2^1024: one correctly rounded quotient in (1/2, 2)
+            b = c.numerator.bit_length() - c.denominator.bit_length()
+            c = c.numerator / (c.denominator << b)
+        yield c, float(s), e, b
+
+
+def _wide_term(c: float, b: int, t: float, e: int) -> float:
+    """``c 2^b t^-e`` for ``t >= 1``, kept as a mantissa and a binary exponent until the end.
+
+    ``t^-e`` is taken as ``f^-e 2^(-g e)`` with ``t = f 2^g``, ``f`` in ``[1/2, 1)``, and
+    ``f^-e`` in steps of at most ``2^1000``, each renormalized; so the term is a few
+    roundings from the exact one, and only the final ``ldexp`` can overflow or underflow.
+    """
+    f, g = math.frexp(t)
+    b -= g * e
+    while e:
+        step = min(e, 1000)
+        c, j = math.frexp(c * f ** -step)
+        b += j
+        e -= step
+    return math.ldexp(c, b)
+
+
 def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None):
     """The truncated family at ``n``: a float, or a complex for the (p, q) families.
 
@@ -244,7 +282,11 @@ def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None
     # each term is c (x + s)^-e: where (x + s)^e would pass the double range, the power
     # underflows to a term far below the last bit of the sum
     if not spec.needs_params:
-        s = math.fsum(float(c) * (x + float(sh)) ** -e for c, sh, e in spec.terms(order, None))
+        table = _FLOAT_TERMS[tag]
+        # entries are only appended, so a table long enough is read without the lock
+        terms = table[:order] if len(table) >= order else _grow(table, _float_entries, order, spec)
+        s = math.fsum(c * (x + sh) ** -e if not b else _wide_term(c, b, x + sh, e)
+                      for c, sh, e, b in terms)
         return math.pi / 2 * (math.exp(s) if spec.exp_form else 1 + s)
     limit = spec.limit(*params)
     if limit == 0:

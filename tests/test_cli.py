@@ -325,6 +325,14 @@ class TestEvalCommand:
         assert data["family"] == "wallis_omega"
         assert data["abs_err"] <= 1e-13
 
+    def test_expansion_at_the_order_cap(self, runner):
+        # mu_261 .. mu_750 pass the double range, and their terms are far below the sum's last bit
+        result = invoke(runner, "eval", "--target", "expansion:mu", "--n", "1000000",
+                        "--order", "750", "--format", "json")
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert (data["order"], data["approx"]["re"]) == (750, 1.5707959340960604)
+
     def test_expansion_report_csv_schema(self, runner):
         result = invoke(runner, "eval", "--target", "expansion:mu", "--n", "100",
                         "--order", "4", "--format", "csv")

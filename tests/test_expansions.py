@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import islice
@@ -240,6 +241,169 @@ def test_powers_past_the_double_range_match_mpmath(f, tag, args):
         limit = mp.mpmathify(spec.limit(*params)) if params else mp.pi / 2
         want = complex(limit * (mp.exp(s) if spec.exp_form else 1 + s))
     assert abs(got - want) <= 4 * math.ulp(abs(want)), (got, want)
+
+
+# ---------------------------------------------------------------------------
+# Float term tables of the Wallis-sequence families
+# ---------------------------------------------------------------------------
+
+FLOAT_EVALS = {ExpansionTag.WALLIS_MU: eval_wallis_mu, ExpansionTag.WALLIS_NU_EXP: eval_wallis_nu_exp,
+               ExpansionTag.WALLIS_ALPHA_BETA: eval_wallis_alpha_beta,
+               ExpansionTag.WALLIS_OMEGA: eval_wallis_omega, ExpansionTag.ELEZOVIC: eval_elezovic}
+
+
+@pytest.fixture()
+def cold_float_tables():
+    """Empty the float term tables for one test and put their entries back after it."""
+    tables = expansions._FLOAT_TERMS
+    saved = {tag: list(table) for tag, table in tables.items()}
+    for table in tables.values():
+        table.clear()
+    try:
+        yield tables
+    finally:
+        for tag, table in tables.items():
+            table[:] = saved[tag]
+
+
+def _outcome(f, *args):
+    """The bits of ``f(*args)``, or ``OverflowError`` when it raises one."""
+    try:
+        return f(*args).hex()
+    except OverflowError:
+        return OverflowError
+
+
+def _rebuilt(tag, n, order):
+    """The float evaluator on terms rebuilt from the exact coefficients and converted anew."""
+    spec = _FAMILIES[tag]
+    x = float(n) if n.bit_length() <= 1024 else math.inf
+    s = math.fsum(float(c) * (x + float(sh)) ** -e for c, sh, e in spec.terms(order, None))
+    return math.pi / 2 * (math.exp(s) if spec.exp_form else 1 + s)
+
+
+@pytest.mark.parametrize("tag", FLOAT_EVALS)
+def test_float_table_grows_to_the_largest_order_asked(cold_float_tables, tag):
+    # every coefficient of these orders is a double, so cold and warm calls give the bits
+    # of the formula on the exact terms; each call leaves max(previous, order) entries
+    f, table = FLOAT_EVALS[tag], cold_float_tables[tag]
+    top = min(_FAMILIES[tag].max_order, 40)
+    longest = 0
+    for order in (3, 1, top // 2, 2, top, top - 1, top):
+        for n in (1, 7, 100, 10**6, 10**15, 2**1100):
+            assert _outcome(f, n, order) == _outcome(_rebuilt, tag, n, order), (n, order)
+        longest = max(longest, order)
+        assert len(table) == longest
+    assert all(not cold_float_tables[t] for t in FLOAT_EVALS if t != tag)
+
+
+def test_refused_calls_leave_every_table_unchanged(cold_float_tables):
+    eval_wallis_mu(100, 3)
+    eval_wallis_omega(100, 2)
+    before = ({tag: list(table) for tag, table in cold_float_tables.items()}, cache_sizes())
+    for tag, f in FLOAT_EVALS.items():
+        cap = _FAMILIES[tag].max_order
+        for n, order, error in ((100, cap + 1, ValueError), (100, 0, ValueError),
+                                (0, cap, ValueError), (-5, cap, ValueError),
+                                (10.0, cap, TypeError), (10, float(cap), TypeError)):
+            with pytest.raises(error):
+                f(n, order)
+    assert ({tag: list(table) for tag, table in cold_float_tables.items()},
+            cache_sizes()) == before
+
+
+def test_concurrent_float_table_growth(cold_float_tables):
+    import threading
+
+    def values():
+        return [_outcome(f, n, min(order, _FAMILIES[tag].max_order))
+                for tag, f in FLOAT_EVALS.items()
+                for order in (5, 60, 2, 300) for n in (3, 250, 10**6)]
+
+    expected = values()  # single-threaded
+    tables = {tag: list(table) for tag, table in cold_float_tables.items()}
+    for table in cold_float_tables.values():
+        table.clear()
+    errors, results = [], []
+    start = threading.Barrier(8)
+
+    def worker():
+        try:
+            start.wait(timeout=60)  # all threads grow the tables together
+            results.append(values())
+        except Exception as exc:  # surfaced after join
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(start.parties)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert results == [expected] * start.parties
+    assert {tag: list(table) for tag, table in cold_float_tables.items()} == tables
+
+
+# orders per family, across the coefficients that pass the double range (omega_131, mu_261
+# and nu_261 on), up to the cap
+FLOAT_GRID_ORDERS = {
+    ExpansionTag.WALLIS_MU: (1, 16, 130, 131, 260, 261, 500, 750),
+    ExpansionTag.WALLIS_NU_EXP: (1, 15, 130, 131, 260, 261, 300, 1000, 1700, 1800),
+    ExpansionTag.WALLIS_OMEGA: (1, 10, 130, 131, 260, 261, 400),
+    ExpansionTag.WALLIS_ALPHA_BETA: (1, 6, 11, 12),
+    ExpansionTag.ELEZOVIC: (1, 2, 3, 4, 5, 6),
+}
+
+
+@pytest.mark.parametrize("tag", FLOAT_EVALS)
+def test_float_evaluator_matches_mpmath_up_to_the_cap(tag):
+    # reference: the truncated sum at 50 digits; bound: a few ulp of max(1, sum |term|),
+    # which the evaluator meets with and without coefficients past the double range
+    f, spec = FLOAT_EVALS[tag], _FAMILIES[tag]
+    orders = FLOAT_GRID_ORDERS[tag]
+    rng = random.Random(f"float-grid-{tag.value}")
+    # at n = 100 the nu terms from about order 1700 on are no longer below the sum's last bit
+    ns = [100, 10**6, 10**9] + [round(10 ** rng.uniform(2, 12)) for _ in range(5)]
+    with mp.workdps(50):
+        coeffs_mp = [(_mp_rational(c), _mp_rational(Fraction(sh)), e)
+                     for c, sh, e in spec.terms(orders[-1], None)]
+        for n in ns:
+            terms = [c / (n + sh) ** e for c, sh, e in coeffs_mp]
+            for order in orders:
+                s, size = mp.fsum(terms[:order]), max(1, mp.fsum(map(abs, terms[:order])))
+                want = mp.pi / 2 * (mp.exp(s) if spec.exp_form else 1 + s)
+                if abs(want) > sys.float_info.max:
+                    with pytest.raises(OverflowError):
+                        f(n, order)
+                    continue
+                got = f(n, order)
+                assert abs(got - want) <= 4 * math.ulp(abs(float(want))) * size, (n, order)
+    assert f(2**1100, orders[-1]) == math.pi / 2
+    if tag is ExpansionTag.WALLIS_NU_EXP:
+        with pytest.raises(OverflowError):  # the truncated value itself, about exp(8000)
+            f(1, 25)
+
+
+def test_wide_term_matches_exact_rationals():
+    # c 2^b t^-e where c 2^b or t^e, or both, pass the double range and the term does not
+    rng = random.Random(11)
+    for _ in range(400):
+        e = rng.randint(1, 1800)
+        t = rng.choice([1.0, 1.5, 100.0, 2521.0, 1e12 + 0.5, float(10 ** rng.randint(0, 12))])
+        c = rng.uniform(0.5, 2) * rng.choice((1, -1))
+        b = rng.randint(-1000, 1000) + round(e * math.log2(t))
+        want = Fraction(c) * Fraction(2) ** b / Fraction(t) ** e
+        got = expansions._wide_term(c, b, t, e)
+        assert abs(Fraction(got) - want) <= 4 * Fraction(math.ulp(float(want))), (c, b, t, e)
+    assert expansions._wide_term(1.5, 3000, math.inf, 700) == 0
+    assert expansions._wide_term(1.5, 1100, 2.0, 2200) == 0  # below the subnormals
+    with pytest.raises(OverflowError):
+        expansions._wide_term(1.5, 3000, 2.0, 1000)
 
 
 class TestConvergenceOrder:
