@@ -142,15 +142,23 @@ def _em_weight(k: int, m: int) -> Fraction:
 def _poly_values(n: int, points) -> list[Fraction]:
     """Exact ``B_n(x)`` at each rational ``x`` of ``points``.
 
-    One coefficient list ``C(n, k) B_(n-k)`` of ``t^k`` is built per call
-    and evaluated by Horner's rule at every point.
+    The coefficients ``C(n, i) B_i`` of ``t^(n-i)`` are put once per call over
+    the common denominator ``D`` of ``B_0 .. B_n``.  At ``x = a/b`` Horner's rule
+    then runs in integers on ``sum_i C(n, i) B_i a^(n-i) b^i``, and the value is
+    one reduced ``Fraction`` of that sum over ``D b^n``.
     """
     n = _count(n, "Bernoulli index", 0, _CAPS["bernoulli"])
-    coeffs = [math.comb(n, k) * bernoulli_number(n - k) for k in range(n, -1, -1)]
+    bernoulli_number(n)  # grows the table through B_n
+    numbers = _NUMBERS[:n + 1]
+    den = math.lcm(*(b.denominator for b in numbers))
+    nums = [math.comb(n, i) * b.numerator * (den // b.denominator) for i, b in enumerate(numbers)]
     values = []
     for x in points:
-        acc = Fraction(0)
-        for c in coeffs:
-            acc = acc * x + c
-        values.append(acc)
+        x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        acc, scale = nums[0], 1
+        for c in nums[1:]:  # after j steps acc = sum_(i<=j) C(n, i) B_i a^(j-i) b^i D, scale = b^j
+            scale *= b
+            acc = acc * a + c * scale
+        values.append(Fraction(acc, den * scale))
     return values

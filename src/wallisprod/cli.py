@@ -362,6 +362,9 @@ def _eval_record(target: str, n: int, p_text: str | None, q_text: str | None,
         except (PoleError, ValueError) as exc:  # a gamma pole, p^2 - 4q past the double range,
             # or a gamma argument left of the domain
             _domain_error(str(exc))
+        except OverflowError as exc:  # the value itself is past the double range
+            _domain_error(f"{target} at n = {n}, p = {p_text}, q = {q_text} is outside the "
+                          f"double range (OverflowError: {exc}); the products give its log")
         return {"target": target, "value": value}, [fmt_complex(value)]
     from .products import r_product, w_product
     try:

@@ -104,13 +104,22 @@ class BiPoly:
     __hash__ = None  # mutable dict inside; not hashable
 
     def evaluate_exact(self, p: Fraction | int, q: Fraction | int) -> Fraction:
-        """Exact rational value at a rational point ``(p, q)``."""
-        p = Fraction(p)
-        q = Fraction(q)
-        acc = Fraction(0)
-        for (i, j), c in self.terms.items():
-            acc += c * p**i * q**j
-        return acc
+        """Exact rational value at a rational point ``(p, q)``.
+
+        With ``p = pn/pd``, ``q = qn/qd``, the largest degrees ``I``, ``J`` and the
+        coefficients over their common denominator ``D``, the sum of ``c_ij
+        pn^i pd^(I-i) qn^j qd^(J-j)`` runs in integers; the value is one reduced
+        ``Fraction`` of it over ``D pd^I qd^J``.
+        """
+        p, q = Fraction(p), Fraction(q)
+        if not self.terms:
+            return Fraction(0)
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        p_powers = _homogeneous_powers(p, max(i for i, _ in self.terms))
+        q_powers = _homogeneous_powers(q, max(j for _, j in self.terms))
+        total = sum(c.numerator * (den // c.denominator) * p_powers[i] * q_powers[j]
+                    for (i, j), c in self.terms.items())
+        return Fraction(total, den * p_powers[0] * q_powers[0])
 
     def _sorted_terms(self):
         # weighted degree (q counts double) descending, then p-degree descending
@@ -143,6 +152,16 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self})"
+
+
+def _homogeneous_powers(x: Fraction, top: int) -> list[int]:
+    """``n^i d^(top - i)`` for ``i = 0 .. top``, where ``x = n/d``."""
+    n, d = x.numerator, x.denominator
+    n_powers, d_powers = [1], [1]
+    for _ in range(top):
+        n_powers.append(n_powers[-1] * n)
+        d_powers.append(d_powers[-1] * d)
+    return [a * b for a, b in zip(n_powers, reversed(d_powers))]
 
 
 def _exponent(e) -> int:
@@ -260,15 +279,19 @@ class CoeffSeries(namedtuple("CoeffSeries", "family order values")):
 
 
 def _nu_closed(j: int) -> Fraction:
-    # reduced closed form: only B_{j+1} and powers of two appear
-    scale = Fraction(4) - Fraction(1, 2 ** (j - 1))
-    corr = Fraction(j + 1, 2**j)
-    return Fraction((-1) ** (j + 1)) * (scale * bernoulli_number(j + 1) - corr) / (j * (j + 1))
+    # (-1)^(j+1) ((4 - 2^(1-j)) B_(j+1) - (j+1)/2^j) / (j (j+1)), over one denominator:
+    # only B_(j+1) = bn/bd and powers of two appear
+    b = bernoulli_number(j + 1)
+    bn, bd = b.numerator, b.denominator
+    return Fraction((-1) ** (j + 1) * (2 * ((2 << j) - 1) * bn - (j + 1) * bd),
+                    (bd * j * (j + 1)) << j)
 
 
 def _omega_closed(level: int) -> Fraction:
-    # -(2 - 2^(1-2l)) B_2l / (l (2l - 1)), derived in omega's docstring
-    return (Fraction(2, 4**level) - 2) * bernoulli_number(2 * level) / (level * (2 * level - 1))
+    # -(2 - 2^(1-2l)) B_2l / (l (2l - 1)), derived in omega's docstring, over one denominator
+    b = bernoulli_number(2 * level)
+    return Fraction(2 * (1 - 4**level) * b.numerator,
+                    (b.denominator * level * (2 * level - 1)) << 2 * level)
 
 
 # Series caches, grown by ``_grow``: list index ``k - 1`` holds entry ``k``.

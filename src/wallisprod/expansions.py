@@ -21,12 +21,14 @@ against the gamma closed form.  The Wallis-sequence families are measured
 exactly, because their truncation errors drop far below double precision
 (the order-5 odd family is at 1e-24 by ``n = 100``).  The kernel works on
 integers scaled by ``2^G``: ``pi`` and ``exp`` from ``_fixed``, each term
-``c_k / (n + s_k)^e_k`` rounded once, and ``W_n`` as the running product
-``x <- x 4k^2 // (4k^2 - 1)``.  Every step carries an integer bound on its
+``c_k / (n + s_k)^e_k`` rounded once, and ``W_n`` in one of two ways.  Up to
+``n = 3G/2`` it is the running product ``x <- x 4k^2 // (4k^2 - 1)``, which
+the points of a call at one precision walk once; past that, ``(pi/2) exp(S)``
+with ``S = ln(2 W_n / pi)`` summed by Euler–Maclaurin in about ``G / (2 log2
+n)`` terms (:func:`_wallis_tail`).  Every step carries an integer bound on its
 rounding.  ``G`` starts at ``(2 order + 4) log2(n) + 128`` bits and doubles
 until the total bound is below ``2^-60`` of the error (Ziv's strategy,
-Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 3-4), so a
-measured error costs ``O(n)`` operations on ``G``-bit integers.  The two
+Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 3-4).  The two
 (p, q) families are measured in double precision, where their errors sit
 far above the float noise for the orders of interest; estimates that would
 be dominated by noise are flagged as NaN.  The sharp two-sided Wallis
@@ -47,8 +49,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
-from ._fixed import _div_round, _exp_scaled, _log_ratio, _pi_scaled, _scaled
-from .bernoulli import _CAPS, _count, _grow
+from ._fixed import _atanh_scaled, _div_round, _exp_scaled, _log_ratio, _pi_scaled, _scaled
+from .bernoulli import _CAPS, _count, _grow, bernoulli_number
 from .coeffs import (
     _alpha_beta_levels,
     a_poly,
@@ -304,7 +306,7 @@ def _evaluate(tag: ExpansionTag, order: int, n: int, params: tuple | None = None
 
 _TERM_GUARD = 64  # extra bits of the rounded coefficients and shifts
 _MAX_DOUBLINGS = 8  # 256 times the starting precision: past that the error is not resolved
-_MAX_N = 10**7  # largest n of the exact kernel, whose walk to n costs O(n)
+_MAX_N_BITS = 1000  # n < 2^1000, a double in the estimates; the cost grows with log2(n)
 
 
 def _wallis_scaled(bits: int) -> Iterator[int]:
@@ -318,6 +320,64 @@ def _wallis_scaled(bits: int) -> Iterator[int]:
         d = 4 * k * k
         x = x * d // (d - 1)
         yield x
+
+
+def _wallis_tail(n: int, bits: int) -> tuple[int, int]:
+    """``W_n 2^bits`` and its error bound, from the Euler–Maclaurin sum of ``ln(2 W_n / pi)``.
+
+    ``ln(2 W_n / pi) = sum_(k >= N) f(k)`` with ``f(t) = ln(1 - 1/(4t^2))`` and
+    ``N = n + 1``.  Its integral and half of ``f(N)`` come to ``(2N - 1) atanh(1/(8N^2 - 1))
+    - atanh(1/(2N))``, less the corrections ``B_2m/(2m(2m - 1)) f_m`` with ``f_m =
+    f^(2m-1)(N) / (2m - 2)! = (N - 1/2)^(1-2m) + (N + 1/2)^(1-2m) - 2 N^(1-2m)``.
+    Every even derivative of ``f`` is negative, so the remainder after any
+    number of corrections lies between 0 and the first omitted one (Olver,
+    *Asymptotics and Special Functions*, ch. 8).  The sum stops at the first
+    correction within two units, or at the last Bernoulli number of the table,
+    and bounds the remainder by that one.  The logs are summed ``guard`` bits
+    finer, as ``2N`` times a log's error comes through; each of the three
+    powers in a correction is one quotient rounded to half a unit.
+    """
+    big_n = n + 1
+    guard = (2 * big_n).bit_length() + bits.bit_length() + 4
+    w = bits + guard
+    s = ((2 * big_n - 1) * _atanh_scaled(_div_round(1 << w, 8 * big_n * big_n - 1), w)
+         - _atanh_scaled(_div_round(1 << w, 2 * big_n), w))
+    # an atanh series of w bits has at most w/2 + 1 terms: within w + 3 units, and
+    # one more for its rounded argument
+    bound = 2 * big_n * (w + 4)
+    # (N -+ 1/2)^(1-2m) and N^(1-2m) are 2^(2m-1) / x^(2m-1) for these x
+    powers = [2 * big_n - 1, 2 * big_n + 1, 2 * big_n]
+    squares = [x * x for x in powers]
+    for m in itertools.count(1):
+        b = bernoulli_number(2 * m)
+        num, den = b.numerator << (w + 2 * m - 1), b.denominator * 2 * m * (2 * m - 1)
+        low, high, mid = (_div_round(num, den * x) for x in powers)
+        t = low + high - 2 * mid
+        if abs(t) <= 2 or 2 * m + 2 > _CAPS["bernoulli"]:
+            bound += abs(t) + 2  # the first omitted correction, in magnitude
+            break
+        s -= t
+        bound += 2
+        powers = [x * y for x, y in zip(powers, squares)]
+    # S < 0, so exp moves by less than S does: enclose exp(S) and take pi/2 of it
+    e, e_bound = _exp_scaled(s >> guard, bits)
+    return _half_pi(e, e_bound + (bound >> guard) + 2, bits)
+
+
+def _wallis_at(n: int, bits: int, walks: dict) -> tuple[int, int]:
+    """``W_n 2^bits`` and its error bound.
+
+    Up to ``n = 3 bits / 2`` the running product is the cheaper: ``walks`` keeps,
+    per precision, how far it has gone and the walk itself, so the increasing
+    points of one call walk once.  Past that :func:`_wallis_tail`, whose cost
+    does not grow with ``n``.  At 352 bits the two cost the same near ``n =
+    500`` (0.12 ms for a walk to 500, 0.4 ms to 10^3 and 4 ms to 10^4).
+    """
+    if 2 * n > 3 * bits:
+        return _wallis_tail(n, bits)
+    walked, walk = walks.get(bits) or (0, _wallis_scaled(bits))
+    walks[bits] = n, walk
+    return next(itertools.islice(walk, n - walked - 1, None)), 2 * n
 
 
 def _scaled_terms(spec: _Spec, order: int, bits: int) -> list[tuple[int, int, int]]:
@@ -356,6 +416,11 @@ def _approx_scaled(spec: _Spec, terms: list[tuple[int, int, int]], n: int,
         bound = max(f - lo + lo_err, hi + hi_err - f)
     else:
         f = (1 << bits) + s
+    return _half_pi(f, bound, bits)
+
+
+def _half_pi(f: int, bound: int, bits: int) -> tuple[int, int]:
+    """``(pi/2) F 2^bits`` and its bound, for ``f`` within ``bound`` units of ``F 2^bits``."""
     pi = _pi_scaled(bits)
     # |pi F - pi~ f| <= |pi - pi~| |F| + pi~ |F - f|, all in units of 2^-2bits
     return pi * f >> (bits + 1), ((abs(f) + bound + pi * bound) >> (bits + 1)) + 2
@@ -364,31 +429,37 @@ def _approx_scaled(spec: _Spec, terms: list[tuple[int, int, int]], n: int,
 def _wallis_errors(tag: ExpansionTag, order: int, ns: list[int]) -> list[Fraction]:
     """``|(pi/2) F(s) - W_n|`` for each ``n`` of the increasing ``ns``, within ``2^-60`` relative.
 
-    All points share one precision and one walk of the running product.
+    Each point has its own precision, so an error does not depend on the
+    other points; the points at one precision share its rounded terms and
+    its walk of the running product.
     """
     spec = _FAMILIES[tag]
     if spec.needs_params:
         raise ValueError(f"not a Wallis-sequence family: {tag}")
     order = _count(order, "order", 1, min(spec.max_order, _CAPS["error_order"]))
-    if ns[-1] > _MAX_N:
-        raise ValueError(f"n must be <= {_MAX_N}: the exact kernel walks every n up to it")
-    bits = (2 * order + 4) * ns[-1].bit_length() + 128
-    for _ in range(_MAX_DOUBLINGS):
-        terms = _scaled_terms(spec, order, bits)
-        errors = []
-        walk = _wallis_scaled(bits)
-        for n, prev in zip(ns, [0, *ns]):
-            w = next(itertools.islice(walk, n - prev - 1, None))
-            a, bound = _approx_scaled(spec, terms, n, bits)
-            bound += 2 * n
+    if ns[-1].bit_length() > _MAX_N_BITS:
+        raise ValueError(f"n must be < 2^{_MAX_N_BITS}: the exact kernel's precision grows "
+                         "with log2(n)")
+    terms: dict[int, list] = {}
+    walks: dict[int, tuple] = {}
+    errors = []
+    for n in ns:
+        bits = (2 * order + 4) * n.bit_length() + 128
+        for _ in range(_MAX_DOUBLINGS):
+            if bits not in terms:
+                terms[bits] = _scaled_terms(spec, order, bits)
+            a, bound = _approx_scaled(spec, terms[bits], n, bits)
+            w, w_bound = _wallis_at(n, bits, walks)
+            bound += w_bound
             err = abs(w - a)
-            if bound << 60 > err - bound:
+            if bound << 60 <= err - bound:
+                errors.append(Fraction(err, 1 << bits))
                 break
-            errors.append(Fraction(err, 1 << bits))
+            bits *= 2
         else:
-            return errors
-        bits *= 2
-    raise ArithmeticError(f"error of {tag.value} order {order} not resolved at {bits // 2} bits")
+            raise ArithmeticError(f"error of {tag.value} order {order} not resolved at "
+                                  f"{bits // 2} bits")
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +511,13 @@ def family_report(family: ExpansionFamily, n: int) -> ErrorReport:
 def wallis_error_exact(tag: ExpansionTag, order: int, n: int) -> Fraction:
     """|truncation - W_n| for a Wallis-sequence family, to ``2^-60`` relative.
 
-    A dyadic ``Fraction`` from the kernel of the module docstring, whose walk
-    costs 0.4 s at ``n = 10^6`` and 3-4 s at ``10^7``, the largest ``n`` taken.
-    Its term powers grow steeply with the order, capped at ``_CAPS["error_order"]``
-    (``ValueError`` past either, ``TypeError`` for a float).  An ``exp`` argument
-    above 1024 raises ``OverflowError``, as the float evaluator does past 709.78.
+    A dyadic ``Fraction`` from the kernel of the module docstring, for any
+    integer ``n`` below ``2^1000``: its precision grows with ``log2(n)``, so an
+    order-20 call takes a few ms at ``n = 10^7`` or ``10^12`` and about a second
+    near ``2^1000``.  Its term powers grow steeply with the order, capped at
+    ``_CAPS["error_order"]`` (``ValueError`` past either cap, ``TypeError`` for a
+    float).  An ``exp`` argument above 1024 raises ``OverflowError``, as the
+    float evaluator does past 709.78.
     """
     return _wallis_errors(tag, order, [_count(n, "n")])[0]
 
@@ -458,10 +531,10 @@ def convergence_order(family: ExpansionFamily, n_values: list[int]) -> list[floa
 
     One estimate per consecutive pair of ``n_values`` (which must be
     strictly increasing), with ``x = n + shift`` in the family's own
-    expansion variable.  The Wallis-sequence errors come from one walk of
-    the fixed-point kernel across the grid, so their ``n`` are integers up
-    to ``10^7`` as in :func:`wallis_error_exact`, and the log of each ratio of
-    them is rounded once to a double.  Entries whose errors are
+    expansion variable.  The Wallis-sequence errors are those of
+    :func:`wallis_error_exact`, point by point, so their ``n`` are integers
+    below ``2^1000``, and the log of each ratio of them is rounded once to a
+    double.  Entries whose errors are
     degenerate (at the double-precision noise floor for the (p, q)
     families) are returned as NaN.
     """

@@ -11,6 +11,7 @@ the Akiyama-Tanigawa numbers.
 
 import functools
 import math
+import random
 import threading
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallisprod import bernoulli
-from wallisprod.bernoulli import _em_weight, _poly_values, bernoulli_number, format_rational
+from wallisprod.bernoulli import _CAPS, _em_weight, _poly_values, bernoulli_number, format_rational
 from wallisprod.coeffs import cache_sizes
 
 
@@ -278,6 +279,23 @@ def test_shift_property(n, x):
     at_negated, at_x = _poly_values(n, (-x, x))
     power = x ** (n - 1) if n >= 1 else Fraction(0)
     assert (-1) ** n * at_negated == at_x + n * power
+
+
+def _seeded_points(seed: int) -> list[Fraction]:
+    """Rationals of every kind: zero, integers of both signs, small and large denominators."""
+    rng = random.Random(seed)
+    points = [Fraction(0), Fraction(1), Fraction(-4), Fraction(1, 2), Fraction(-7, 3)]
+    points += [Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**60)) for _ in range(3)]
+    points += [Fraction(rng.randint(-10**6, 10**6), 10**25 + rng.randint(1, 10**6))]
+    return points
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 60, 250, _CAPS["nu_raw"] + 1])
+def test_integer_sums_equal_the_fraction_horner(n):
+    # one integer Horner sum over a common denominator per point, against a Fraction
+    # multiply-add per coefficient, up to the largest index wallis_nu_raw reads
+    points = _seeded_points(n)
+    assert _poly_values(n, points) == [exact_horner(bernoulli_coeffs(n), x) for x in points]
 
 
 def test_half_argument_to_30():

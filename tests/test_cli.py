@@ -459,6 +459,21 @@ class TestEvalCommand:
         assert message in result.stderr
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("target", ["wclosed", "rclosed"])
+    @pytest.mark.parametrize("argv", [
+        # |W_n| near exp(22792), the benchmark's known out-of-range input
+        ["--n", "100000", "--p=-3000.0+0.5i", "--q", "100.0"],
+        ["--n", "1000000", "--p", "0", "--q", "1000000"],
+    ], ids=["complex", "real"])
+    def test_value_past_the_double_range_exit_3(self, runner, target, argv):
+        # the closed form's exp overflows: a domain error that still names OverflowError
+        result = runner.invoke(main, ["eval", "--target", target, *argv])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"domain error: {target} at n = {argv[1]}, ")
+        assert "outside the double range (OverflowError: " in result.stderr
+        assert "Traceback" not in result.output
+
     def test_root_near_a_pole_is_not_a_zero(self, runner):
         # factor 30 of W_35(-30.1, 3) is 4e-14, not 0: the product's value, with no note
         result = runner.invoke(main, ["eval", "--target", "wclosed", "--n", "35", "--p=-30.1",

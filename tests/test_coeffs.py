@@ -295,6 +295,37 @@ class TestBiPoly:
         assert str(b_poly(1)) == "1/8*p^2 - 1/4*q"
 
 
+def evaluate_by_fractions(poly: BiPoly, p: Fraction, q: Fraction) -> Fraction:
+    """The value at ``(p, q)`` by one ``Fraction`` multiply-add per term: the oracle of
+    ``BiPoly.evaluate_exact``'s integer sum."""
+    acc = F(0)
+    for (i, j), c in poly.terms.items():
+        acc += c * p**i * q**j
+    return acc
+
+
+class TestExactEvaluation:
+    POINTS = [(F(10), F(49, 2)), (F(0), F(-1, 4)), (F(-3, 7), F(0)), (F(0), F(0)), (F(5), F(2)),
+              (F(-2), F(-9, 10**12 + 39))]
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 12, 40, _CAPS["a"]])
+    def test_integer_sum_equals_the_fraction_loop(self, j):
+        rng = random.Random(j)
+        points = self.POINTS + [(F(rng.randint(-10**9, 10**9), rng.randint(1, 10**12)),
+                                 F(rng.randint(-10**9, 10**9), rng.randint(1, 10**12)))]
+        assert _CAPS["a"] == _CAPS["b"]
+        for poly in (a_poly(j), b_poly(j)):
+            for p, q in points:
+                assert poly.evaluate_exact(p, q) == evaluate_by_fractions(poly, p, q), (j, p, q)
+
+    def test_integer_and_empty_inputs(self):
+        assert BiPoly().evaluate_exact(3, F(1, 2)) == 0
+        assert type(BiPoly().evaluate_exact(3, F(1, 2))) is Fraction
+        poly = BiPoly({(0, 0): F(1, 3), (2, 1): F(-5, 2)})
+        assert poly.evaluate_exact(2, -1) == F(1, 3) + 10
+        assert poly.evaluate_exact(F(1, 2), 3) == F(1, 3) - F(15, 8)
+
+
 class TestPolynomialFamilies:
     def test_a_poly_displays(self):
         assert a_poly(1) == A1
@@ -418,6 +449,18 @@ class TestScalarFamilies:
 
     def test_nu_closed_equals_raw(self):
         assert wallis_nu(20).values == wallis_nu_raw(20).values
+
+    def test_one_fraction_closed_forms_equal_the_fraction_arithmetic(self):
+        # each entry is one reduced Fraction of integers; the retired forms did Fraction arithmetic
+        for j in range(1, 301):
+            scale = F(4) - F(1, 2 ** (j - 1))
+            want = ((-1) ** (j + 1) * (scale * bernoulli_number(j + 1) - F(j + 1, 2**j))
+                    / (j * (j + 1)))
+            assert coeffs._nu_closed(j) == want, j
+        for level in range(1, _CAPS["omega"] + 1):
+            want = ((F(2, 4**level) - 2) * bernoulli_number(2 * level)
+                    / (level * (2 * level - 1)))
+            assert coeffs._omega_closed(level) == want, level
 
     def test_mu_values(self):
         assert wallis_mu(11).values == MU_11

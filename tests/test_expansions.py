@@ -41,6 +41,7 @@ from wallisprod.expansions import (
     _scaled_terms,
     _tail_holds,
     _wallis_scaled,
+    _wallis_tail,
 )
 from wallisprod.products import r_product, w_product, wallis_seq
 from wallisprod.special import PoleError, r_inf, w_inf
@@ -563,6 +564,52 @@ def _kernel_rel_to_mpmath(tag, order, n):
         return float(abs(mp.mpf(got.numerator) / got.denominator - ref) / ref)
 
 
+def _mpmath_wallis_far(n):
+    """``W_n = (pi/2) Gamma(n+1)^2 / (Gamma(n+1/2) Gamma(n+3/2))`` at the working precision."""
+    return mp.pi / 2 * mp.exp(2 * mp.loggamma(n + 1) - mp.loggamma(n + mp.mpf(1) / 2)
+                              - mp.loggamma(n + mp.mpf(3) / 2))
+
+
+def _far_rel_to_mpmath(tag, order, n, got):
+    """Relative distance of ``got`` from the mpmath error, carried 80 digits past its size."""
+    digits = 80 + (got.denominator.bit_length() - got.numerator.bit_length()) * 3 // 10
+    with mp.workdps(digits):
+        ref = abs(_mpmath_approx(tag, order, n) - _mpmath_wallis_far(n))
+        return float(abs(mp.mpf(got.numerator) / got.denominator - ref) / ref)
+
+
+def _order_of(tag, order):
+    """The decay exponent of the family's error: one past its last power of ``1/n``."""
+    return (2 * order + 1 if tag in (ExpansionTag.WALLIS_ALPHA_BETA, ExpansionTag.WALLIS_OMEGA)
+            else ELEZOVIC_TERMS[order][1] if tag is ExpansionTag.ELEZOVIC else order + 1)
+
+
+def _kernel_bits(order, n):
+    return (2 * order + 4) * n.bit_length() + 128
+
+
+def _crossover(order):
+    """The smallest ``n`` whose ``W_n`` the kernel takes from the Euler–Maclaurin tail."""
+    n = 1
+    while 2 * n <= 3 * _kernel_bits(order, n):
+        n += 1
+    return n
+
+
+def _product_error(tag, order, n):
+    """The kernel's error with ``W_n`` from the running product alone, as it was for every
+    ``n``: the tail's oracle."""
+    spec = _FAMILIES[tag]
+    bits = _kernel_bits(order, n)
+    while True:
+        a, bound = _approx_scaled(spec, _scaled_terms(spec, order, bits), n, bits)
+        w = next(islice(_wallis_scaled(bits), n - 1, None))
+        bound += 2 * n
+        if bound << 60 <= abs(w - a) - bound:
+            return Fraction(abs(w - a), 1 << bits)
+        bits *= 2
+
+
 class TestExactKernel:
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(WALLIS_TAGS), st.integers(1, 6), st.integers(1, 400))
@@ -635,8 +682,8 @@ class TestExactKernel:
         with pytest.raises(ValueError, match=r"^not a Wallis-sequence family: "):
             wallis_error_exact(ExpansionTag.W_PQ, 2, 10)
 
-    def test_n_is_an_integer_up_to_the_cap(self):
-        # the walk to n costs O(n): 3-4 s at 10^7, so the domain ends there
+    def test_n_is_any_integer_below_2_to_the_1000(self):
+        # no walk to n past the crossover: 10^7 + 1 was refused while the walk cost O(n)
         family = ExpansionFamily(ExpansionTag.WALLIS_MU, 2)
         with pytest.raises(TypeError):
             wallis_error_exact(ExpansionTag.WALLIS_MU, 2, 10.0)
@@ -644,11 +691,53 @@ class TestExactKernel:
             convergence_order(family, [10.0, 20.0])
         for tag in WALLIS_TAGS:
             start = time.perf_counter()
-            with pytest.raises(ValueError, match="n must be <= 10000000"):
-                wallis_error_exact(tag, 1, 10**7 + 1)
-            with pytest.raises(ValueError, match="n must be <= 10000000"):
-                convergence_order(ExpansionFamily(tag, 1), [10, 10**7 + 1])
-            assert time.perf_counter() - start < 0.5  # refused before the walk
+            got = wallis_error_exact(tag, 1, 10**7 + 1)
+            ests = convergence_order(ExpansionFamily(tag, 1), [10**6, 10**7 + 1, 10**12])
+            with pytest.raises(ValueError, match=r"n must be < 2\^1000"):
+                wallis_error_exact(tag, 1, 2**1000)
+            with pytest.raises(ValueError, match=r"n must be < 2\^1000"):
+                convergence_order(ExpansionFamily(tag, 1), [10, 2**1000])
+            assert time.perf_counter() - start < 1.0
+            assert _far_rel_to_mpmath(tag, 1, 10**7 + 1, got) <= KERNEL_REL
+            assert all(abs(est - _order_of(tag, 1)) < 1e-3 for est in ests), (tag, ests)
+
+    def test_order_20_far_out_is_fast(self):
+        # 11-12 s at n = 10^7 while the running product walked to n
+        for n in (10**7, 10**12):
+            start = time.perf_counter()
+            got = wallis_error_exact(ExpansionTag.WALLIS_NU_EXP, 20, n)
+            assert time.perf_counter() - start < 1.0
+            assert _far_rel_to_mpmath(ExpansionTag.WALLIS_NU_EXP, 20, n, got) <= KERNEL_REL
+
+    @pytest.mark.parametrize("tag", WALLIS_TAGS)
+    def test_tail_equals_the_running_product_across_the_crossover(self, tag):
+        # the last point below the crossover, the first past it, and 10^4, at every order
+        for order in range(1, MAX_ORDER[tag] + 1):
+            first = _crossover(order)
+            for n in (first - 1, first, 10**4):
+                want = _product_error(tag, order, n)
+                got = wallis_error_exact(tag, order, n)
+                assert abs(got - want) <= KERNEL_REL * want, (tag, order, n)
+
+    @pytest.mark.parametrize("n", [10**9, 10**12, 10**15])
+    def test_far_errors_match_mpmath(self, n):
+        # the log-gamma differences cancel some 2 log10(n) digits, so 120 digits for W_n
+        with mp.workdps(120):
+            w, bound = _wallis_tail(n, 256)
+            assert abs(w - _mpmath_wallis_far(n) * mp.mpf(2) ** 256) <= bound
+        for tag in WALLIS_TAGS:
+            for order in sorted({1, 2, MAX_ORDER[tag]}):
+                got = wallis_error_exact(tag, order, n)
+                assert _far_rel_to_mpmath(tag, order, n, got) <= KERNEL_REL, (tag, order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(200, 10**4), st.integers(64, 1200))
+    def test_tail_within_its_bound(self, n, bits):
+        w, bound = _wallis_tail(n, bits)
+        x = next(islice(_wallis_scaled(bits), n - 1, None))
+        assert abs(w - x) <= bound + 2 * n
+        with mp.workdps(bits // 3 + 30):
+            assert abs(w - _mpmath_wallis(n) * mp.mpf(2) ** bits) <= bound, (n, bits)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(WALLIS_TAGS), st.data(), st.integers(1, 3000), st.integers(4, 200))
