@@ -22,10 +22,9 @@ exactly, because their truncation errors drop far below double precision
 (the order-5 odd family is at 1e-24 by ``n = 100``).  The kernel works on
 integers scaled by ``2^G``: ``pi`` and ``exp`` from ``_fixed``, each term
 ``c_k / (n + s_k)^e_k`` rounded once, and ``W_n`` in one of two ways.  Up to
-``n = 3G/2`` it is the running product ``x <- x 4k^2 // (4k^2 - 1)``, which
-the points of a call at one precision walk once; past that, ``(pi/2) exp(S)``
-with ``S = ln(2 W_n / pi)`` summed by Euler–Maclaurin in about ``G / (2 log2
-n)`` terms (:func:`_wallis_tail`).  Every step carries an integer bound on its
+``n = 3G/2`` it is the running product ``x <- x 4k^2 // (4k^2 - 1)``; past
+that, ``(pi/2) exp(S)`` with ``S = ln(2 W_n / pi)`` summed by Euler–Maclaurin
+in about ``G / (2 log2 n)`` terms (:func:`_wallis_tail`).  Every step carries an integer bound on its
 rounding.  ``G`` starts at ``(2 order + 4) log2(n) + 128`` bits and doubles
 until the total bound is below ``2^-60`` of the error (Ziv's strategy,
 Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 3-4).  The two
@@ -364,20 +363,17 @@ def _wallis_tail(n: int, bits: int) -> tuple[int, int]:
     return _half_pi(e, e_bound + (bound >> guard) + 2, bits)
 
 
-def _wallis_at(n: int, bits: int, walks: dict) -> tuple[int, int]:
+def _wallis_at(n: int, bits: int) -> tuple[int, int]:
     """``W_n 2^bits`` and its error bound.
 
-    Up to ``n = 3 bits / 2`` the running product is the cheaper: ``walks`` keeps,
-    per precision, how far it has gone and the walk itself, so the increasing
-    points of one call walk once.  Past that :func:`_wallis_tail`, whose cost
-    does not grow with ``n``.  At 352 bits the two cost the same near ``n =
-    500`` (0.12 ms for a walk to 500, 0.4 ms to 10^3 and 4 ms to 10^4).
+    Up to ``n = 3 bits / 2`` the running product is the cheaper; past that
+    :func:`_wallis_tail`, whose cost does not grow with ``n``.  At 352 bits the
+    two cost the same near ``n = 500`` (0.12 ms for a walk to 500, 0.4 ms to
+    10^3 and 4 ms to 10^4).
     """
     if 2 * n > 3 * bits:
         return _wallis_tail(n, bits)
-    walked, walk = walks.get(bits) or (0, _wallis_scaled(bits))
-    walks[bits] = n, walk
-    return next(itertools.islice(walk, n - walked - 1, None)), 2 * n
+    return next(itertools.islice(_wallis_scaled(bits), n - 1, None)), 2 * n
 
 
 def _scaled_terms(spec: _Spec, order: int, bits: int) -> list[tuple[int, int, int]]:
@@ -430,8 +426,7 @@ def _wallis_errors(tag: ExpansionTag, order: int, ns: list[int]) -> list[Fractio
     """``|(pi/2) F(s) - W_n|`` for each ``n`` of the increasing ``ns``, within ``2^-60`` relative.
 
     Each point has its own precision, so an error does not depend on the
-    other points; the points at one precision share its rounded terms and
-    its walk of the running product.
+    other points.
     """
     spec = _FAMILIES[tag]
     if spec.needs_params:
@@ -440,16 +435,12 @@ def _wallis_errors(tag: ExpansionTag, order: int, ns: list[int]) -> list[Fractio
     if ns[-1].bit_length() > _MAX_N_BITS:
         raise ValueError(f"n must be < 2^{_MAX_N_BITS}: the exact kernel's precision grows "
                          "with log2(n)")
-    terms: dict[int, list] = {}
-    walks: dict[int, tuple] = {}
     errors = []
     for n in ns:
         bits = (2 * order + 4) * n.bit_length() + 128
         for _ in range(_MAX_DOUBLINGS):
-            if bits not in terms:
-                terms[bits] = _scaled_terms(spec, order, bits)
-            a, bound = _approx_scaled(spec, terms[bits], n, bits)
-            w, w_bound = _wallis_at(n, bits, walks)
+            a, bound = _approx_scaled(spec, _scaled_terms(spec, order, bits), n, bits)
+            w, w_bound = _wallis_at(n, bits)
             bound += w_bound
             err = abs(w - a)
             if bound << 60 <= err - bound:
